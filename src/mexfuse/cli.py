@@ -25,7 +25,7 @@ PAPER_CASCADE_PARAMS = 92_000_000
 
 def _load_config(ctx_obj):
     overrides = {}
-    for key in ("seed", "out", "workers"):
+    for key in ("seed", "out"):
         if ctx_obj.get(key) is not None:
             overrides[key] = ctx_obj[key]
     try:
@@ -84,10 +84,9 @@ def _stats_from(cfg):
               help="JSON config file; unknown keys are rejected.")
 @click.option("--seed", type=int, default=None)
 @click.option("--out", type=click.Path(), default=None)
-@click.option("--workers", type=int, default=None)
 @click.pass_context
-def main(ctx, config_path, seed, out, workers):
-    ctx.obj = {"config": config_path, "seed": seed, "out": out, "workers": workers}
+def main(ctx, config_path, seed, out):
+    ctx.obj = {"config": config_path, "seed": seed, "out": out}
 
 
 @main.group("config")
@@ -167,8 +166,7 @@ def score(ctx, dataset_dir, model_dir):
     stats = _stats_from(cfg)
     cands = pipeline.score_all(data["trajectories"], data["tasks"], model,
                                window=cfg["pipeline"]["window"], stats=stats,
-                               threshold=cfg["pipeline"]["threshold"],
-                               workers=cfg["workers"])
+                               threshold=cfg["pipeline"]["threshold"])
     os.makedirs(cfg["out"], exist_ok=True)
     scores_path = os.path.join(cfg["out"], "scores.jsonl")
     pipeline.write_scores(scores_path, cands)

@@ -14,7 +14,6 @@ class ConfigError(ValueError):
 DEFAULTS = {
     "seed": 0,
     "out": "runs/out",
-    "workers": 1,
     "embedder": {
         "raw_visual_dim": 768,
         "visual_tokens": 16,

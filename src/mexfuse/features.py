@@ -8,6 +8,7 @@ that reduce raw channels to the fused width.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -74,15 +75,26 @@ def concept_space(config: EmbedderConfig, dim: int):
 
     QR of a seeded Gaussian matrix, so distinct concepts are exactly
     orthogonal and the oracle-mode cosine bounds hold by construction.
+    Memoised, since every oracle-mode embedding needs it; the vectors are
+    read-only so that no caller can change the memoised basis.
     """
-    k = len(config.concepts)
-    if k == 0:
-        return {}
-    if k > dim:
-        raise DegenerateInputError(f"{k} concepts exceed embedding dim {dim}")
-    rng = _rng_for(config.seed, "concept-space", dim, *sorted(config.concepts))
-    q, _ = np.linalg.qr(rng.standard_normal((dim, k)))
-    return {c: np.ascontiguousarray(q[:, i]) for i, c in enumerate(sorted(config.concepts))}
+    if len(config.concepts) > dim:
+        raise DegenerateInputError(f"{len(config.concepts)} concepts exceed embedding dim {dim}")
+    return dict(_concept_basis(config.seed, dim, tuple(sorted(config.concepts))))
+
+
+@functools.lru_cache(maxsize=64)
+def _concept_basis(seed, dim, concepts):
+    if not concepts:
+        return ()
+    rng = _rng_for(seed, "concept-space", dim, *concepts)
+    q, _ = np.linalg.qr(rng.standard_normal((dim, len(concepts))))
+    basis = []
+    for i, c in enumerate(concepts):
+        v = np.ascontiguousarray(q[:, i])
+        v.flags.writeable = False
+        basis.append((c, v))
+    return tuple(basis)
 
 
 def embed_synthetic(entity_id, modality, config: EmbedderConfig, concept=None):

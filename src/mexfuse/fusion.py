@@ -102,23 +102,145 @@ class FusionParams:
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-    """softmax(q k^T / sqrt(d_k)) v for 2-D operands."""
-    if q.data.ndim != 2 or k.data.ndim != 2 or v.data.ndim != 2:
-        raise DimensionError("attention needs 2-D q, k, v")
-    if q.data.shape[1] != k.data.shape[1]:
+    """softmax(q k^T / sqrt(d_k)) v over the last two axes; leading axes broadcast."""
+    if q.data.ndim < 2 or k.data.ndim < 2 or v.data.ndim < 2:
+        raise DimensionError("attention needs q, k, v of rank >= 2")
+    if q.data.shape[-1] != k.data.shape[-1]:
         raise DimensionError(f"q/k channel mismatch: {q.data.shape} vs {k.data.shape}")
-    if k.data.shape[0] != v.data.shape[0]:
+    if k.data.shape[-2] != v.data.shape[-2]:
         raise DimensionError(f"k/v row mismatch: {k.data.shape} vs {v.data.shape}")
-    d_k = q.data.shape[1]
-    scores = scale(matmul(q, transpose(k)), 1.0 / math.sqrt(d_k))
-    return matmul(softmax_rows(scores), v)
+    return matmul(_attention_map(q, k), v)
+
+
+def _attention_map(q, k):
+    return softmax_rows(scale(matmul(q, transpose(k)), 1.0 / math.sqrt(q.data.shape[-1])))
 
 
 def _check_channels(params, *streams):
     for s in streams:
-        if s.data.ndim != 2 or s.data.shape[1] != params.d_k:
+        if s.data.ndim < 2 or s.data.shape[-1] != params.d_k:
             raise DimensionError(
                 f"stream shape {s.data.shape} incompatible with d_k={params.d_k}")
+
+
+# Each variant is split at the prompt boundary into three parts:
+#   visual(params, fGlobal, fLocal) -> prompt-independent terms
+#   prompt(params, fPrompt)         -> terms of the prompt alone
+#   joint(params, vis, txt)         -> FusionOutput of one (visual, prompt) pair
+# ``fuse`` composes them, so scoring many prompts against one track window
+# computes the visual terms once and only the joint part per prompt.
+# Streams are [..., tokens, d_k]; leading (frame) axes are batch axes.
+
+
+def _mex_visual(params, fI, fT):
+    L = params.linears
+    if params.per_pair:
+        q_it, k_it = L["q_it"](fI), L["k_it"](fT)
+        q_tp, v_t = L["q_tp"](fT), L["v_t"](fT)
+    else:
+        q_it = L["proj_i"](fI)
+        k_it = q_tp = v_t = L["proj_t"](fT)
+    p_it = _attention_map(q_it, k_it)
+    return {"q_it": q_it, "q_tp": q_tp, "p_it": p_it, "it": matmul(p_it, v_t)}
+
+
+def _mex_prompt(params, fP):
+    L = params.linears
+    if params.per_pair:
+        return {"k_tp": L["k_tp"](fP), "v_p": L["v_p"](fP)}
+    k_tp = L["proj_p"](fP)
+    return {"k_tp": k_tp, "v_p": k_tp}
+
+
+def _mex_joint(params, vis, txt):
+    p_tp = _attention_map(vis["q_tp"], txt["k_tp"])
+    p_itp = matmul(vis["p_it"], p_tp)
+    fused = add(vis["it"], matmul(p_itp, txt["v_p"]))
+    if params.residual_add:
+        fused = add(fused, vis["q_it"])
+    return FusionOutput(
+        fused=fused,
+        attn_it=vis["p_it"].data.copy(),
+        attn_tp=p_tp.data.copy(),
+        attn_itp=p_itp.data.copy(),
+        ledger=current_context().ledger.snapshot(),
+    )
+
+
+def _cascade_stage(q, k, v):
+    """One pairwise attention that adds its query; returns (output, map)."""
+    p = _attention_map(q, k)
+    return add(matmul(p, v), q), p
+
+
+def _cascade_visual(params, fGlobal, fLocal):
+    L = params.linears
+    mid, p1 = _cascade_stage(L["s1_q"](fLocal), L["s1_k"](fGlobal), L["s1_v"](fGlobal))
+    return {"q": L["s2_q"](mid), "p1": p1}
+
+
+def _cascade_prompt(params, fP):
+    L = params.linears
+    return {"k": L["s2_k"](fP), "v": L["s2_v"](fP)}
+
+
+def _cascade_joint(params, vis, txt):
+    out, p2 = _cascade_stage(vis["q"], txt["k"], txt["v"])
+    return FusionOutput(fused=out, attn_it=vis["p1"].data.copy(), attn_tp=p2.data.copy(),
+                        ledger=current_context().ledger.snapshot())
+
+
+def _plain_visual(params, fGlobal, fLocal):
+    return {"q": params.linears["q"](fLocal)}
+
+
+def _plain_prompt(params, fP):
+    L = params.linears
+    return {"k": L["k"](fP), "v": L["v"](fP)}
+
+
+def _plain_joint(params, vis, txt):
+    out = attention(vis["q"], txt["k"], txt["v"])
+    return FusionOutput(fused=out, ledger=current_context().ledger.snapshot())
+
+
+_PARTS = {
+    "mex": (_mex_visual, _mex_prompt, _mex_joint),
+    "cascade": (_cascade_visual, _cascade_prompt, _cascade_joint),
+    "plain": (_plain_visual, _plain_prompt, _plain_joint),
+}
+
+
+def visual_terms(params: FusionParams, fGlobal: Tensor, fLocal: Tensor) -> dict:
+    """The prompt-independent part of the fusion block for one track window."""
+    _check_channels(params, fGlobal, fLocal)
+    return _PARTS[params.variant][0](params, fGlobal, fLocal)
+
+
+def prompt_terms(params: FusionParams, fPrompt: Tensor) -> dict:
+    """The part of the fusion block that depends on the prompt alone."""
+    _check_channels(params, fPrompt)
+    return _PARTS[params.variant][1](params, fPrompt)
+
+
+def fuse_terms(params: FusionParams, visual: dict, prompt: dict) -> FusionOutput:
+    """The per-prompt part: fuse one window's visual terms with one prompt's terms."""
+    return _PARTS[params.variant][2](params, visual, prompt)
+
+
+def fuse(params: FusionParams, fGlobal: Tensor, fLocal: Tensor, fPrompt: Tensor) -> FusionOutput:
+    """The whole fusion block with a uniform stream order.
+
+    Streams are [..., tokens, d_k]; leading axes (frames of a window) are
+    batch axes and broadcast.
+    """
+    visual = visual_terms(params, fGlobal, fLocal)
+    return fuse_terms(params, visual, prompt_terms(params, fPrompt))
+
+
+def _check_variant(params, variant):
+    if params.variant != variant:
+        raise ValueError("params built for a different variant")
 
 
 def mex_attention(fI: Tensor, fT: Tensor, fP: Tensor, params: FusionParams) -> FusionOutput:
@@ -131,32 +253,8 @@ def mex_attention(fI: Tensor, fT: Tensor, fP: Tensor, params: FusionParams) -> F
 
     ``residual_add`` optionally adds the projected query stream to the output.
     """
-    if params.variant != "mex":
-        raise ValueError("params built for a different variant")
-    _check_channels(params, fI, fT, fP)
-    inv = 1.0 / math.sqrt(params.d_k)
-    L = params.linears
-    if params.per_pair:
-        q_it, k_it = L["q_it"](fI), L["k_it"](fT)
-        q_tp, k_tp = L["q_tp"](fT), L["k_tp"](fP)
-        v_t, v_p = L["v_t"](fT), L["v_p"](fP)
-    else:
-        q_it = L["proj_i"](fI)
-        k_it = q_tp = v_t = L["proj_t"](fT)
-        k_tp = v_p = L["proj_p"](fP)
-    p_it = softmax_rows(scale(matmul(q_it, transpose(k_it)), inv))
-    p_tp = softmax_rows(scale(matmul(q_tp, transpose(k_tp)), inv))
-    p_itp = matmul(p_it, p_tp)
-    fused = add(matmul(p_it, v_t), matmul(p_itp, v_p))
-    if params.residual_add:
-        fused = add(fused, q_it)
-    return FusionOutput(
-        fused=fused,
-        attn_it=p_it.data.copy(),
-        attn_tp=p_tp.data.copy(),
-        attn_itp=p_itp.data.copy(),
-        ledger=current_context().ledger.snapshot(),
-    )
+    _check_variant(params, "mex")
+    return fuse(params, fI, fT, fP)
 
 
 def cascade_attention(fLocal: Tensor, fGlobal: Tensor, fPrompt: Tensor,
@@ -167,42 +265,13 @@ def cascade_attention(fLocal: Tensor, fGlobal: Tensor, fPrompt: Tensor,
     with stage 1's output. Each stage adds its (projected) query to the
     attention result.
     """
-    if params.variant != "cascade":
-        raise ValueError("params built for a different variant")
-    _check_channels(params, fLocal, fGlobal, fPrompt)
-    inv = 1.0 / math.sqrt(params.d_k)
-    L = params.linears
-
-    def stage(x_q, x_kv, qn, kn, vn, keep=None):
-        q, k, v = L[qn](x_q), L[kn](x_kv), L[vn](x_kv)
-        p = softmax_rows(scale(matmul(q, transpose(k)), inv))
-        if keep is not None:
-            keep.append(p.data.copy())
-        return add(matmul(p, v), q)
-
-    maps = []
-    mid = stage(fLocal, fGlobal, "s1_q", "s1_k", "s1_v", keep=maps)
-    out = stage(mid, fPrompt, "s2_q", "s2_k", "s2_v", keep=maps)
-    return FusionOutput(fused=out, attn_it=maps[0], attn_tp=maps[1],
-                        ledger=current_context().ledger.snapshot())
+    _check_variant(params, "cascade")
+    return fuse(params, fGlobal, fLocal, fPrompt)
 
 
 def plain_attention(fLocal: Tensor, fPrompt: Tensor, params: FusionParams) -> FusionOutput:
-    if params.variant != "plain":
-        raise ValueError("params built for a different variant")
-    _check_channels(params, fLocal, fPrompt)
-    L = params.linears
-    out = attention(L["q"](fLocal), L["k"](fPrompt), L["v"](fPrompt))
-    return FusionOutput(fused=out, ledger=current_context().ledger.snapshot())
-
-
-def fuse(params: FusionParams, fGlobal: Tensor, fLocal: Tensor, fPrompt: Tensor) -> FusionOutput:
-    """Dispatch on the configured variant with a uniform stream order."""
-    if params.variant == "mex":
-        return mex_attention(fGlobal, fLocal, fPrompt, params)
-    if params.variant == "cascade":
-        return cascade_attention(fLocal, fGlobal, fPrompt, params)
-    return plain_attention(fLocal, fPrompt, params)
+    _check_variant(params, "plain")
+    return fuse(params, fLocal, fLocal, fPrompt)  # plain reads no global stream
 
 
 def st_pool(x: Tensor) -> Tensor:

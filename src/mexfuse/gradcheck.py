@@ -3,15 +3,16 @@
 import numpy as np
 
 from .fusion import FusionParams, fuse, score, st_pool
-from .tensor import Tensor, fresh_context, stack, sub
+from .tensor import Tensor, fresh_context, sub
 
 
 def fusion_loss(params: FusionParams, streams, target):
-    """fusion per frame -> ST pooling -> cosine loss against a fixed target."""
-    per_frame = [fuse(params, Tensor(fG), Tensor(fL), Tensor(fP)).fused
-                 for fG, fL, fP in streams]
-    pooled = st_pool(stack(per_frame))
-    return sub(Tensor(np.asarray(1.0)), score(pooled, Tensor(target)))
+    """fusion of all frames as one batch -> ST pooling -> cosine loss against a fixed target.
+
+    ``streams`` is a (global, local, prompt) triple of [frames, tokens, d_k] arrays.
+    """
+    fused = fuse(params, *(Tensor(s) for s in streams)).fused
+    return sub(Tensor(np.asarray(1.0)), score(st_pool(fused), Tensor(target)))
 
 
 def max_relative_error(variant, g=2, t=3, l=4, d_k=8, n_frames=2, seed=0,
@@ -20,8 +21,9 @@ def max_relative_error(variant, g=2, t=3, l=4, d_k=8, n_frames=2, seed=0,
     rng = np.random.default_rng(seed)
     params = FusionParams(variant, d_k, rng, residual_add=residual_add,
                           per_pair=per_pair)
-    streams = [(rng.standard_normal((g, d_k)), rng.standard_normal((t, d_k)),
-                rng.standard_normal((l, d_k))) for _ in range(n_frames)]
+    per_frame = [(rng.standard_normal((g, d_k)), rng.standard_normal((t, d_k)),
+                  rng.standard_normal((l, d_k))) for _ in range(n_frames)]
+    streams = [np.stack(s) for s in zip(*per_frame)]
     target = rng.standard_normal(d_k)
 
     def forward():

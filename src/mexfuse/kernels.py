@@ -1,92 +1,19 @@
-"""Hot numeric kernels with two interchangeable backends.
+"""The two hot numeric kernels under the tensor engine, on numpy/BLAS.
 
-The numba backend JIT-compiles the inner loops; the pure-numpy backend is
-the fallback and the reference. Selection:
-
-    MEXFUSE_KERNELS=numpy   force the numpy path
-    MEXFUSE_KERNELS=numba   force the numba path (error if numba missing)
-
-unset -> numba when importable, numpy otherwise. ``benchmarks/bench_kernels.py``
-compares the two.
+Both act on the last two axes (matmul) or the last axis (softmax) and take
+any number of leading batch axes; ``matmul2d`` broadcasts them as
+``np.matmul`` does. The tensor engine calls them through this module, so a
+profiler or tracer can wrap each in one place.
 """
-
-import os
 
 import numpy as np
 
-try:
-    from numba import njit
 
-    _HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    _HAS_NUMBA = False
+def matmul2d(a, b):
+    return np.matmul(a, b)
 
 
-def _np_matmul(a, b):
-    return a @ b
-
-
-def _np_softmax_rows(x):
+def softmax_rows2d(x):
     m = x.max(axis=-1, keepdims=True)
     e = np.exp(x - m)
     return e / e.sum(axis=-1, keepdims=True)
-
-
-if _HAS_NUMBA:
-
-    @njit(cache=True)
-    def _nb_matmul(a, b):
-        m, k = a.shape
-        k2, n = b.shape
-        out = np.zeros((m, n), dtype=a.dtype)
-        for i in range(m):
-            for p in range(k):
-                aip = a[i, p]
-                for j in range(n):
-                    out[i, j] += aip * b[p, j]
-        return out
-
-    @njit(cache=True)
-    def _nb_softmax_rows(x):
-        m, n = x.shape
-        out = np.empty_like(x)
-        for i in range(m):
-            hi = x[i, 0]
-            for j in range(1, n):
-                if x[i, j] > hi:
-                    hi = x[i, j]
-            total = 0.0
-            for j in range(n):
-                v = np.exp(x[i, j] - hi)
-                out[i, j] = v
-                total += v
-            for j in range(n):
-                out[i, j] /= total
-        return out
-
-
-def _select_backend():
-    choice = os.environ.get("MEXFUSE_KERNELS", "").strip().lower()
-    if choice == "numpy":
-        return "numpy"
-    if choice == "numba":
-        if not _HAS_NUMBA:
-            raise RuntimeError("MEXFUSE_KERNELS=numba but numba is not importable")
-        return "numba"
-    if choice not in ("", "auto"):
-        raise RuntimeError(f"unknown MEXFUSE_KERNELS value: {choice!r}")
-    return "numba" if _HAS_NUMBA else "numpy"
-
-
-BACKEND = _select_backend()
-
-if BACKEND == "numba":
-    matmul2d = _nb_matmul
-    softmax_rows2d = _nb_softmax_rows
-else:
-    matmul2d = _np_matmul
-    softmax_rows2d = _np_softmax_rows
-
-# reference versions, always available (used by benchmarks and as oracle helpers)
-matmul2d_numpy = _np_matmul
-softmax_rows2d_numpy = _np_softmax_rows

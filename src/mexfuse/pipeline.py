@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import calibration, features, fusion, tensor, tensor_io
-from .features import EmbedderConfig, ModalityFeatures, ProjectionMLP
+from .features import EmbedderConfig, ProjectionMLP
 from .fusion import FusionParams
 from .tensor import (
     DegenerateInputError,
@@ -116,31 +115,56 @@ class ReferringModel:
         return (self.fusion_params.param_count() + self.mlp_global.param_count()
                 + self.mlp_local.param_count() + self.mlp_prompt.param_count())
 
-    def _raw_tokens(self, entity_id, modality):
-        key = (entity_id, modality)
-        if key not in self._raw_cache:
+    def _raw_tokens(self, entity_id, modality, keep):
+        """[s, d_raw] tokens of one entity; kept for reuse when ``keep`` is set."""
+        tokens = self._raw_cache.get((entity_id, modality))
+        if tokens is None:
             f = features.embed_synthetic(entity_id, modality, self.embedder,
                                          concept=self.concept_of.get(entity_id))
             if self.embedder.truncate_to is not None:
                 f = features.truncate(f, self.embedder.truncate_to)
-            self._raw_cache[key] = f.tokens[0]  # [s, d_raw]
-        return self._raw_cache[key]
+            tokens = f.tokens[0]
+            if keep:
+                self._raw_cache[(entity_id, modality)] = tokens
+        return tokens
 
-    def _project(self, raw, mlp):
-        t = mlp(Tensor(raw))
-        return t
+    def _project(self, entities, modality, mlp, keep):
+        """[n, s, d_k] stream of the entities: one MLP call on their stacked raw tokens."""
+        raw = np.stack([self._raw_tokens(e, modality, keep) for e in entities])
+        return mlp(Tensor(raw))
 
-    def forward_window(self, frame_entities, local_entities, prompt_entity):
-        """Score one window: per-frame fusion, ST pooling, cosine vs pooled prompt."""
-        fP = self._project(self._raw_tokens(prompt_entity, features.PROMPT), self.mlp_prompt)
-        per_frame = []
-        for fe, le in zip(frame_entities, local_entities):
-            fG = self._project(self._raw_tokens(fe, features.GLOBAL_FRAME), self.mlp_global)
-            fL = self._project(self._raw_tokens(le, features.LOCAL_TRACK), self.mlp_local)
-            per_frame.append(fusion.fuse(self.fusion_params, fG, fL, fP).fused)
-        pooled = fusion.st_pool(tensor.stack(per_frame))
-        prompt_pooled = tensor.mean_axis(fP, axis=0)
-        return fusion.score(pooled, prompt_pooled)
+    def forward_window(self, frame_entities, local_entities, prompt_entities, cache=None):
+        """Raw scores of one track window against each prompt, one scalar tensor per prompt.
+
+        The window's frames are fused as one batch: the prompt-independent
+        fusion terms are computed once and shared by all prompts, and only
+        the per-prompt part runs per prompt. Then ST pooling and the cosine
+        against the pooled prompt.
+
+        ``cache`` (a dict, for one scoring pass) keeps the projected global
+        frames and the prompts' fusion terms across calls; it holds only while
+        the parameters do not change. A scoring pass projects each raw input
+        once, so raw tokens are kept for reuse only without a cache (training).
+        """
+        keep = cache is None
+        cache = {} if cache is None else cache
+        params = self.fusion_params
+        key = (features.GLOBAL_FRAME, tuple(frame_entities))
+        if key not in cache:
+            cache[key] = self._project(frame_entities, features.GLOBAL_FRAME,
+                                       self.mlp_global, keep)
+        fL = self._project(local_entities, features.LOCAL_TRACK, self.mlp_local, keep)
+        visual = fusion.visual_terms(params, cache[key], fL)
+        scores = []
+        for pe in prompt_entities:
+            key = (features.PROMPT, pe)
+            if key not in cache:
+                fP = self.mlp_prompt(Tensor(self._raw_tokens(pe, features.PROMPT, keep)))
+                cache[key] = (fusion.prompt_terms(params, fP), tensor.mean_axis(fP, axis=0))
+            prompt, prompt_pooled = cache[key]
+            fused = fusion.fuse_terms(params, visual, prompt).fused
+            scores.append(fusion.score(fusion.st_pool(fused), prompt_pooled))
+        return scores
 
     # ---- persistence -------------------------------------------------------
 
@@ -226,42 +250,42 @@ def _window_frames(traj: Trajectory, window):
     return [f for f, _ in traj.frames[-window:]]
 
 
-def score_pair(model: ReferringModel, traj: Trajectory, task: ReferringTask,
-               window, stats: calibration.ExpressionStats, threshold, prompt_index=0):
-    idx = _window_frames(traj, window)
-    with no_grad():
-        s = model.forward_window(
-            [frame_entity(i) for i in idx],
-            [local_entity(traj.entity_id, i) for i in idx],
-            task.entity_id,
-        ).item()
-    s_prime, p = stats.refine(s, task.prompt_id, fallback_index=prompt_index)
-    return ScoredCandidate(track_id=traj.track_id, prompt_id=task.prompt_id,
-                           raw_score=s, pseudo_freq=p, refined_score=s_prime,
-                           kept=s_prime > threshold)
-
-
 def score_all(trajectories, tasks, model: ReferringModel, window, stats=None,
-              threshold=0.0, workers=1):
-    """Score every (candidate trajectory, prompt) pair. Deterministic given seeds."""
+              threshold=0.0):
+    """Score every (candidate trajectory, prompt) pair. Deterministic given seeds.
+
+    Pairs are grouped by track: each track window is scored against all its
+    prompts in one ``forward_window`` call, and the global frames and prompts
+    are projected once for the whole pass.
+    """
     stats = stats or calibration.disabled_stats()
     by_id = {t.track_id: t for t in trajectories}
-    jobs = []
+    by_track = {}
     for j, task in enumerate(sorted(tasks, key=lambda t: t.prompt_id)):
         if not task.candidates:
             raise DegenerateInputError(f"task {task.prompt_id} has no candidates")
         for tid in task.candidates:
             if tid not in by_id:
                 raise LookupError_(f"unknown track_id {tid} in task {task.prompt_id}")
-            jobs.append((by_id[tid], task, j))
-    run = lambda job: score_pair(model, job[0], job[1], window, stats, threshold,
-                                 prompt_index=job[2])
-    if workers > 1:
-        with fresh_context():
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(run, jobs))
-    else:
-        results = [run(j) for j in jobs]
+            by_track.setdefault(tid, []).append((task, j))
+    results = []
+    cache = {}
+    with no_grad():
+        for tid, jobs in by_track.items():
+            traj = by_id[tid]
+            idx = _window_frames(traj, window)
+            scores = model.forward_window(
+                [frame_entity(i) for i in idx],
+                [local_entity(traj.entity_id, i) for i in idx],
+                [task.entity_id for task, _ in jobs],
+                cache=cache,
+            )
+            for (task, j), score in zip(jobs, scores):
+                s = score.item()
+                s_prime, p = stats.refine(s, task.prompt_id, fallback_index=j)
+                results.append(ScoredCandidate(
+                    track_id=tid, prompt_id=task.prompt_id, raw_score=s, pseudo_freq=p,
+                    refined_score=s_prime, kept=s_prime > threshold))
     results.sort(key=lambda c: (c.prompt_id, -c.refined_score, c.track_id))
     return results
 
@@ -279,10 +303,10 @@ def filter_candidates(candidates, threshold):
 def sample_loss(model: ReferringModel, traj: Trajectory, sample: TrainSample,
                 prompt_entity, neg_margin=0.0):
     idx = sample.frame_indices
-    s = model.forward_window(
+    [s] = model.forward_window(
         [frame_entity(i) for i in idx],
         [local_entity(traj.entity_id, i) for i in idx],
-        prompt_entity,
+        [prompt_entity],
     )
     if sample.match:
         return sub(Tensor(np.asarray(1.0)), s)
@@ -309,7 +333,7 @@ def train(samples, trajectories, tasks, model: ReferringModel, epochs=100,
         total = 0.0
         for start in range(0, len(order), batch_size):
             batch = [samples[i] for i in order[start:start + batch_size]]
-            with fresh_context():
+            with fresh_context() as ctx:
                 losses = []
                 for smp in batch:
                     traj = by_track[smp.track_id]
@@ -326,6 +350,10 @@ def train(samples, trajectories, tasks, model: ReferringModel, epochs=100,
                         f"non-finite loss {val} at epoch {epoch}, batch start {start}")
                 total += val * len(losses)
                 batch_loss.backward()
+                # the tape and its tensors reference each other; break the
+                # cycles so the batch's activations are freed now, not at the
+                # next cyclic garbage collection
+                ctx.free_tape()
             sgd_momentum_step(params, velocities, lr, momentum)
         curve.append(total / len(samples))
         if log is not None:
@@ -495,17 +523,16 @@ def read_scores(path):
 
 
 def precision_recall(candidates, labels):
-    """Kept-vs-label precision and recall over (prompt, track) pairs."""
-    truth = {(l["prompt_id"], l["track_id"]): l["match"] for l in labels}
-    tp = fp = fn = 0
-    for c in candidates:
-        match = truth.get((c.prompt_id, c.track_id), False)
-        if c.kept and match:
-            tp += 1
-        elif c.kept and not match:
-            fp += 1
-        elif not c.kept and match:
-            fn += 1
+    """Kept-vs-label precision and recall over (prompt, track) pairs.
+
+    A labelled match that was never scored counts as a false negative; a
+    kept pair without a label counts as a false positive.
+    """
+    matches = {(l["prompt_id"], l["track_id"]) for l in labels if l["match"]}
+    kept = {(c.prompt_id, c.track_id) for c in candidates if c.kept}
+    tp = len(kept & matches)
+    fp = len(kept - matches)
+    fn = len(matches - kept)
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
     return precision, recall

@@ -8,6 +8,7 @@ memory and multiply-add counts are exact and deterministic.
 
 from __future__ import annotations
 
+import math
 import os
 from contextlib import contextmanager
 
@@ -73,7 +74,7 @@ class AllocationLedger:
 
 
 class ExecutionContext:
-    """One tape/ledger pair. Parallel workers each get their own context."""
+    """One tape/ledger pair."""
 
     def __init__(self):
         self.ledger = AllocationLedger()
@@ -107,17 +108,6 @@ def fresh_context():
     _CTX = ExecutionContext()
     try:
         yield _CTX
-    finally:
-        _CTX = saved
-
-
-@contextmanager
-def use_context(ctx):
-    global _CTX
-    saved = _CTX
-    _CTX = ctx
-    try:
-        yield ctx
     finally:
         _CTX = saved
 
@@ -301,39 +291,60 @@ def relu(x):
 # ---- linear algebra --------------------------------------------------------
 
 
+def _sum_to(g, shape):
+    """Sum a gradient over the axes its operand was broadcast along."""
+    if g.shape == shape:
+        return g
+    g = g.sum(axis=tuple(range(g.ndim - len(shape))))
+    axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
+    return g.sum(axis=axes, keepdims=True) if axes else g
+
+
 def matmul(a, b):
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise DimensionError(f"matmul: need 2-D operands, got {a.data.shape} x {b.data.shape}")
-    if a.data.shape[1] != b.data.shape[0]:
+    """a @ b over the last two axes; leading batch axes broadcast as in np.matmul.
+
+    Charges B*m*n*k multiply-adds, B being the size of the broadcast batch.
+    """
+    if a.data.ndim < 2 or b.data.ndim < 2:
+        raise DimensionError(
+            f"matmul: need operands of rank >= 2, got {a.data.shape} x {b.data.shape}")
+    if a.data.shape[-1] != b.data.shape[-2]:
         raise DimensionError(f"matmul: inner extents differ, {a.data.shape} x {b.data.shape}")
-    m, k = a.data.shape
-    n = b.data.shape[1]
+    try:
+        batch = np.broadcast_shapes(a.data.shape[:-2], b.data.shape[:-2])
+    except ValueError:
+        raise DimensionError(
+            f"matmul: batch axes do not broadcast, {a.data.shape} x {b.data.shape}") from None
+    m, k = a.data.shape[-2:]
+    n = b.data.shape[-1]
+    madds = math.prod(batch) * m * n * k
     ctx = current_context()
-    ctx.ledger.add_flops(m * n * k)
-    out = kernels.matmul2d(np.ascontiguousarray(a.data), np.ascontiguousarray(b.data))
+    ctx.ledger.add_flops(madds)
+    out = kernels.matmul2d(a.data, b.data)
 
     def bwd(g):
         if a.requires_grad:
-            ctx.ledger.add_flops(m * k * n)
-            a._accumulate(kernels.matmul2d(np.ascontiguousarray(g),
-                                           np.ascontiguousarray(b.data.T)))
+            ctx.ledger.add_flops(madds)
+            a._accumulate(_sum_to(kernels.matmul2d(g, np.swapaxes(b.data, -1, -2)),
+                                  a.data.shape))
         if b.requires_grad:
-            ctx.ledger.add_flops(k * n * m)
-            b._accumulate(kernels.matmul2d(np.ascontiguousarray(a.data.T),
-                                           np.ascontiguousarray(g)))
+            ctx.ledger.add_flops(madds)
+            b._accumulate(_sum_to(kernels.matmul2d(np.swapaxes(a.data, -1, -2), g),
+                                  b.data.shape))
 
     return _result(out, (a, b), bwd)
 
 
 def transpose(a):
-    if a.data.ndim != 2:
-        raise DimensionError(f"transpose: need 2-D, got {a.data.shape}")
+    """Swap the last two axes."""
+    if a.data.ndim < 2:
+        raise DimensionError(f"transpose: need rank >= 2, got {a.data.shape}")
 
     def bwd(g):
         if a.requires_grad:
-            a._accumulate(g.T)
+            a._accumulate(np.swapaxes(g, -1, -2))
 
-    return _result(np.ascontiguousarray(a.data.T), (a,), bwd)
+    return _result(np.ascontiguousarray(np.swapaxes(a.data, -1, -2)), (a,), bwd)
 
 
 def reshape(a, shape):
@@ -345,10 +356,10 @@ def reshape(a, shape):
 
 
 def softmax_rows(a):
-    """Row-stable softmax along the last axis of a 2-D tensor."""
-    if a.data.ndim != 2:
-        raise DimensionError(f"softmax_rows: need 2-D, got {a.data.shape}")
-    y = kernels.softmax_rows2d(np.ascontiguousarray(a.data))
+    """Row-stable softmax along the last axis; leading axes are batch axes."""
+    if a.data.ndim < 2:
+        raise DimensionError(f"softmax_rows: need rank >= 2, got {a.data.shape}")
+    y = kernels.softmax_rows2d(a.data)
 
     def bwd(g):
         if a.requires_grad:
@@ -414,14 +425,21 @@ def stack(tensors):
 
 
 def cosine_similarity(a, b):
-    """cos(a, b) for 1-D vectors, clamped to [-1, 1]. Zero vectors are rejected."""
+    """cos(a, b) for 1-D vectors, clamped to [-1, 1].
+
+    Zero and non-finite vectors are rejected: clamping a NaN cosine would
+    report it as a confident non-match.
+    """
     if a.data.ndim != 1 or b.data.ndim != 1 or a.data.shape != b.data.shape:
         raise DimensionError(f"cosine: need matching 1-D vectors, got {a.data.shape} vs {b.data.shape}")
     na = np.linalg.norm(a.data)
     nb = np.linalg.norm(b.data)
+    dot = float(a.data @ b.data)
+    if not (math.isfinite(dot) and math.isfinite(na) and math.isfinite(nb)):
+        raise DegenerateInputError(
+            f"cosine similarity of a non-finite vector (dot {dot}, norms {na}, {nb})")
     if na == 0.0 or nb == 0.0:
         raise DegenerateInputError("cosine similarity of a zero-norm vector")
-    dot = float(a.data @ b.data)
     c = dot / (na * nb)
     clamped = min(1.0, max(-1.0, c))
 

@@ -62,6 +62,15 @@ class TestEmbedSynthetic:
         mat = np.stack(list(basis.values()))
         assert np.abs(mat @ mat.T - np.eye(4)).max() <= 1e-10
 
+    def test_concept_space_memoised_read_only(self):
+        cfg = EmbedderConfig(seed=1, oracle_mode=True, concepts=("a", "b"))
+        first, second = concept_space(cfg, 16), concept_space(cfg, 16)
+        assert first.keys() == second.keys()
+        assert all(np.array_equal(first[c], second[c]) for c in first)
+        with pytest.raises(ValueError):
+            first["a"][0] = 5.0
+        assert np.array_equal(concept_space(cfg, 16)["a"], second["a"])
+
     def test_unknown_concept_rejected(self):
         cfg = EmbedderConfig(oracle_mode=True, concepts=("a",))
         with pytest.raises(KeyError):

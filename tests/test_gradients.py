@@ -18,6 +18,7 @@ from mexfuse.tensor import (
     softmax_rows,
     stack,
     sum_all,
+    transpose,
 )
 
 STEP = 1e-5
@@ -64,6 +65,27 @@ def test_matmul(rng):
     b = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
     w = rng.standard_normal((3, 2))
     check(lambda: sum_all(mul(matmul(a, b), Tensor(w))), a, b)
+
+
+@pytest.mark.parametrize("a_shape,b_shape", [((2, 3, 4), (2, 4, 2)), ((2, 3, 4), (4, 2)),
+                                              ((3, 4), (2, 4, 2))])
+def test_matmul_batched(rng, a_shape, b_shape):
+    a = Tensor(rng.standard_normal(a_shape), requires_grad=True)
+    b = Tensor(rng.standard_normal(b_shape), requires_grad=True)
+    w = rng.standard_normal((2, 3, 2))
+    check(lambda: sum_all(mul(matmul(a, b), Tensor(w))), a, b)
+
+
+def test_transpose_batched(rng):
+    x = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
+    w = rng.standard_normal((2, 4, 3))
+    check(lambda: sum_all(mul(transpose(x), Tensor(w))), x)
+
+
+def test_softmax_batched(rng):
+    x = Tensor(rng.standard_normal((2, 3, 5)), requires_grad=True)
+    w = rng.standard_normal((2, 3, 5))
+    check(lambda: sum_all(mul(softmax_rows(x), Tensor(w))), x)
 
 
 def test_softmax(rng):

@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 
 from mexfuse import kernels
 
@@ -9,38 +8,20 @@ rng = np.random.default_rng(0)
 
 def test_numpy_matmul_matches_blas():
     a, b = rng.standard_normal((7, 5)), rng.standard_normal((5, 9))
-    assert np.abs(kernels.matmul2d_numpy(a, b) - a @ b).max() <= 1e-12
+    assert np.abs(kernels.matmul2d(a, b) - a @ b).max() <= 1e-12
+    # leading batch axes, one operand broadcast across them
+    a3, b3 = rng.standard_normal((3, 7, 5)), rng.standard_normal((3, 5, 9))
+    for x, y in ((a3, b3), (a3, b)):
+        got = kernels.matmul2d(x, y)
+        yb = np.broadcast_to(y, (3, 5, 9))
+        assert np.abs(got - np.stack([x[i] @ yb[i] for i in range(3)])).max() <= 1e-12
 
 
 def test_numpy_softmax_rows_sum_to_one():
     x = rng.standard_normal((6, 4)) * 100
-    y = kernels.softmax_rows2d_numpy(x)
+    y = kernels.softmax_rows2d(x)
     assert np.abs(y.sum(axis=1) - 1).max() <= 1e-12
-
-
-@pytest.mark.skipif(not kernels._HAS_NUMBA, reason="numba not importable")
-class TestNumbaBackendAgreement:
-    def test_matmul(self):
-        a, b = rng.standard_normal((8, 6)), rng.standard_normal((6, 4))
-        got = kernels._nb_matmul(a, b)
-        assert np.abs(got - kernels.matmul2d_numpy(a, b)).max() <= 1e-12
-
-    def test_softmax(self):
-        x = rng.standard_normal((5, 7)) * 50
-        got = kernels._nb_softmax_rows(x)
-        assert np.abs(got - kernels.softmax_rows2d_numpy(x)).max() <= 1e-12
-
-    def test_f32_preserved(self):
-        a = rng.standard_normal((3, 3)).astype(np.float32)
-        assert kernels._nb_matmul(a, a).dtype == np.float32
-        assert kernels._nb_softmax_rows(a).dtype == np.float32
-
-
-def test_backend_selection_env(monkeypatch):
-    monkeypatch.setenv("MEXFUSE_KERNELS", "numpy")
-    assert kernels._select_backend() == "numpy"
-    monkeypatch.setenv("MEXFUSE_KERNELS", "bogus")
-    with pytest.raises(RuntimeError):
-        kernels._select_backend()
-    monkeypatch.delenv("MEXFUSE_KERNELS")
-    assert kernels._select_backend() in ("numba", "numpy")
+    x3 = rng.standard_normal((2, 6, 4)) * 100
+    y3 = kernels.softmax_rows2d(x3)
+    assert np.abs(y3.sum(axis=-1) - 1).max() <= 1e-12
+    assert np.array_equal(y3[1], kernels.softmax_rows2d(x3[1]))

@@ -4,7 +4,15 @@ import json
 import numpy as np
 import pytest
 
-from mexfuse.features import EmbedderConfig
+from mexfuse import calibration
+from mexfuse.features import (
+    GLOBAL_FRAME,
+    LOCAL_TRACK,
+    PROMPT,
+    EmbedderConfig,
+    embed_synthetic,
+)
+from mexfuse.fusion import fuse, score, st_pool
 from mexfuse.pipeline import (
     DatasetConfig,
     ReferringModel,
@@ -12,28 +20,58 @@ from mexfuse.pipeline import (
     TrainSample,
     Trajectory,
     concept_map,
+    frame_entity,
     filter_candidates,
     generate_synthetic_dataset,
     load_dataset,
+    local_entity,
     precision_recall,
     save_dataset,
     score_all,
     train,
     write_scores,
 )
+from mexfuse.tensor import Tensor, mean_axis, no_grad, stack
 
 
 SMALL = DatasetConfig(seed=3, n_concepts=2, n_tracks=4, n_prompts=2,
                       n_frames=6, n_windows=8, window=3)
 
 
-def small_model(data, variant="mex", seed=3):
+def small_model(data, variant="mex", seed=3, **kw):
     emb = EmbedderConfig(seed=seed, raw_visual_dim=16, visual_tokens=3,
                          raw_text_dim=24, text_tokens=4, fused_dim=8,
                          oracle_mode=True, concepts=tuple(sorted({m["concept"]
                                                                   for m in data["manifest"]})))
     return ReferringModel.build(emb, variant=variant, mlp_hidden=16, seed=seed,
-                                concept_of=concept_map(data["manifest"]))
+                                concept_of=concept_map(data["manifest"]), **kw)
+
+
+def per_pair_reference(trajectories, tasks, model, window, threshold):
+    """Unbatched, unfactorised scoring: every (track, prompt) pair on its own,
+    every frame projected and fused on its own as 2-D streams."""
+    def stream(entity, modality, mlp):
+        f = embed_synthetic(entity, modality, model.embedder,
+                            concept=model.concept_of.get(entity))
+        return mlp(Tensor(f.tokens[0]))
+
+    by_id = {t.track_id: t for t in trajectories}
+    out = []
+    with no_grad():
+        for task in tasks:
+            fP = stream(task.entity_id, PROMPT, model.mlp_prompt)
+            for tid in task.candidates:
+                traj = by_id[tid]
+                per_frame = [
+                    fuse(model.fusion_params,
+                         stream(frame_entity(i), GLOBAL_FRAME, model.mlp_global),
+                         stream(local_entity(traj.entity_id, i), LOCAL_TRACK, model.mlp_local),
+                         fP).fused
+                    for i, _ in traj.frames[-window:]]
+                s = score(st_pool(stack(per_frame)), mean_axis(fP, axis=0)).item()
+                out.append(ScoredCandidate(tid, task.prompt_id, s, 0.0, s, s > threshold))
+    out.sort(key=lambda c: (c.prompt_id, -c.refined_score, c.track_id))
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -89,12 +127,25 @@ class TestScoring:
         second = score_all(small_data["trajectories"], small_data["tasks"], model, **kw)
         assert first == second
 
-    def test_workers_match_serial(self, small_data):
-        model = small_model(small_data)
-        serial = score_all(small_data["trajectories"], small_data["tasks"], model, window=3)
-        parallel = score_all(small_data["trajectories"], small_data["tasks"], model,
-                             window=3, workers=3)
-        assert serial == parallel
+    @pytest.mark.parametrize("variant,kw", [
+        ("mex", {}), ("mex", {"per_pair": True}), ("mex", {"residual_add": True}),
+        ("cascade", {}), ("plain", {})], ids=["mex", "mex-per_pair", "mex-residual_add",
+                                              "cascade", "plain"])
+    def test_matches_per_pair_reference(self, small_data, variant, kw):
+        model = small_model(small_data, variant=variant, **kw)
+        # tracks of different lengths, so their windows cover different frames
+        trajs = [Trajectory(track_id=t.track_id, frames=t.frames[:len(t.frames) - i % 3],
+                            entity_id=t.entity_id)
+                 for i, t in enumerate(small_data["trajectories"])]
+        tasks = small_data["tasks"]
+        threshold = 0.1
+        got = score_all(trajs, tasks, model, window=3, threshold=threshold,
+                        stats=calibration.disabled_stats())
+        want = per_pair_reference(trajs, tasks, model, window=3, threshold=threshold)
+        assert [(c.prompt_id, c.track_id, c.kept) for c in got] == \
+               [(c.prompt_id, c.track_id, c.kept) for c in want]
+        assert max(abs(a.raw_score - b.raw_score) for a, b in zip(got, want)) <= 1e-12
+        assert all(c.refined_score == c.raw_score for c in got)
 
     def test_track_relabeling_changes_only_ids(self, small_data):
         model = small_model(small_data)
@@ -196,3 +247,10 @@ def test_precision_recall_and_scores_io(tmp_path):
     rows = [json.loads(l) for l in path.read_text().splitlines()]
     assert rows[0] == {"prompt_id": "p0", "track_id": 0, "s": 0.9, "p": 0.0,
                        "s_prime": 0.9, "kept": True}
+
+
+def test_unscored_labelled_match_is_a_false_negative():
+    cands = [ScoredCandidate(0, "p0", 0.9, 0.0, 0.9, True)]
+    labels = [{"prompt_id": "p0", "track_id": 0, "match": True},
+              {"prompt_id": "p0", "track_id": 1, "match": True}]
+    assert precision_recall(cands, labels) == (1.0, 0.5)

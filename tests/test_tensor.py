@@ -68,6 +68,14 @@ class TestMatmul:
         with fresh_context() as ctx:
             matmul(Tensor(np.ones((4, 5))), Tensor(np.ones((5, 3))))
             assert ctx.ledger.flops == 4 * 3 * 5
+        # batched: B*m*n*k, a 2-D operand broadcast across the batch axis
+        with fresh_context() as ctx:
+            out = matmul(Tensor(np.ones((2, 4, 5))), Tensor(np.ones((5, 3))))
+            assert out.shape == (2, 4, 3) and ctx.ledger.flops == 2 * 4 * 3 * 5
+
+    def test_batch_axes_must_broadcast(self):
+        with pytest.raises(DimensionError, match="batch axes"):
+            matmul(Tensor(np.ones((2, 4, 5))), Tensor(np.ones((3, 5, 3))))
 
 
 class TestSoftmax:
@@ -130,6 +138,12 @@ class TestCosine:
     def test_zero_norm_rejected(self):
         with pytest.raises(DegenerateInputError):
             cosine_similarity(Tensor([0.0, 0.0]), Tensor([1.0, 1.0]))
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_rejected(self, bad):
+        # clamping a NaN cosine would score the pair as a confident non-match
+        with pytest.raises(DegenerateInputError, match="non-finite"):
+            cosine_similarity(Tensor([bad, 1.0]), Tensor([1.0, 1.0]))
 
     def test_clamped_to_unit_interval(self):
         v = Tensor([1e-8, 1e8])
