@@ -9,6 +9,7 @@ import json
 import os
 import sys
 import time
+from contextlib import contextmanager
 
 import click
 import numpy as np
@@ -18,6 +19,7 @@ from .config import ConfigError
 from .features import EmbedderConfig
 from .fusion import VARIANTS, profile
 from .pipeline import DatasetConfig, ReferringModel
+from .tensor import DegenerateInputError
 
 PAPER_MEX_PARAMS = 81_000_000
 PAPER_CASCADE_PARAMS = 92_000_000
@@ -121,6 +123,22 @@ def _require_dir(path, what):
         raise click.UsageError(f"{what} not found: {path}")
 
 
+class InputError(click.ClickException):
+    """Bad input data: reported as ``Error: <message>`` with exit code 2."""
+
+    exit_code = 2
+
+
+@contextmanager
+def _input_errors():
+    """Map the pipeline's bad-input errors to exit code 2 with their message."""
+    try:
+        yield
+    except (DegenerateInputError, pipeline.LookupError_, pipeline.ModelLoadError) as exc:
+        # args[0]: str() of a KeyError subclass would quote the message
+        raise InputError(str(exc.args[0]) if exc.args else type(exc).__name__) from None
+
+
 @main.command()
 @click.option("--dataset", "dataset_dir", type=click.Path(), default=None)
 @click.pass_context
@@ -132,11 +150,14 @@ def train(ctx, dataset_dir):
     data = pipeline.load_dataset(dataset_dir)
     model = _build_model(cfg, data)
     p = cfg["pipeline"]
+    epoch_rows = []
     try:
-        curve = pipeline.train(data["samples"], data["trajectories"], data["tasks"],
-                               model, epochs=p["epochs"], batch_size=p["batch_size"],
-                               lr=p["lr"], momentum=p["momentum"],
-                               neg_margin=p["neg_margin"], seed=cfg["seed"])
+        with _input_errors():
+            curve = pipeline.train(data["samples"], data["trajectories"], data["tasks"],
+                                   model, epochs=p["epochs"], batch_size=p["batch_size"],
+                                   lr=p["lr"], momentum=p["momentum"],
+                                   neg_margin=p["neg_margin"], seed=cfg["seed"],
+                                   log=epoch_rows.append)
     except pipeline.TrainingError as exc:
         click.echo(f"training aborted: {exc}", err=True)
         sys.exit(1)
@@ -146,7 +167,10 @@ def train(ctx, dataset_dir):
     with open(curve_path, "w") as fh:
         json.dump({"epoch_mean_loss": curve}, fh, indent=2)
         fh.write("\n")
-    _write_manifest(cfg, "train", [model_dir, curve_path])
+    # per-epoch signals; holds wall times, so re-runs are not byte-identical
+    log_path = os.path.join(cfg["out"], "train_log.jsonl")
+    pipeline._write_jsonl(log_path, epoch_rows)
+    _write_manifest(cfg, "train", [model_dir, curve_path, log_path])
     click.echo(f"initial loss {curve[0]:.6f}, final loss {curve[-1]:.6f}")
 
 
@@ -162,11 +186,12 @@ def score(ctx, dataset_dir, model_dir):
     _require_dir(dataset_dir, "dataset directory")
     _require_dir(model_dir, "model directory")
     data = pipeline.load_dataset(dataset_dir)
-    model = ReferringModel.load(model_dir)
     stats = _stats_from(cfg)
-    cands = pipeline.score_all(data["trajectories"], data["tasks"], model,
-                               window=cfg["pipeline"]["window"], stats=stats,
-                               threshold=cfg["pipeline"]["threshold"])
+    with _input_errors():
+        model = ReferringModel.load(model_dir)
+        cands = pipeline.score_all(data["trajectories"], data["tasks"], model,
+                                   window=cfg["pipeline"]["window"], stats=stats,
+                                   threshold=cfg["pipeline"]["threshold"])
     os.makedirs(cfg["out"], exist_ok=True)
     scores_path = os.path.join(cfg["out"], "scores.jsonl")
     pipeline.write_scores(scores_path, cands)

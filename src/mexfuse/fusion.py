@@ -62,30 +62,23 @@ class FusionParams:
 
     def __init__(self, variant, d_k, rng, residual_add=False, per_pair=False,
                  requires_grad=True):
-        if variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
+        self._setup(variant, d_k, residual_add, per_pair, {
+            name: Linear.init(d_k, d_k, rng, requires_grad=requires_grad)
+            for name in linear_names(variant, per_pair)})
+
+    @classmethod
+    def from_linears(cls, variant, d_k, linears, residual_add=False, per_pair=False):
+        """Params made of given ``Linear``s, keyed as ``linear_names`` lists them."""
+        self = cls.__new__(cls)
+        self._setup(variant, d_k, residual_add, per_pair, dict(linears))
+        return self
+
+    def _setup(self, variant, d_k, residual_add, per_pair, linears):
         self.variant = variant
         self.d_k = d_k
         self.residual_add = residual_add
         self.per_pair = per_pair
-        self.linears = {}
-
-        def lin(name):
-            self.linears[name] = Linear.init(d_k, d_k, rng, requires_grad=requires_grad)
-
-        if variant == "mex":
-            if per_pair:
-                for name in ("q_it", "k_it", "v_t", "q_tp", "k_tp", "v_p"):
-                    lin(name)
-            else:
-                for name in ("proj_i", "proj_t", "proj_p"):
-                    lin(name)
-        elif variant == "cascade":
-            for name in ("s1_q", "s1_k", "s1_v", "s2_q", "s2_k", "s2_v"):
-                lin(name)
-        else:
-            for name in ("q", "k", "v"):
-                lin(name)
+        self.linears = linears
 
     def param_count(self):
         return sum(l.param_count() for l in self.linears.values())
@@ -99,6 +92,18 @@ class FusionParams:
     def set_trainable(self, flag):
         for p in self.parameters():
             p.requires_grad = flag
+
+
+def linear_names(variant, per_pair=False):
+    """Names of a variant's d_k x d_k projections, in initialisation order."""
+    if variant not in VARIANTS:
+        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
+    if variant == "mex":
+        return ("q_it", "k_it", "v_t", "q_tp", "k_tp", "v_p") if per_pair else \
+            ("proj_i", "proj_t", "proj_p")
+    if variant == "cascade":
+        return ("s1_q", "s1_k", "s1_v", "s2_q", "s2_k", "s2_v")
+    return ("q", "k", "v")
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
@@ -277,11 +282,12 @@ def plain_attention(fLocal: Tensor, fPrompt: Tensor, params: FusionParams) -> Fu
 def st_pool(x: Tensor) -> Tensor:
     """Spatio-temporal pooling: average over tokens, then max over frames.
 
-    Input is [n_frames, s, d_k]; output is [d_k].
+    Input is [..., n_frames, s, d_k]; output is [..., d_k]. Leading axes
+    (windows of a batch) are batch axes.
     """
-    if x.data.ndim != 3:
-        raise DimensionError(f"st_pool expects [frames, tokens, d], got {x.data.shape}")
-    return max_axis(mean_axis(x, axis=1), axis=0)
+    if x.data.ndim < 3:
+        raise DimensionError(f"st_pool expects [..., frames, tokens, d], got {x.data.shape}")
+    return max_axis(mean_axis(x, axis=-2), axis=-2)
 
 
 def score(fused_pooled: Tensor, prompt_pooled: Tensor) -> Tensor:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,15 +20,19 @@ from .features import EmbedderConfig, ProjectionMLP
 from .fusion import FusionParams
 from .tensor import (
     DegenerateInputError,
+    Linear,
     Tensor,
     add,
     fresh_context,
+    mul,
     no_grad,
     relu,
     reshape,
     scale,
     sgd_momentum_step,
     sub,
+    sum_all,
+    take,
 )
 
 
@@ -37,6 +42,10 @@ class LookupError_(KeyError):
 
 class TrainingError(RuntimeError):
     pass
+
+
+class ModelLoadError(ValueError):
+    """A saved model directory that is incomplete or disagrees with its manifest."""
 
 
 @dataclass
@@ -115,25 +124,27 @@ class ReferringModel:
         return (self.fusion_params.param_count() + self.mlp_global.param_count()
                 + self.mlp_local.param_count() + self.mlp_prompt.param_count())
 
-    def _raw_tokens(self, entity_id, modality, keep):
-        """[s, d_raw] tokens of one entity; kept for reuse when ``keep`` is set."""
-        tokens = self._raw_cache.get((entity_id, modality))
+    def _raw_tokens(self, entities, modality, keep):
+        """Raw tokens of one entity id, [s, d_raw], or of a (nested) list of them,
+        [n, ..., s, d_raw]; each entity's tokens are kept for reuse when ``keep`` is set."""
+        if not isinstance(entities, str):
+            return np.stack([self._raw_tokens(e, modality, keep) for e in entities])
+        tokens = self._raw_cache.get((entities, modality))
         if tokens is None:
-            f = features.embed_synthetic(entity_id, modality, self.embedder,
-                                         concept=self.concept_of.get(entity_id))
+            f = features.embed_synthetic(entities, modality, self.embedder,
+                                         concept=self.concept_of.get(entities))
             if self.embedder.truncate_to is not None:
                 f = features.truncate(f, self.embedder.truncate_to)
             tokens = f.tokens[0]
             if keep:
-                self._raw_cache[(entity_id, modality)] = tokens
+                self._raw_cache[(entities, modality)] = tokens
         return tokens
 
     def _project(self, entities, modality, mlp, keep):
-        """[n, s, d_k] stream of the entities: one MLP call on their stacked raw tokens."""
-        raw = np.stack([self._raw_tokens(e, modality, keep) for e in entities])
-        return mlp(Tensor(raw))
+        """[..., s, d_k] stream of an entity id or (nested) list of them: one MLP call."""
+        return mlp(Tensor(self._raw_tokens(entities, modality, keep)))
 
-    def forward_window(self, frame_entities, local_entities, prompt_entities, cache=None):
+    def forward_window(self, frame_entities, local_entities, prompt_entities, cache):
         """Raw scores of one track window against each prompt, one scalar tensor per prompt.
 
         The window's frames are fused as one batch: the prompt-independent
@@ -144,27 +155,62 @@ class ReferringModel:
         ``cache`` (a dict, for one scoring pass) keeps the projected global
         frames and the prompts' fusion terms across calls; it holds only while
         the parameters do not change. A scoring pass projects each raw input
-        once, so raw tokens are kept for reuse only without a cache (training).
+        once, so raw tokens are not kept for reuse.
         """
-        keep = cache is None
-        cache = {} if cache is None else cache
         params = self.fusion_params
         key = (features.GLOBAL_FRAME, tuple(frame_entities))
         if key not in cache:
             cache[key] = self._project(frame_entities, features.GLOBAL_FRAME,
-                                       self.mlp_global, keep)
-        fL = self._project(local_entities, features.LOCAL_TRACK, self.mlp_local, keep)
+                                       self.mlp_global, keep=False)
+        fL = self._project(local_entities, features.LOCAL_TRACK, self.mlp_local, keep=False)
         visual = fusion.visual_terms(params, cache[key], fL)
         scores = []
         for pe in prompt_entities:
             key = (features.PROMPT, pe)
             if key not in cache:
-                fP = self.mlp_prompt(Tensor(self._raw_tokens(pe, features.PROMPT, keep)))
+                fP = self._project(pe, features.PROMPT, self.mlp_prompt, keep=False)
                 cache[key] = (fusion.prompt_terms(params, fP), tensor.mean_axis(fP, axis=0))
             prompt, prompt_pooled = cache[key]
             fused = fusion.fuse_terms(params, visual, prompt).fused
             scores.append(fusion.score(fusion.st_pool(fused), prompt_pooled))
         return scores
+
+    def forward_batch(self, windows):
+        """Raw scores of a minibatch of windows, as one graph.
+
+        ``windows`` is a list of (frame entities, local entities, prompt
+        entity). The batch's distinct prompts are projected in one call and
+        their fusion terms computed once; each window takes its prompt's
+        terms by index. Windows of one length are stacked as [n, w, s, d_raw]
+        and go through each projection MLP and the fusion block as one batch.
+
+        Returns one (positions, scores) pair per window length: ``scores`` is
+        the [n] tensor of the windows at ``positions`` in ``windows``.
+        """
+        params = self.fusion_params
+        slots = {pe: i for i, pe in enumerate(dict.fromkeys(pe for _, _, pe in windows))}
+        fP = self._project(list(slots), features.PROMPT, self.mlp_prompt, keep=True)
+        prompt = fusion.prompt_terms(params, fP)
+        prompt_pooled = tensor.mean_axis(fP, axis=-2)
+        by_length = {}
+        for pos, (frames, _, _) in enumerate(windows):
+            by_length.setdefault(len(frames), []).append(pos)
+        out = []
+        for positions in by_length.values():
+            group = [windows[i] for i in positions]
+            idx = [slots[pe] for _, _, pe in group]
+            fG = self._project([f for f, _, _ in group], features.GLOBAL_FRAME,
+                               self.mlp_global, keep=True)
+            fL = self._project([l for _, l, _ in group], features.LOCAL_TRACK,
+                               self.mlp_local, keep=True)
+            visual = fusion.visual_terms(params, fG, fL)
+            # [n, 1, l, d_k]: each window's prompt terms, broadcast over its frames
+            txt = {k: reshape(take(v, idx), (len(idx), 1) + v.shape[1:])
+                   for k, v in prompt.items()}
+            fused = fusion.fuse_terms(params, visual, txt).fused
+            out.append((positions, fusion.score(fusion.st_pool(fused),
+                                                take(prompt_pooled, idx))))
+        return out
 
     # ---- persistence -------------------------------------------------------
 
@@ -193,18 +239,41 @@ class ReferringModel:
 
     @classmethod
     def load(cls, in_dir):
-        with open(os.path.join(in_dir, "params.json")) as fh:
-            manifest = json.load(fh)
-        emb = EmbedderConfig(**{**manifest["embedder"],
-                                "concepts": tuple(manifest["embedder"]["concepts"])})
-        f = manifest["fusion"]
-        model = cls.build(emb, variant=f["variant"], residual_add=f["residual_add"],
-                          per_pair=f["per_pair"], mlp_hidden=manifest["mlp_hidden"],
-                          concept_of=manifest["concept_of"])
-        for name, t in model._named_parameters():
-            t.data = tensor_io.read_tensor(os.path.join(in_dir, name + ".mext")).astype(
-                t.data.dtype)
-        return model
+        """The model saved in ``in_dir``; its ``Linear``s are built from the ``.mext`` files.
+
+        Raises ModelLoadError, naming the file, for a missing or unreadable
+        file, a missing manifest key, or a parameter whose shape disagrees
+        with the manifest.
+        """
+        manifest_path = os.path.join(in_dir, "params.json")
+        try:
+            with open(manifest_path) as fh:
+                manifest = json.load(fh)
+            emb = EmbedderConfig(**{**manifest["embedder"],
+                                    "concepts": tuple(manifest["embedder"]["concepts"])})
+            f = manifest["fusion"]
+            variant, d_k, per_pair = f["variant"], f["d_k"], f["per_pair"]
+            residual_add, hidden = f["residual_add"], manifest["mlp_hidden"]
+            concept_of = manifest["concept_of"]
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise ModelLoadError(f"{manifest_path}: {type(exc).__name__}: {exc}") from None
+
+        def linear(name, d_in, d_out):
+            return Linear(*(Tensor(_read_param(in_dir, f"{name}.{part}", shape),
+                                   requires_grad=True)
+                            for part, shape in (("w", (d_in, d_out)), ("bias", (d_out,)))))
+
+        def mlp(name, d_raw):
+            return ProjectionMLP(linear(f"{name}.first", d_raw, hidden),
+                                 linear(f"{name}.second", hidden, d_k))
+
+        fp = fusion.FusionParams.from_linears(
+            variant, d_k, {n: linear(f"fusion.{n}", d_k, d_k)
+                           for n in fusion.linear_names(variant, per_pair)},
+            residual_add=residual_add, per_pair=per_pair)
+        return cls(emb, fp, mlp("mlp_global", emb.raw_visual_dim),
+                   mlp("mlp_local", emb.raw_visual_dim), mlp("mlp_prompt", emb.raw_text_dim),
+                   concept_of=concept_of)
 
     def _named_parameters(self):
         out = []
@@ -219,6 +288,19 @@ class ReferringModel:
                 out.append((f"{mname}.{part}.w", lin.w))
                 out.append((f"{mname}.{part}.bias", lin.bias))
         return out
+
+
+def _read_param(in_dir, name, shape):
+    path = os.path.join(in_dir, name + ".mext")
+    try:
+        arr = tensor_io.read_tensor(path)
+    except FileNotFoundError:
+        raise ModelLoadError(f"{path}: parameter file missing") from None
+    except (OSError, tensor_io.TensorFileError) as exc:
+        raise ModelLoadError(f"{path}: {exc}") from None
+    if arr.shape != tuple(shape):
+        raise ModelLoadError(f"{path}: shape {arr.shape}, the manifest needs {tuple(shape)}")
+    return arr
 
 
 def _embedder_to_dict(e: EmbedderConfig):
@@ -300,17 +382,15 @@ def filter_candidates(candidates, threshold):
 # ---- training --------------------------------------------------------------
 
 
-def sample_loss(model: ReferringModel, traj: Trajectory, sample: TrainSample,
-                prompt_entity, neg_margin=0.0):
-    idx = sample.frame_indices
-    [s] = model.forward_window(
-        [frame_entity(i) for i in idx],
-        [local_entity(traj.entity_id, i) for i in idx],
-        [prompt_entity],
-    )
-    if sample.match:
-        return sub(Tensor(np.asarray(1.0)), s)
-    return relu(sub(s, Tensor(np.asarray(neg_margin))))
+def _loss_sum(scores, match, neg_margin):
+    """Sum over windows of the cosine objective: 1 - s for a match, relu(s - margin) otherwise.
+
+    ``scores`` is an [n] tensor, ``match`` n booleans.
+    """
+    m = np.asarray(match, dtype=scores.data.dtype)
+    pos = mul(Tensor(m), sub(Tensor(np.ones_like(m)), scores))
+    neg = mul(Tensor(1.0 - m), relu(sub(scores, Tensor(np.full_like(m, neg_margin)))))
+    return sum_all(add(pos, neg))
 
 
 def train(samples, trajectories, tasks, model: ReferringModel, epochs=100,
@@ -318,37 +398,50 @@ def train(samples, trajectories, tasks, model: ReferringModel, epochs=100,
           log=None):
     """SGD with momentum on the cosine objective; embedders stay frozen.
 
-    Returns the per-epoch mean loss curve.
+    Each minibatch is one graph (``ReferringModel.forward_batch``) with one
+    backward pass; its loss is the mean over its windows. Returns the
+    per-epoch mean loss curve. ``log``, when given, is called after each
+    epoch with a dict: epoch, mean_loss, wall_s (the epoch's wall time) and
+    batches.
     """
     if not samples:
         raise DegenerateInputError("empty training dataset")
     by_track = {t.track_id: t for t in trajectories}
     by_prompt = {t.prompt_id: t for t in tasks}
+    windows = []
+    for k, smp in enumerate(samples):
+        if smp.track_id not in by_track:
+            raise LookupError_(f"unknown track_id {smp.track_id} in training window {k}")
+        if smp.prompt_id not in by_prompt:
+            raise LookupError_(f"unknown prompt_id {smp.prompt_id} in training window {k}")
+        if not smp.frame_indices:
+            raise DegenerateInputError(f"training window {k} has no frames")
+        ent = by_track[smp.track_id].entity_id
+        windows.append(([frame_entity(i) for i in smp.frame_indices],
+                        [local_entity(ent, i) for i in smp.frame_indices],
+                        by_prompt[smp.prompt_id].entity_id))
+    match = np.array([smp.match for smp in samples])
     params = model.parameters()
     velocities = [np.zeros_like(p.data) for p in params]
     order_rng = np.random.default_rng(seed)
     curve = []
     for epoch in range(epochs):
+        t0 = time.perf_counter()
         order = order_rng.permutation(len(samples))
         total = 0.0
         for start in range(0, len(order), batch_size):
-            batch = [samples[i] for i in order[start:start + batch_size]]
+            batch = order[start:start + batch_size]
             with fresh_context() as ctx:
-                losses = []
-                for smp in batch:
-                    traj = by_track[smp.track_id]
-                    task = by_prompt[smp.prompt_id]
-                    losses.append(sample_loss(model, traj, smp, task.entity_id,
-                                              neg_margin=neg_margin))
-                batch_loss = losses[0]
-                for extra in losses[1:]:
-                    batch_loss = add(batch_loss, extra)
-                batch_loss = scale(batch_loss, 1.0 / len(losses))
+                batch_loss = None
+                for positions, scores in model.forward_batch([windows[i] for i in batch]):
+                    part = _loss_sum(scores, match[batch[positions]], neg_margin)
+                    batch_loss = part if batch_loss is None else add(batch_loss, part)
+                batch_loss = scale(batch_loss, 1.0 / len(batch))
                 val = batch_loss.item()
                 if not np.isfinite(val):
                     raise TrainingError(
                         f"non-finite loss {val} at epoch {epoch}, batch start {start}")
-                total += val * len(losses)
+                total += val * len(batch)
                 batch_loss.backward()
                 # the tape and its tensors reference each other; break the
                 # cycles so the batch's activations are freed now, not at the
@@ -357,7 +450,9 @@ def train(samples, trajectories, tasks, model: ReferringModel, epochs=100,
             sgd_momentum_step(params, velocities, lr, momentum)
         curve.append(total / len(samples))
         if log is not None:
-            log(epoch, curve[-1])
+            log({"epoch": epoch, "mean_loss": curve[-1],
+                 "wall_s": time.perf_counter() - t0,
+                 "batches": len(range(0, len(order), batch_size))})
     return curve
 
 

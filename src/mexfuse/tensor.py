@@ -88,7 +88,7 @@ class ExecutionContext:
         """Drop tape references and release their ledger charge."""
         for t in self.tape:
             if not t.is_leaf:
-                self.ledger.free(t.data.size)
+                self.ledger.free(t._charged)
                 t._parents = ()
                 t._backward = None
         self.tape.clear()
@@ -123,9 +123,11 @@ def no_grad():
 
 
 class Tensor:
-    __slots__ = ("data", "requires_grad", "grad", "is_leaf", "_parents", "_backward", "_ctx")
+    __slots__ = ("data", "requires_grad", "grad", "is_leaf", "_parents", "_backward", "_ctx",
+                 "_charged")
 
-    def __init__(self, data, requires_grad=False, dtype=None, _parents=(), _backward=None):
+    def __init__(self, data, requires_grad=False, dtype=None, _parents=(), _backward=None,
+                 _view=False):
         arr = np.asarray(data, dtype=dtype or DEFAULT_DTYPE)
         self.data = arr
         self.requires_grad = requires_grad
@@ -135,7 +137,9 @@ class Tensor:
         self.is_leaf = _backward is None
         ctx = current_context()
         self._ctx = ctx
-        ctx.ledger.alloc(arr.size)
+        # a view shares its parent's values, so it allocates none
+        self._charged = 0 if _view else arr.size
+        ctx.ledger.alloc(self._charged)
         if not self.is_leaf:
             ctx.record(self)
 
@@ -163,17 +167,18 @@ class Tensor:
     def backward(self):
         if self.data.size != 1:
             raise ContractError(f"backward() needs a scalar loss, got shape {self.data.shape}")
-        topo, seen = [], set()
-
-        def visit(t):
-            if id(t) in seen:
-                return
-            seen.add(id(t))
-            for p in t._parents:
-                visit(p)
-            topo.append(t)
-
-        visit(self)
+        # depth-first post-order, iterative: a recursive closure would form a
+        # reference cycle that keeps the whole graph, gradients included,
+        # alive until the next cyclic garbage collection
+        topo, seen, todo = [], set(), [(self, False)]
+        while todo:
+            t, expanded = todo.pop()
+            if expanded:
+                topo.append(t)
+            elif id(t) not in seen:
+                seen.add(id(t))
+                todo.append((t, True))
+                todo.extend((p, False) for p in reversed(t._parents))
         self.grad = np.ones_like(self.data)
         for t in reversed(topo):
             if t._backward is not None:
@@ -183,13 +188,13 @@ class Tensor:
         self.grad = None
 
 
-def _result(data, parents, backward_fn):
+def _result(data, parents, backward_fn, view=False):
     ctx = current_context()
     needs = ctx.grad_enabled and any(p.requires_grad for p in parents)
     if needs:
         return Tensor(data, requires_grad=True, dtype=data.dtype,
-                      _parents=tuple(parents), _backward=backward_fn)
-    return Tensor(data, dtype=data.dtype)
+                      _parents=tuple(parents), _backward=backward_fn, _view=view)
+    return Tensor(data, dtype=data.dtype, _view=view)
 
 
 # ---- elementwise ops -------------------------------------------------------
@@ -263,16 +268,17 @@ def add_bias(x, bias):
 
 def gelu(x):
     """tanh-approximation GELU; smooth, so finite differences behave."""
+    # powers are written as products: numpy evaluates ``x ** 3`` through pow
     c = np.sqrt(2.0 / np.pi)
     xd = x.data
-    inner = c * (xd + 0.044715 * xd ** 3)
+    inner = c * (xd + 0.044715 * (xd * xd * xd))
     t = np.tanh(inner)
     out = 0.5 * xd * (1.0 + t)
 
     def bwd(g):
         if x.requires_grad:
-            d_inner = c * (1.0 + 3 * 0.044715 * xd ** 2)
-            dydx = 0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t ** 2) * d_inner
+            d_inner = c * (1.0 + 3 * 0.044715 * (xd * xd))
+            dydx = 0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t * t) * d_inner
             x._accumulate(g * dydx)
 
     return _result(out, (x,), bwd)
@@ -348,11 +354,33 @@ def transpose(a):
 
 
 def reshape(a, shape):
+    """Reshape; a view of a contiguous input, which the ledger charges nothing."""
+    out = np.ascontiguousarray(a.data.reshape(shape))
+
     def bwd(g):
         if a.requires_grad:
             a._accumulate(g.reshape(a.data.shape))
 
-    return _result(np.ascontiguousarray(a.data.reshape(shape)), (a,), bwd)
+    return _result(out, (a,), bwd, view=np.may_share_memory(out, a.data))
+
+
+def take(a, idx):
+    """Rows of ``a`` along axis 0 at the integer indices ``idx``; indices may repeat.
+
+    The backward scatter-adds each row's gradient back to its source row.
+    """
+    idx = np.asarray(idx, dtype=np.intp)
+    n = a.data.shape[0] if a.data.ndim else 0
+    if idx.ndim != 1 or (idx.size and (idx.min() < 0 or idx.max() >= n)):
+        raise DimensionError(f"take: need 1-D indices in [0, {n}), got {idx.tolist()}")
+
+    def bwd(g):
+        if a.requires_grad:
+            full = np.zeros_like(a.data)
+            np.add.at(full, idx, g)
+            a._accumulate(full)
+
+    return _result(a.data[idx], (a,), bwd)
 
 
 def softmax_rows(a):
@@ -425,32 +453,36 @@ def stack(tensors):
 
 
 def cosine_similarity(a, b):
-    """cos(a, b) for 1-D vectors, clamped to [-1, 1].
+    """cos(a, b) along the last axis, clamped to [-1, 1].
 
-    Zero and non-finite vectors are rejected: clamping a NaN cosine would
-    report it as a confident non-match.
+    ``a`` and ``b`` are [..., d] of one shape; leading axes are batch axes
+    and the result is [...] (a scalar for 1-D vectors). Zero and non-finite
+    rows are rejected: clamping a NaN cosine would report it as a confident
+    non-match.
     """
-    if a.data.ndim != 1 or b.data.ndim != 1 or a.data.shape != b.data.shape:
-        raise DimensionError(f"cosine: need matching 1-D vectors, got {a.data.shape} vs {b.data.shape}")
-    na = np.linalg.norm(a.data)
-    nb = np.linalg.norm(b.data)
-    dot = float(a.data @ b.data)
-    if not (math.isfinite(dot) and math.isfinite(na) and math.isfinite(nb)):
+    if a.data.ndim < 1 or a.data.shape != b.data.shape:
+        raise DimensionError(f"cosine: need matching [..., d] rows, got {a.data.shape} vs {b.data.shape}")
+    na = np.sqrt(np.vecdot(a.data, a.data))
+    nb = np.sqrt(np.vecdot(b.data, b.data))
+    dot = np.vecdot(a.data, b.data)
+    finite = np.isfinite(dot) & np.isfinite(na) & np.isfinite(nb)
+    if not finite.all():
+        i = np.unravel_index(np.argmin(finite), finite.shape)
         raise DegenerateInputError(
-            f"cosine similarity of a non-finite vector (dot {dot}, norms {na}, {nb})")
-    if na == 0.0 or nb == 0.0:
+            f"cosine similarity of a non-finite vector (dot {dot[i]}, norms {na[i]}, {nb[i]})")
+    if (na == 0.0).any() or (nb == 0.0).any():
         raise DegenerateInputError("cosine similarity of a zero-norm vector")
     c = dot / (na * nb)
-    clamped = min(1.0, max(-1.0, c))
+    clamped = np.clip(c, -1.0, 1.0)
 
     def bwd(g):
-        g = float(g)
+        g, ab, cn = g[..., None], (na * nb)[..., None], c[..., None]
         if a.requires_grad:
-            a._accumulate(g * (b.data / (na * nb) - c * a.data / (na * na)))
+            a._accumulate(g * (b.data / ab - cn * a.data / (na * na)[..., None]))
         if b.requires_grad:
-            b._accumulate(g * (a.data / (na * nb) - c * b.data / (nb * nb)))
+            b._accumulate(g * (a.data / ab - cn * b.data / (nb * nb)[..., None]))
 
-    return _result(np.asarray(clamped), (a, b), bwd)
+    return _result(clamped, (a, b), bwd)
 
 
 # ---- parameter containers --------------------------------------------------

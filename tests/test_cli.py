@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 
 import pytest
 from click.testing import CliRunner
@@ -63,30 +64,83 @@ class TestGen:
         assert manifest["seed"] == 7
 
 
+SMALL_CFG = {
+    "seed": 5,
+    "embedder": {"raw_visual_dim": 16, "visual_tokens": 3, "raw_text_dim": 24,
+                 "text_tokens": 4, "mlp_hidden": 16},
+    "fusion": {"d_k": 8},
+    "pipeline": {"window": 3, "epochs": 3, "batch_size": 4, "lr": 0.02,
+                 "momentum": 0.9, "neg_margin": -0.1},
+    "dataset": {"n_concepts": 2, "n_tracks": 4, "n_prompts": 2,
+                "n_frames": 6, "n_windows": 8},
+}
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A gen + train run of SMALL_CFG: (config path, run directory)."""
+    root = tmp_path_factory.mktemp("trained")
+    cfg_path = root / "cfg.json"
+    cfg_path.write_text(json.dumps(SMALL_CFG))
+    out = root / "run"
+    for cmd in ("gen", "train"):
+        result = invoke(CliRunner(), "--config", str(cfg_path), "--out", str(out), cmd)
+        assert result.exit_code == 0, result.output
+    return cfg_path, out
+
+
 class TestTrainScore:
     def test_smoke_and_determinism(self, runner, tmp_path):
-        cfg = {
-            "seed": 5,
-            "embedder": {"raw_visual_dim": 16, "visual_tokens": 3, "raw_text_dim": 24,
-                         "text_tokens": 4, "mlp_hidden": 16},
-            "fusion": {"d_k": 8},
-            "pipeline": {"window": 3, "epochs": 3, "batch_size": 4, "lr": 0.02,
-                         "momentum": 0.9, "neg_margin": -0.1},
-            "dataset": {"n_concepts": 2, "n_tracks": 4, "n_prompts": 2,
-                        "n_frames": 6, "n_windows": 8},
-        }
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(cfg))
+        cfg_path.write_text(json.dumps(SMALL_CFG))
         out = str(tmp_path / "run")
 
         for cmd in ("gen", "train", "score"):
             result = invoke(runner, "--config", str(cfg_path), "--out", out, cmd)
             assert result.exit_code == 0, result.output
-        first = read_tree(out)
+        # the training log holds epoch wall times
+        first = read_tree(out, skip=("train_log.jsonl",))
         assert "scores.jsonl" in first and "loss_curve.json" in first
         for cmd in ("gen", "train", "score"):
             invoke(runner, "--config", str(cfg_path), "--out", out, cmd)
-        assert read_tree(out) == first
+        assert read_tree(out, skip=("train_log.jsonl",)) == first
+
+    def test_train_log_matches_loss_curve(self, trained):
+        _, out = trained
+        rows = [json.loads(l) for l in (out / "train_log.jsonl").read_text().splitlines()]
+        curve = json.loads((out / "loss_curve.json").read_text())["epoch_mean_loss"]
+        assert len(rows) == SMALL_CFG["pipeline"]["epochs"]
+        assert [r["mean_loss"] for r in rows] == curve
+        assert [r["epoch"] for r in rows] == list(range(len(rows)))
+        assert all(r["batches"] == 2 and r["wall_s"] > 0 for r in rows)
+        manifest = json.loads((out / "run_manifest_train.json").read_text())
+        assert str(out / "train_log.jsonl") in manifest["outputs"]
+
+    def test_unknown_candidate_track_exits_2(self, runner, trained, tmp_path):
+        cfg_path, out = trained
+        data = tmp_path / "dataset"
+        shutil.copytree(out / "dataset", data)
+        tasks = [json.loads(l) for l in (data / "tasks.jsonl").read_text().splitlines()]
+        tasks[0]["candidates"].append(999)
+        (data / "tasks.jsonl").write_text("".join(json.dumps(t) + "\n" for t in tasks))
+        result = runner.invoke(main, ["--config", str(cfg_path), "--out", str(tmp_path / "o"),
+                                      "score", "--dataset", str(data),
+                                      "--model", str(out / "model")])
+        assert result.exit_code == 2, result.output
+        assert "unknown track_id 999" in result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+
+    def test_model_file_removed_exits_2(self, runner, trained, tmp_path):
+        cfg_path, out = trained
+        model = tmp_path / "model"
+        shutil.copytree(out / "model", model)
+        (model / "mlp_local.second.w.mext").unlink()
+        result = runner.invoke(main, ["--config", str(cfg_path), "--out", str(tmp_path / "o"),
+                                      "score", "--dataset", str(out / "dataset"),
+                                      "--model", str(model)])
+        assert result.exit_code == 2, result.output
+        assert "mlp_local.second.w.mext" in result.output
+        assert "Traceback" not in result.output
 
     def test_missing_dataset_exits_2(self, runner, tmp_path):
         result = runner.invoke(main, ["--out", str(tmp_path / "empty"), "train"])

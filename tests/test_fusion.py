@@ -202,6 +202,13 @@ class TestStPool:
         expected = x.mean(axis=1).max(axis=0)
         assert np.array_equal(st_pool(Tensor(x)).data, expected)
 
+    def test_batched_matches_per_window(self):
+        x = np.random.default_rng(12).standard_normal((2, 4, 5, 3))  # [windows, frames, tokens, d]
+        out = st_pool(Tensor(x)).data
+        assert out.shape == (2, 3)
+        for i in range(2):
+            assert np.array_equal(out[i], st_pool(Tensor(x[i])).data)
+
 
 class TestProfile:
     def test_plain_census_formula(self):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from mexfuse import gradcheck
+from mexfuse.fusion import st_pool
 from mexfuse.tensor import (
     Tensor,
     add_bias,
@@ -18,6 +19,7 @@ from mexfuse.tensor import (
     softmax_rows,
     stack,
     sum_all,
+    take,
     transpose,
 )
 
@@ -120,10 +122,30 @@ def test_stack(rng):
     check(lambda: sum_all(mul(stack([a, b]), Tensor(w))), a, b)
 
 
+def test_st_pool_batched(rng):
+    x = Tensor(rng.standard_normal((2, 3, 4, 2)), requires_grad=True)  # [windows, frames, tokens, d]
+    w = rng.standard_normal((2, 2))
+    check(lambda: sum_all(mul(st_pool(x), Tensor(w))), x)
+
+
+def test_take_repeated_indices(rng):
+    x = Tensor(rng.standard_normal((3, 2, 4)), requires_grad=True)
+    idx = [2, 0, 2, 2]  # row 1 is never taken, row 2 three times
+    w = rng.standard_normal((4, 2, 4))
+    check(lambda: sum_all(mul(take(x, idx), Tensor(w))), x)
+
+
 def test_cosine(rng):
     a = Tensor(rng.standard_normal(6), requires_grad=True)
     b = Tensor(rng.standard_normal(6), requires_grad=True)
     check(lambda: cosine_similarity(a, b), a, b)
+
+
+def test_cosine_row_batched(rng):
+    a = Tensor(rng.standard_normal((2, 3, 6)), requires_grad=True)
+    b = Tensor(rng.standard_normal((2, 3, 6)), requires_grad=True)
+    w = rng.standard_normal((2, 3))
+    check(lambda: sum_all(mul(cosine_similarity(a, b), Tensor(w))), a, b)
 
 
 @pytest.mark.parametrize("variant", ["mex", "cascade", "plain"])

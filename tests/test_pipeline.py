@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from mexfuse import calibration
+from mexfuse import calibration, tensor_io
 from mexfuse.features import (
     GLOBAL_FRAME,
     LOCAL_TRACK,
@@ -15,6 +15,8 @@ from mexfuse.features import (
 from mexfuse.fusion import fuse, score, st_pool
 from mexfuse.pipeline import (
     DatasetConfig,
+    LookupError_,
+    ModelLoadError,
     ReferringModel,
     ScoredCandidate,
     TrainSample,
@@ -31,7 +33,18 @@ from mexfuse.pipeline import (
     train,
     write_scores,
 )
-from mexfuse.tensor import Tensor, mean_axis, no_grad, stack
+from mexfuse.tensor import (
+    Tensor,
+    add,
+    fresh_context,
+    mean_axis,
+    no_grad,
+    relu,
+    scale,
+    sgd_momentum_step,
+    stack,
+    sub,
+)
 
 
 SMALL = DatasetConfig(seed=3, n_concepts=2, n_tracks=4, n_prompts=2,
@@ -72,6 +85,43 @@ def per_pair_reference(trajectories, tasks, model, window, threshold):
                 out.append(ScoredCandidate(tid, task.prompt_id, s, 0.0, s, s > threshold))
     out.sort(key=lambda c: (c.prompt_id, -c.refined_score, c.track_id))
     return out
+
+
+def per_sample_train(samples, trajectories, tasks, model, epochs, batch_size, lr,
+                     momentum, neg_margin, seed):
+    """Reference training loop: one ``forward_window`` graph per window, the
+    windows' losses added one by one, then averaged over the batch."""
+    by_track = {t.track_id: t for t in trajectories}
+    by_prompt = {t.prompt_id: t for t in tasks}
+    params = model.parameters()
+    velocities = [np.zeros_like(p.data) for p in params]
+    order_rng = np.random.default_rng(seed)
+    curve = []
+    for _ in range(epochs):
+        order = order_rng.permutation(len(samples))
+        total = 0.0
+        for start in range(0, len(order), batch_size):
+            batch = [samples[i] for i in order[start:start + batch_size]]
+            with fresh_context() as ctx:
+                losses = []
+                for smp in batch:
+                    ent = by_track[smp.track_id].entity_id
+                    [s] = model.forward_window(
+                        [frame_entity(i) for i in smp.frame_indices],
+                        [local_entity(ent, i) for i in smp.frame_indices],
+                        [by_prompt[smp.prompt_id].entity_id], cache={})
+                    losses.append(sub(Tensor(np.asarray(1.0)), s) if smp.match else
+                                  relu(sub(s, Tensor(np.asarray(neg_margin)))))
+                loss = losses[0]
+                for extra in losses[1:]:
+                    loss = add(loss, extra)
+                loss = scale(loss, 1.0 / len(losses))
+                total += loss.item() * len(losses)
+                loss.backward()
+                ctx.free_tape()
+            sgd_momentum_step(params, velocities, lr, momentum)
+        curve.append(total / len(samples))
+    return curve
 
 
 @pytest.fixture(scope="module")
@@ -212,7 +262,45 @@ class TestFilter:
                {(c.prompt_id, c.track_id) for c in cands if c.raw_score > 0}
 
 
+VARIANTS = [("mex", {}), ("mex", {"per_pair": True}), ("mex", {"residual_add": True}),
+            ("cascade", {}), ("plain", {})]
+VARIANT_IDS = ["mex", "mex-per_pair", "mex-residual_add", "cascade", "plain"]
+
+
 class TestTraining:
+    @pytest.mark.parametrize("variant,kw", VARIANTS, ids=VARIANT_IDS)
+    @pytest.mark.parametrize("batch_size,mixed", [(3, True), (1, True), (8, False)],
+                             ids=["mixed-lengths-partial-batch", "batch-1", "one-batch"])
+    def test_matches_per_sample_reference(self, small_data, variant, kw, batch_size, mixed):
+        samples = small_data["samples"]
+        if mixed:  # windows of 3, 2 and 1 frames
+            samples = [TrainSample(s.track_id, s.prompt_id, s.frame_indices[k % 3:], s.match)
+                       for k, s in enumerate(samples)]
+        seed = 4
+        batches = [[samples[i] for i in b] for b in np.array_split(
+            np.random.default_rng(seed).permutation(len(samples)),
+            range(batch_size, len(samples), batch_size))]
+        if batch_size > 1:  # the first epoch's batches repeat a prompt
+            assert any(len({s.prompt_id for s in b}) < len(b) for b in batches)
+        if mixed and batch_size > 1:  # ... mix window lengths and end in a partial batch
+            assert any(len({len(s.frame_indices) for s in b}) > 1 for b in batches)
+            assert len(batches[-1]) < batch_size
+        kwargs = dict(epochs=3, batch_size=batch_size, lr=0.05, momentum=0.9,
+                      neg_margin=-0.1, seed=seed)
+        args = (samples, small_data["trajectories"], small_data["tasks"])
+        batched, reference = (small_model(small_data, variant=variant, **kw) for _ in range(2))
+        got = train(*args, batched, **kwargs)
+        want = per_sample_train(*args, reference, **kwargs)
+        assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-12
+        for p, q in zip(batched.parameters(), reference.parameters()):
+            assert np.abs(p.data - q.data).max() <= 1e-12
+
+    def test_unknown_track_id(self, small_data):
+        model = small_model(small_data)
+        samples = [TrainSample(999, "p000", [0, 1], True)]
+        with pytest.raises(LookupError_, match="999"):
+            train(samples, small_data["trajectories"], small_data["tasks"], model, epochs=1)
+
     def test_zero_lr_leaves_params_bit_identical(self, small_data):
         model = small_model(small_data)
         before = [p.data.copy() for p in model.parameters()]
@@ -234,6 +322,30 @@ class TestTraining:
         curve = train(small_data["samples"], small_data["trajectories"],
                       small_data["tasks"], model, epochs=3, batch_size=4, lr=1e-3)
         assert len(curve) == 3
+
+
+class TestPersistence:
+    def test_round_trip(self, small_data, tmp_path):
+        model = small_model(small_data, variant="cascade")
+        model.save(tmp_path / "m")
+        loaded = ReferringModel.load(tmp_path / "m")
+        for p, q in zip(model.parameters(), loaded.parameters()):
+            assert np.array_equal(p.data, q.data) and q.requires_grad
+        kw = dict(window=3)
+        assert score_all(small_data["trajectories"], small_data["tasks"], model, **kw) == \
+               score_all(small_data["trajectories"], small_data["tasks"], loaded, **kw)
+
+    def test_missing_file_named(self, small_data, tmp_path):
+        small_model(small_data).save(tmp_path / "m")
+        (tmp_path / "m" / "fusion.proj_t.bias.mext").unlink()
+        with pytest.raises(ModelLoadError, match="fusion.proj_t.bias.mext"):
+            ReferringModel.load(tmp_path / "m")
+
+    def test_shape_mismatch_named(self, small_data, tmp_path):
+        small_model(small_data).save(tmp_path / "m")
+        tensor_io.write_tensor(tmp_path / "m" / "mlp_prompt.first.w.mext", np.zeros((24, 15)))
+        with pytest.raises(ModelLoadError, match=r"mlp_prompt.first.w.mext.*\(24, 16\)"):
+            ReferringModel.load(tmp_path / "m")
 
 
 def test_precision_recall_and_scores_io(tmp_path):

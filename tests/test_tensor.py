@@ -18,6 +18,7 @@ from mexfuse.tensor import (
     mul,
     softmax_rows,
     sum_all,
+    take,
 )
 
 
@@ -126,6 +127,27 @@ class TestLinear:
         lin = Linear(Tensor(np.zeros((7, 3))), Tensor(np.zeros(3)))
         assert lin.param_count() == 7 * 3 + 3
 
+    def test_batched_input_charges_as_flattened(self):
+        # the flattening and un-flattening reshapes are views: no new values
+        rng = np.random.default_rng(5)
+        lin = Linear.init(4, 3, rng)
+        x = rng.standard_normal((2, 5, 4))
+
+        def charged(inp):
+            with fresh_context() as ctx:
+                t = Tensor(inp)
+                ctx.ledger.reset()
+                out = lin(t)
+                snap = ctx.ledger.snapshot()
+                ctx.free_tape()
+                return out.data, snap, ctx.ledger.live_values
+
+        out3, snap3, left3 = charged(x)
+        out2, snap2, left2 = charged(x.reshape(-1, 4))
+        assert np.array_equal(out3.reshape(-1, 3), out2)
+        assert snap3 == snap2
+        assert left3 == left2 == 0
+
 
 class TestCosine:
     def test_self_similarity(self):
@@ -148,6 +170,42 @@ class TestCosine:
     def test_clamped_to_unit_interval(self):
         v = Tensor([1e-8, 1e8])
         assert abs(cosine_similarity(v, v).item()) <= 1.0
+
+    def test_row_batched_matches_per_row(self):
+        rng = np.random.default_rng(6)
+        a, b = rng.standard_normal((2, 3, 5)), rng.standard_normal((2, 3, 5))
+        out = cosine_similarity(Tensor(a), Tensor(b)).data
+        assert out.shape == (2, 3)
+        for i in range(2):
+            for j in range(3):
+                assert out[i, j] == cosine_similarity(Tensor(a[i, j]), Tensor(b[i, j])).item()
+
+    def test_inf_row_rejected(self):
+        a = np.ones((3, 4))
+        a[1, 2] = np.inf
+        with pytest.raises(DegenerateInputError, match="non-finite"):
+            cosine_similarity(Tensor(a), Tensor(np.ones((3, 4))))
+
+    def test_zero_row_rejected(self):
+        b = np.ones((3, 4))
+        b[2] = 0.0
+        with pytest.raises(DegenerateInputError, match="zero-norm"):
+            cosine_similarity(Tensor(np.ones((3, 4))), Tensor(b))
+
+    def test_shape_mismatch(self):
+        with pytest.raises(DimensionError):
+            cosine_similarity(Tensor(np.ones((2, 4))), Tensor(np.ones(4)))
+
+
+class TestTake:
+    def test_rows_and_repeats(self):
+        x = np.arange(6.0).reshape(3, 2)
+        assert np.array_equal(take(Tensor(x), [2, 0, 2]).data, x[[2, 0, 2]])
+
+    @pytest.mark.parametrize("idx", [[3], [-1], [[0]]])
+    def test_bad_indices_rejected(self, idx):
+        with pytest.raises(DimensionError, match="take"):
+            take(Tensor(np.ones((3, 2))), idx)
 
 
 class TestPooling:
