@@ -230,17 +230,9 @@ def calibrate(ctx, scores_path, manifest_path, tau, cal_a, cal_b):
         stats.a = cal_a
     if cal_b is not None:
         stats.b = cal_b
-    cands = pipeline.read_scores(scores_path)
-    prompt_order = sorted({c.prompt_id for c in cands})
-    refined = []
-    for c in cands:
-        s_prime, p = stats.refine(c.raw_score, c.prompt_id,
-                                  fallback_index=prompt_order.index(c.prompt_id))
-        refined.append(pipeline.ScoredCandidate(
-            track_id=c.track_id, prompt_id=c.prompt_id, raw_score=c.raw_score,
-            pseudo_freq=p, refined_score=s_prime,
-            kept=s_prime > cfg["pipeline"]["threshold"]))
-    refined.sort(key=lambda c: (c.prompt_id, -c.refined_score, c.track_id))
+    refined = pipeline.refine_threshold_sort(
+        [(c.track_id, c.prompt_id, c.raw_score) for c in pipeline.read_scores(scores_path)],
+        stats, cfg["pipeline"]["threshold"])
     os.makedirs(cfg["out"], exist_ok=True)
     out_path = os.path.join(cfg["out"], "scores_calibrated.jsonl")
     pipeline.write_scores(out_path, refined)

@@ -104,7 +104,6 @@ class ReferringModel:
         self.mlp_local = mlp_local
         self.mlp_prompt = mlp_prompt
         self.concept_of = dict(concept_of or {})
-        self._raw_cache = {}
 
     @classmethod
     def build(cls, embedder: EmbedderConfig, variant="mex", residual_add=False,
@@ -124,25 +123,19 @@ class ReferringModel:
         return (self.fusion_params.param_count() + self.mlp_global.param_count()
                 + self.mlp_local.param_count() + self.mlp_prompt.param_count())
 
-    def _raw_tokens(self, entities, modality, keep):
-        """Raw tokens of one entity id, [s, d_raw], or of a (nested) list of them,
-        [n, ..., s, d_raw]; each entity's tokens are kept for reuse when ``keep`` is set."""
-        if not isinstance(entities, str):
-            return np.stack([self._raw_tokens(e, modality, keep) for e in entities])
-        tokens = self._raw_cache.get((entities, modality))
-        if tokens is None:
-            f = features.embed_synthetic(entities, modality, self.embedder,
-                                         concept=self.concept_of.get(entities))
-            if self.embedder.truncate_to is not None:
-                f = features.truncate(f, self.embedder.truncate_to)
-            tokens = f.tokens[0]
-            if keep:
-                self._raw_cache[(entities, modality)] = tokens
-        return tokens
+    def _raw_tokens(self, entity, modality):
+        """Raw tokens of one entity id from the frozen embedder, [s, d_raw]."""
+        f = features.embed_synthetic(entity, modality, self.embedder,
+                                     concept=self.concept_of.get(entity))
+        if self.embedder.truncate_to is not None:
+            f = features.truncate(f, self.embedder.truncate_to)
+        return f.tokens[0]
 
-    def _project(self, entities, modality, mlp, keep):
-        """[..., s, d_k] stream of an entity id or (nested) list of them: one MLP call."""
-        return mlp(Tensor(self._raw_tokens(entities, modality, keep)))
+    def _project(self, entities, modality, mlp):
+        """[s, d_k] stream of an entity id, or [n, s, d_k] of a list of them: one MLP call."""
+        if isinstance(entities, str):
+            return mlp(Tensor(self._raw_tokens(entities, modality)))
+        return mlp(Tensor(np.stack([self._raw_tokens(e, modality) for e in entities])))
 
     def forward_window(self, frame_entities, local_entities, prompt_entities, cache):
         """Raw scores of one track window against each prompt, one scalar tensor per prompt.
@@ -160,36 +153,38 @@ class ReferringModel:
         params = self.fusion_params
         key = (features.GLOBAL_FRAME, tuple(frame_entities))
         if key not in cache:
-            cache[key] = self._project(frame_entities, features.GLOBAL_FRAME,
-                                       self.mlp_global, keep=False)
-        fL = self._project(local_entities, features.LOCAL_TRACK, self.mlp_local, keep=False)
+            cache[key] = self._project(frame_entities, features.GLOBAL_FRAME, self.mlp_global)
+        fL = self._project(local_entities, features.LOCAL_TRACK, self.mlp_local)
         visual = fusion.visual_terms(params, cache[key], fL)
         scores = []
         for pe in prompt_entities:
             key = (features.PROMPT, pe)
             if key not in cache:
-                fP = self._project(pe, features.PROMPT, self.mlp_prompt, keep=False)
+                fP = self._project(pe, features.PROMPT, self.mlp_prompt)
                 cache[key] = (fusion.prompt_terms(params, fP), tensor.mean_axis(fP, axis=0))
             prompt, prompt_pooled = cache[key]
             fused = fusion.fuse_terms(params, visual, prompt).fused
             scores.append(fusion.score(fusion.st_pool(fused), prompt_pooled))
         return scores
 
-    def forward_batch(self, windows):
+    def forward_batch(self, tables, windows):
         """Raw scores of a minibatch of windows, as one graph.
 
-        ``windows`` is a list of (frame entities, local entities, prompt
-        entity). The batch's distinct prompts are projected in one call and
-        their fusion terms computed once; each window takes its prompt's
-        terms by index. Windows of one length are stacked as [n, w, s, d_raw]
-        and go through each projection MLP and the fusion block as one batch.
+        ``tables`` maps each modality to the raw tokens of the training
+        entities, one [n, s, d_raw] row per entity; ``windows`` is a list of
+        (global frame rows [w], local track rows [w], prompt row) into them.
+        The batch's distinct prompts are projected in one call and their
+        fusion terms computed once; each window takes its prompt's terms by
+        index. Windows of one length are gathered as [n, w, s, d_raw] with
+        one index per modality and go through each projection MLP and the
+        fusion block as one batch.
 
         Returns one (positions, scores) pair per window length: ``scores`` is
         the [n] tensor of the windows at ``positions`` in ``windows``.
         """
         params = self.fusion_params
-        slots = {pe: i for i, pe in enumerate(dict.fromkeys(pe for _, _, pe in windows))}
-        fP = self._project(list(slots), features.PROMPT, self.mlp_prompt, keep=True)
+        slots = {pr: i for i, pr in enumerate(dict.fromkeys(pr for _, _, pr in windows))}
+        fP = self.mlp_prompt(Tensor(tables[features.PROMPT][list(slots)]))
         prompt = fusion.prompt_terms(params, fP)
         prompt_pooled = tensor.mean_axis(fP, axis=-2)
         by_length = {}
@@ -198,11 +193,11 @@ class ReferringModel:
         out = []
         for positions in by_length.values():
             group = [windows[i] for i in positions]
-            idx = [slots[pe] for _, _, pe in group]
-            fG = self._project([f for f, _, _ in group], features.GLOBAL_FRAME,
-                               self.mlp_global, keep=True)
-            fL = self._project([l for _, l, _ in group], features.LOCAL_TRACK,
-                               self.mlp_local, keep=True)
+            idx = [slots[pr] for _, _, pr in group]
+            fG = self.mlp_global(Tensor(tables[features.GLOBAL_FRAME][
+                np.array([f for f, _, _ in group])]))
+            fL = self.mlp_local(Tensor(tables[features.LOCAL_TRACK][
+                np.array([l for _, l, _ in group])]))
             visual = fusion.visual_terms(params, fG, fL)
             # [n, 1, l, d_k]: each window's prompt terms, broadcast over its frames
             txt = {k: reshape(take(v, idx), (len(idx), 1) + v.shape[1:])
@@ -340,17 +335,16 @@ def score_all(trajectories, tasks, model: ReferringModel, window, stats=None,
     prompts in one ``forward_window`` call, and the global frames and prompts
     are projected once for the whole pass.
     """
-    stats = stats or calibration.disabled_stats()
     by_id = {t.track_id: t for t in trajectories}
     by_track = {}
-    for j, task in enumerate(sorted(tasks, key=lambda t: t.prompt_id)):
+    for task in sorted(tasks, key=lambda t: t.prompt_id):
         if not task.candidates:
             raise DegenerateInputError(f"task {task.prompt_id} has no candidates")
         for tid in task.candidates:
             if tid not in by_id:
                 raise LookupError_(f"unknown track_id {tid} in task {task.prompt_id}")
-            by_track.setdefault(tid, []).append((task, j))
-    results = []
+            by_track.setdefault(tid, []).append(task)
+    raw = []
     cache = {}
     with no_grad():
         for tid, jobs in by_track.items():
@@ -359,24 +353,30 @@ def score_all(trajectories, tasks, model: ReferringModel, window, stats=None,
             scores = model.forward_window(
                 [frame_entity(i) for i in idx],
                 [local_entity(traj.entity_id, i) for i in idx],
-                [task.entity_id for task, _ in jobs],
+                [task.entity_id for task in jobs],
                 cache=cache,
             )
-            for (task, j), score in zip(jobs, scores):
-                s = score.item()
-                s_prime, p = stats.refine(s, task.prompt_id, fallback_index=j)
-                results.append(ScoredCandidate(
-                    track_id=tid, prompt_id=task.prompt_id, raw_score=s, pseudo_freq=p,
-                    refined_score=s_prime, kept=s_prime > threshold))
-    results.sort(key=lambda c: (c.prompt_id, -c.refined_score, c.track_id))
-    return results
+            raw.extend((tid, task.prompt_id, score.item()) for task, score in zip(jobs, scores))
+    return refine_threshold_sort(raw, stats or calibration.disabled_stats(), threshold)
 
 
-def filter_candidates(candidates, threshold):
-    """Keep candidates with refined score strictly above the threshold."""
-    kept = [c for c in candidates if c.refined_score > threshold]
-    kept.sort(key=lambda c: (c.prompt_id, -c.refined_score, c.track_id))
-    return kept
+def refine_threshold_sort(raw, stats, threshold):
+    """Calibrated candidates from raw (track_id, prompt_id, score) triples.
+
+    Each score is refined with ``stats``, kept when the refined score is
+    strictly above ``threshold``, and the candidates are sorted by prompt,
+    refined score (descending) and track. A prompt's fallback row in
+    ``stats`` is its rank among the sorted distinct prompt ids. ``score_all``
+    and the ``calibrate`` command both go through here.
+    """
+    rank = {pid: j for j, pid in enumerate(sorted({pid for _, pid, _ in raw}))}
+    out = []
+    for tid, pid, s in raw:
+        s_prime, p = stats.refine(s, pid, fallback_index=rank[pid])
+        out.append(ScoredCandidate(track_id=tid, prompt_id=pid, raw_score=s, pseudo_freq=p,
+                                   refined_score=s_prime, kept=s_prime > threshold))
+    out.sort(key=lambda c: (c.prompt_id, -c.refined_score, c.track_id))
+    return out
 
 
 # ---- training --------------------------------------------------------------
@@ -408,6 +408,13 @@ def train(samples, trajectories, tasks, model: ReferringModel, epochs=100,
         raise DegenerateInputError("empty training dataset")
     by_track = {t.track_id: t for t in trajectories}
     by_prompt = {t.prompt_id: t for t in tasks}
+    # each distinct entity is embedded once, into one table per modality;
+    # a window is its rows in those tables
+    rows = {m: {} for m in features.MODALITIES}
+
+    def row(entity, modality):
+        return rows[modality].setdefault(entity, len(rows[modality]))
+
     windows = []
     for k, smp in enumerate(samples):
         if smp.track_id not in by_track:
@@ -417,9 +424,13 @@ def train(samples, trajectories, tasks, model: ReferringModel, epochs=100,
         if not smp.frame_indices:
             raise DegenerateInputError(f"training window {k} has no frames")
         ent = by_track[smp.track_id].entity_id
-        windows.append(([frame_entity(i) for i in smp.frame_indices],
-                        [local_entity(ent, i) for i in smp.frame_indices],
-                        by_prompt[smp.prompt_id].entity_id))
+        windows.append((
+            np.array([row(frame_entity(i), features.GLOBAL_FRAME) for i in smp.frame_indices]),
+            np.array([row(local_entity(ent, i), features.LOCAL_TRACK)
+                      for i in smp.frame_indices]),
+            row(by_prompt[smp.prompt_id].entity_id, features.PROMPT)))
+    tables = {m: np.stack([model._raw_tokens(e, m) for e in ents])
+              for m, ents in rows.items()}
     match = np.array([smp.match for smp in samples])
     params = model.parameters()
     velocities = [np.zeros_like(p.data) for p in params]
@@ -433,7 +444,8 @@ def train(samples, trajectories, tasks, model: ReferringModel, epochs=100,
             batch = order[start:start + batch_size]
             with fresh_context() as ctx:
                 batch_loss = None
-                for positions, scores in model.forward_batch([windows[i] for i in batch]):
+                for positions, scores in model.forward_batch(tables,
+                                                             [windows[i] for i in batch]):
                     part = _loss_sum(scores, match[batch[positions]], neg_margin)
                     batch_loss = part if batch_loss is None else add(batch_loss, part)
                 batch_loss = scale(batch_loss, 1.0 / len(batch))

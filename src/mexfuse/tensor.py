@@ -8,6 +8,7 @@ memory and multiply-add counts are exact and deterministic.
 
 from __future__ import annotations
 
+import contextvars
 import math
 import os
 from contextlib import contextmanager
@@ -94,32 +95,37 @@ class ExecutionContext:
         self.tape.clear()
 
 
-_CTX = ExecutionContext()
+# the active context of this thread (or asyncio task); threads never share one
+_CTX = contextvars.ContextVar("mexfuse_execution_context")
 
 
 def current_context():
-    return _CTX
+    ctx = _CTX.get(None)
+    if ctx is None:
+        ctx = ExecutionContext()
+        _CTX.set(ctx)
+    return ctx
 
 
 @contextmanager
 def fresh_context():
-    global _CTX
-    saved = _CTX
-    _CTX = ExecutionContext()
+    ctx = ExecutionContext()
+    token = _CTX.set(ctx)
     try:
-        yield _CTX
+        yield ctx
     finally:
-        _CTX = saved
+        _CTX.reset(token)
 
 
 @contextmanager
 def no_grad():
-    prev = _CTX.grad_enabled
-    _CTX.grad_enabled = False
+    ctx = current_context()
+    prev = ctx.grad_enabled
+    ctx.grad_enabled = False
     try:
         yield
     finally:
-        _CTX.grad_enabled = prev
+        ctx.grad_enabled = prev
 
 
 class Tensor:
@@ -160,9 +166,15 @@ class Tensor:
     # ---- autograd plumbing -------------------------------------------------
 
     def _accumulate(self, g):
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+        # No gradient array is ever written in place, so one array may be the
+        # gradient of several tensors: the first one is kept as it comes, and
+        # later ones are added out of place.
+        if g.shape == self.data.shape and g.dtype == self.data.dtype:
+            self.grad = g if self.grad is None else self.grad + g
+        else:  # broadcast or cast, as an in-place add does
+            grad = np.zeros_like(self.data) if self.grad is None else self.grad.copy()
+            grad += g
+            self.grad = grad
 
     def backward(self):
         if self.data.size != 1:
@@ -249,21 +261,6 @@ def scale(a, c):
             a._accumulate(g * c)
 
     return _result(a.data * c, (a,), bwd)
-
-
-def add_bias(x, bias):
-    """x[..., d] + bias[d], broadcast over leading axes."""
-    if x.data.shape[-1] != bias.data.shape[-1] or bias.data.ndim != 1:
-        raise DimensionError(
-            f"add_bias: trailing dim {x.data.shape} vs bias {bias.data.shape}")
-
-    def bwd(g):
-        if x.requires_grad:
-            x._accumulate(g)
-        if bias.requires_grad:
-            bias._accumulate(g.reshape(-1, g.shape[-1]).sum(axis=0))
-
-    return _result(x.data + bias.data, (x, bias), bwd)
 
 
 def gelu(x):
@@ -465,18 +462,22 @@ def cosine_similarity(a, b):
     na = np.sqrt(np.vecdot(a.data, a.data))
     nb = np.sqrt(np.vecdot(b.data, b.data))
     dot = np.vecdot(a.data, b.data)
-    finite = np.isfinite(dot) & np.isfinite(na) & np.isfinite(nb)
-    if not finite.all():
-        i = np.unravel_index(np.argmin(finite), finite.shape)
-        raise DegenerateInputError(
-            f"cosine similarity of a non-finite vector (dot {dot[i]}, norms {na[i]}, {nb[i]})")
-    if (na == 0.0).any() or (nb == 0.0).any():
+    den = na * nb
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = dot / den
+    # one test for every bad row: a non-finite dot makes c non-finite, a
+    # non-finite norm makes den non-finite, a zero norm makes den zero
+    if not np.isfinite(c + den).all():
+        finite = np.isfinite(dot) & np.isfinite(na) & np.isfinite(nb)
+        if not finite.all():
+            i = np.unravel_index(np.argmin(finite), finite.shape)
+            raise DegenerateInputError(
+                f"cosine similarity of a non-finite vector (dot {dot[i]}, norms {na[i]}, {nb[i]})")
         raise DegenerateInputError("cosine similarity of a zero-norm vector")
-    c = dot / (na * nb)
-    clamped = np.clip(c, -1.0, 1.0)
+    clamped = np.minimum(np.maximum(c, -1.0), 1.0)  # np.clip costs twice as much
 
     def bwd(g):
-        g, ab, cn = g[..., None], (na * nb)[..., None], c[..., None]
+        g, ab, cn = g[..., None], den[..., None], c[..., None]
         if a.requires_grad:
             a._accumulate(g * (b.data / ab - cn * a.data / (na * na)[..., None]))
         if b.requires_grad:
@@ -521,15 +522,35 @@ class Linear:
         return [self.w, self.bias]
 
     def __call__(self, x):
+        """x[..., d_in] @ w + bias as one graph node.
+
+        Leading axes are folded inside numpy and the bias is added in place,
+        so the ledger is charged the output only (the pre-bias product is
+        never a tensor) and ``rows*d_in*d_out`` multiply-adds per product.
+        """
         if x.data.shape[-1] != self.d_in:
             raise DimensionError(
                 f"linear: input trailing dim {x.data.shape} vs weight {self.w.data.shape}")
-        lead = x.data.shape[:-1]
-        flat = reshape(x, (-1, self.d_in)) if x.data.ndim != 2 else x
-        out = add_bias(matmul(flat, self.w), self.bias)
-        if x.data.ndim != 2:
-            out = reshape(out, lead + (self.d_out,))
-        return out
+        w, bias = self.w, self.bias
+        x2 = x.data.reshape(-1, self.d_in)
+        madds = x2.shape[0] * self.d_in * self.d_out
+        ctx = current_context()
+        ctx.ledger.add_flops(madds)
+        out = kernels.matmul2d(x2, w.data)
+        out += bias.data
+
+        def bwd(g):
+            g2 = g.reshape(-1, self.d_out)
+            if x.requires_grad:
+                ctx.ledger.add_flops(madds)
+                x._accumulate(kernels.matmul2d(g2, w.data.T).reshape(x.data.shape))
+            if w.requires_grad:
+                ctx.ledger.add_flops(madds)
+                w._accumulate(kernels.matmul2d(x2.T, g2))
+            if bias.requires_grad:
+                bias._accumulate(g2.sum(axis=0))
+
+        return _result(out.reshape(x.data.shape[:-1] + (self.d_out,)), (x, w, bias), bwd)
 
 
 def linear(x, w, bias):

@@ -43,6 +43,17 @@ class TestConfig:
         assert result.exit_code == 2
         assert "bogus_knob" in result.output
 
+    @pytest.mark.parametrize("cfg,key", [({"pipeline": {"window": "8"}}, "pipeline.window"),
+                                         ({"fusion": {"d_k": 0}}, "fusion.d_k")])
+    def test_bad_value_exits_2_naming_key(self, runner, tmp_path, cfg, key):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        result = runner.invoke(main, ["--config", str(bad), "gen"])
+        assert result.exit_code == 2
+        assert key in result.output
+        assert "Traceback" not in result.output
+        assert isinstance(result.exception, SystemExit)
+
     def test_missing_config_file_exits_2(self, runner):
         result = runner.invoke(main, ["--config", "/nope/none.json", "gen"])
         assert result.exit_code == 2

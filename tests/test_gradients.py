@@ -7,8 +7,8 @@ import pytest
 from mexfuse import gradcheck
 from mexfuse.fusion import st_pool
 from mexfuse.tensor import (
+    Linear,
     Tensor,
-    add_bias,
     cosine_similarity,
     fresh_context,
     gelu,
@@ -102,11 +102,13 @@ def test_gelu(rng):
     check(lambda: sum_all(mul(gelu(x), Tensor(w))), x)
 
 
-def test_add_bias(rng):
-    x = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
-    b = Tensor(rng.standard_normal(3), requires_grad=True)
-    w = rng.standard_normal((4, 3))
-    check(lambda: sum_all(mul(add_bias(x, b), Tensor(w))), x, b)
+def test_linear_batched(rng):
+    # one graph node for x @ w + bias on a [B, w, s, d] input
+    x = Tensor(rng.standard_normal((2, 3, 2, 4)), requires_grad=True)
+    lin = Linear(Tensor(rng.standard_normal((4, 3)), requires_grad=True),
+                 Tensor(rng.standard_normal(3), requires_grad=True))
+    w = rng.standard_normal((2, 3, 2, 3))
+    check(lambda: sum_all(mul(lin(x), Tensor(w))), x, lin.w, lin.bias)
 
 
 def test_pooling(rng):

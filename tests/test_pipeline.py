@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from mexfuse import calibration, tensor_io
+from mexfuse import calibration, features, tensor_io
 from mexfuse.features import (
     GLOBAL_FRAME,
     LOCAL_TRACK,
@@ -23,11 +23,11 @@ from mexfuse.pipeline import (
     Trajectory,
     concept_map,
     frame_entity,
-    filter_candidates,
     generate_synthetic_dataset,
     load_dataset,
     local_entity,
     precision_recall,
+    refine_threshold_sort,
     save_dataset,
     score_all,
     train,
@@ -229,6 +229,13 @@ class TestScoring:
             score_all(small_data["trajectories"], tasks, model, window=3)
 
 
+def kept_candidates(cands, threshold):
+    """The candidates ``refine_threshold_sort`` keeps, without calibration."""
+    raw = [(c.track_id, c.prompt_id, c.raw_score) for c in cands]
+    return [c for c in refine_threshold_sort(raw, calibration.disabled_stats(), threshold)
+            if c.kept]
+
+
 class TestFilter:
     def _candidates(self):
         return [ScoredCandidate(0, "p0", 0.8, 0.0, 0.8, True),
@@ -236,13 +243,13 @@ class TestFilter:
                 ScoredCandidate(2, "p1", 0.1, 0.0, 0.1, True)]
 
     def test_very_negative_threshold_keeps_all(self):
-        assert len(filter_candidates(self._candidates(), -1e9)) == 3
+        assert len(kept_candidates(self._candidates(), -1e9)) == 3
 
     def test_threshold_above_max_keeps_none(self):
-        assert filter_candidates(self._candidates(), 10.0) == []
+        assert kept_candidates(self._candidates(), 10.0) == []
 
     def test_threshold_zero(self):
-        kept = filter_candidates(self._candidates()[:2], 0.0)
+        kept = kept_candidates(self._candidates()[:2], 0.0)
         assert [c.track_id for c in kept] == [0]
 
     def test_never_increases_count(self):
@@ -251,15 +258,24 @@ class TestFilter:
             cands = [ScoredCandidate(i, "p", s, 0.0, s, s > 0)
                      for i, s in enumerate(rng.uniform(-1, 1, size=rng.integers(1, 10)))]
             thr = rng.uniform(-1.5, 1.5)
-            assert len(filter_candidates(cands, thr)) <= len(cands)
+            assert len(kept_candidates(cands, thr)) <= len(cands)
 
     def test_positive_raw_cosine_with_calibration_disabled(self, small_data):
         model = small_model(small_data)
         cands = score_all(small_data["trajectories"], small_data["tasks"], model,
                           window=3, threshold=0.0)
-        kept = filter_candidates(cands, 0.0)
+        kept = kept_candidates(cands, 0.0)
         assert {(c.prompt_id, c.track_id) for c in kept} == \
                {(c.prompt_id, c.track_id) for c in cands if c.raw_score > 0}
+
+    def test_fallback_row_is_prompt_rank(self):
+        # rows unnamed: prompt "b" (rank 1 of the sorted ids) reads row 1
+        stats = calibration.ExpressionStats(
+            train_ids=["x", "y"], train_freqs=[0.2, 0.6],
+            similarity=[[1.0, 0.0], [0.0, 1.0]], tau=1e3, a=1.0, b=0.0)
+        out = refine_threshold_sort([(0, "b", 0.0), (1, "a", 0.0)], stats, threshold=0.5)
+        assert [(c.prompt_id, c.pseudo_freq, c.kept) for c in out] == \
+               [("a", pytest.approx(0.2), False), ("b", pytest.approx(0.6), True)]
 
 
 VARIANTS = [("mex", {}), ("mex", {"per_pair": True}), ("mex", {"residual_add": True}),
@@ -294,6 +310,27 @@ class TestTraining:
         assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-12
         for p, q in zip(batched.parameters(), reference.parameters()):
             assert np.abs(p.data - q.data).max() <= 1e-12
+
+    def test_embeds_each_entity_once(self, small_data, monkeypatch):
+        calls = []
+        embed = features.embed_synthetic
+
+        def counted(entity_id, modality, *args, **kw):
+            calls.append((entity_id, modality))
+            return embed(entity_id, modality, *args, **kw)
+
+        monkeypatch.setattr(features, "embed_synthetic", counted)
+        train(small_data["samples"], small_data["trajectories"], small_data["tasks"],
+              small_model(small_data), epochs=3, batch_size=3, lr=1e-3)
+        by_track = {t.track_id: t.entity_id for t in small_data["trajectories"]}
+        by_prompt = {t.prompt_id: t.entity_id for t in small_data["tasks"]}
+        distinct = set()
+        for s in small_data["samples"]:
+            distinct.add((by_prompt[s.prompt_id], PROMPT))
+            for i in s.frame_indices:
+                distinct.add((frame_entity(i), GLOBAL_FRAME))
+                distinct.add((local_entity(by_track[s.track_id], i), LOCAL_TRACK))
+        assert sorted(calls) == sorted(distinct)
 
     def test_unknown_track_id(self, small_data):
         model = small_model(small_data)

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,7 @@ from mexfuse.tensor import (
     Tensor,
     add,
     cosine_similarity,
+    current_context,
     fresh_context,
     linear,
     matmul,
@@ -243,6 +247,16 @@ class TestBackward:
         with pytest.raises(ContractError):
             add(x, x).backward()
 
+    def test_shared_gradient_not_written_in_place(self):
+        # add() hands one gradient array to both of its operands; a's second
+        # contribution must not change the array b holds
+        a = Tensor([1.0, 2.0], requires_grad=True)
+        b = Tensor([3.0, 4.0], requires_grad=True)
+        w = Tensor([5.0, 7.0])
+        sum_all(mul(add(add(a, b), a), w)).backward()
+        assert np.array_equal(b.grad, [5.0, 7.0])
+        assert np.array_equal(a.grad, [10.0, 14.0])
+
 
 class TestLedger:
     def test_peak_at_least_live(self):
@@ -263,3 +277,40 @@ class TestLedger:
 
         first, second = run(), run()
         assert first == second
+
+
+class TestContext:
+    def test_threads_see_only_their_own_context(self):
+        # each thread works inside its own fresh_context while the other does
+        # the same; a context shared between threads would mix their ledgers
+        # and tapes
+        rounds, sizes = 200, (3, 5)
+        barrier = threading.Barrier(len(sizes), timeout=10)
+        errors = []
+
+        def work(n):
+            try:
+                x = Tensor(np.ones(n), requires_grad=True)
+                with fresh_context() as ctx:
+                    for k in range(1, rounds + 1):
+                        barrier.wait()
+                        mul(x, x)
+                        assert current_context() is ctx
+                        assert ctx.ledger.live_values == k * n
+                        assert len(ctx.tape) == k
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+                barrier.abort()
+
+        prev = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(n,)) for n in sizes]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(prev)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
