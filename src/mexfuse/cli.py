@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import json
 import os
+import platform
 import sys
 import time
 from contextlib import contextmanager
@@ -14,12 +15,12 @@ from contextlib import contextmanager
 import click
 import numpy as np
 
-from . import calibration, config as config_mod, gradcheck, pipeline
+from . import __version__, calibration, config as config_mod, gradcheck, pipeline
 from .config import ConfigError
 from .features import EmbedderConfig
 from .fusion import VARIANTS, profile
 from .pipeline import DatasetConfig, ReferringModel
-from .tensor import DegenerateInputError
+from .tensor import DEFAULT_DTYPE, DegenerateInputError
 
 PAPER_MEX_PARAMS = 81_000_000
 PAPER_CASCADE_PARAMS = 92_000_000
@@ -42,6 +43,10 @@ def _write_manifest(cfg, command, outputs):
     with open(path, "w") as fh:
         json.dump({"command": command, "seed": cfg["seed"],
                    "config_hash": config_mod.config_hash(cfg),
+                   "versions": {"python": platform.python_version(), "numpy": np.__version__,
+                                "mexfuse": __version__},
+                   # MEXFUSE_PRECISION as the tensor engine resolved it
+                   "precision": {np.float32: "f32", np.float64: "f64"}[DEFAULT_DTYPE],
                    "outputs": sorted(outputs)}, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -134,7 +139,8 @@ def _input_errors():
     """Map the pipeline's bad-input errors to exit code 2 with their message."""
     try:
         yield
-    except (DegenerateInputError, pipeline.LookupError_, pipeline.ModelLoadError) as exc:
+    except (DegenerateInputError, pipeline.LookupError_, pipeline.ModelLoadError,
+            pipeline.DataFileError) as exc:
         # args[0]: str() of a KeyError subclass would quote the message
         raise InputError(str(exc.args[0]) if exc.args else type(exc).__name__) from None
 
@@ -147,7 +153,8 @@ def train(ctx, dataset_dir):
     cfg = _load_config(ctx.obj)
     dataset_dir = dataset_dir or os.path.join(cfg["out"], "dataset")
     _require_dir(dataset_dir, "dataset directory")
-    data = pipeline.load_dataset(dataset_dir)
+    with _input_errors():
+        data = pipeline.load_dataset(dataset_dir)
     model = _build_model(cfg, data)
     p = cfg["pipeline"]
     epoch_rows = []
@@ -185,9 +192,9 @@ def score(ctx, dataset_dir, model_dir):
     model_dir = model_dir or os.path.join(cfg["out"], "model")
     _require_dir(dataset_dir, "dataset directory")
     _require_dir(model_dir, "model directory")
-    data = pipeline.load_dataset(dataset_dir)
     stats = _stats_from(cfg)
     with _input_errors():
+        data = pipeline.load_dataset(dataset_dir)
         model = ReferringModel.load(model_dir)
         cands = pipeline.score_all(data["trajectories"], data["tasks"], model,
                                    window=cfg["pipeline"]["window"], stats=stats,
@@ -230,8 +237,10 @@ def calibrate(ctx, scores_path, manifest_path, tau, cal_a, cal_b):
         stats.a = cal_a
     if cal_b is not None:
         stats.b = cal_b
+    with _input_errors():
+        scored = pipeline.read_scores(scores_path)
     refined = pipeline.refine_threshold_sort(
-        [(c.track_id, c.prompt_id, c.raw_score) for c in pipeline.read_scores(scores_path)],
+        [(c.track_id, c.prompt_id, c.raw_score) for c in scored],
         stats, cfg["pipeline"]["threshold"])
     os.makedirs(cfg["out"], exist_ok=True)
     out_path = os.path.join(cfg["out"], "scores_calibrated.jsonl")

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import DegenerateInputError, DimensionError, Linear, Tensor, gelu
+from . import kernels
+from .tensor import DegenerateInputError, DimensionError, Linear, Tensor, current_context, node
 
 GLOBAL_FRAME = "global_frame"
 LOCAL_TRACK = "local_track"
@@ -128,6 +129,9 @@ def truncate(f: ModalityFeatures, k: int) -> ModalityFeatures:
                             source_id=f.source_id)
 
 
+_GELU_C = np.sqrt(2.0 / np.pi)
+
+
 class ProjectionMLP:
     """Two-layer per-token MLP: d_raw -> hidden -> d_k."""
 
@@ -150,12 +154,62 @@ class ProjectionMLP:
         return self.first.parameters() + self.second.parameters()
 
     def __call__(self, x):
-        h = self.first(x)
-        if self.activation == "gelu":
-            h = gelu(h)
-        elif self.activation != "identity":
+        """second(act(first(x))) over x[..., d_raw], as one graph node.
+
+        Leading axes are folded inside numpy. The node keeps the hidden
+        pre-activation h and act(h) for its backward pass and charges the
+        ledger what the composed Linear-act-Linear chain would: h, gelu(h)
+        (nothing more for the identity) and the output, with
+        ``rows*(d_raw*hidden + hidden*d_k)`` multiply-adds per pass.
+        """
+        if self.activation not in ("gelu", "identity"):
             raise ValueError(f"unknown activation {self.activation!r}")
-        return self.second(h)
+        first, second = self.first, self.second
+        if x.data.shape[-1] != first.d_in:
+            raise DimensionError(
+                f"projection MLP: input trailing dim {x.data.shape} vs weight {first.w.data.shape}")
+        w1, b1, w2, b2 = first.w, first.bias, second.w, second.bias
+        x2 = x.data.reshape(-1, first.d_in)
+        madds1 = x2.shape[0] * first.d_in * first.d_out
+        madds2 = x2.shape[0] * second.d_in * second.d_out
+        ctx = current_context()
+        ctx.ledger.add_flops(madds1 + madds2)
+        h = kernels.matmul2d(x2, w1.data)
+        h += b1.data
+        if self.activation == "gelu":
+            # tanh-approximation GELU; powers as products, as ``**`` goes through pow
+            t = np.tanh(_GELU_C * (h + 0.044715 * (h * h * h)))
+            a = 0.5 * h * (1.0 + t)
+        else:
+            a = h
+        out = kernels.matmul2d(a, w2.data)
+        out += b2.data
+
+        def bwd(g):
+            g2 = g.reshape(-1, second.d_out)
+            if w2.requires_grad:
+                ctx.ledger.add_flops(madds2)
+                w2._accumulate(kernels.matmul2d(a.T, g2))
+            if b2.requires_grad:
+                b2._accumulate(g2.sum(axis=0))
+            if not (x.requires_grad or w1.requires_grad or b1.requires_grad):
+                return
+            ctx.ledger.add_flops(madds2)
+            gh = kernels.matmul2d(g2, w2.data.T)
+            if a is not h:
+                d_inner = _GELU_C * (1.0 + 3 * 0.044715 * (h * h))
+                gh = gh * (0.5 * (1.0 + t) + 0.5 * h * (1.0 - t * t) * d_inner)
+            if x.requires_grad:
+                ctx.ledger.add_flops(madds1)
+                x._accumulate(kernels.matmul2d(gh, w1.data.T).reshape(x.data.shape))
+            if w1.requires_grad:
+                ctx.ledger.add_flops(madds1)
+                w1._accumulate(kernels.matmul2d(x2.T, gh))
+            if b1.requires_grad:
+                b1._accumulate(gh.sum(axis=0))
+
+        return node(out.reshape(x.data.shape[:-1] + (second.d_out,)), (x, w1, b1, w2, b2), bwd,
+                    charge=out.size + h.size + (a.size if a is not h else 0))
 
 
 def project(f: ModalityFeatures, mlp: ProjectionMLP):

@@ -16,8 +16,7 @@ peak live values, and multiply-add totals are exact and reproducible.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,16 +25,13 @@ from .tensor import (
     Linear,
     Tensor,
     add,
+    attention_map,
     cosine_similarity,
-    current_context,
     fresh_context,
     matmul,
     max_axis,
     mean_axis,
-    scale,
-    softmax_rows,
     sum_all,
-    transpose,
 )
 
 VARIANTS = ("mex", "cascade", "plain")
@@ -43,11 +39,12 @@ VARIANTS = ("mex", "cascade", "plain")
 
 @dataclass
 class FusionOutput:
+    """The fused stream and, for inspection, the attention maps' arrays (not copies)."""
+
     fused: Tensor
     attn_it: np.ndarray | None = None
     attn_tp: np.ndarray | None = None
     attn_itp: np.ndarray | None = None
-    ledger: dict = field(default_factory=dict)
 
 
 class FusionParams:
@@ -114,11 +111,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
         raise DimensionError(f"q/k channel mismatch: {q.data.shape} vs {k.data.shape}")
     if k.data.shape[-2] != v.data.shape[-2]:
         raise DimensionError(f"k/v row mismatch: {k.data.shape} vs {v.data.shape}")
-    return matmul(_attention_map(q, k), v)
-
-
-def _attention_map(q, k):
-    return softmax_rows(scale(matmul(q, transpose(k)), 1.0 / math.sqrt(q.data.shape[-1])))
+    return matmul(attention_map(q, k), v)
 
 
 def _check_channels(params, *streams):
@@ -145,7 +138,7 @@ def _mex_visual(params, fI, fT):
     else:
         q_it = L["proj_i"](fI)
         k_it = q_tp = v_t = L["proj_t"](fT)
-    p_it = _attention_map(q_it, k_it)
+    p_it = attention_map(q_it, k_it)
     return {"q_it": q_it, "q_tp": q_tp, "p_it": p_it, "it": matmul(p_it, v_t)}
 
 
@@ -158,23 +151,18 @@ def _mex_prompt(params, fP):
 
 
 def _mex_joint(params, vis, txt):
-    p_tp = _attention_map(vis["q_tp"], txt["k_tp"])
+    p_tp = attention_map(vis["q_tp"], txt["k_tp"])
     p_itp = matmul(vis["p_it"], p_tp)
     fused = add(vis["it"], matmul(p_itp, txt["v_p"]))
     if params.residual_add:
         fused = add(fused, vis["q_it"])
-    return FusionOutput(
-        fused=fused,
-        attn_it=vis["p_it"].data.copy(),
-        attn_tp=p_tp.data.copy(),
-        attn_itp=p_itp.data.copy(),
-        ledger=current_context().ledger.snapshot(),
-    )
+    return FusionOutput(fused=fused, attn_it=vis["p_it"].data, attn_tp=p_tp.data,
+                        attn_itp=p_itp.data)
 
 
 def _cascade_stage(q, k, v):
     """One pairwise attention that adds its query; returns (output, map)."""
-    p = _attention_map(q, k)
+    p = attention_map(q, k)
     return add(matmul(p, v), q), p
 
 
@@ -191,8 +179,7 @@ def _cascade_prompt(params, fP):
 
 def _cascade_joint(params, vis, txt):
     out, p2 = _cascade_stage(vis["q"], txt["k"], txt["v"])
-    return FusionOutput(fused=out, attn_it=vis["p1"].data.copy(), attn_tp=p2.data.copy(),
-                        ledger=current_context().ledger.snapshot())
+    return FusionOutput(fused=out, attn_it=vis["p1"].data, attn_tp=p2.data)
 
 
 def _plain_visual(params, fGlobal, fLocal):
@@ -206,7 +193,7 @@ def _plain_prompt(params, fP):
 
 def _plain_joint(params, vis, txt):
     out = attention(vis["q"], txt["k"], txt["v"])
-    return FusionOutput(fused=out, ledger=current_context().ledger.snapshot())
+    return FusionOutput(fused=out)
 
 
 _PARTS = {

@@ -24,14 +24,11 @@ from .tensor import (
     Tensor,
     add,
     fresh_context,
-    mul,
     no_grad,
-    relu,
+    node,
     reshape,
     scale,
     sgd_momentum_step,
-    sub,
-    sum_all,
     take,
 )
 
@@ -46,6 +43,10 @@ class TrainingError(RuntimeError):
 
 class ModelLoadError(ValueError):
     """A saved model directory that is incomplete or disagrees with its manifest."""
+
+
+class DataFileError(ValueError):
+    """A data file that is missing, unreadable, not JSON or lacks a key; names the file and line."""
 
 
 @dataclass
@@ -199,9 +200,13 @@ class ReferringModel:
             fL = self.mlp_local(Tensor(tables[features.LOCAL_TRACK][
                 np.array([l for _, l, _ in group])]))
             visual = fusion.visual_terms(params, fG, fL)
-            # [n, 1, l, d_k]: each window's prompt terms, broadcast over its frames
-            txt = {k: reshape(take(v, idx), (len(idx), 1) + v.shape[1:])
-                   for k, v in prompt.items()}
+            # [n, 1, l, d_k]: each window's prompt terms, broadcast over its frames;
+            # a tensor that serves as two terms (shared mex: k_tp is v_p) is taken once
+            taken = {}
+            for v in prompt.values():
+                if id(v) not in taken:
+                    taken[id(v)] = reshape(take(v, idx), (len(idx), 1) + v.shape[1:])
+            txt = {k: taken[id(v)] for k, v in prompt.items()}
             fused = fusion.fuse_terms(params, visual, txt).fused
             out.append((positions, fusion.score(fusion.st_pool(fused),
                                                 take(prompt_pooled, idx))))
@@ -385,12 +390,21 @@ def refine_threshold_sort(raw, stats, threshold):
 def _loss_sum(scores, match, neg_margin):
     """Sum over windows of the cosine objective: 1 - s for a match, relu(s - margin) otherwise.
 
-    ``scores`` is an [n] tensor, ``match`` n booleans.
+    ``scores`` is an [n] tensor, ``match`` n booleans. One graph node:
+    sum(m(1 - s) + (1 - m) relu(s - margin)), whose gradient with respect
+    to s is (1 - m)[s > margin] - m.
     """
-    m = np.asarray(match, dtype=scores.data.dtype)
-    pos = mul(Tensor(m), sub(Tensor(np.ones_like(m)), scores))
-    neg = mul(Tensor(1.0 - m), relu(sub(scores, Tensor(np.full_like(m, neg_margin)))))
-    return sum_all(add(pos, neg))
+    s = scores.data
+    m = np.asarray(match, dtype=s.dtype)
+    over = s - neg_margin
+    above = over > 0
+    total = (m * (1.0 - s) + (1.0 - m) * np.where(above, over, 0.0)).sum()
+
+    def bwd(g):
+        if scores.requires_grad:
+            scores._accumulate(float(g) * ((1.0 - m) * above - m))
+
+    return node(np.asarray(total), (scores,), bwd)
 
 
 def train(samples, trajectories, tasks, model: ReferringModel, epochs=100,
@@ -554,17 +568,31 @@ def _write_jsonl(path, records):
             fh.write(json.dumps(r, sort_keys=True) + "\n")
 
 
-def _read_jsonl(path):
+def _read_jsonl(path, keys=()):
+    """The records of a JSON-lines file; each line is a JSON object holding ``keys``.
+
+    Raises DataFileError naming the file for a missing or unreadable file,
+    and the file and line for a line that is not a JSON object or lacks a key.
+    """
     out = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                out.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+    try:
+        with open(path) as fh:
+            for lineno, line in enumerate(fh, 1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    rec = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise DataFileError(f"{path}:{lineno}: not valid JSON ({exc})") from None
+                if not isinstance(rec, dict):
+                    raise DataFileError(f"{path}:{lineno}: not a JSON object")
+                missing = [k for k in keys if k not in rec]
+                if missing:
+                    raise DataFileError(f"{path}:{lineno}: missing key(s) {missing}")
+                out.append(rec)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataFileError(f"{path}: cannot read ({exc})") from None
     return out
 
 
@@ -590,7 +618,14 @@ def save_dataset(out_dir, data, cfg: DatasetConfig):
 
 
 def load_dataset(in_dir):
-    rows = _read_jsonl(os.path.join(in_dir, "trajectories.jsonl"))
+    """The dataset ``save_dataset`` wrote to ``in_dir``.
+
+    Raises DataFileError naming the file, and the line where there is one,
+    for a missing or unreadable file, a line that is not a JSON object, or a
+    missing key.
+    """
+    rows = _read_jsonl(os.path.join(in_dir, "trajectories.jsonl"),
+                       ("track_id", "frame", "box", "entity_id"))
     by_track = {}
     for r in rows:
         by_track.setdefault((r["track_id"], r["entity_id"]), []).append(
@@ -599,14 +634,23 @@ def load_dataset(in_dir):
                     for (tid, ent), frames in sorted(by_track.items())]
     tasks = [ReferringTask(prompt_id=r["prompt_id"], text=r["text"],
                            entity_id=r["entity_id"], candidates=r["candidates"])
-             for r in _read_jsonl(os.path.join(in_dir, "tasks.jsonl"))]
-    labels = _read_jsonl(os.path.join(in_dir, "labels.jsonl"))
+             for r in _read_jsonl(os.path.join(in_dir, "tasks.jsonl"),
+                                  ("prompt_id", "text", "entity_id", "candidates"))]
+    labels = _read_jsonl(os.path.join(in_dir, "labels.jsonl"),
+                         ("prompt_id", "track_id", "match"))
     samples = [TrainSample(track_id=r["track_id"], prompt_id=r["prompt_id"],
                            frame_indices=r["frames"], match=r["match"])
-               for r in _read_jsonl(os.path.join(in_dir, "windows.jsonl"))]
-    manifest = _read_jsonl(os.path.join(in_dir, "concepts.jsonl"))
-    with open(os.path.join(in_dir, "meta.json")) as fh:
-        meta = json.load(fh)
+               for r in _read_jsonl(os.path.join(in_dir, "windows.jsonl"),
+                                    ("track_id", "prompt_id", "frames", "match"))]
+    manifest = _read_jsonl(os.path.join(in_dir, "concepts.jsonl"), ("entity_id", "concept"))
+    meta_path = os.path.join(in_dir, "meta.json")
+    try:
+        with open(meta_path) as fh:
+            meta = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise DataFileError(f"{meta_path}: cannot read ({exc})") from None
+    if not isinstance(meta, dict) or "concepts" not in meta:
+        raise DataFileError(f"{meta_path}: missing key 'concepts'")
     return {"trajectories": trajectories, "tasks": tasks, "labels": labels,
             "samples": samples, "manifest": manifest, "meta": meta}
 
@@ -626,7 +670,7 @@ def read_scores(path):
     return [ScoredCandidate(track_id=r["track_id"], prompt_id=r["prompt_id"],
                             raw_score=r["s"], pseudo_freq=r["p"],
                             refined_score=r["s_prime"], kept=r["kept"])
-            for r in _read_jsonl(path)]
+            for r in _read_jsonl(path, ("track_id", "prompt_id", "s", "p", "s_prime", "kept"))]
 
 
 def precision_recall(candidates, labels):

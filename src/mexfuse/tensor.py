@@ -133,7 +133,7 @@ class Tensor:
                  "_charged")
 
     def __init__(self, data, requires_grad=False, dtype=None, _parents=(), _backward=None,
-                 _view=False):
+                 _charge=None):
         arr = np.asarray(data, dtype=dtype or DEFAULT_DTYPE)
         self.data = arr
         self.requires_grad = requires_grad
@@ -143,8 +143,7 @@ class Tensor:
         self.is_leaf = _backward is None
         ctx = current_context()
         self._ctx = ctx
-        # a view shares its parent's values, so it allocates none
-        self._charged = 0 if _view else arr.size
+        self._charged = arr.size if _charge is None else _charge
         ctx.ledger.alloc(self._charged)
         if not self.is_leaf:
             ctx.record(self)
@@ -200,13 +199,20 @@ class Tensor:
         self.grad = None
 
 
-def _result(data, parents, backward_fn, view=False):
+def node(data, parents, backward_fn, charge=None):
+    """The result of an op: a graph node when a parent needs a gradient.
+
+    ``backward_fn(g)`` hands each parent that requires a gradient its part
+    of ``g``. ``charge`` is the number of values the ledger is charged,
+    ``data.size`` by default: a view allocates none, and a fused op also
+    charges the intermediates it keeps for its backward pass.
+    """
     ctx = current_context()
     needs = ctx.grad_enabled and any(p.requires_grad for p in parents)
     if needs:
         return Tensor(data, requires_grad=True, dtype=data.dtype,
-                      _parents=tuple(parents), _backward=backward_fn, _view=view)
-    return Tensor(data, dtype=data.dtype, _view=view)
+                      _parents=tuple(parents), _backward=backward_fn, _charge=charge)
+    return Tensor(data, dtype=data.dtype, _charge=charge)
 
 
 # ---- elementwise ops -------------------------------------------------------
@@ -226,7 +232,7 @@ def add(a, b):
         if b.requires_grad:
             b._accumulate(g)
 
-    return _result(a.data + b.data, (a, b), bwd)
+    return node(a.data + b.data, (a, b), bwd)
 
 
 def sub(a, b):
@@ -238,7 +244,7 @@ def sub(a, b):
         if b.requires_grad:
             b._accumulate(-g)
 
-    return _result(a.data - b.data, (a, b), bwd)
+    return node(a.data - b.data, (a, b), bwd)
 
 
 def mul(a, b):
@@ -250,7 +256,7 @@ def mul(a, b):
         if b.requires_grad:
             b._accumulate(g * a.data)
 
-    return _result(a.data * b.data, (a, b), bwd)
+    return node(a.data * b.data, (a, b), bwd)
 
 
 def scale(a, c):
@@ -260,25 +266,7 @@ def scale(a, c):
         if a.requires_grad:
             a._accumulate(g * c)
 
-    return _result(a.data * c, (a,), bwd)
-
-
-def gelu(x):
-    """tanh-approximation GELU; smooth, so finite differences behave."""
-    # powers are written as products: numpy evaluates ``x ** 3`` through pow
-    c = np.sqrt(2.0 / np.pi)
-    xd = x.data
-    inner = c * (xd + 0.044715 * (xd * xd * xd))
-    t = np.tanh(inner)
-    out = 0.5 * xd * (1.0 + t)
-
-    def bwd(g):
-        if x.requires_grad:
-            d_inner = c * (1.0 + 3 * 0.044715 * (xd * xd))
-            dydx = 0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t * t) * d_inner
-            x._accumulate(g * dydx)
-
-    return _result(out, (x,), bwd)
+    return node(a.data * c, (a,), bwd)
 
 
 def relu(x):
@@ -288,7 +276,7 @@ def relu(x):
         if x.requires_grad:
             x._accumulate(g * mask)
 
-    return _result(np.where(mask, x.data, 0.0), (x,), bwd)
+    return node(np.where(mask, x.data, 0.0), (x,), bwd)
 
 
 # ---- linear algebra --------------------------------------------------------
@@ -335,19 +323,7 @@ def matmul(a, b):
             b._accumulate(_sum_to(kernels.matmul2d(np.swapaxes(a.data, -1, -2), g),
                                   b.data.shape))
 
-    return _result(out, (a, b), bwd)
-
-
-def transpose(a):
-    """Swap the last two axes."""
-    if a.data.ndim < 2:
-        raise DimensionError(f"transpose: need rank >= 2, got {a.data.shape}")
-
-    def bwd(g):
-        if a.requires_grad:
-            a._accumulate(np.swapaxes(g, -1, -2))
-
-    return _result(np.ascontiguousarray(np.swapaxes(a.data, -1, -2)), (a,), bwd)
+    return node(out, (a, b), bwd)
 
 
 def reshape(a, shape):
@@ -358,7 +334,8 @@ def reshape(a, shape):
         if a.requires_grad:
             a._accumulate(g.reshape(a.data.shape))
 
-    return _result(out, (a,), bwd, view=np.may_share_memory(out, a.data))
+    # a view shares its parent's values, so it allocates none
+    return node(out, (a,), bwd, charge=0 if np.may_share_memory(out, a.data) else None)
 
 
 def take(a, idx):
@@ -377,21 +354,50 @@ def take(a, idx):
             np.add.at(full, idx, g)
             a._accumulate(full)
 
-    return _result(a.data[idx], (a,), bwd)
+    return node(a.data[idx], (a,), bwd)
 
 
-def softmax_rows(a):
-    """Row-stable softmax along the last axis; leading axes are batch axes."""
-    if a.data.ndim < 2:
-        raise DimensionError(f"softmax_rows: need rank >= 2, got {a.data.shape}")
-    y = kernels.softmax_rows2d(a.data)
+def attention_map(q, k):
+    """softmax(q k^T / sqrt(d)) over the last two axes, as one graph node.
+
+    ``q`` is [..., m, d] and ``k`` [..., n, d]; leading batch axes broadcast
+    as in ``matmul``. ``k`` is read through a transposed view and the logits
+    are scaled in place, so the [..., m, n] map is the only array kept and
+    the only one charged; the multiply-adds are those of ``matmul(q, k^T)``.
+    """
+    if q.data.ndim < 2 or k.data.ndim < 2:
+        raise DimensionError(
+            f"attention_map: need operands of rank >= 2, got {q.data.shape} x {k.data.shape}")
+    if q.data.shape[-1] != k.data.shape[-1]:
+        raise DimensionError(f"attention_map: channels differ, {q.data.shape} x {k.data.shape}")
+    try:
+        batch = np.broadcast_shapes(q.data.shape[:-2], k.data.shape[:-2])
+    except ValueError:
+        raise DimensionError(
+            f"attention_map: batch axes do not broadcast, {q.data.shape} x {k.data.shape}") from None
+    m, d = q.data.shape[-2:]
+    n = k.data.shape[-2]
+    madds = math.prod(batch) * m * n * d
+    c = 1.0 / math.sqrt(d)
+    ctx = current_context()
+    ctx.ledger.add_flops(madds)
+    logits = kernels.matmul2d(q.data, np.swapaxes(k.data, -1, -2))
+    logits *= c
+    y = kernels.softmax_rows2d(logits)
 
     def bwd(g):
-        if a.requires_grad:
-            dot = (g * y).sum(axis=-1, keepdims=True)
-            a._accumulate(y * (g - dot))
+        # dS = y * (g - sum(g * y)) * c over each row of the map
+        ds = y * (g - (g * y).sum(axis=-1, keepdims=True))
+        ds *= c
+        if q.requires_grad:
+            ctx.ledger.add_flops(madds)
+            q._accumulate(_sum_to(kernels.matmul2d(ds, k.data), q.data.shape))
+        if k.requires_grad:
+            ctx.ledger.add_flops(madds)
+            k._accumulate(_sum_to(kernels.matmul2d(np.swapaxes(ds, -1, -2), q.data),
+                                  k.data.shape))
 
-    return _result(y, (a,), bwd)
+    return node(y, (q, k), bwd)
 
 
 # ---- reductions ------------------------------------------------------------
@@ -402,7 +408,7 @@ def sum_all(a):
         if a.requires_grad:
             a._accumulate(np.full_like(a.data, float(g)))
 
-    return _result(np.asarray(a.data.sum()), (a,), bwd)
+    return node(np.asarray(a.data.sum()), (a,), bwd)
 
 
 def mean_axis(a, axis):
@@ -412,9 +418,10 @@ def mean_axis(a, axis):
 
     def bwd(g):
         if a.requires_grad:
-            a._accumulate(np.repeat(np.expand_dims(g / n, axis), n, axis=axis))
+            # a read-only view: no gradient array is written in place
+            a._accumulate(np.broadcast_to(np.expand_dims(g / n, axis), a.data.shape))
 
-    return _result(a.data.mean(axis=axis), (a,), bwd)
+    return node(a.data.mean(axis=axis), (a,), bwd)
 
 
 def max_axis(a, axis):
@@ -429,7 +436,7 @@ def max_axis(a, axis):
                               np.expand_dims(g, axis), axis)
             a._accumulate(full)
 
-    return _result(np.max(a.data, axis=axis), (a,), bwd)
+    return node(np.max(a.data, axis=axis), (a,), bwd)
 
 
 def stack(tensors):
@@ -443,7 +450,7 @@ def stack(tensors):
             if t.requires_grad:
                 t._accumulate(g[i])
 
-    return _result(np.stack([t.data for t in tensors]), tuple(tensors), bwd)
+    return node(np.stack([t.data for t in tensors]), tuple(tensors), bwd)
 
 
 # ---- similarity ------------------------------------------------------------
@@ -483,7 +490,7 @@ def cosine_similarity(a, b):
         if b.requires_grad:
             b._accumulate(g * (a.data / ab - cn * b.data / (nb * nb)[..., None]))
 
-    return _result(clamped, (a, b), bwd)
+    return node(clamped, (a, b), bwd)
 
 
 # ---- parameter containers --------------------------------------------------
@@ -550,7 +557,7 @@ class Linear:
             if bias.requires_grad:
                 bias._accumulate(g2.sum(axis=0))
 
-        return _result(out.reshape(x.data.shape[:-1] + (self.d_out,)), (x, w, bias), bwd)
+        return node(out.reshape(x.data.shape[:-1] + (self.d_out,)), (x, w, bias), bwd)
 
 
 def linear(x, w, bias):

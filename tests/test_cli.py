@@ -73,6 +73,8 @@ class TestGen:
         manifest = json.loads((tmp_path / "run" / "run_manifest_gen.json").read_text())
         assert manifest["command"] == "gen"
         assert manifest["seed"] == 7
+        assert set(manifest["versions"]) == {"python", "numpy", "mexfuse"}
+        assert manifest["precision"] in ("f32", "f64")
 
 
 SMALL_CFG = {
@@ -152,6 +154,34 @@ class TestTrainScore:
         assert result.exit_code == 2, result.output
         assert "mlp_local.second.w.mext" in result.output
         assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("cmd,fault,named", [
+        ("train", "row without frames", "windows.jsonl:2: missing key(s) ['frames']"),
+        ("train", "bad JSON line", "windows.jsonl:2: not valid JSON"),
+        ("score", "file removed", "tasks.jsonl: cannot read"),
+    ])
+    def test_bad_dataset_exits_2_naming_file_and_line(self, runner, trained, tmp_path,
+                                                      cmd, fault, named):
+        cfg_path, out = trained
+        data = tmp_path / "dataset"
+        shutil.copytree(out / "dataset", data)
+        lines = (data / "windows.jsonl").read_text().splitlines()
+        if fault == "row without frames":
+            row = json.loads(lines[1])
+            del row["frames"]
+            lines[1] = json.dumps(row)
+        elif fault == "bad JSON line":
+            lines[1] = lines[1][:-1]
+        (data / "windows.jsonl").write_text("".join(l + "\n" for l in lines))
+        if fault == "file removed":
+            (data / "tasks.jsonl").unlink()
+        result = runner.invoke(main, ["--config", str(cfg_path), "--out", str(tmp_path / "o"),
+                                      cmd, "--dataset", str(data)]
+                               + (["--model", str(out / "model")] if cmd == "score" else []))
+        assert result.exit_code == 2, result.output
+        assert named in result.output
+        assert "Traceback" not in result.output
+        assert isinstance(result.exception, SystemExit)
 
     def test_missing_dataset_exits_2(self, runner, tmp_path):
         result = runner.invoke(main, ["--out", str(tmp_path / "empty"), "train"])

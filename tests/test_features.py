@@ -15,7 +15,7 @@ from mexfuse.features import (
     truncate,
     write_concept_manifest,
 )
-from mexfuse.tensor import DegenerateInputError, DimensionError
+from mexfuse.tensor import DegenerateInputError, DimensionError, Tensor, fresh_context, sum_all
 
 
 def mean_pooled_cosine(a, b):
@@ -140,6 +140,38 @@ class TestProject:
     def test_census(self):
         mlp = ProjectionMLP.init(768, 256, np.random.default_rng(0), hidden=512)
         assert mlp.param_count() == (768 * 512 + 512) + (512 * 256 + 256)
+
+    def test_gelu_matches_formula(self):
+        rng = np.random.default_rng(2)
+        mlp = ProjectionMLP.init(5, 3, rng, hidden=4)
+        x = rng.standard_normal((2, 3, 5))
+        h = x @ mlp.first.w.data + mlp.first.bias.data
+        gelu = 0.5 * h * (1 + np.tanh(np.sqrt(2 / np.pi) * (h + 0.044715 * h ** 3)))
+        expected = gelu @ mlp.second.w.data + mlp.second.bias.data
+        assert np.abs(mlp(Tensor(x)).data - expected).max() <= 1e-12
+
+    @pytest.mark.parametrize("activation", ["gelu", "identity"])
+    def test_one_node_charges_the_composed_chain(self, activation):
+        # h, gelu(h) and the output (h and the output for the identity), and
+        # the multiply-adds of Linear -> Linear, forward and backward
+        rng = np.random.default_rng(3)
+        rows, d_raw, hidden, d_k = 2 * 3 * 4, 6, 5, 3
+        mlp = ProjectionMLP.init(d_raw, d_k, rng, hidden=hidden, activation=activation)
+        x = Tensor(rng.standard_normal((2, 3, 4, d_raw)))
+
+        def run(forward):
+            with fresh_context() as ctx:
+                out = forward(x)
+                fwd = ctx.ledger.snapshot()
+                sum_all(out).backward()
+                return fwd, ctx.ledger.flops
+
+        (fwd, flops), (chain_fwd, chain_flops) = run(mlp), run(
+            lambda t: mlp.second(mlp.first(t)))
+        kept = 2 * hidden if activation == "gelu" else hidden
+        assert fwd["peak_values"] == rows * (kept + d_k)
+        assert fwd["flops"] == chain_fwd["flops"] == rows * (d_raw * hidden + hidden * d_k)
+        assert flops == chain_flops
 
 
 def test_concept_manifest_round_trip(tmp_path):

@@ -5,22 +5,22 @@ import numpy as np
 import pytest
 
 from mexfuse import gradcheck
+from mexfuse.features import ProjectionMLP
 from mexfuse.fusion import st_pool
+from mexfuse.pipeline import _loss_sum
 from mexfuse.tensor import (
     Linear,
     Tensor,
+    attention_map,
     cosine_similarity,
     fresh_context,
-    gelu,
     matmul,
     max_axis,
     mean_axis,
     mul,
-    softmax_rows,
     stack,
     sum_all,
     take,
-    transpose,
 )
 
 STEP = 1e-5
@@ -78,28 +78,34 @@ def test_matmul_batched(rng, a_shape, b_shape):
     check(lambda: sum_all(mul(matmul(a, b), Tensor(w))), a, b)
 
 
-def test_transpose_batched(rng):
-    x = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
-    w = rng.standard_normal((2, 4, 3))
-    check(lambda: sum_all(mul(transpose(x), Tensor(w))), x)
-
-
-def test_softmax_batched(rng):
-    x = Tensor(rng.standard_normal((2, 3, 5)), requires_grad=True)
+@pytest.mark.parametrize("k_shape", [(2, 5, 4), (5, 4)])
+def test_attention_map(rng, k_shape):
+    # [2, 3, 4] queries against batched keys, and against 2-D keys broadcast over the batch
+    q = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
+    k = Tensor(rng.standard_normal(k_shape), requires_grad=True)
     w = rng.standard_normal((2, 3, 5))
-    check(lambda: sum_all(mul(softmax_rows(x), Tensor(w))), x)
+    check(lambda: sum_all(mul(attention_map(q, k), Tensor(w))), q, k)
 
 
-def test_softmax(rng):
-    x = Tensor(rng.standard_normal((3, 5)), requires_grad=True)
-    w = rng.standard_normal((3, 5))
-    check(lambda: sum_all(mul(softmax_rows(x), Tensor(w))), x)
+@pytest.mark.parametrize("activation", ["gelu", "identity"])
+def test_projection_mlp(rng, activation):
+    # one graph node for Linear -> activation -> Linear on a [B, w, s, d] input
+    x = Tensor(rng.standard_normal((2, 3, 2, 4)), requires_grad=True)
+    mlp = ProjectionMLP(
+        Linear(Tensor(rng.standard_normal((4, 5)), requires_grad=True),
+               Tensor(rng.standard_normal(5), requires_grad=True)),
+        Linear(Tensor(rng.standard_normal((5, 3)), requires_grad=True),
+               Tensor(rng.standard_normal(3), requires_grad=True)),
+        activation=activation)
+    w = rng.standard_normal((2, 3, 2, 3))
+    check(lambda: sum_all(mul(mlp(x), Tensor(w))), x, *mlp.parameters())
 
 
-def test_gelu(rng):
-    x = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
-    w = rng.standard_normal((4, 3))
-    check(lambda: sum_all(mul(gelu(x), Tensor(w))), x)
+def test_loss_sum(rng):
+    # non-matches on both sides of the margin (0.25 and 0.9 above, -0.3 below), and matches
+    s = Tensor(np.array([0.3, -0.4, 0.25, -0.3, 0.9, -0.7]), requires_grad=True)
+    match = [True, True, False, False, False, True]
+    check(lambda: _loss_sum(s, match, neg_margin=-0.1), s)
 
 
 def test_linear_batched(rng):

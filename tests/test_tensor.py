@@ -12,6 +12,7 @@ from mexfuse.tensor import (
     Linear,
     Tensor,
     add,
+    attention_map,
     cosine_similarity,
     current_context,
     fresh_context,
@@ -20,7 +21,6 @@ from mexfuse.tensor import (
     max_axis,
     mean_axis,
     mul,
-    softmax_rows,
     sum_all,
     take,
 )
@@ -83,13 +83,20 @@ class TestMatmul:
             matmul(Tensor(np.ones((2, 4, 5))), Tensor(np.ones((3, 5, 3))))
 
 
+def softmax_of(logits):
+    """attention_map of a 1-channel query 1 against keys ``logits``: softmax(logits)."""
+    return attention_map(Tensor([[1.0]]), Tensor(np.asarray(logits, dtype=float)[:, None]))
+
+
 class TestSoftmax:
+    """The row softmax inside ``attention_map``."""
+
     def test_uniform_input(self):
-        out = softmax_rows(Tensor([[0.0, 0.0, 0.0]]))
+        out = softmax_of([0.0, 0.0, 0.0])
         assert np.abs(out.data - 1 / 3).max() <= 1e-12
 
     def test_extreme_magnitude_no_overflow(self):
-        out = softmax_rows(Tensor([[1000.0, 0.0]]))
+        out = softmax_of([1000.0, 0.0])
         assert np.isfinite(out.data).all()
         assert out.data[0, 0] == pytest.approx(1.0)
 
@@ -100,16 +107,28 @@ class TestSoftmax:
         es = [mpmath.e ** v for v in x]
         total = sum(es)
         expected = np.array([float(e / total) for e in es])
-        out = softmax_rows(Tensor([x]))
+        out = softmax_of(x)
         assert np.abs(out.data[0] - expected).max() <= 1e-12
 
     def test_rows_sum_to_one_randomized(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
-            x = rng.uniform(-1e3, 1e3, size=(rng.integers(1, 6), rng.integers(1, 6)))
-            out = softmax_rows(Tensor(x))
+            m, n, d = rng.integers(1, 6, size=3)
+            q = rng.uniform(-30, 30, size=(m, d))
+            k = rng.uniform(-30, 30, size=(n, d))
+            out = attention_map(Tensor(q), Tensor(k))
+            assert out.shape == (m, n)
             assert (out.data >= 0).all()
             assert np.abs(out.data.sum(axis=1) - 1).max() <= 1e-12
+
+    def test_charges_only_the_map(self):
+        # multiply-adds of q @ k^T; the map is charged, not k^T or the logits
+        q = Tensor(np.ones((2, 3, 4)), requires_grad=True)
+        k = Tensor(np.ones((5, 4)), requires_grad=True)
+        with fresh_context() as ctx:
+            sum_all(attention_map(q, k)).backward()
+            assert ctx.ledger.peak_values == 2 * 3 * 5 + 1
+            assert ctx.ledger.flops == 3 * (2 * 3 * 5 * 4)
 
 
 class TestLinear:
@@ -271,8 +290,8 @@ class TestLedger:
         def run():
             with fresh_context() as ctx:
                 a = Tensor(np.ones((3, 4)))
-                b = Tensor(np.ones((4, 5)))
-                softmax_rows(matmul(a, b))
+                b = Tensor(np.ones((5, 4)))
+                attention_map(a, b)
                 return ctx.ledger.snapshot()
 
         first, second = run(), run()
