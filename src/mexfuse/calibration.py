@@ -19,6 +19,11 @@ DEFAULT_A = 8.0
 DEFAULT_B = -0.1
 
 
+class CalibrationError(ValueError):
+    """A calibration manifest that cannot be read, is malformed, or has no row
+    for a prompt; the message names the manifest file."""
+
+
 def normalized_weights(similarities, tau):
     """Temperature softmax over one test expression's train similarities.
 
@@ -65,6 +70,8 @@ class ExpressionStats:
     b: float = DEFAULT_B
     test_ids: list | None = None
     _pseudo: dict = field(default_factory=dict, repr=False)
+    # the manifest file these stats were read from, for error messages
+    source: str = field(default="calibration stats", init=False, repr=False)
 
     def __post_init__(self):
         self.train_freqs = np.asarray(self.train_freqs, dtype=np.float64)
@@ -77,6 +84,9 @@ class ExpressionStats:
                 f"{self.train_freqs.shape}")
         if self.similarity.shape[1] == 0:
             raise DegenerateInputError("similarity rows must have >= 1 entry")
+        if self.test_ids is not None and len(self.test_ids) != self.similarity.shape[0]:
+            raise DimensionError(f"{len(self.test_ids)} test_ids name "
+                                 f"{self.similarity.shape[0]} similarity rows")
         if not np.isfinite(self.similarity).all():
             raise ValueError("non-finite similarity matrix")
 
@@ -85,7 +95,8 @@ class ExpressionStats:
             try:
                 return self.test_ids.index(prompt_id)
             except ValueError:
-                raise KeyError(f"prompt {prompt_id!r} not in calibration test_ids")
+                raise CalibrationError(
+                    f"{self.source}: prompt {prompt_id!r} not in test_ids") from None
         if self.similarity.shape[0] == 1:
             return 0  # single row applies to every test expression
         if fallback_index >= self.similarity.shape[0]:
@@ -112,51 +123,39 @@ def disabled_stats():
                            similarity=np.array([[1.0]]), tau=DEFAULT_TAU, a=0.0, b=0.0)
 
 
-def train_frequencies_from_counts(expression_ids):
-    """Normalized occurrence counts over a training manifest."""
-    ids = list(expression_ids)
-    if not ids:
-        raise DegenerateInputError("empty training expression list")
-    uniq = sorted(set(ids))
-    counts = np.array([ids.count(u) for u in uniq], dtype=np.float64)
-    return uniq, counts / counts.sum()
-
-
 def load_manifest(path):
     """Calibration manifest JSON:
 
     {"train": [{"expr_id": ..., "freq": ...}], "similarity": [[x_ij]],
      "tau": ..., "a": ..., "b": ..., "test_ids": [...]}   (test_ids optional)
+
+    Raises CalibrationError naming ``path`` for a file that cannot be read or
+    is not JSON, an unknown or missing key, or values that do not form valid
+    stats.
     """
-    with open(path) as fh:
-        raw = json.load(fh)
-    known = {"train", "similarity", "tau", "a", "b", "test_ids"}
-    unknown = set(raw) - known
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise CalibrationError(f"{path}: cannot read ({exc})") from None
+    if not isinstance(raw, dict):
+        raise CalibrationError(f"{path}: not a JSON object")
+    unknown = set(raw) - {"train", "similarity", "tau", "a", "b", "test_ids"}
     if unknown:
-        raise ValueError(f"{path}: unknown calibration keys {sorted(unknown)}")
-    train = raw["train"]
-    return ExpressionStats(
-        train_ids=[t["expr_id"] for t in train],
-        train_freqs=np.array([t["freq"] for t in train], dtype=np.float64),
-        similarity=np.array(raw["similarity"], dtype=np.float64),
-        tau=float(raw.get("tau", DEFAULT_TAU)),
-        a=float(raw.get("a", DEFAULT_A)),
-        b=float(raw.get("b", DEFAULT_B)),
-        test_ids=raw.get("test_ids"),
-    )
-
-
-def save_manifest(path, stats: ExpressionStats):
-    doc = {
-        "train": [{"expr_id": i, "freq": float(f)}
-                  for i, f in zip(stats.train_ids, stats.train_freqs)],
-        "similarity": stats.similarity.tolist(),
-        "tau": stats.tau,
-        "a": stats.a,
-        "b": stats.b,
-    }
-    if stats.test_ids is not None:
-        doc["test_ids"] = list(stats.test_ids)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        raise CalibrationError(f"{path}: unknown calibration keys {sorted(unknown)}")
+    try:
+        stats = ExpressionStats(
+            train_ids=[t["expr_id"] for t in raw["train"]],
+            train_freqs=np.array([t["freq"] for t in raw["train"]], dtype=np.float64),
+            similarity=np.array(raw["similarity"], dtype=np.float64),
+            tau=float(raw.get("tau", DEFAULT_TAU)),
+            a=float(raw.get("a", DEFAULT_A)),
+            b=float(raw.get("b", DEFAULT_B)),
+            test_ids=raw.get("test_ids"),
+        )
+    except KeyError as exc:
+        raise CalibrationError(f"{path}: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise CalibrationError(f"{path}: {exc}") from None
+    stats.source = str(path)
+    return stats

@@ -140,7 +140,7 @@ def _input_errors():
     try:
         yield
     except (DegenerateInputError, pipeline.LookupError_, pipeline.ModelLoadError,
-            pipeline.DataFileError) as exc:
+            pipeline.DataFileError, calibration.CalibrationError) as exc:
         # args[0]: str() of a KeyError subclass would quote the message
         raise InputError(str(exc.args[0]) if exc.args else type(exc).__name__) from None
 
@@ -192,8 +192,8 @@ def score(ctx, dataset_dir, model_dir):
     model_dir = model_dir or os.path.join(cfg["out"], "model")
     _require_dir(dataset_dir, "dataset directory")
     _require_dir(model_dir, "model directory")
-    stats = _stats_from(cfg)
     with _input_errors():
+        stats = _stats_from(cfg)
         data = pipeline.load_dataset(dataset_dir)
         model = ReferringModel.load(model_dir)
         cands = pipeline.score_all(data["trajectories"], data["tasks"], model,
@@ -230,18 +230,18 @@ def calibrate(ctx, scores_path, manifest_path, tau, cal_a, cal_b):
     for path, what in ((scores_path, "scores file"), (manifest_path, "calibration manifest")):
         if not os.path.exists(path):
             raise click.UsageError(f"{what} not found: {path}")
-    stats = calibration.load_manifest(manifest_path)
-    if tau is not None:
-        stats.tau = tau
-    if cal_a is not None:
-        stats.a = cal_a
-    if cal_b is not None:
-        stats.b = cal_b
     with _input_errors():
+        stats = calibration.load_manifest(manifest_path)
+        if tau is not None:
+            stats.tau = tau
+        if cal_a is not None:
+            stats.a = cal_a
+        if cal_b is not None:
+            stats.b = cal_b
         scored = pipeline.read_scores(scores_path)
-    refined = pipeline.refine_threshold_sort(
-        [(c.track_id, c.prompt_id, c.raw_score) for c in scored],
-        stats, cfg["pipeline"]["threshold"])
+        refined = pipeline.refine_threshold_sort(
+            [(c.track_id, c.prompt_id, c.raw_score) for c in scored],
+            stats, cfg["pipeline"]["threshold"])
     os.makedirs(cfg["out"], exist_ok=True)
     out_path = os.path.join(cfg["out"], "scores_calibrated.jsonl")
     pipeline.write_scores(out_path, refined)

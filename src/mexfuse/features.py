@@ -2,21 +2,20 @@
 
 Stands in for frozen visual/text encoders: deterministic pseudo-random
 embeddings with the same output shapes ([n,16,768] visual, [n,20,1024]
-textual by default), plus truncation and the per-modality projection MLPs
-that reduce raw channels to the fused width.
+textual by default), plus the per-modality projection MLPs that reduce raw
+channels to the fused width.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
-from .tensor import DegenerateInputError, DimensionError, Linear, Tensor, current_context, node
+from .tensor import DegenerateInputError, DimensionError, Linear, current_context, node
 
 GLOBAL_FRAME = "global_frame"
 LOCAL_TRACK = "local_track"
@@ -119,33 +118,21 @@ def embed_synthetic(entity_id, modality, config: EmbedderConfig, concept=None):
     return ModalityFeatures(modality=modality, tokens=tokens, source_id=str(entity_id))
 
 
-def truncate(f: ModalityFeatures, k: int) -> ModalityFeatures:
-    """Keep the first min(k, s) tokens."""
-    if k < 1:
-        raise DegenerateInputError(f"truncate length must be >= 1, got {k}")
-    if k >= f.tokens.shape[1]:
-        return f
-    return ModalityFeatures(modality=f.modality, tokens=f.tokens[:, :k, :],
-                            source_id=f.source_id)
-
-
 _GELU_C = np.sqrt(2.0 / np.pi)
 
 
 class ProjectionMLP:
-    """Two-layer per-token MLP: d_raw -> hidden -> d_k."""
+    """Two-layer per-token MLP with a GELU between: d_raw -> hidden -> d_k."""
 
-    def __init__(self, first: Linear, second: Linear, activation="gelu"):
+    def __init__(self, first: Linear, second: Linear):
         self.first = first
         self.second = second
-        self.activation = activation
 
     @classmethod
-    def init(cls, d_raw, d_k, rng, hidden=None, activation="gelu", requires_grad=True):
+    def init(cls, d_raw, d_k, rng, hidden=None, requires_grad=True):
         hidden = hidden or d_k
         return cls(Linear.init(d_raw, hidden, rng, requires_grad=requires_grad),
-                   Linear.init(hidden, d_k, rng, requires_grad=requires_grad),
-                   activation=activation)
+                   Linear.init(hidden, d_k, rng, requires_grad=requires_grad))
 
     def param_count(self):
         return self.first.param_count() + self.second.param_count()
@@ -154,16 +141,14 @@ class ProjectionMLP:
         return self.first.parameters() + self.second.parameters()
 
     def __call__(self, x):
-        """second(act(first(x))) over x[..., d_raw], as one graph node.
+        """second(gelu(first(x))) over x[..., d_raw], as one graph node.
 
         Leading axes are folded inside numpy. The node keeps the hidden
-        pre-activation h and act(h) for its backward pass and charges the
-        ledger what the composed Linear-act-Linear chain would: h, gelu(h)
-        (nothing more for the identity) and the output, with
-        ``rows*(d_raw*hidden + hidden*d_k)`` multiply-adds per pass.
+        pre-activation h and gelu(h) for its backward pass and charges the
+        ledger what the composed Linear-GELU-Linear chain would: h, gelu(h)
+        and the output, with ``rows*(d_raw*hidden + hidden*d_k)``
+        multiply-adds per pass.
         """
-        if self.activation not in ("gelu", "identity"):
-            raise ValueError(f"unknown activation {self.activation!r}")
         first, second = self.first, self.second
         if x.data.shape[-1] != first.d_in:
             raise DimensionError(
@@ -176,12 +161,9 @@ class ProjectionMLP:
         ctx.ledger.add_flops(madds1 + madds2)
         h = kernels.matmul2d(x2, w1.data)
         h += b1.data
-        if self.activation == "gelu":
-            # tanh-approximation GELU; powers as products, as ``**`` goes through pow
-            t = np.tanh(_GELU_C * (h + 0.044715 * (h * h * h)))
-            a = 0.5 * h * (1.0 + t)
-        else:
-            a = h
+        # tanh-approximation GELU; powers as products, as ``**`` goes through pow
+        t = np.tanh(_GELU_C * (h + 0.044715 * (h * h * h)))
+        a = 0.5 * h * (1.0 + t)
         out = kernels.matmul2d(a, w2.data)
         out += b2.data
 
@@ -196,9 +178,8 @@ class ProjectionMLP:
                 return
             ctx.ledger.add_flops(madds2)
             gh = kernels.matmul2d(g2, w2.data.T)
-            if a is not h:
-                d_inner = _GELU_C * (1.0 + 3 * 0.044715 * (h * h))
-                gh = gh * (0.5 * (1.0 + t) + 0.5 * h * (1.0 - t * t) * d_inner)
+            d_inner = _GELU_C * (1.0 + 3 * 0.044715 * (h * h))
+            gh = gh * (0.5 * (1.0 + t) + 0.5 * h * (1.0 - t * t) * d_inner)
             if x.requires_grad:
                 ctx.ledger.add_flops(madds1)
                 x._accumulate(kernels.matmul2d(gh, w1.data.T).reshape(x.data.shape))
@@ -209,34 +190,4 @@ class ProjectionMLP:
                 b1._accumulate(gh.sum(axis=0))
 
         return node(out.reshape(x.data.shape[:-1] + (second.d_out,)), (x, w1, b1, w2, b2), bwd,
-                    charge=out.size + h.size + (a.size if a is not h else 0))
-
-
-def project(f: ModalityFeatures, mlp: ProjectionMLP):
-    """Project raw tokens to the fused width; leading [n, s] axes preserved."""
-    if f.tokens.shape[-1] != mlp.first.d_in:
-        raise DimensionError(
-            f"projection expects raw dim {mlp.first.d_in}, got tokens {f.tokens.shape}")
-    return mlp(Tensor(f.tokens))
-
-
-def write_concept_manifest(path, entries):
-    with open(path, "w") as fh:
-        for e in entries:
-            fh.write(json.dumps(e, sort_keys=True) + "\n")
-
-
-def read_concept_manifest(path):
-    out = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
-            out.append({"entity_id": rec["entity_id"], "modality": rec["modality"],
-                        "concept": rec["concept"]})
-    return out
+                    charge=out.size + h.size + a.size)

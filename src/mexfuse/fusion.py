@@ -11,7 +11,8 @@ Three interchangeable blocks over the projected modality streams:
   projection per modality.
 
 Every forward pass is charged to the active ledger, so parameter counts,
-peak live values, and multiply-add totals are exact and reproducible.
+the values charged in a pass, and multiply-add totals are exact and
+reproducible.
 """
 
 from __future__ import annotations
@@ -86,10 +87,6 @@ class FusionParams:
             out.extend(self.linears[name].parameters())
         return out
 
-    def set_trainable(self, flag):
-        for p in self.parameters():
-            p.requires_grad = flag
-
 
 def linear_names(variant, per_pair=False):
     """Names of a variant's d_k x d_k projections, in initialisation order."""
@@ -105,12 +102,6 @@ def linear_names(variant, per_pair=False):
 
 def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     """softmax(q k^T / sqrt(d_k)) v over the last two axes; leading axes broadcast."""
-    if q.data.ndim < 2 or k.data.ndim < 2 or v.data.ndim < 2:
-        raise DimensionError("attention needs q, k, v of rank >= 2")
-    if q.data.shape[-1] != k.data.shape[-1]:
-        raise DimensionError(f"q/k channel mismatch: {q.data.shape} vs {k.data.shape}")
-    if k.data.shape[-2] != v.data.shape[-2]:
-        raise DimensionError(f"k/v row mismatch: {k.data.shape} vs {v.data.shape}")
     return matmul(attention_map(q, k), v)
 
 
@@ -151,6 +142,15 @@ def _mex_prompt(params, fP):
 
 
 def _mex_joint(params, vis, txt):
+    """Triple-modality attention: two chained row-stochastic maps.
+
+    p_it = softmax(f(I) f(T)^T / sqrt(d_k))          [g x t]
+    p_tp = softmax(f(T) f(P)^T / sqrt(d_k))          [t x l]
+    p_itp = p_it @ p_tp                              [g x l]
+    fused = p_it @ f(T) + p_itp @ f(P)               [g x d_k]
+
+    ``residual_add`` adds the projected query stream f(I) to the output.
+    """
     p_tp = attention_map(vis["q_tp"], txt["k_tp"])
     p_itp = matmul(vis["p_it"], p_tp)
     fused = add(vis["it"], matmul(p_itp, txt["v_p"]))
@@ -230,42 +230,6 @@ def fuse(params: FusionParams, fGlobal: Tensor, fLocal: Tensor, fPrompt: Tensor)
     return fuse_terms(params, visual, prompt_terms(params, fPrompt))
 
 
-def _check_variant(params, variant):
-    if params.variant != variant:
-        raise ValueError("params built for a different variant")
-
-
-def mex_attention(fI: Tensor, fT: Tensor, fP: Tensor, params: FusionParams) -> FusionOutput:
-    """Triple-modality attention: two chained row-stochastic maps.
-
-    p_it = softmax(f(I) f(T)^T / sqrt(d_k))          [g x t]
-    p_tp = softmax(f(T) f(P)^T / sqrt(d_k))          [t x l]
-    p_itp = p_it @ p_tp                              [g x l]
-    fused = p_it @ f(T) + p_itp @ f(P)               [g x d_k]
-
-    ``residual_add`` optionally adds the projected query stream to the output.
-    """
-    _check_variant(params, "mex")
-    return fuse(params, fI, fT, fP)
-
-
-def cascade_attention(fLocal: Tensor, fGlobal: Tensor, fPrompt: Tensor,
-                      params: FusionParams) -> FusionOutput:
-    """Two sequential pairwise attentions (the heavier reference block).
-
-    Stage 1: local tracks query the global frame; stage 2 queries the prompt
-    with stage 1's output. Each stage adds its (projected) query to the
-    attention result.
-    """
-    _check_variant(params, "cascade")
-    return fuse(params, fGlobal, fLocal, fPrompt)
-
-
-def plain_attention(fLocal: Tensor, fPrompt: Tensor, params: FusionParams) -> FusionOutput:
-    _check_variant(params, "plain")
-    return fuse(params, fLocal, fLocal, fPrompt)  # plain reads no global stream
-
-
 def st_pool(x: Tensor) -> Tensor:
     """Spatio-temporal pooling: average over tokens, then max over frames.
 
@@ -286,8 +250,10 @@ def profile(variant, g, t, l, d_k, seed=0, with_backward=False,
             residual_add=False, per_pair=False):
     """One instrumented forward (optionally backward) pass under a fresh ledger.
 
-    Returns exact, deterministic counts: trainable parameters, peak live
-    values, and accumulated multiply-adds.
+    Returns exact, deterministic counts: trainable parameters, the values
+    charged within the pass (``peak_values``; nothing frees a charge before
+    the pass ends, so this is not a high-water mark of live values), and
+    accumulated multiply-adds.
     """
     rng = np.random.default_rng(seed)
     with fresh_context() as ctx:

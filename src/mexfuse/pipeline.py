@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -128,9 +128,7 @@ class ReferringModel:
         """Raw tokens of one entity id from the frozen embedder, [s, d_raw]."""
         f = features.embed_synthetic(entity, modality, self.embedder,
                                      concept=self.concept_of.get(entity))
-        if self.embedder.truncate_to is not None:
-            f = features.truncate(f, self.embedder.truncate_to)
-        return f.tokens[0]
+        return f.tokens[0][:self.embedder.truncate_to]
 
     def _project(self, entities, modality, mlp):
         """[s, d_k] stream of an entity id, or [n, s, d_k] of a list of them: one MLP call."""
@@ -222,7 +220,7 @@ class ReferringModel:
             tensor_io.write_tensor(os.path.join(out_dir, fn), t.data)
             names.append(name)
         manifest = {
-            "embedder": _embedder_to_dict(self.embedder),
+            "embedder": asdict(self.embedder),
             "fusion": {
                 "variant": self.fusion_params.variant,
                 "d_k": self.fusion_params.d_k,
@@ -255,6 +253,7 @@ class ReferringModel:
             variant, d_k, per_pair = f["variant"], f["d_k"], f["per_pair"]
             residual_add, hidden = f["residual_add"], manifest["mlp_hidden"]
             concept_of = manifest["concept_of"]
+            names = fusion.linear_names(variant, per_pair)
         except (OSError, ValueError, KeyError, TypeError) as exc:
             raise ModelLoadError(f"{manifest_path}: {type(exc).__name__}: {exc}") from None
 
@@ -268,8 +267,7 @@ class ReferringModel:
                                  linear(f"{name}.second", hidden, d_k))
 
         fp = fusion.FusionParams.from_linears(
-            variant, d_k, {n: linear(f"fusion.{n}", d_k, d_k)
-                           for n in fusion.linear_names(variant, per_pair)},
+            variant, d_k, {n: linear(f"fusion.{n}", d_k, d_k) for n in names},
             residual_add=residual_add, per_pair=per_pair)
         return cls(emb, fp, mlp("mlp_global", emb.raw_visual_dim),
                    mlp("mlp_local", emb.raw_visual_dim), mlp("mlp_prompt", emb.raw_text_dim),
@@ -301,16 +299,6 @@ def _read_param(in_dir, name, shape):
     if arr.shape != tuple(shape):
         raise ModelLoadError(f"{path}: shape {arr.shape}, the manifest needs {tuple(shape)}")
     return arr
-
-
-def _embedder_to_dict(e: EmbedderConfig):
-    return {
-        "seed": e.seed, "raw_visual_dim": e.raw_visual_dim, "visual_tokens": e.visual_tokens,
-        "raw_text_dim": e.raw_text_dim, "text_tokens": e.text_tokens,
-        "fused_dim": e.fused_dim, "truncate_to": e.truncate_to,
-        "oracle_mode": e.oracle_mode, "noise_scale": e.noise_scale,
-        "concepts": list(e.concepts),
-    }
 
 
 # ---- scoring and filtering -------------------------------------------------
@@ -568,11 +556,15 @@ def _write_jsonl(path, records):
             fh.write(json.dumps(r, sort_keys=True) + "\n")
 
 
-def _read_jsonl(path, keys=()):
+def _read_jsonl(path, keys=(), check=None):
     """The records of a JSON-lines file; each line is a JSON object holding ``keys``.
 
+    ``check``, when given, is called on each record and raises ValueError,
+    TypeError or IndexError for a bad one.
+
     Raises DataFileError naming the file for a missing or unreadable file,
-    and the file and line for a line that is not a JSON object or lacks a key.
+    and the file and line for a line that is not a JSON object, lacks a key
+    or fails ``check``.
     """
     out = []
     try:
@@ -590,6 +582,11 @@ def _read_jsonl(path, keys=()):
                 missing = [k for k in keys if k not in rec]
                 if missing:
                     raise DataFileError(f"{path}:{lineno}: missing key(s) {missing}")
+                if check is not None:
+                    try:
+                        check(rec)
+                    except (ValueError, TypeError, IndexError) as exc:
+                        raise DataFileError(f"{path}:{lineno}: {exc}") from None
                 out.append(rec)
     except (OSError, UnicodeDecodeError) as exc:
         raise DataFileError(f"{path}: cannot read ({exc})") from None
@@ -621,16 +618,23 @@ def load_dataset(in_dir):
     """The dataset ``save_dataset`` wrote to ``in_dir``.
 
     Raises DataFileError naming the file, and the line where there is one,
-    for a missing or unreadable file, a line that is not a JSON object, or a
-    missing key.
+    for a missing or unreadable file, a line that is not a JSON object, a
+    missing key, or a trajectory row with a box extent <= 0 or a frame its
+    track already has.
     """
-    rows = _read_jsonl(os.path.join(in_dir, "trajectories.jsonl"),
-                       ("track_id", "frame", "box", "entity_id"))
     by_track = {}
-    for r in rows:
-        by_track.setdefault((r["track_id"], r["entity_id"]), []).append(
-            (r["frame"], r["box"]))
-    trajectories = [Trajectory(track_id=tid, frames=sorted(frames), entity_id=ent)
+
+    def add_box(r):
+        frames = by_track.setdefault((r["track_id"], r["entity_id"]), {})
+        if r["frame"] in frames:
+            raise ValueError(f"track {r['track_id']}: frame {r['frame']} listed twice")
+        Trajectory(track_id=r["track_id"], frames=[(r["frame"], r["box"])],
+                   entity_id=r["entity_id"])  # checks the box
+        frames[r["frame"]] = r["box"]
+
+    _read_jsonl(os.path.join(in_dir, "trajectories.jsonl"),
+                ("track_id", "frame", "box", "entity_id"), check=add_box)
+    trajectories = [Trajectory(track_id=tid, frames=sorted(frames.items()), entity_id=ent)
                     for (tid, ent), frames in sorted(by_track.items())]
     tasks = [ReferringTask(prompt_id=r["prompt_id"], text=r["text"],
                            entity_id=r["entity_id"], candidates=r["candidates"])

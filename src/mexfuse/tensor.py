@@ -2,8 +2,8 @@
 
 Tensors wrap numpy arrays. Every op records a backward closure on the tape
 of the active ExecutionContext, and every tensor allocation is charged to
-that context's AllocationLedger (values, not bytes), so peak activation
-memory and multiply-add counts are exact and deterministic.
+that context's AllocationLedger (values, not bytes), so the values charged
+in a pass and its multiply-add counts are exact and deterministic.
 """
 
 from __future__ import annotations
@@ -43,7 +43,13 @@ DEFAULT_DTYPE = _default_dtype()
 
 
 class AllocationLedger:
-    """Counts live tensor values, their peak, and accumulated multiply-adds."""
+    """Counts charged tensor values and accumulated multiply-adds.
+
+    ``peak_values`` is the most values charged at once. Nothing frees a
+    tensor's charge before ``ExecutionContext.free_tape``, so within one pass
+    it is every value charged in that pass, not a high-water mark of the
+    values alive at one time.
+    """
 
     def __init__(self):
         self.live_values = 0
@@ -129,8 +135,7 @@ def no_grad():
 
 
 class Tensor:
-    __slots__ = ("data", "requires_grad", "grad", "is_leaf", "_parents", "_backward", "_ctx",
-                 "_charged")
+    __slots__ = ("data", "requires_grad", "grad", "is_leaf", "_parents", "_backward", "_charged")
 
     def __init__(self, data, requires_grad=False, dtype=None, _parents=(), _backward=None,
                  _charge=None):
@@ -142,7 +147,6 @@ class Tensor:
         self._backward = _backward
         self.is_leaf = _backward is None
         ctx = current_context()
-        self._ctx = ctx
         self._charged = arr.size if _charge is None else _charge
         ctx.ledger.alloc(self._charged)
         if not self.is_leaf:
@@ -195,9 +199,6 @@ class Tensor:
             if t._backward is not None:
                 t._backward(t.grad)
 
-    def zero_grad(self):
-        self.grad = None
-
 
 def node(data, parents, backward_fn, charge=None):
     """The result of an op: a graph node when a parent needs a gradient.
@@ -247,18 +248,6 @@ def sub(a, b):
     return node(a.data - b.data, (a, b), bwd)
 
 
-def mul(a, b):
-    _check_same_shape(a, b, "mul")
-
-    def bwd(g):
-        if a.requires_grad:
-            a._accumulate(g * b.data)
-        if b.requires_grad:
-            b._accumulate(g * a.data)
-
-    return node(a.data * b.data, (a, b), bwd)
-
-
 def scale(a, c):
     c = float(c)
 
@@ -267,16 +256,6 @@ def scale(a, c):
             a._accumulate(g * c)
 
     return node(a.data * c, (a,), bwd)
-
-
-def relu(x):
-    mask = x.data > 0
-
-    def bwd(g):
-        if x.requires_grad:
-            x._accumulate(g * mask)
-
-    return node(np.where(mask, x.data, 0.0), (x,), bwd)
 
 
 # ---- linear algebra --------------------------------------------------------
@@ -439,20 +418,6 @@ def max_axis(a, axis):
     return node(np.max(a.data, axis=axis), (a,), bwd)
 
 
-def stack(tensors):
-    """Stack same-shape tensors along a new leading axis."""
-    shapes = {t.data.shape for t in tensors}
-    if len(shapes) != 1:
-        raise DimensionError(f"stack: inconsistent shapes {sorted(shapes)}")
-
-    def bwd(g):
-        for i, t in enumerate(tensors):
-            if t.requires_grad:
-                t._accumulate(g[i])
-
-    return node(np.stack([t.data for t in tensors]), tuple(tensors), bwd)
-
-
 # ---- similarity ------------------------------------------------------------
 
 
@@ -558,10 +523,6 @@ class Linear:
                 bias._accumulate(g2.sum(axis=0))
 
         return node(out.reshape(x.data.shape[:-1] + (self.d_out,)), (x, w, bias), bwd)
-
-
-def linear(x, w, bias):
-    return Linear(w, bias)(x)
 
 
 def sgd_momentum_step(params, velocities, lr, momentum):

@@ -13,7 +13,7 @@ from click.testing import CliRunner
 from mexfuse import gradcheck
 from mexfuse.calibration import normalized_weights, refine
 from mexfuse.cli import main as cli_main
-from mexfuse.fusion import FusionParams, cascade_attention, mex_attention
+from mexfuse.fusion import FusionParams, fuse
 from mexfuse.tensor import Tensor
 
 from conftest import TOY_CONFIG
@@ -33,7 +33,7 @@ def test_criterion_1_row_stochasticity():
         g, t, l = rng.integers(1, 9, size=3)
         d_k = int(rng.choice([4, 8, 16]))
         params = FusionParams("mex", d_k, rng)
-        out = mex_attention(*(Tensor(s) for s in random_streams(rng, g, t, l, d_k)), params)
+        out = fuse(params, *(Tensor(s) for s in random_streams(rng, g, t, l, d_k)))
         for attn in (out.attn_it, out.attn_tp, out.attn_itp):
             assert (attn >= -1e-12).all()
             assert np.abs(attn.sum(axis=1) - 1).max() <= 1e-9
@@ -48,10 +48,10 @@ def test_criterion_2_oracle_equivalence():
         d_k = int(rng.choice([4, 8]))
         fG, fL, fP = random_streams(rng, g, t, l, d_k)
         mex = FusionParams("mex", d_k, rng)
-        got = mex_attention(Tensor(fG), Tensor(fL), Tensor(fP), mex).fused.data
+        got = fuse(mex, Tensor(fG), Tensor(fL), Tensor(fP)).fused.data
         assert np.abs(got - oracle_mex(fG, fL, fP, mex)).max() <= 1e-10
         cas = FusionParams("cascade", d_k, rng)
-        got = cascade_attention(Tensor(fL), Tensor(fG), Tensor(fP), cas).fused.data
+        got = fuse(cas, Tensor(fG), Tensor(fL), Tensor(fP)).fused.data
         assert np.abs(got - oracle_cascade(fL, fG, fP, cas)).max() <= 1e-10
     _report(2, "mex and cascade match straight-from-formula oracles on 50 instances", t0, 5)
 

@@ -5,14 +5,13 @@ import numpy as np
 import pytest
 
 from mexfuse.calibration import (
+    CalibrationError,
     ExpressionStats,
     disabled_stats,
     load_manifest,
     normalized_weights,
     pseudo_frequency,
     refine,
-    save_manifest,
-    train_frequencies_from_counts,
 )
 from mexfuse.tensor import DegenerateInputError, DimensionError
 
@@ -112,20 +111,16 @@ class TestExpressionStats:
         assert s_prime == 0.123456789
         assert p == 0.0
 
-    def test_frequencies_from_counts(self):
-        ids, freqs = train_frequencies_from_counts(["a", "b", "a", "c"])
-        assert ids == ["a", "b", "c"]
-        assert np.array_equal(freqs, [0.5, 0.25, 0.25])
-
     def test_manifest_round_trip(self, tmp_path):
-        stats = ExpressionStats(train_ids=["a", "b"], train_freqs=[0.4, 0.6],
-                                similarity=[[0.1, 0.2], [0.3, 0.4]],
-                                tau=50.0, a=2.0, b=0.1, test_ids=["p0", "p1"])
+        doc = {"train": [{"expr_id": "a", "freq": 0.4}, {"expr_id": "b", "freq": 0.6}],
+               "similarity": [[0.1, 0.2], [0.3, 0.4]], "tau": 50.0, "a": 2.0, "b": 0.1,
+               "test_ids": ["p0", "p1"]}
         path = tmp_path / "cal.json"
-        save_manifest(path, stats)
+        path.write_text(json.dumps(doc))
         loaded = load_manifest(path)
         assert loaded.train_ids == ["a", "b"]
-        assert np.array_equal(loaded.similarity, stats.similarity)
+        assert np.array_equal(loaded.train_freqs, [0.4, 0.6])
+        assert np.array_equal(loaded.similarity, doc["similarity"])
         assert (loaded.tau, loaded.a, loaded.b) == (50.0, 2.0, 0.1)
         assert loaded.test_ids == ["p0", "p1"]
 
@@ -135,8 +130,13 @@ class TestExpressionStats:
         with pytest.raises(ValueError, match="bogus"):
             load_manifest(path)
 
+    def test_test_ids_name_every_row(self):
+        with pytest.raises(DimensionError, match="2 test_ids name 1 similarity rows"):
+            ExpressionStats(train_ids=["a"], train_freqs=[1.0], similarity=[[0.5]],
+                            test_ids=["p0", "p1"])
+
     def test_unknown_prompt_in_test_ids(self):
         stats = ExpressionStats(train_ids=["a"], train_freqs=[1.0],
                                 similarity=[[0.5]], test_ids=["p0"])
-        with pytest.raises(KeyError):
+        with pytest.raises(CalibrationError, match="'missing' not in test_ids"):
             stats.refine(0.5, "missing")

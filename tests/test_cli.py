@@ -155,24 +155,50 @@ class TestTrainScore:
         assert "mlp_local.second.w.mext" in result.output
         assert "Traceback" not in result.output
 
+    def test_unknown_fusion_variant_exits_2(self, runner, trained, tmp_path):
+        cfg_path, out = trained
+        model = tmp_path / "model"
+        shutil.copytree(out / "model", model)
+        manifest = json.loads((model / "params.json").read_text())
+        manifest["fusion"]["variant"] = "bogus"
+        (model / "params.json").write_text(json.dumps(manifest))
+        result = runner.invoke(main, ["--config", str(cfg_path), "--out", str(tmp_path / "o"),
+                                      "score", "--dataset", str(out / "dataset"),
+                                      "--model", str(model)])
+        assert result.exit_code == 2, result.output
+        assert f"{model / 'params.json'}: ValueError: variant must be one of" in result.output
+        assert "'bogus'" in result.output
+        assert isinstance(result.exception, SystemExit)
+
     @pytest.mark.parametrize("cmd,fault,named", [
         ("train", "row without frames", "windows.jsonl:2: missing key(s) ['frames']"),
         ("train", "bad JSON line", "windows.jsonl:2: not valid JSON"),
         ("score", "file removed", "tasks.jsonl: cannot read"),
+        ("train", "zero-width box", "trajectories.jsonl:3: track 0: non-positive box extent"),
+        ("score", "zero-width box", "trajectories.jsonl:3: track 0: non-positive box extent"),
+        ("train", "frame listed twice", "trajectories.jsonl:4: track 0: frame 1 listed twice"),
+        ("score", "frame listed twice", "trajectories.jsonl:4: track 0: frame 1 listed twice"),
     ])
     def test_bad_dataset_exits_2_naming_file_and_line(self, runner, trained, tmp_path,
                                                       cmd, fault, named):
         cfg_path, out = trained
         data = tmp_path / "dataset"
         shutil.copytree(out / "dataset", data)
-        lines = (data / "windows.jsonl").read_text().splitlines()
+        name = named.split(":")[0]
+        lines = (data / name).read_text().splitlines()
         if fault == "row without frames":
             row = json.loads(lines[1])
             del row["frames"]
             lines[1] = json.dumps(row)
         elif fault == "bad JSON line":
             lines[1] = lines[1][:-1]
-        (data / "windows.jsonl").write_text("".join(l + "\n" for l in lines))
+        elif fault == "zero-width box":
+            row = json.loads(lines[2])
+            row["box"][2] = 0
+            lines[2] = json.dumps(row)
+        elif fault == "frame listed twice":
+            lines.insert(3, lines[1])
+        (data / name).write_text("".join(l + "\n" for l in lines))
         if fault == "file removed":
             (data / "tasks.jsonl").unlink()
         result = runner.invoke(main, ["--config", str(cfg_path), "--out", str(tmp_path / "o"),
@@ -191,15 +217,14 @@ class TestTrainScore:
 
 class TestCalibrate:
     def test_identity_calibration_bitwise(self, runner, tmp_path):
-        from mexfuse.calibration import ExpressionStats, save_manifest
         from mexfuse.pipeline import ScoredCandidate, write_scores
 
         scores = tmp_path / "scores.jsonl"
         write_scores(scores, [ScoredCandidate(0, "p0", 0.123456789123, 0.0, 0.0, False),
                               ScoredCandidate(1, "p0", -0.98765432109, 0.0, 0.0, False)])
         manifest = tmp_path / "cal.json"
-        save_manifest(manifest, ExpressionStats(
-            train_ids=["a"], train_freqs=[0.5], similarity=[[1.0]], a=0.0, b=0.0))
+        manifest.write_text(json.dumps({"train": [{"expr_id": "a", "freq": 0.5}],
+                                        "similarity": [[1.0]], "a": 0.0, "b": 0.0}))
         out = str(tmp_path / "run")
         result = invoke(runner, "--out", out, "calibrate", "--scores", str(scores),
                         "--manifest", str(manifest))
@@ -210,21 +235,61 @@ class TestCalibrate:
             assert row["s_prime"] == row["s"]
 
     def test_paper_constants_applied(self, runner, tmp_path):
-        from mexfuse.calibration import ExpressionStats, save_manifest
         from mexfuse.pipeline import ScoredCandidate, write_scores
 
         scores = tmp_path / "scores.jsonl"
         write_scores(scores, [ScoredCandidate(0, "p0", 0.5, 0.0, 0.0, False)])
         manifest = tmp_path / "cal.json"
         # single train expression: pseudo frequency equals its frequency
-        save_manifest(manifest, ExpressionStats(
-            train_ids=["a"], train_freqs=[0.05], similarity=[[1.0]]))
+        manifest.write_text(json.dumps({"train": [{"expr_id": "a", "freq": 0.05}],
+                                        "similarity": [[1.0]]}))
         out = str(tmp_path / "run")
         invoke(runner, "--out", out, "calibrate", "--scores", str(scores),
                "--manifest", str(manifest))
         row = json.loads((tmp_path / "run" / "scores_calibrated.jsonl").read_text())
         assert row["s_prime"] == pytest.approx(0.8)
         assert row["kept"] is True
+
+    @pytest.mark.parametrize("cmd", ["score", "calibrate"])
+    @pytest.mark.parametrize("fault,named", [
+        ("unknown key", "unknown calibration keys ['bogus']"),
+        ("truncated JSON", "cannot read"),
+        ("no train key", "missing key 'train'"),
+        ("prompt not in test_ids", "prompt 'p000' not in test_ids"),
+    ])
+    def test_bad_manifest_exits_2_naming_file(self, runner, trained, tmp_path, cmd, fault,
+                                              named):
+        from mexfuse.pipeline import ScoredCandidate, write_scores
+
+        cfg_path, out = trained
+        doc = {"train": [{"expr_id": "a", "freq": 0.5}], "similarity": [[1.0], [0.5]],
+               "test_ids": ["p000", "p001"]}
+        if fault == "unknown key":
+            doc["bogus"] = 1
+        elif fault == "no train key":
+            del doc["train"]
+        elif fault == "prompt not in test_ids":
+            doc["test_ids"] = ["p001", "p002"]
+        text = json.dumps(doc)
+        manifest = tmp_path / "cal.json"
+        manifest.write_text(text[:len(text) // 2] if fault == "truncated JSON" else text)
+        run = str(tmp_path / "run")
+        if cmd == "score":
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({**SMALL_CFG, "calibration": {
+                "enabled": True, "manifest": str(manifest)}}))
+            args = ["--config", str(cfg), "--out", run, "score",
+                    "--dataset", str(out / "dataset"), "--model", str(out / "model")]
+        else:
+            scores = tmp_path / "scores.jsonl"
+            write_scores(scores, [ScoredCandidate(0, "p000", 0.5, 0.0, 0.5, True)])
+            args = ["--out", run, "calibrate", "--scores", str(scores),
+                    "--manifest", str(manifest)]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert f"{manifest}: {named}" in result.output
+        assert "Traceback" not in result.output
+        assert isinstance(result.exception, SystemExit)
 
     def test_missing_scores_exits_2(self, runner, tmp_path):
         result = runner.invoke(main, ["calibrate", "--scores", "/nope.jsonl",

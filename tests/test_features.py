@@ -6,15 +6,11 @@ from mexfuse.features import (
     LOCAL_TRACK,
     PROMPT,
     EmbedderConfig,
-    ModalityFeatures,
     ProjectionMLP,
     concept_space,
     embed_synthetic,
-    project,
-    read_concept_manifest,
-    truncate,
-    write_concept_manifest,
 )
+from mexfuse.pipeline import ReferringModel
 from mexfuse.tensor import DegenerateInputError, DimensionError, Tensor, fresh_context, sum_all
 
 
@@ -78,64 +74,48 @@ class TestEmbedSynthetic:
 
 
 class TestTruncate:
-    def _features(self, s=20):
-        return ModalityFeatures(PROMPT, np.arange(2 * s * 3, dtype=float).reshape(2, s, 3), "e")
+    """``truncate_to`` keeps the first min(k, s) tokens of each raw stream."""
+
+    def _tokens(self, truncate_to, text_tokens=20):
+        emb = EmbedderConfig(seed=2, raw_visual_dim=4, visual_tokens=2, raw_text_dim=3,
+                             text_tokens=text_tokens, fused_dim=2, truncate_to=truncate_to)
+        return ReferringModel.build(emb, mlp_hidden=2)._raw_tokens("e", PROMPT)
 
     def test_full_length_unchanged(self):
-        f = self._features(20)
-        assert truncate(f, 20) is f
+        assert np.array_equal(self._tokens(20), self._tokens(None))
 
     def test_prefix_slice(self):
-        f = self._features(20)
-        out = truncate(f, 8)
-        assert out.tokens.shape == (2, 8, 3)
-        assert np.array_equal(out.tokens, f.tokens[:, :8, :])
+        out = self._tokens(8)
+        assert out.shape == (8, 3)
+        assert np.array_equal(out, self._tokens(None)[:8])
 
     def test_min_rule(self):
-        f = self._features(5)
-        assert truncate(f, 8) is f
+        assert np.array_equal(self._tokens(8, text_tokens=5), self._tokens(None, text_tokens=5))
 
     def test_zero_rejected(self):
         with pytest.raises(DegenerateInputError):
-            truncate(self._features(), 0)
+            EmbedderConfig(truncate_to=0)
 
     def test_composition(self):
-        f = self._features(20)
-        once = truncate(f, 6)
-        twice = truncate(truncate(f, 13), 6)
-        assert np.array_equal(once.tokens, twice.tokens)
+        assert np.array_equal(self._tokens(6), self._tokens(13)[:6])
 
 
 class TestProject:
     def test_visual_paper_dims(self):
         rng = np.random.default_rng(0)
         mlp = ProjectionMLP.init(768, 256, rng)
-        f = ModalityFeatures(LOCAL_TRACK, rng.standard_normal((2, 16, 768)), "e")
-        assert project(f, mlp).data.shape == (2, 16, 256)
+        assert mlp(Tensor(rng.standard_normal((2, 16, 768)))).data.shape == (2, 16, 256)
 
     def test_prompt_paper_dims(self):
         rng = np.random.default_rng(0)
         mlp = ProjectionMLP.init(1024, 256, rng)
-        f = ModalityFeatures(PROMPT, rng.standard_normal((2, 20, 1024)), "e")
-        assert project(f, mlp).data.shape == (2, 20, 256)
-
-    def test_identity_passthrough(self):
-        from mexfuse.tensor import Linear, Tensor
-
-        d = 6
-        mlp = ProjectionMLP(Linear(Tensor(np.eye(d)), Tensor(np.zeros(d))),
-                            Linear(Tensor(np.eye(d)), Tensor(np.zeros(d))),
-                            activation="identity")
-        x = np.random.default_rng(1).standard_normal((1, 3, d))
-        out = project(ModalityFeatures(LOCAL_TRACK, x, "e"), mlp)
-        assert np.abs(out.data - x).max() <= 1e-12
+        assert mlp(Tensor(rng.standard_normal((2, 20, 1024)))).data.shape == (2, 20, 256)
 
     def test_dim_mismatch(self):
         rng = np.random.default_rng(0)
         mlp = ProjectionMLP.init(768, 256, rng)
-        f = ModalityFeatures(PROMPT, rng.standard_normal((1, 20, 1024)), "e")
         with pytest.raises(DimensionError):
-            project(f, mlp)
+            mlp(Tensor(rng.standard_normal((1, 20, 1024))))
 
     def test_census(self):
         mlp = ProjectionMLP.init(768, 256, np.random.default_rng(0), hidden=512)
@@ -150,13 +130,12 @@ class TestProject:
         expected = gelu @ mlp.second.w.data + mlp.second.bias.data
         assert np.abs(mlp(Tensor(x)).data - expected).max() <= 1e-12
 
-    @pytest.mark.parametrize("activation", ["gelu", "identity"])
-    def test_one_node_charges_the_composed_chain(self, activation):
-        # h, gelu(h) and the output (h and the output for the identity), and
-        # the multiply-adds of Linear -> Linear, forward and backward
+    def test_one_node_charges_the_composed_chain(self):
+        # h, gelu(h) and the output, and the multiply-adds of Linear -> Linear,
+        # forward and backward
         rng = np.random.default_rng(3)
         rows, d_raw, hidden, d_k = 2 * 3 * 4, 6, 5, 3
-        mlp = ProjectionMLP.init(d_raw, d_k, rng, hidden=hidden, activation=activation)
+        mlp = ProjectionMLP.init(d_raw, d_k, rng, hidden=hidden)
         x = Tensor(rng.standard_normal((2, 3, 4, d_raw)))
 
         def run(forward):
@@ -168,15 +147,7 @@ class TestProject:
 
         (fwd, flops), (chain_fwd, chain_flops) = run(mlp), run(
             lambda t: mlp.second(mlp.first(t)))
-        kept = 2 * hidden if activation == "gelu" else hidden
-        assert fwd["peak_values"] == rows * (kept + d_k)
+        assert fwd["peak_values"] == rows * (2 * hidden + d_k)
         assert fwd["flops"] == chain_fwd["flops"] == rows * (d_raw * hidden + hidden * d_k)
         assert flops == chain_flops
 
-
-def test_concept_manifest_round_trip(tmp_path):
-    entries = [{"entity_id": "t1", "modality": LOCAL_TRACK, "concept": "red"},
-               {"entity_id": "p0", "modality": PROMPT, "concept": "blue"}]
-    path = tmp_path / "concepts.jsonl"
-    write_concept_manifest(path, entries)
-    assert read_concept_manifest(path) == entries

@@ -4,8 +4,7 @@ import pytest
 from mexfuse.fusion import (
     FusionParams,
     attention,
-    cascade_attention,
-    mex_attention,
+    fuse,
     profile,
     st_pool,
 )
@@ -112,21 +111,21 @@ class TestMexAttention:
         fI = rng.standard_normal((3, 4))
         fT = rng.standard_normal((1, 4))
         fP = rng.standard_normal((1, 4))
-        out = mex_attention(Tensor(fI), Tensor(fT), Tensor(fP), params)
+        out = fuse(params, Tensor(fI), Tensor(fT), Tensor(fP))
         expected = np.repeat(fT + fP, 3, axis=0)
         assert np.abs(out.fused.data - expected).max() <= 1e-12
 
     def test_chained_map_row_stochastic(self):
         rng = np.random.default_rng(3)
         params = FusionParams("mex", 8, rng)
-        out = mex_attention(*(Tensor(s) for s in random_streams(rng, 3, 4, 5, 8)), params)
+        out = fuse(params, *(Tensor(s) for s in random_streams(rng, 3, 4, 5, 8)))
         assert np.abs(out.attn_itp.sum(axis=1) - 1).max() <= 1e-9
 
     def test_matches_independent_oracle(self):
         rng = np.random.default_rng(4)
         params = FusionParams("mex", 8, rng)
         fI, fT, fP = random_streams(rng, 3, 4, 5, 8)
-        out = mex_attention(Tensor(fI), Tensor(fT), Tensor(fP), params)
+        out = fuse(params, Tensor(fI), Tensor(fT), Tensor(fP))
         assert np.abs(out.fused.data - oracle_mex(fI, fT, fP, params)).max() <= 1e-10
 
     @pytest.mark.parametrize("per_pair,residual", [(True, False), (False, True)])
@@ -134,23 +133,23 @@ class TestMexAttention:
         rng = np.random.default_rng(5)
         params = FusionParams("mex", 8, rng, per_pair=per_pair, residual_add=residual)
         fI, fT, fP = random_streams(rng, 2, 3, 4, 8)
-        out = mex_attention(Tensor(fI), Tensor(fT), Tensor(fP), params)
+        out = fuse(params, Tensor(fI), Tensor(fT), Tensor(fP))
         assert np.abs(out.fused.data - oracle_mex(fI, fT, fP, params)).max() <= 1e-10
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(6)
         params = FusionParams("mex", 8, rng)
         fI, fT, fP = random_streams(rng, 3, 5, 4, 8)
-        base = mex_attention(Tensor(fI), Tensor(fT), Tensor(fP), params).fused.data
+        base = fuse(params, Tensor(fI), Tensor(fT), Tensor(fP)).fused.data
         perm = rng.permutation(5)
-        permuted = mex_attention(Tensor(fI), Tensor(fT[perm]), Tensor(fP), params).fused.data
+        permuted = fuse(params, Tensor(fI), Tensor(fT[perm]), Tensor(fP)).fused.data
         assert np.abs(base - permuted).max() <= 1e-10
 
     def test_channel_mismatch(self):
         params = FusionParams("mex", 8, np.random.default_rng(0))
         with pytest.raises(DimensionError):
-            mex_attention(Tensor(np.ones((2, 8))), Tensor(np.ones((2, 4))),
-                          Tensor(np.ones((2, 8))), params)
+            fuse(params, Tensor(np.ones((2, 8))), Tensor(np.ones((2, 4))),
+                 Tensor(np.ones((2, 8))))
 
 
 # ---- cascade attention -----------------------------------------------------
@@ -163,7 +162,7 @@ class TestCascadeAttention:
         rng = np.random.default_rng(7)
         fL, fG = rng.standard_normal((3, 4)), rng.standard_normal((2, 4))
         fP = rng.standard_normal((1, 4))
-        out = cascade_attention(Tensor(fL), Tensor(fG), Tensor(fP), params)
+        out = fuse(params, Tensor(fG), Tensor(fL), Tensor(fP))
         stage1 = oracle_attention(fL, fG, fG) + fL
         assert np.abs(out.fused.data - (stage1 + fP)).max() <= 1e-10
 
@@ -171,7 +170,7 @@ class TestCascadeAttention:
         rng = np.random.default_rng(8)
         params = FusionParams("cascade", 8, rng)
         fG, fL, fP = random_streams(rng, 3, 4, 5, 8)
-        out = cascade_attention(Tensor(fL), Tensor(fG), Tensor(fP), params)
+        out = fuse(params, Tensor(fG), Tensor(fL), Tensor(fP))
         assert np.abs(out.fused.data - oracle_cascade(fL, fG, fP, params)).max() <= 1e-10
 
     def test_census_exceeds_mex(self):

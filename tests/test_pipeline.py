@@ -39,12 +39,12 @@ from mexfuse.tensor import (
     fresh_context,
     mean_axis,
     no_grad,
-    relu,
     scale,
     sgd_momentum_step,
-    stack,
     sub,
 )
+
+from conftest import relu, stack
 
 
 SMALL = DatasetConfig(seed=3, n_concepts=2, n_tracks=4, n_prompts=2,

@@ -1,0 +1,75 @@
+"""Every function, class and method of the package is used by the package.
+
+A module-level function or class, or a non-dunder method, that carries no
+decorator must be referenced somewhere in ``src/mexfuse`` outside its own
+body: by name, as an attribute, or in an import. Code kept only for tests
+fails here; tests build what they need on the public ``tensor.node``.
+Decorated definitions (properties, class methods, context managers, CLI
+commands) are reached through their decorator and are not checked.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+import mexfuse
+
+SRC = Path(mexfuse.__file__).parent
+
+
+def references(tree):
+    """Names a tree refers to, with their counts."""
+    out = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            out[node.name.split(".")[-1]] += 1
+            if node.asname:
+                out[node.asname] += 1
+    return out
+
+
+def checked_definitions(tree):
+    """Undecorated module-level functions and classes, and their non-dunder methods."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if not node.decorator_list:
+                yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                            and not item.decorator_list
+                            and not (item.name.startswith("__") and item.name.endswith("__"))):
+                        yield f"{node.name}.{item.name}", item
+
+
+def unreferenced(src):
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in sorted(src.glob("*.py"))}
+    everywhere = sum((references(t) for t in trees.values()), Counter())
+    out = []
+    for module, tree in trees.items():
+        for qualname, node in checked_definitions(tree):
+            if everywhere[node.name] - references(node)[node.name] <= 0:
+                out.append(f"{module}:{qualname}")
+    return out
+
+
+def test_no_definition_exists_only_for_tests():
+    assert unreferenced(SRC) == []
+
+
+def test_scan_flags_an_unused_function(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "import os\n"
+        "from b import used\n\n"
+        "def unused(n):\n    return unused(n - 1) if n else used()\n\n"
+        "class Box:\n"
+        "    def __init__(self):\n        self.n = 0\n\n"
+        "    def grow(self):\n        self.n += 1\n\n"
+        "    @property\n    def size(self):\n        return self.n\n")
+    (tmp_path / "b.py").write_text("def used():\n    return Box\n")
+    assert unreferenced(tmp_path) == ["a.py:unused", "a.py:Box.grow"]
