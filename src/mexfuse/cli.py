@@ -81,8 +81,15 @@ def _stats_from(cfg):
         raise click.UsageError("calibration.enabled requires calibration.manifest")
     if not os.path.exists(cal["manifest"]):
         raise click.UsageError(f"calibration manifest not found: {cal['manifest']}")
-    stats = calibration.load_manifest(cal["manifest"])
-    stats.tau, stats.a, stats.b = cal["tau"], cal["a"], cal["b"]
+    return _with_constants(calibration.load_manifest(cal["manifest"]),
+                           cal["tau"], cal["a"], cal["b"])
+
+
+def _with_constants(stats, tau, a, b):
+    """``stats`` with each of ``tau``, ``a`` and ``b`` that is set replacing the manifest's."""
+    for name, value in (("tau", tau), ("a", a), ("b", b)):
+        if value is not None:
+            setattr(stats, name, value)
     return stats
 
 
@@ -231,13 +238,7 @@ def calibrate(ctx, scores_path, manifest_path, tau, cal_a, cal_b):
         if not os.path.exists(path):
             raise click.UsageError(f"{what} not found: {path}")
     with _input_errors():
-        stats = calibration.load_manifest(manifest_path)
-        if tau is not None:
-            stats.tau = tau
-        if cal_a is not None:
-            stats.a = cal_a
-        if cal_b is not None:
-            stats.b = cal_b
+        stats = _with_constants(calibration.load_manifest(manifest_path), tau, cal_a, cal_b)
         scored = pipeline.read_scores(scores_path)
         refined = pipeline.refine_threshold_sort(
             [(c.track_id, c.prompt_id, c.raw_score) for c in scored],

@@ -34,9 +34,10 @@ DEFAULTS = {
     "calibration": {
         "enabled": False,
         "manifest": None,
-        "tau": 100.0,
-        "a": 8.0,
-        "b": -0.1,
+        # null: the manifest's own value (which defaults to 100, 8, -0.1)
+        "tau": None,
+        "a": None,
+        "b": None,
     },
     "pipeline": {
         "window": 8,
@@ -69,7 +70,8 @@ def defaults():
 
 # the type of the leaves whose default is None, when they are set
 _NULLABLE = {"embedder.truncate_to": "int", "embedder.mlp_hidden": "int",
-             "calibration.manifest": "str"}
+             "calibration.manifest": "str", "calibration.tau": "number",
+             "calibration.a": "number", "calibration.b": "number"}
 # ranges of numeric leaves (of each element of a list); other numbers need only be finite
 _POSITIVE = {"embedder.raw_visual_dim", "embedder.visual_tokens", "embedder.raw_text_dim",
              "embedder.text_tokens", "embedder.truncate_to", "embedder.mlp_hidden",

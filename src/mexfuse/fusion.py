@@ -32,6 +32,7 @@ from .tensor import (
     matmul,
     max_axis,
     mean_axis,
+    pooled_product,
     sum_all,
 )
 
@@ -100,11 +101,6 @@ def linear_names(variant, per_pair=False):
     return ("q", "k", "v")
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-    """softmax(q k^T / sqrt(d_k)) v over the last two axes; leading axes broadcast."""
-    return matmul(attention_map(q, k), v)
-
-
 def _check_channels(params, *streams):
     for s in streams:
         if s.data.ndim < 2 or s.data.shape[-1] != params.d_k:
@@ -112,25 +108,44 @@ def _check_channels(params, *streams):
                 f"stream shape {s.data.shape} incompatible with d_k={params.d_k}")
 
 
-# Each variant is split at the prompt boundary into three parts:
-#   visual(params, fGlobal, fLocal) -> prompt-independent terms
-#   prompt(params, fPrompt)         -> terms of the prompt alone
-#   joint(params, vis, txt)         -> FusionOutput of one (visual, prompt) pair
-# ``fuse`` composes them, so scoring many prompts against one track window
-# computes the visual terms once and only the joint part per prompt.
-# Streams are [..., tokens, d_k]; leading (frame) axes are batch axes.
+@dataclass
+class LastStage:
+    """A variant's last stage left factored: fused = map @ values + residual.
+
+    ``maps`` holds the attention maps' arrays, as FusionOutput names them.
+    """
+
+    map: Tensor
+    values: Tensor
+    residual: Tensor | None
+    maps: dict
 
 
-def _mex_visual(params, fI, fT):
+# Each variant is split into four parts:
+#   global(params, fGlobal)        -> terms of the global frames alone
+#   visual(params, glob, fLocal)   -> prompt-independent terms of a track window
+#   prompt(params, fPrompt)        -> terms of the prompt alone
+#   joint(params, vis, txt)        -> the LastStage of the visual and prompt terms
+# so a scoring pass computes each global window's terms and each prompt's
+# terms once. Streams are [..., tokens, d_k]; leading axes (prompts, windows,
+# frames) are batch axes and broadcast.
+
+
+def _mex_global(params, fI):
+    return {"q_it": params.linears["q_it" if params.per_pair else "proj_i"](fI)}
+
+
+def _mex_visual(params, glob, fT):
     L = params.linears
+    q_it = glob["q_it"]
     if params.per_pair:
-        q_it, k_it = L["q_it"](fI), L["k_it"](fT)
-        q_tp, v_t = L["q_tp"](fT), L["v_t"](fT)
+        k_it, q_tp, v_t = L["k_it"](fT), L["q_tp"](fT), L["v_t"](fT)
     else:
-        q_it = L["proj_i"](fI)
         k_it = q_tp = v_t = L["proj_t"](fT)
     p_it = attention_map(q_it, k_it)
-    return {"q_it": q_it, "q_tp": q_tp, "p_it": p_it, "it": matmul(p_it, v_t)}
+    it = matmul(p_it, v_t)
+    return {"q_tp": q_tp, "p_it": p_it,
+            "residual": add(it, q_it) if params.residual_add else it}
 
 
 def _mex_prompt(params, fP):
@@ -150,25 +165,26 @@ def _mex_joint(params, vis, txt):
     fused = p_it @ f(T) + p_itp @ f(P)               [g x d_k]
 
     ``residual_add`` adds the projected query stream f(I) to the output.
+    The last stage is p_itp @ f(P) with residual p_it @ f(T) (+ f(I)).
     """
     p_tp = attention_map(vis["q_tp"], txt["k_tp"])
     p_itp = matmul(vis["p_it"], p_tp)
-    fused = add(vis["it"], matmul(p_itp, txt["v_p"]))
-    if params.residual_add:
-        fused = add(fused, vis["q_it"])
-    return FusionOutput(fused=fused, attn_it=vis["p_it"].data, attn_tp=p_tp.data,
-                        attn_itp=p_itp.data)
+    return LastStage(p_itp, txt["v_p"], vis["residual"],
+                     {"attn_it": vis["p_it"].data, "attn_tp": p_tp.data,
+                      "attn_itp": p_itp.data})
 
 
-def _cascade_stage(q, k, v):
-    """One pairwise attention that adds its query; returns (output, map)."""
-    p = attention_map(q, k)
-    return add(matmul(p, v), q), p
-
-
-def _cascade_visual(params, fGlobal, fLocal):
+def _cascade_global(params, fGlobal):
     L = params.linears
-    mid, p1 = _cascade_stage(L["s1_q"](fLocal), L["s1_k"](fGlobal), L["s1_v"](fGlobal))
+    return {"k": L["s1_k"](fGlobal), "v": L["s1_v"](fGlobal)}
+
+
+def _cascade_visual(params, glob, fLocal):
+    """Stage 1 (local queries on the global frames, plus the query) and the stage-2 query."""
+    L = params.linears
+    q = L["s1_q"](fLocal)
+    p1 = attention_map(q, glob["k"])
+    mid = add(matmul(p1, glob["v"]), q)
     return {"q": L["s2_q"](mid), "p1": p1}
 
 
@@ -178,11 +194,16 @@ def _cascade_prompt(params, fP):
 
 
 def _cascade_joint(params, vis, txt):
-    out, p2 = _cascade_stage(vis["q"], txt["k"], txt["v"])
-    return FusionOutput(fused=out, attn_it=vis["p1"].data, attn_tp=p2.data)
+    """Stage 2: the prompt attended from the stage-1 output, plus its query."""
+    p2 = attention_map(vis["q"], txt["k"])
+    return LastStage(p2, txt["v"], vis["q"], {"attn_it": vis["p1"].data, "attn_tp": p2.data})
 
 
-def _plain_visual(params, fGlobal, fLocal):
+def _plain_global(params, fGlobal):
+    return {}
+
+
+def _plain_visual(params, glob, fLocal):
     return {"q": params.linears["q"](fLocal)}
 
 
@@ -192,42 +213,67 @@ def _plain_prompt(params, fP):
 
 
 def _plain_joint(params, vis, txt):
-    out = attention(vis["q"], txt["k"], txt["v"])
-    return FusionOutput(fused=out)
+    return LastStage(attention_map(vis["q"], txt["k"]), txt["v"], None, {})
 
 
 _PARTS = {
-    "mex": (_mex_visual, _mex_prompt, _mex_joint),
-    "cascade": (_cascade_visual, _cascade_prompt, _cascade_joint),
-    "plain": (_plain_visual, _plain_prompt, _plain_joint),
+    "mex": (_mex_global, _mex_visual, _mex_prompt, _mex_joint),
+    "cascade": (_cascade_global, _cascade_visual, _cascade_prompt, _cascade_joint),
+    "plain": (_plain_global, _plain_visual, _plain_prompt, _plain_joint),
 }
 
 
-def visual_terms(params: FusionParams, fGlobal: Tensor, fLocal: Tensor) -> dict:
-    """The prompt-independent part of the fusion block for one track window."""
-    _check_channels(params, fGlobal, fLocal)
-    return _PARTS[params.variant][0](params, fGlobal, fLocal)
+def global_terms(params: FusionParams, fGlobal: Tensor) -> dict:
+    """The part of the fusion block that depends on the global frames alone."""
+    _check_channels(params, fGlobal)
+    return _PARTS[params.variant][0](params, fGlobal)
+
+
+def visual_terms(params: FusionParams, glob: dict, fLocal: Tensor) -> dict:
+    """The prompt-independent part of the fusion block for a track window."""
+    _check_channels(params, fLocal)
+    return _PARTS[params.variant][1](params, glob, fLocal)
 
 
 def prompt_terms(params: FusionParams, fPrompt: Tensor) -> dict:
     """The part of the fusion block that depends on the prompt alone."""
     _check_channels(params, fPrompt)
-    return _PARTS[params.variant][1](params, fPrompt)
+    return _PARTS[params.variant][2](params, fPrompt)
 
 
-def fuse_terms(params: FusionParams, visual: dict, prompt: dict) -> FusionOutput:
-    """The per-prompt part: fuse one window's visual terms with one prompt's terms."""
-    return _PARTS[params.variant][2](params, visual, prompt)
+def last_stage(params: FusionParams, visual: dict, prompt: dict) -> LastStage:
+    """The per-prompt part: a window's visual terms with a prompt's terms, factored."""
+    return _PARTS[params.variant][3](params, visual, prompt)
 
 
 def fuse(params: FusionParams, fGlobal: Tensor, fLocal: Tensor, fPrompt: Tensor) -> FusionOutput:
-    """The whole fusion block with a uniform stream order.
+    """The whole fusion block with a uniform stream order: the full fused stream.
 
-    Streams are [..., tokens, d_k]; leading axes (frames of a window) are
-    batch axes and broadcast.
+    Streams are [..., tokens, d_k]; leading axes (frames of a window, and
+    prompts) are batch axes and broadcast.
     """
-    visual = visual_terms(params, fGlobal, fLocal)
-    return fuse_terms(params, visual, prompt_terms(params, fPrompt))
+    visual = visual_terms(params, global_terms(params, fGlobal), fLocal)
+    last = last_stage(params, visual, prompt_terms(params, fPrompt))
+    fused = matmul(last.map, last.values)
+    if last.residual is not None:
+        fused = add(fused, last.residual)
+    return FusionOutput(fused=fused, **last.maps)
+
+
+def pooled_score(params: FusionParams, visual: dict, prompt: dict,
+                 prompt_pooled: Tensor) -> Tensor:
+    """score(st_pool(fused), prompt_pooled), without building the fused stream.
+
+    The token mean of ST pooling is linear and comes before the max over
+    frames, so it is taken inside the last stage (``tensor.pooled_product``):
+    mean_rows(map) @ values + mean_rows(residual) per frame, then the max
+    over frames and the cosine. ``visual`` holds the [..., frames, tokens, *]
+    terms of track windows and ``prompt_pooled`` is [..., d_k]; leading
+    axes broadcast.
+    """
+    last = last_stage(params, visual, prompt)
+    pooled = pooled_product(last.map, last.values, last.residual)
+    return score(max_axis(pooled, axis=-2), prompt_pooled)
 
 
 def st_pool(x: Tensor) -> Tensor:

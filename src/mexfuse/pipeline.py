@@ -131,40 +131,50 @@ class ReferringModel:
         return f.tokens[0][:self.embedder.truncate_to]
 
     def _project(self, entities, modality, mlp):
-        """[s, d_k] stream of an entity id, or [n, s, d_k] of a list of them: one MLP call."""
-        if isinstance(entities, str):
-            return mlp(Tensor(self._raw_tokens(entities, modality)))
+        """[n, s, d_k] streams of a list of entity ids: one MLP call."""
         return mlp(Tensor(np.stack([self._raw_tokens(e, modality) for e in entities])))
 
-    def forward_window(self, frame_entities, local_entities, prompt_entities, cache):
-        """Raw scores of one track window against each prompt, one scalar tensor per prompt.
+    def _prompts(self, fP):
+        """Fusion terms and token means of projected prompts [U, l, d_k]."""
+        return fusion.prompt_terms(self.fusion_params, fP), tensor.mean_axis(fP, axis=-2)
 
-        The window's frames are fused as one batch: the prompt-independent
-        fusion terms are computed once and shared by all prompts, and only
-        the per-prompt part runs per prompt. Then ST pooling and the cosine
-        against the pooled prompt.
+    def _scores(self, visual, prompts, idx):
+        """Raw scores against the prompts at rows ``idx`` of ``prompts``, [len(idx)].
 
-        ``cache`` (a dict, for one scoring pass) keeps the projected global
-        frames and the prompts' fusion terms across calls; it holds only while
-        the parameters do not change. A scoring pass projects each raw input
-        once, so raw tokens are not kept for reuse.
+        Each term of those prompts is taken as [len(idx), 1, l, d_k], which
+        broadcasts over the frames: against the [len(idx), w, ...] visual
+        terms of a batch of windows, window i meets prompt idx[i]; against
+        the [w, ...] terms of one window, the window meets every prompt.
         """
-        params = self.fusion_params
-        key = (features.GLOBAL_FRAME, tuple(frame_entities))
-        if key not in cache:
-            cache[key] = self._project(frame_entities, features.GLOBAL_FRAME, self.mlp_global)
+        terms, pooled = prompts
+        # a tensor that serves as two terms (shared mex: k_tp is v_p) is taken once
+        taken = {}
+        for v in terms.values():
+            if id(v) not in taken:
+                taken[id(v)] = reshape(take(v, idx), (len(idx), 1) + v.shape[1:])
+        txt = {k: taken[id(v)] for k, v in terms.items()}
+        return fusion.pooled_score(self.fusion_params, visual, txt, take(pooled, idx))
+
+    def global_terms(self, frame_entities):
+        """Fusion terms of one window of global frames, projected as one [w, s, d_raw] batch."""
+        fG = self._project(frame_entities, features.GLOBAL_FRAME, self.mlp_global)
+        return fusion.global_terms(self.fusion_params, fG)
+
+    def prompt_terms(self, prompt_entities):
+        """(fusion terms, token means) of a list of prompts, projected in one call."""
+        return self._prompts(self._project(prompt_entities, features.PROMPT, self.mlp_prompt))
+
+    def forward_window(self, glob, local_entities, prompts, idx):
+        """Raw scores of one track window against the prompts at rows ``idx``, [len(idx)].
+
+        ``glob`` is the window's ``global_terms`` and ``prompts`` the pass's
+        ``prompt_terms``. The window's local tokens go through the local MLP
+        as one [w, s, d_raw] batch and its prompt-independent fusion terms
+        are computed once; the per-prompt part runs for all its prompts at
+        once, pooled over tokens before the last product.
+        """
         fL = self._project(local_entities, features.LOCAL_TRACK, self.mlp_local)
-        visual = fusion.visual_terms(params, cache[key], fL)
-        scores = []
-        for pe in prompt_entities:
-            key = (features.PROMPT, pe)
-            if key not in cache:
-                fP = self._project(pe, features.PROMPT, self.mlp_prompt)
-                cache[key] = (fusion.prompt_terms(params, fP), tensor.mean_axis(fP, axis=0))
-            prompt, prompt_pooled = cache[key]
-            fused = fusion.fuse_terms(params, visual, prompt).fused
-            scores.append(fusion.score(fusion.st_pool(fused), prompt_pooled))
-        return scores
+        return self._scores(fusion.visual_terms(self.fusion_params, glob, fL), prompts, idx)
 
     def forward_batch(self, tables, windows):
         """Raw scores of a minibatch of windows, as one graph.
@@ -183,31 +193,20 @@ class ReferringModel:
         """
         params = self.fusion_params
         slots = {pr: i for i, pr in enumerate(dict.fromkeys(pr for _, _, pr in windows))}
-        fP = self.mlp_prompt(Tensor(tables[features.PROMPT][list(slots)]))
-        prompt = fusion.prompt_terms(params, fP)
-        prompt_pooled = tensor.mean_axis(fP, axis=-2)
+        prompts = self._prompts(self.mlp_prompt(Tensor(tables[features.PROMPT][list(slots)])))
         by_length = {}
         for pos, (frames, _, _) in enumerate(windows):
             by_length.setdefault(len(frames), []).append(pos)
         out = []
         for positions in by_length.values():
             group = [windows[i] for i in positions]
-            idx = [slots[pr] for _, _, pr in group]
             fG = self.mlp_global(Tensor(tables[features.GLOBAL_FRAME][
                 np.array([f for f, _, _ in group])]))
             fL = self.mlp_local(Tensor(tables[features.LOCAL_TRACK][
                 np.array([l for _, l, _ in group])]))
-            visual = fusion.visual_terms(params, fG, fL)
-            # [n, 1, l, d_k]: each window's prompt terms, broadcast over its frames;
-            # a tensor that serves as two terms (shared mex: k_tp is v_p) is taken once
-            taken = {}
-            for v in prompt.values():
-                if id(v) not in taken:
-                    taken[id(v)] = reshape(take(v, idx), (len(idx), 1) + v.shape[1:])
-            txt = {k: taken[id(v)] for k, v in prompt.items()}
-            fused = fusion.fuse_terms(params, visual, txt).fused
-            out.append((positions, fusion.score(fusion.st_pool(fused),
-                                                take(prompt_pooled, idx))))
+            visual = fusion.visual_terms(params, fusion.global_terms(params, fG), fL)
+            out.append((positions, self._scores(visual, prompts,
+                                                [slots[pr] for _, _, pr in group])))
         return out
 
     # ---- persistence -------------------------------------------------------
@@ -324,9 +323,10 @@ def score_all(trajectories, tasks, model: ReferringModel, window, stats=None,
               threshold=0.0):
     """Score every (candidate trajectory, prompt) pair. Deterministic given seeds.
 
-    Pairs are grouped by track: each track window is scored against all its
-    prompts in one ``forward_window`` call, and the global frames and prompts
-    are projected once for the whole pass.
+    The prompts are projected and their fusion terms computed once for the
+    pass, and each distinct window of global frames once. Pairs are grouped
+    by track: each track window is scored against all its prompts in one
+    ``forward_window`` call.
     """
     by_id = {t.track_id: t for t in trajectories}
     by_track = {}
@@ -338,18 +338,20 @@ def score_all(trajectories, tasks, model: ReferringModel, window, stats=None,
                 raise LookupError_(f"unknown track_id {tid} in task {task.prompt_id}")
             by_track.setdefault(tid, []).append(task)
     raw = []
-    cache = {}
     with no_grad():
+        slots = {e: i for i, e in enumerate(dict.fromkeys(t.entity_id for t in tasks))}
+        prompts = model.prompt_terms(list(slots))
+        glob = {}
         for tid, jobs in by_track.items():
             traj = by_id[tid]
             idx = _window_frames(traj, window)
-            scores = model.forward_window(
-                [frame_entity(i) for i in idx],
-                [local_entity(traj.entity_id, i) for i in idx],
-                [task.entity_id for task in jobs],
-                cache=cache,
-            )
-            raw.extend((tid, task.prompt_id, score.item()) for task, score in zip(jobs, scores))
+            frames = tuple(frame_entity(i) for i in idx)
+            if frames not in glob:
+                glob[frames] = model.global_terms(frames)
+            scores = model.forward_window(glob[frames],
+                                          [local_entity(traj.entity_id, i) for i in idx],
+                                          prompts, [slots[task.entity_id] for task in jobs])
+            raw.extend((tid, task.prompt_id, float(s)) for task, s in zip(jobs, scores.data))
     return refine_threshold_sort(raw, stats or calibration.disabled_stats(), threshold)
 
 
@@ -619,8 +621,8 @@ def load_dataset(in_dir):
 
     Raises DataFileError naming the file, and the line where there is one,
     for a missing or unreadable file, a line that is not a JSON object, a
-    missing key, or a trajectory row with a box extent <= 0 or a frame its
-    track already has.
+    missing key, a trajectory row with a box extent <= 0 or a frame its
+    track already has, or a task row whose candidates are not a list of ints.
     """
     by_track = {}
 
@@ -636,10 +638,16 @@ def load_dataset(in_dir):
                 ("track_id", "frame", "box", "entity_id"), check=add_box)
     trajectories = [Trajectory(track_id=tid, frames=sorted(frames.items()), entity_id=ent)
                     for (tid, ent), frames in sorted(by_track.items())]
+    def check_candidates(r):
+        c = r["candidates"]
+        if not isinstance(c, list) or any(type(t) is not int for t in c):
+            raise TypeError(f"candidates must be a list of int track ids, got {c!r}")
+
     tasks = [ReferringTask(prompt_id=r["prompt_id"], text=r["text"],
                            entity_id=r["entity_id"], candidates=r["candidates"])
              for r in _read_jsonl(os.path.join(in_dir, "tasks.jsonl"),
-                                  ("prompt_id", "text", "entity_id", "candidates"))]
+                                  ("prompt_id", "text", "entity_id", "candidates"),
+                                  check=check_candidates)]
     labels = _read_jsonl(os.path.join(in_dir, "labels.jsonl"),
                          ("prompt_id", "track_id", "match"))
     samples = [TrainSample(track_id=r["track_id"], prompt_id=r["prompt_id"],

@@ -225,15 +225,20 @@ def _check_same_shape(a, b, op):
 
 
 def add(a, b):
-    _check_same_shape(a, b, "add")
+    """a + b; leading axes broadcast as in numpy, and each gradient is summed back."""
+    try:
+        out = a.data + b.data
+    except ValueError:
+        raise DimensionError(f"add: shapes do not broadcast, {a.data.shape} vs {b.data.shape}") \
+            from None
 
     def bwd(g):
         if a.requires_grad:
-            a._accumulate(g)
+            a._accumulate(_sum_to(g, a.data.shape))
         if b.requires_grad:
-            b._accumulate(g)
+            b._accumulate(_sum_to(g, b.data.shape))
 
-    return node(a.data + b.data, (a, b), bwd)
+    return node(out, (a, b), bwd)
 
 
 def sub(a, b):
@@ -377,6 +382,59 @@ def attention_map(q, k):
                                   k.data.shape))
 
     return node(y, (q, k), bwd)
+
+
+def pooled_product(p, v, r=None):
+    """mean_rows(p) @ v + mean_rows(r), as one graph node: the row mean of p @ v + r.
+
+    ``p`` is [..., m, n], ``v`` [..., n, d] and ``r`` [..., m, d] or None;
+    leading batch axes broadcast as in ``matmul``, and the result is
+    [..., d]. The mean is linear, so it is taken before the product and the
+    [..., m, d] product is never built. The node keeps the row means of
+    ``p`` for its backward pass and charges them with its output; the
+    multiply-adds are those of ``mean_rows(p) @ v``, forward and backward.
+    """
+    if p.data.ndim < 2 or v.data.ndim < 2:
+        raise DimensionError(
+            f"pooled_product: need operands of rank >= 2, got {p.data.shape} x {v.data.shape}")
+    m, n = p.data.shape[-2:]
+    d = v.data.shape[-1]
+    if v.data.shape[-2] != n:
+        raise DimensionError(f"pooled_product: inner extents differ, {p.data.shape} x {v.data.shape}")
+    if r is not None and r.data.shape[-2:] != (m, d):
+        raise DimensionError(
+            f"pooled_product: residual {r.data.shape} is not [..., {m}, {d}]")
+    parents = (p, v) if r is None else (p, v, r)
+    # np.add.reduce(x) / m is x.mean() without its Python-level wrapper
+    p_mean = (np.add.reduce(p.data, axis=-2) / m)[..., None, :]  # [..., 1, n]
+    try:
+        prod = kernels.matmul2d(p_mean, v.data)[..., 0, :]
+        out = prod if r is None else prod + np.add.reduce(r.data, axis=-2) / m
+    except ValueError:
+        raise DimensionError(f"pooled_product: batch axes do not broadcast, "
+                             f"{tuple(t.data.shape for t in parents)}") from None
+    madds = prod.size * n
+    ctx = current_context()
+    ctx.ledger.add_flops(madds)
+
+    def bwd(g):
+        g1 = g[..., None, :]  # [..., 1, d]
+        if p.requires_grad:
+            ctx.ledger.add_flops(madds)
+            gp = kernels.matmul2d(g1, np.swapaxes(v.data, -1, -2))
+            gp /= m
+            # every row of p gets the same share: sum over the batch first, then a view
+            p._accumulate(np.broadcast_to(_sum_to(gp, p.data.shape[:-2] + (1, n)),
+                                          p.data.shape))
+        if v.requires_grad:
+            ctx.ledger.add_flops(madds)
+            v._accumulate(_sum_to(kernels.matmul2d(np.swapaxes(p_mean, -1, -2), g1),
+                                  v.data.shape))
+        if r is not None and r.requires_grad:
+            r._accumulate(np.broadcast_to(_sum_to(g1, r.data.shape[:-2] + (1, d)) / m,
+                                          r.data.shape))
+
+    return node(out, parents, bwd, charge=out.size + p_mean.size)
 
 
 # ---- reductions ------------------------------------------------------------

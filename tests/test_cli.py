@@ -2,6 +2,7 @@ import json
 import os
 import shutil
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -178,6 +179,8 @@ class TestTrainScore:
         ("score", "zero-width box", "trajectories.jsonl:3: track 0: non-positive box extent"),
         ("train", "frame listed twice", "trajectories.jsonl:4: track 0: frame 1 listed twice"),
         ("score", "frame listed twice", "trajectories.jsonl:4: track 0: frame 1 listed twice"),
+        ("score", "candidates not a list",
+         "tasks.jsonl:2: candidates must be a list of int track ids, got 3"),
     ])
     def test_bad_dataset_exits_2_naming_file_and_line(self, runner, trained, tmp_path,
                                                       cmd, fault, named):
@@ -198,6 +201,10 @@ class TestTrainScore:
             lines[2] = json.dumps(row)
         elif fault == "frame listed twice":
             lines.insert(3, lines[1])
+        elif fault == "candidates not a list":
+            row = json.loads(lines[1])
+            row["candidates"] = 3
+            lines[1] = json.dumps(row)
         (data / name).write_text("".join(l + "\n" for l in lines))
         if fault == "file removed":
             (data / "tasks.jsonl").unlink()
@@ -290,6 +297,51 @@ class TestCalibrate:
         assert f"{manifest}: {named}" in result.output
         assert "Traceback" not in result.output
         assert isinstance(result.exception, SystemExit)
+
+    def test_score_and_calibrate_refine_alike(self, runner, toy_config_file, tmp_path):
+        # the manifest's own tau, a and b, unlike the calibration defaults (100, 8, -0.1)
+        rng = np.random.default_rng(3)
+        manifest = tmp_path / "cal.json"
+        manifest.write_text(json.dumps({
+            "train": [{"expr_id": f"e{i}", "freq": f} for i, f in enumerate(rng.dirichlet(
+                np.ones(6)).tolist())],
+            "similarity": rng.uniform(0.0, 1.0, (4, 6)).tolist(),
+            "test_ids": ["p000", "p001", "p002", "p003"], "tau": 1.0, "a": 1.0, "b": 0.0}))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**json.loads(open(toy_config_file).read()), "calibration": {
+            "enabled": True, "manifest": str(manifest)}}))
+        run = tmp_path / "run"
+        for cmd in ("gen", "train", "score"):
+            assert invoke(runner, "--config", str(cfg), "--out", str(run), cmd).exit_code == 0
+        result = invoke(runner, "--config", str(cfg), "--out", str(run), "calibrate",
+                        "--scores", str(run / "scores.jsonl"), "--manifest", str(manifest))
+        assert result.exit_code == 0, result.output
+
+        def rows(name):
+            return [json.loads(l) for l in (run / name).read_text().splitlines()]
+
+        scored, calibrated = rows("scores.jsonl"), rows("scores_calibrated.jsonl")
+        assert len(scored) == 40
+        assert scored == calibrated
+        assert any(r["s_prime"] != r["s"] for r in scored)
+
+    def test_config_constants_override_the_manifest_in_score(self, runner, trained,
+                                                             tmp_path):
+        cfg_path, out = trained
+        manifest = tmp_path / "cal.json"
+        manifest.write_text(json.dumps({"train": [{"expr_id": "a", "freq": 0.25}],
+                                        "similarity": [[1.0]], "a": 1.0, "b": 0.0}))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**SMALL_CFG, "calibration": {
+            "enabled": True, "manifest": str(manifest), "a": 2.0}}))
+        run = tmp_path / "run"
+        result = invoke(runner, "--config", str(cfg), "--out", str(run), "score",
+                        "--dataset", str(out / "dataset"), "--model", str(out / "model"))
+        assert result.exit_code == 0, result.output
+        for line in (run / "scores.jsonl").read_text().splitlines():
+            row = json.loads(line)
+            assert row["p"] == 0.25
+            assert row["s_prime"] == pytest.approx(row["s"] + 2.0 * 0.25 + 0.0, abs=1e-15)
 
     def test_missing_scores_exits_2(self, runner, tmp_path):
         result = runner.invoke(main, ["calibrate", "--scores", "/nope.jsonl",

@@ -3,12 +3,15 @@ import pytest
 
 from mexfuse.fusion import (
     FusionParams,
-    attention,
     fuse,
+    global_terms,
+    pooled_score,
     profile,
+    prompt_terms,
     st_pool,
+    visual_terms,
 )
-from mexfuse.tensor import DimensionError, Tensor, fresh_context
+from mexfuse.tensor import DimensionError, Tensor, attention_map, matmul
 
 
 # ---- independent straight-from-formula oracles -----------------------------
@@ -72,6 +75,11 @@ def random_streams(rng, g, t, l, d_k):
 
 
 # ---- scaled dot-product attention ------------------------------------------
+
+
+def attention(q, k, v):
+    """softmax(q k^T / sqrt(d_k)) v, as the plain block composes it."""
+    return matmul(attention_map(q, k), v)
 
 
 class TestAttention:
@@ -207,6 +215,39 @@ class TestStPool:
         assert out.shape == (2, 3)
         for i in range(2):
             assert np.array_equal(out[i], st_pool(Tensor(x[i])).data)
+
+
+class TestPooledScore:
+    """The pooled path (token mean taken before the last product) against the
+    full fused stream of ``fuse``, pooled and compared in numpy."""
+
+    @pytest.mark.parametrize("variant,kw", [
+        ("mex", {}), ("mex", {"per_pair": True}), ("mex", {"residual_add": True}),
+        ("cascade", {}), ("plain", {})],
+        ids=["mex", "mex-per_pair", "mex-residual_add", "cascade", "plain"])
+    def test_equals_full_stream_score(self, variant, kw):
+        rng = np.random.default_rng(14)
+        worst = 0.0
+        for _ in range(60):
+            n_prompts, w = (int(n) for n in rng.integers(2, 5, size=2))
+            g, t, l = rng.integers(1, 6, size=3)
+            d_k = int(rng.choice([4, 8]))
+            params = FusionParams(variant, d_k, rng, **kw)
+            fG = rng.standard_normal((w, g, d_k))
+            fL = rng.standard_normal((w, t, d_k))
+            fP = rng.standard_normal((n_prompts, 1, l, d_k))  # broadcast over the frames
+            target = rng.standard_normal((n_prompts, d_k))
+            fused = fuse(params, Tensor(fG), Tensor(fL), Tensor(fP)).fused.data
+            assert fused.shape[:2] == (n_prompts, w)
+            pooled = fused.mean(axis=-2).max(axis=-2)
+            want = (pooled * target).sum(axis=-1) / (
+                np.linalg.norm(pooled, axis=-1) * np.linalg.norm(target, axis=-1))
+            visual = visual_terms(params, global_terms(params, Tensor(fG)), Tensor(fL))
+            got = pooled_score(params, visual, prompt_terms(params, Tensor(fP)),
+                               Tensor(target)).data
+            assert got.shape == (n_prompts,)
+            worst = max(worst, np.abs(got - want).max())
+        assert worst <= 1e-12
 
 
 class TestProfile:

@@ -11,12 +11,14 @@ from mexfuse.pipeline import _loss_sum
 from mexfuse.tensor import (
     Linear,
     Tensor,
+    add,
     attention_map,
     cosine_similarity,
     fresh_context,
     matmul,
     max_axis,
     mean_axis,
+    pooled_product,
     sum_all,
     take,
 )
@@ -85,6 +87,36 @@ def test_attention_map(rng, k_shape):
     k = Tensor(rng.standard_normal(k_shape), requires_grad=True)
     w = rng.standard_normal((2, 3, 5))
     check(lambda: sum_all(mul(attention_map(q, k), Tensor(w))), q, k)
+
+
+@pytest.mark.parametrize("a_shape,b_shape", [((2, 3, 4), (3, 4)), ((3, 4), (2, 1, 3, 4)),
+                                              ((2, 1, 4), (3, 4))])
+def test_add_broadcast(rng, a_shape, b_shape):
+    a = Tensor(rng.standard_normal(a_shape), requires_grad=True)
+    b = Tensor(rng.standard_normal(b_shape), requires_grad=True)
+    w = rng.standard_normal(np.broadcast_shapes(a_shape, b_shape))
+    check(lambda: sum_all(mul(add(a, b), Tensor(w))), a, b)
+
+
+@pytest.mark.parametrize("p_shape,v_shape,r_shape", [
+    ((3, 4), (4, 2), None),
+    ((2, 3, 4), (2, 4, 2), (2, 3, 2)),
+    # [P, w, m, n] maps against [P, 1, n, d] values, plus a [w, m, d] residual
+    ((2, 3, 3, 4), (2, 1, 4, 2), (3, 3, 2)),
+    # a map shared by the batch, and a residual that broadcasts over it
+    ((3, 4), (2, 4, 2), (2, 1, 3, 2)),
+], ids=["2d", "batched-residual", "broadcast-prompts", "broadcast-map"])
+def test_pooled_product(rng, p_shape, v_shape, r_shape):
+    p = Tensor(rng.standard_normal(p_shape), requires_grad=True)
+    v = Tensor(rng.standard_normal(v_shape), requires_grad=True)
+    leaves = [p, v]
+    r = None
+    if r_shape is not None:
+        r = Tensor(rng.standard_normal(r_shape), requires_grad=True)
+        leaves.append(r)
+    batch = np.broadcast_shapes(p_shape[:-2], v_shape[:-2], r_shape[:-2] if r_shape else ())
+    w = rng.standard_normal(batch + v_shape[-1:])
+    check(lambda: sum_all(mul(pooled_product(p, v, r), Tensor(w))), *leaves)
 
 
 def test_projection_mlp(rng):

@@ -60,28 +60,36 @@ def small_model(data, variant="mex", seed=3, **kw):
                                 concept_of=concept_map(data["manifest"]), **kw)
 
 
-def per_pair_reference(trajectories, tasks, model, window, threshold):
-    """Unbatched, unfactorised scoring: every (track, prompt) pair on its own,
-    every frame projected and fused on its own as 2-D streams."""
-    def stream(entity, modality, mlp):
-        f = embed_synthetic(entity, modality, model.embedder,
-                            concept=model.concept_of.get(entity))
-        return mlp(Tensor(f.tokens[0]))
+def stream(model, entity, modality, mlp):
+    """One entity's projected [s, d_k] stream, embedded afresh."""
+    f = embed_synthetic(entity, modality, model.embedder, concept=model.concept_of.get(entity))
+    return mlp(Tensor(f.tokens[0]))
 
+
+def full_stream_score(model, track_entity, frame_indices, prompt_entity):
+    """Raw score of one (track window, prompt) pair: every frame fused on its own
+    as 2-D streams, the full fused stream stacked, ST-pooled and compared."""
+    fP = stream(model, prompt_entity, PROMPT, model.mlp_prompt)
+    per_frame = [
+        fuse(model.fusion_params,
+             stream(model, frame_entity(i), GLOBAL_FRAME, model.mlp_global),
+             stream(model, local_entity(track_entity, i), LOCAL_TRACK, model.mlp_local),
+             fP).fused
+        for i in frame_indices]
+    return score(st_pool(stack(per_frame)), mean_axis(fP, axis=0))
+
+
+def per_pair_reference(trajectories, tasks, model, window, threshold):
+    """Unbatched, unfactorised scoring: every (track, prompt) pair on its own."""
     by_id = {t.track_id: t for t in trajectories}
     out = []
     with no_grad():
         for task in tasks:
-            fP = stream(task.entity_id, PROMPT, model.mlp_prompt)
             for tid in task.candidates:
                 traj = by_id[tid]
-                per_frame = [
-                    fuse(model.fusion_params,
-                         stream(frame_entity(i), GLOBAL_FRAME, model.mlp_global),
-                         stream(local_entity(traj.entity_id, i), LOCAL_TRACK, model.mlp_local),
-                         fP).fused
-                    for i, _ in traj.frames[-window:]]
-                s = score(st_pool(stack(per_frame)), mean_axis(fP, axis=0)).item()
+                s = full_stream_score(model, traj.entity_id,
+                                      [i for i, _ in traj.frames[-window:]],
+                                      task.entity_id).item()
                 out.append(ScoredCandidate(tid, task.prompt_id, s, 0.0, s, s > threshold))
     out.sort(key=lambda c: (c.prompt_id, -c.refined_score, c.track_id))
     return out
@@ -89,8 +97,9 @@ def per_pair_reference(trajectories, tasks, model, window, threshold):
 
 def per_sample_train(samples, trajectories, tasks, model, epochs, batch_size, lr,
                      momentum, neg_margin, seed):
-    """Reference training loop: one ``forward_window`` graph per window, the
-    windows' losses added one by one, then averaged over the batch."""
+    """Reference training loop: one full-stream graph per window
+    (``full_stream_score``), the windows' losses added one by one, then
+    averaged over the batch."""
     by_track = {t.track_id: t for t in trajectories}
     by_prompt = {t.prompt_id: t for t in tasks}
     params = model.parameters()
@@ -105,11 +114,9 @@ def per_sample_train(samples, trajectories, tasks, model, epochs, batch_size, lr
             with fresh_context() as ctx:
                 losses = []
                 for smp in batch:
-                    ent = by_track[smp.track_id].entity_id
-                    [s] = model.forward_window(
-                        [frame_entity(i) for i in smp.frame_indices],
-                        [local_entity(ent, i) for i in smp.frame_indices],
-                        [by_prompt[smp.prompt_id].entity_id], cache={})
+                    s = full_stream_score(model, by_track[smp.track_id].entity_id,
+                                          smp.frame_indices,
+                                          by_prompt[smp.prompt_id].entity_id)
                     losses.append(sub(Tensor(np.asarray(1.0)), s) if smp.match else
                                   relu(sub(s, Tensor(np.asarray(neg_margin)))))
                 loss = losses[0]
@@ -196,6 +203,23 @@ class TestScoring:
                [(c.prompt_id, c.track_id, c.kept) for c in want]
         assert max(abs(a.raw_score - b.raw_score) for a, b in zip(got, want)) <= 1e-12
         assert all(c.refined_score == c.raw_score for c in got)
+
+    def test_projects_each_prompt_and_global_window_once(self, small_data, monkeypatch):
+        calls = []
+        mlp_call = features.ProjectionMLP.__call__
+
+        def counted(mlp, x):
+            calls.append(x.shape)
+            return mlp_call(mlp, x)
+
+        monkeypatch.setattr(features.ProjectionMLP, "__call__", counted)
+        trajs = [Trajectory(track_id=t.track_id, frames=t.frames[:len(t.frames) - i % 2],
+                            entity_id=t.entity_id)
+                 for i, t in enumerate(small_data["trajectories"])]
+        score_all(trajs, small_data["tasks"], small_model(small_data), window=3)
+        # one call for all prompts, one per distinct global window, one per track window
+        assert calls[0][0] == len(small_data["tasks"])
+        assert len(calls) == 1 + 2 + len(trajs)
 
     def test_track_relabeling_changes_only_ids(self, small_data):
         model = small_model(small_data)

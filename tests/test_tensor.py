@@ -19,6 +19,7 @@ from mexfuse.tensor import (
     matmul,
     max_axis,
     mean_axis,
+    pooled_product,
     sum_all,
     take,
 )
@@ -248,6 +249,47 @@ class TestPooling:
     def test_empty_axis_rejected(self):
         with pytest.raises(DegenerateInputError):
             mean_axis(Tensor(np.zeros((0, 3))), axis=0)
+
+
+class TestAdd:
+    def test_broadcasts_leading_axes(self):
+        a = np.arange(24.0).reshape(2, 3, 4)
+        b = np.arange(12.0).reshape(3, 4)
+        assert np.array_equal(add(Tensor(a), Tensor(b)).data, a + b)
+
+    def test_shapes_that_do_not_broadcast_rejected(self):
+        with pytest.raises(DimensionError, match=r"add.*\(2, 3\).*\(2, 4\)"):
+            add(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 4))))
+
+
+class TestPooledProduct:
+    @pytest.mark.parametrize("p_shape,v_shape,r_shape", [
+        ((3, 4), (4, 2), None), ((3, 4), (4, 2), (3, 2)),
+        ((2, 5, 3, 4), (2, 1, 4, 6), (5, 3, 6)), ((5, 3, 4), (2, 1, 4, 6), None)])
+    def test_row_mean_of_product_plus_residual(self, p_shape, v_shape, r_shape):
+        rng = np.random.default_rng(21)
+        p, v = rng.standard_normal(p_shape), rng.standard_normal(v_shape)
+        r = rng.standard_normal(r_shape) if r_shape else None
+        out = pooled_product(Tensor(p), Tensor(v), Tensor(r) if r_shape else None)
+        want = (p @ v + (r if r_shape else 0.0)).mean(axis=-2)
+        assert out.data.shape == want.shape
+        assert np.abs(out.data - want).max() <= 1e-12
+
+    def test_charges_output_and_row_means(self):
+        rng = np.random.default_rng(22)
+        p, v = Tensor(rng.standard_normal((2, 3, 4))), Tensor(rng.standard_normal((4, 5)))
+        with fresh_context() as ctx:
+            pooled_product(p, v)
+            assert ctx.ledger.snapshot() == {"live_values": 2 * 5 + 2 * 4,
+                                             "peak_values": 2 * 5 + 2 * 4, "flops": 2 * 4 * 5}
+
+    @pytest.mark.parametrize("p_shape,v_shape,r_shape", [
+        ((3, 4), (5, 2), None), ((3, 4), (4, 2), (2, 2)), ((2, 3, 4), (3, 4, 2), None),
+        ((2, 3, 4), (4, 2), (3, 3, 2))])
+    def test_bad_shapes_rejected(self, p_shape, v_shape, r_shape):
+        with pytest.raises(DimensionError, match="pooled_product"):
+            pooled_product(Tensor(np.ones(p_shape)), Tensor(np.ones(v_shape)),
+                           Tensor(np.ones(r_shape)) if r_shape else None)
 
 
 class TestBackward:
