@@ -20,7 +20,7 @@ from .config import ConfigError
 from .features import EmbedderConfig
 from .fusion import VARIANTS, profile
 from .pipeline import DatasetConfig, ReferringModel
-from .tensor import DEFAULT_DTYPE, DegenerateInputError
+from .tensor import DegenerateInputError
 
 PAPER_MEX_PARAMS = 81_000_000
 PAPER_CASCADE_PARAMS = 92_000_000
@@ -39,16 +39,12 @@ def _load_config(ctx_obj):
 
 def _write_manifest(cfg, command, outputs):
     os.makedirs(cfg["out"], exist_ok=True)
-    path = os.path.join(cfg["out"], f"run_manifest_{command}.json")
-    with open(path, "w") as fh:
-        json.dump({"command": command, "seed": cfg["seed"],
-                   "config_hash": config_mod.config_hash(cfg),
-                   "versions": {"python": platform.python_version(), "numpy": np.__version__,
-                                "mexfuse": __version__},
-                   # MEXFUSE_PRECISION as the tensor engine resolved it
-                   "precision": {np.float32: "f32", np.float64: "f64"}[DEFAULT_DTYPE],
-                   "outputs": sorted(outputs)}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    pipeline._write_json(os.path.join(cfg["out"], f"run_manifest_{command}.json"),
+                         {"command": command, "seed": cfg["seed"],
+                          "config_hash": config_mod.config_hash(cfg),
+                          "versions": {"python": platform.python_version(),
+                                       "numpy": np.__version__, "mexfuse": __version__},
+                          "outputs": sorted(outputs)})
 
 
 def _embedder_from(cfg, concepts=()):
@@ -178,9 +174,7 @@ def train(ctx, dataset_dir):
     model_dir = os.path.join(cfg["out"], "model")
     model.save(model_dir)
     curve_path = os.path.join(cfg["out"], "loss_curve.json")
-    with open(curve_path, "w") as fh:
-        json.dump({"epoch_mean_loss": curve}, fh, indent=2)
-        fh.write("\n")
+    pipeline._write_json(curve_path, {"epoch_mean_loss": curve})
     # per-epoch signals; holds wall times, so re-runs are not byte-identical
     log_path = os.path.join(cfg["out"], "train_log.jsonl")
     pipeline._write_jsonl(log_path, epoch_rows)
@@ -213,11 +207,9 @@ def score(ctx, dataset_dir, model_dir):
     if data["labels"]:
         precision, recall = pipeline.precision_recall(cands, data["labels"])
         report_path = os.path.join(cfg["out"], "score_report.json")
-        with open(report_path, "w") as fh:
-            json.dump({"precision": precision, "recall": recall,
-                       "kept": sum(c.kept for c in cands), "total": len(cands)},
-                      fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        pipeline._write_json(report_path, {"precision": precision, "recall": recall,
+                                           "kept": sum(c.kept for c in cands),
+                                           "total": len(cands)})
         outputs.append(report_path)
         click.echo(f"precision {precision:.3f} recall {recall:.3f}")
     _write_manifest(cfg, "score", outputs)
@@ -288,9 +280,7 @@ def bench(ctx):
         }
     os.makedirs(cfg["out"], exist_ok=True)
     bench_path = os.path.join(cfg["out"], "bench.json")
-    with open(bench_path, "w") as fh:
-        json.dump({"rows": rows, "claim": claim}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    pipeline._write_json(bench_path, {"rows": rows, "claim": claim})
     header = f"{'variant':>8} {'d_k':>5} {'params':>10} {'peak_vals':>10} {'flops':>12} {'wall_s':>8}"
     click.echo(header)
     for r in rows:

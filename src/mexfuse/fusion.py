@@ -297,9 +297,10 @@ def profile(variant, g, t, l, d_k, seed=0, with_backward=False,
     """One instrumented forward (optionally backward) pass under a fresh ledger.
 
     Returns exact, deterministic counts: trainable parameters, the values
-    charged within the pass (``peak_values``; nothing frees a charge before
-    the pass ends, so this is not a high-water mark of live values), and
-    accumulated multiply-adds.
+    charged within the pass (``peak_values``; nothing frees a charge, so
+    this is not a high-water mark of live values), and accumulated
+    multiply-adds. The pass's graph is freed by reference counting when it
+    returns.
     """
     rng = np.random.default_rng(seed)
     with fresh_context() as ctx:

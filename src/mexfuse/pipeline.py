@@ -230,9 +230,7 @@ class ReferringModel:
             "params": names,
             "concept_of": self.concept_of,
         }
-        with open(os.path.join(out_dir, "params.json"), "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(os.path.join(out_dir, "params.json"), manifest)
 
     @classmethod
     def load(cls, in_dir):
@@ -446,7 +444,7 @@ def train(samples, trajectories, tasks, model: ReferringModel, epochs=100,
         total = 0.0
         for start in range(0, len(order), batch_size):
             batch = order[start:start + batch_size]
-            with fresh_context() as ctx:
+            with fresh_context():
                 batch_loss = None
                 for positions, scores in model.forward_batch(tables,
                                                              [windows[i] for i in batch]):
@@ -459,10 +457,6 @@ def train(samples, trajectories, tasks, model: ReferringModel, epochs=100,
                         f"non-finite loss {val} at epoch {epoch}, batch start {start}")
                 total += val * len(batch)
                 batch_loss.backward()
-                # the tape and its tensors reference each other; break the
-                # cycles so the batch's activations are freed now, not at the
-                # next cyclic garbage collection
-                ctx.free_tape()
             sgd_momentum_step(params, velocities, lr, momentum)
         curve.append(total / len(samples))
         if log is not None:
@@ -549,7 +543,14 @@ def generate_synthetic_dataset(cfg: DatasetConfig):
     }
 
 
-# ---- JSON-lines I/O --------------------------------------------------------
+# ---- JSON and JSON-lines I/O -----------------------------------------------
+
+
+def _write_json(path, doc):
+    """One JSON document: indented by 2, keys sorted, a trailing newline."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _write_jsonl(path, records):
@@ -608,12 +609,11 @@ def save_dataset(out_dir, data, cfg: DatasetConfig):
                  [{"track_id": s.track_id, "prompt_id": s.prompt_id,
                    "frames": s.frame_indices, "match": s.match} for s in data["samples"]])
     _write_jsonl(os.path.join(out_dir, "concepts.jsonl"), data["manifest"])
-    with open(os.path.join(out_dir, "meta.json"), "w") as fh:
-        json.dump({"seed": cfg.seed, "n_concepts": cfg.n_concepts, "n_tracks": cfg.n_tracks,
-                   "n_prompts": cfg.n_prompts, "n_frames": cfg.n_frames,
-                   "n_windows": cfg.n_windows, "window": cfg.window,
-                   "concepts": data["concepts"]}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(out_dir, "meta.json"),
+                {"seed": cfg.seed, "n_concepts": cfg.n_concepts, "n_tracks": cfg.n_tracks,
+                 "n_prompts": cfg.n_prompts, "n_frames": cfg.n_frames,
+                 "n_windows": cfg.n_windows, "window": cfg.window,
+                 "concepts": data["concepts"]})
 
 
 def load_dataset(in_dir):

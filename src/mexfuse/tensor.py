@@ -1,16 +1,18 @@
 """Minimal dense tensor engine with reverse-mode gradients.
 
-Tensors wrap numpy arrays. Every op records a backward closure on the tape
-of the active ExecutionContext, and every tensor allocation is charged to
-that context's AllocationLedger (values, not bytes), so the values charged
-in a pass and its multiply-add counts are exact and deterministic.
+Tensors wrap numpy arrays. An op that needs a gradient keeps its parents
+and a backward closure on its result, and every tensor allocation is charged
+to the active ExecutionContext's AllocationLedger (values, not bytes), so
+the values charged in a pass and its multiply-add counts are exact and
+deterministic. No context holds a graph: a graph lives while its tensors are
+referenced, ``backward`` releases each node as it runs, and reference
+counting frees the rest.
 """
 
 from __future__ import annotations
 
 import contextvars
 import math
-import os
 from contextlib import contextmanager
 
 import numpy as np
@@ -30,75 +32,38 @@ class ContractError(ValueError):
     pass
 
 
-def _default_dtype():
-    p = os.environ.get("MEXFUSE_PRECISION", "f64").strip().lower()
-    if p == "f32":
-        return np.float32
-    if p == "f64":
-        return np.float64
-    raise RuntimeError(f"MEXFUSE_PRECISION must be f32 or f64, got {p!r}")
-
-
-DEFAULT_DTYPE = _default_dtype()
-
-
 class AllocationLedger:
     """Counts charged tensor values and accumulated multiply-adds.
 
-    ``peak_values`` is the most values charged at once. Nothing frees a
-    tensor's charge before ``ExecutionContext.free_tape``, so within one pass
-    it is every value charged in that pass, not a high-water mark of the
-    values alive at one time.
+    ``peak_values`` is every value charged since the last ``reset``: nothing
+    frees a charge, so within one pass it is the values that pass charged,
+    not a high-water mark of the values alive at one time.
     """
 
     def __init__(self):
-        self.live_values = 0
-        self.peak_values = 0
-        self.flops = 0
+        self.reset()
 
     def alloc(self, n):
-        self.live_values += n
-        if self.live_values > self.peak_values:
-            self.peak_values = self.live_values
-
-    def free(self, n):
-        self.live_values -= n
+        self.peak_values += n
 
     def add_flops(self, n):
         self.flops += n
 
     def reset(self):
-        self.live_values = 0
         self.peak_values = 0
         self.flops = 0
 
     def snapshot(self):
-        return {
-            "live_values": self.live_values,
-            "peak_values": self.peak_values,
-            "flops": self.flops,
-        }
+        return {"peak_values": self.peak_values, "flops": self.flops}
 
 
 class ExecutionContext:
-    """One tape/ledger pair."""
+    """A ledger and a grad switch; it holds no tensors, so graphs are freed
+    by reference counting when their last tensor goes."""
 
     def __init__(self):
         self.ledger = AllocationLedger()
-        self.tape = []
         self.grad_enabled = True
-
-    def record(self, tensor):
-        self.tape.append(tensor)
-
-    def free_tape(self):
-        """Drop tape references and release their ledger charge."""
-        for t in self.tape:
-            if not t.is_leaf:
-                self.ledger.free(t._charged)
-                t._parents = ()
-                t._backward = None
-        self.tape.clear()
 
 
 # the active context of this thread (or asyncio task); threads never share one
@@ -135,22 +100,16 @@ def no_grad():
 
 
 class Tensor:
-    __slots__ = ("data", "requires_grad", "grad", "is_leaf", "_parents", "_backward", "_charged")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad=False, dtype=None, _parents=(), _backward=None,
-                 _charge=None):
-        arr = np.asarray(data, dtype=dtype or DEFAULT_DTYPE)
+    def __init__(self, data, requires_grad=False, _parents=(), _backward=None, _charge=None):
+        arr = np.asarray(data, dtype=np.float64)
         self.data = arr
         self.requires_grad = requires_grad
         self.grad = None
         self._parents = _parents
         self._backward = _backward
-        self.is_leaf = _backward is None
-        ctx = current_context()
-        self._charged = arr.size if _charge is None else _charge
-        ctx.ledger.alloc(self._charged)
-        if not self.is_leaf:
-            ctx.record(self)
+        current_context().ledger.alloc(arr.size if _charge is None else _charge)
 
     @property
     def shape(self):
@@ -195,9 +154,14 @@ class Tensor:
                 todo.append((t, True))
                 todo.extend((p, False) for p in reversed(t._parents))
         self.grad = np.ones_like(self.data)
-        for t in reversed(topo):
+        # release each node once its backward has run: its closure and parent
+        # references go, and with them the activations nothing else holds;
+        # only leaves keep a gradient
+        while topo:
+            t = topo.pop()
             if t._backward is not None:
                 t._backward(t.grad)
+                t._backward, t._parents, t.grad = None, (), None
 
 
 def node(data, parents, backward_fn, charge=None):
@@ -211,9 +175,9 @@ def node(data, parents, backward_fn, charge=None):
     ctx = current_context()
     needs = ctx.grad_enabled and any(p.requires_grad for p in parents)
     if needs:
-        return Tensor(data, requires_grad=True, dtype=data.dtype,
-                      _parents=tuple(parents), _backward=backward_fn, _charge=charge)
-    return Tensor(data, dtype=data.dtype, _charge=charge)
+        return Tensor(data, requires_grad=True, _parents=tuple(parents), _backward=backward_fn,
+                      _charge=charge)
+    return Tensor(data, _charge=charge)
 
 
 # ---- elementwise ops -------------------------------------------------------

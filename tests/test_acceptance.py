@@ -5,6 +5,7 @@ import json
 import math
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -71,7 +72,7 @@ def test_criterion_4_efficiency_direction(tmp_path):
     out = str(tmp_path / "bench")
     result = CliRunner().invoke(cli_main, ["--out", out, "bench"], catch_exceptions=False)
     assert result.exit_code == 0, result.output
-    claim = json.loads(open(os.path.join(out, "bench.json")).read())["claim"]
+    claim = json.loads(Path(out, "bench.json").read_text())["claim"]
     assert claim["params_ok"] and claim["peak_ok"]
     _report(4, "at d_k=256 / 16+20 tokens: mex params+peak below cascade "
                f"(param ratio {claim['param_ratio']:.2f}; full-module reference "
@@ -109,10 +110,10 @@ def toy_run(tmp_path_factory):
 def test_criterion_6_end_to_end_toy_separation(toy_run):
     t0 = time.perf_counter()
     out = toy_run["out"]
-    curve = json.load(open(os.path.join(out, "loss_curve.json")))["epoch_mean_loss"]
+    curve = json.loads(Path(out, "loss_curve.json").read_text())["epoch_mean_loss"]
     assert len(curve) == 100
     assert curve[-1] <= 0.5 * curve[0], f"loss {curve[0]:.4f} -> {curve[-1]:.4f}"
-    report = json.load(open(os.path.join(out, "score_report.json")))
+    report = json.loads(Path(out, "score_report.json").read_text())
     assert report["precision"] == 1.0 and report["recall"] == 1.0
     _report(6, "toy oracle dataset: precision=recall=1.0 at threshold 0, final loss "
                f"{curve[-1]:.2e} <= 0.5x initial {curve[0]:.2e}", t0, 600)
@@ -124,11 +125,11 @@ def test_criterion_7_determinism(toy_run):
     tracked = ["dataset/trajectories.jsonl", "dataset/windows.jsonl", "scores.jsonl",
                "score_report.json", "loss_curve.json", "model/params.json",
                "model/fusion.proj_i.w.mext"]
-    before = {f: open(os.path.join(out, f), "rb").read() for f in tracked}
+    before = {f: Path(out, f).read_bytes() for f in tracked}
     for cmd in ("gen", "train", "score"):
         result = runner.invoke(cli_main, ["--config", cfg, "--out", out, cmd],
                                catch_exceptions=False)
         assert result.exit_code == 0, result.output
-    after = {f: open(os.path.join(out, f), "rb").read() for f in tracked}
+    after = {f: Path(out, f).read_bytes() for f in tracked}
     assert before == after
     _report(7, "gen/train/score re-runs are byte-identical", t0, 600)

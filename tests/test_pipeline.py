@@ -111,7 +111,7 @@ def per_sample_train(samples, trajectories, tasks, model, epochs, batch_size, lr
         total = 0.0
         for start in range(0, len(order), batch_size):
             batch = [samples[i] for i in order[start:start + batch_size]]
-            with fresh_context() as ctx:
+            with fresh_context():
                 losses = []
                 for smp in batch:
                     s = full_stream_score(model, by_track[smp.track_id].entity_id,
@@ -125,7 +125,6 @@ def per_sample_train(samples, trajectories, tasks, model, epochs, batch_size, lr
                 loss = scale(loss, 1.0 / len(losses))
                 total += loss.item() * len(losses)
                 loss.backward()
-                ctx.free_tape()
             sgd_momentum_step(params, velocities, lr, momentum)
         curve.append(total / len(samples))
     return curve

@@ -1,11 +1,13 @@
+import gc
 import sys
 import threading
 
 import numpy as np
 import pytest
 
+from mexfuse.fusion import FusionParams, fuse
+from mexfuse.pipeline import generate_synthetic_dataset, train
 from mexfuse.tensor import (
-    AllocationLedger,
     ContractError,
     DegenerateInputError,
     DimensionError,
@@ -25,6 +27,7 @@ from mexfuse.tensor import (
 )
 
 from conftest import mul
+from test_pipeline import SMALL, small_model
 
 
 def naive_matmul(a, b):
@@ -162,15 +165,12 @@ class TestLinear:
                 t = Tensor(inp)
                 ctx.ledger.reset()
                 out = lin(t)
-                snap = ctx.ledger.snapshot()
-                ctx.free_tape()
-                return out.data, snap, ctx.ledger.live_values
+                return out.data, ctx.ledger.snapshot()
 
-        out3, snap3, left3 = charged(x)
-        out2, snap2, left2 = charged(x.reshape(-1, 4))
+        out3, snap3 = charged(x)
+        out2, snap2 = charged(x.reshape(-1, 4))
         assert np.array_equal(out3.reshape(-1, 3), out2)
         assert snap3 == snap2
-        assert left3 == left2 == 0
 
 
 class TestCosine:
@@ -280,8 +280,7 @@ class TestPooledProduct:
         p, v = Tensor(rng.standard_normal((2, 3, 4))), Tensor(rng.standard_normal((4, 5)))
         with fresh_context() as ctx:
             pooled_product(p, v)
-            assert ctx.ledger.snapshot() == {"live_values": 2 * 5 + 2 * 4,
-                                             "peak_values": 2 * 5 + 2 * 4, "flops": 2 * 4 * 5}
+            assert ctx.ledger.snapshot() == {"peak_values": 2 * 5 + 2 * 4, "flops": 2 * 4 * 5}
 
     @pytest.mark.parametrize("p_shape,v_shape,r_shape", [
         ((3, 4), (5, 2), None), ((3, 4), (4, 2), (2, 2)), ((2, 3, 4), (3, 4, 2), None),
@@ -320,14 +319,6 @@ class TestBackward:
 
 
 class TestLedger:
-    def test_peak_at_least_live(self):
-        led = AllocationLedger()
-        led.alloc(10)
-        led.free(4)
-        led.alloc(2)
-        assert led.peak_values >= led.live_values
-        assert led.peak_values == 10
-
     def test_forward_peak_deterministic(self):
         def run():
             with fresh_context() as ctx:
@@ -344,7 +335,6 @@ class TestContext:
     def test_threads_see_only_their_own_context(self):
         # each thread works inside its own fresh_context while the other does
         # the same; a context shared between threads would mix their ledgers
-        # and tapes
         rounds, sizes = 200, (3, 5)
         barrier = threading.Barrier(len(sizes), timeout=10)
         errors = []
@@ -357,8 +347,7 @@ class TestContext:
                         barrier.wait()
                         mul(x, x)
                         assert current_context() is ctx
-                        assert ctx.ledger.live_values == k * n
-                        assert len(ctx.tape) == k
+                        assert ctx.ledger.peak_values == k * n
             except Exception as exc:  # reported by the main thread
                 errors.append(exc)
                 barrier.abort()
@@ -375,3 +364,52 @@ class TestContext:
             sys.setswitchinterval(prev)
         assert not any(t.is_alive() for t in threads)
         assert errors == []
+
+
+class TestGraphRelease:
+    """Graphs are freed by reference counting: none is left to the cyclic collector."""
+
+    @staticmethod
+    def cyclic_tensors(run):
+        """Tensors that only the cyclic collector would free after ``run()``."""
+        gc.collect()
+        enabled, flags, start = gc.isenabled(), gc.get_debug(), len(gc.garbage)
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            run()
+            gc.collect()
+            return sum(isinstance(o, Tensor) for o in gc.garbage[start:])
+        finally:
+            gc.set_debug(flags)
+            del gc.garbage[start:]
+            if enabled:
+                gc.enable()
+
+    def test_graphs_leave_nothing_to_the_cyclic_collector(self):
+        rng = np.random.default_rng(0)
+        params = FusionParams("mex", 8, rng)
+        streams = [Tensor(rng.standard_normal((2, n, 8))) for n in (3, 4, 5)]
+
+        def forward():
+            with fresh_context():
+                fuse(params, *streams)
+
+        def backward():
+            with fresh_context():
+                out = fuse(params, *streams)
+                sum_all(out.fused).backward()
+            # backward released the interior node; the leaves keep their gradients
+            assert out.fused._backward is None and out.fused.grad is None
+            assert all(p.grad is not None for p in params.parameters())
+
+        data = generate_synthetic_dataset(SMALL)
+
+        def training():
+            train(data["samples"], data["trajectories"], data["tasks"], small_model(data),
+                  epochs=2, batch_size=3)
+
+        left = {name: self.cyclic_tensors(run)
+                for name, run in [("forward", forward), ("backward", backward),
+                                  ("train", training)]}
+        assert left == {"forward": 0, "backward": 0, "train": 0}
