@@ -97,25 +97,35 @@ def _concept_basis(seed, dim, concepts):
     return tuple(basis)
 
 
-def embed_synthetic(entity_id, modality, config: EmbedderConfig, concept=None):
+def embed_synthetic(entity_id, modality, config: EmbedderConfig, concept=None, out=None):
     """Deterministic features for one entity; pure in (seed, entity_id, modality).
 
     In oracle mode a concept label anchors the embedding at that concept's
     base direction plus small noise, so same-concept entities are highly
     similar and disjoint-concept entities nearly orthogonal.
+
+    With ``out``, a [k, d_raw] row of a batch buffer, the first k tokens are
+    drawn straight into it, scaled and shifted in place, and ``out`` is
+    returned; the caller checks the buffer's finiteness once. Otherwise the
+    result is a checked one-entity ``ModalityFeatures`` of the same values.
     """
-    s, d = config.token_shape(modality)
+    whole = out is None
+    if whole:
+        out = np.empty(config.token_shape(modality))
     rng = _rng_for(config.seed, entity_id, modality)
+    rng.standard_normal(out=out)
     if config.oracle_mode and concept is not None:
         if concept not in config.concepts:
             raise KeyError(f"concept {concept!r} not in configured concepts")
-        base = concept_space(config, d)[concept]
-        # noise_scale is the expected noise norm relative to the unit base vector
-        noise = rng.standard_normal((1, s, d)) / np.sqrt(d)
-        tokens = base[None, None, :] + config.noise_scale * noise
-    else:
-        tokens = rng.standard_normal((1, s, d))
-    return ModalityFeatures(modality=modality, tokens=tokens, source_id=str(entity_id))
+        d = out.shape[-1]
+        # base + noise_scale * (z / sqrt(d)): noise_scale is the expected
+        # noise norm relative to the unit base vector
+        out /= np.sqrt(d)
+        out *= config.noise_scale
+        out += concept_space(config, d)[concept]
+    if whole:
+        return ModalityFeatures(modality=modality, tokens=out[None], source_id=str(entity_id))
+    return out
 
 
 _GELU_C = np.sqrt(2.0 / np.pi)
@@ -143,11 +153,12 @@ class ProjectionMLP:
     def __call__(self, x):
         """second(gelu(first(x))) over x[..., d_raw], as one graph node.
 
-        Leading axes are folded inside numpy. The node keeps the hidden
-        pre-activation h and gelu(h) for its backward pass and charges the
-        ledger what the composed Linear-GELU-Linear chain would: h, gelu(h)
-        and the output, with ``rows*(d_raw*hidden + hidden*d_k)``
-        multiply-adds per pass.
+        Leading axes are folded inside numpy, and GELU runs in place on
+        arrays the node has just made. The node keeps the hidden
+        pre-activation h, h*h, the tanh term t, 1 + t and gelu(h) for its
+        backward pass and charges the ledger what the composed
+        Linear-GELU-Linear chain would: h, gelu(h) and the output, with
+        ``rows*(d_raw*hidden + hidden*d_k)`` multiply-adds per pass.
         """
         first, second = self.first, self.second
         if x.data.shape[-1] != first.d_in:
@@ -161,9 +172,18 @@ class ProjectionMLP:
         ctx.ledger.add_flops(madds1 + madds2)
         h = kernels.matmul2d(x2, w1.data)
         h += b1.data
-        # tanh-approximation GELU; powers as products, as ``**`` goes through pow
-        t = np.tanh(_GELU_C * (h + 0.044715 * (h * h * h)))
-        a = 0.5 * h * (1.0 + t)
+        # tanh-approximation GELU, in place and in the operation order of
+        # 0.5*h*(1 + tanh(c*(h + 0.044715*h*h*h))); powers as products, as
+        # ``**`` goes through pow. h*h and 1 + t are kept for the backward pass.
+        hh = h * h
+        t = hh * h
+        t *= 0.044715
+        t += h
+        t *= _GELU_C
+        np.tanh(t, out=t)
+        one_t = t + 1.0
+        a = h * 0.5
+        a *= one_t
         out = kernels.matmul2d(a, w2.data)
         out += b2.data
 
@@ -173,13 +193,24 @@ class ProjectionMLP:
                 ctx.ledger.add_flops(madds2)
                 w2._accumulate(kernels.matmul2d(a.T, g2))
             if b2.requires_grad:
-                b2._accumulate(g2.sum(axis=0))
+                b2._accumulate(np.add.reduce(g2, axis=0))
             if not (x.requires_grad or w1.requires_grad or b1.requires_grad):
                 return
             ctx.ledger.add_flops(madds2)
+            # gh is made here, so it is scaled in place by the GELU derivative
+            # 0.5*(1 + t) + 0.5*h*(1 - t*t) * c*(1 + 3*0.044715*h*h)
             gh = kernels.matmul2d(g2, w2.data.T)
-            d_inner = _GELU_C * (1.0 + 3 * 0.044715 * (h * h))
-            gh = gh * (0.5 * (1.0 + t) + 0.5 * h * (1.0 - t * t) * d_inner)
+            slope = h * 0.5
+            tmp = t * t
+            np.subtract(1.0, tmp, out=tmp)
+            slope *= tmp
+            np.multiply(hh, 3 * 0.044715, out=tmp)
+            tmp += 1.0
+            tmp *= _GELU_C
+            slope *= tmp
+            np.multiply(one_t, 0.5, out=tmp)
+            slope += tmp
+            gh *= slope
             if x.requires_grad:
                 ctx.ledger.add_flops(madds1)
                 x._accumulate(kernels.matmul2d(gh, w1.data.T).reshape(x.data.shape))
@@ -187,7 +218,7 @@ class ProjectionMLP:
                 ctx.ledger.add_flops(madds1)
                 w1._accumulate(kernels.matmul2d(x2.T, gh))
             if b1.requires_grad:
-                b1._accumulate(gh.sum(axis=0))
+                b1._accumulate(np.add.reduce(gh, axis=0))
 
         return node(out.reshape(x.data.shape[:-1] + (second.d_out,)), (x, w1, b1, w2, b2), bwd,
                     charge=out.size + h.size + a.size)

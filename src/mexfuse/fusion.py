@@ -32,7 +32,7 @@ from .tensor import (
     matmul,
     max_axis,
     mean_axis,
-    pooled_product,
+    pooled_cosine,
     sum_all,
 )
 
@@ -265,15 +265,14 @@ def pooled_score(params: FusionParams, visual: dict, prompt: dict,
     """score(st_pool(fused), prompt_pooled), without building the fused stream.
 
     The token mean of ST pooling is linear and comes before the max over
-    frames, so it is taken inside the last stage (``tensor.pooled_product``):
-    mean_rows(map) @ values + mean_rows(residual) per frame, then the max
-    over frames and the cosine. ``visual`` holds the [..., frames, tokens, *]
-    terms of track windows and ``prompt_pooled`` is [..., d_k]; leading
-    axes broadcast.
+    frames, so it is taken inside the last stage: mean_rows(map) @ values +
+    mean_rows(residual) per frame, then the max over frames and the cosine,
+    all in one graph node (``tensor.pooled_cosine``). ``visual`` holds the
+    [..., frames, tokens, *] terms of track windows and ``prompt_pooled``
+    is [..., d_k]; leading axes broadcast.
     """
     last = last_stage(params, visual, prompt)
-    pooled = pooled_product(last.map, last.values, last.residual)
-    return score(max_axis(pooled, axis=-2), prompt_pooled)
+    return pooled_cosine(last.map, last.values, last.residual, prompt_pooled)
 
 
 def st_pool(x: Tensor) -> Tensor:

@@ -21,6 +21,7 @@ from .fusion import FusionParams
 from .tensor import (
     DegenerateInputError,
     Linear,
+    MomentumSGD,
     Tensor,
     add,
     fresh_context,
@@ -28,7 +29,6 @@ from .tensor import (
     node,
     reshape,
     scale,
-    sgd_momentum_step,
     take,
 )
 
@@ -124,15 +124,24 @@ class ReferringModel:
         return (self.fusion_params.param_count() + self.mlp_global.param_count()
                 + self.mlp_local.param_count() + self.mlp_prompt.param_count())
 
-    def _raw_tokens(self, entity, modality):
-        """Raw tokens of one entity id from the frozen embedder, [s, d_raw]."""
-        f = features.embed_synthetic(entity, modality, self.embedder,
-                                     concept=self.concept_of.get(entity))
-        return f.tokens[0][:self.embedder.truncate_to]
+    def _raw_tokens(self, entities, modality):
+        """Raw tokens of a list of entity ids from the frozen embedder, [n, s, d_raw].
+
+        Each entity's tokens are drawn straight into its row of one buffer;
+        only the first ``truncate_to`` tokens are drawn when that is set.
+        """
+        s, d = self.embedder.token_shape(modality)
+        buf = np.empty((len(entities), min(s, self.embedder.truncate_to or s), d))
+        for row, e in zip(buf, entities):
+            features.embed_synthetic(e, modality, self.embedder,
+                                     concept=self.concept_of.get(e), out=row)
+        if not np.isfinite(buf).all():
+            raise ValueError(f"non-finite {modality} embedding values")
+        return buf
 
     def _project(self, entities, modality, mlp):
         """[n, s, d_k] streams of a list of entity ids: one MLP call."""
-        return mlp(Tensor(np.stack([self._raw_tokens(e, modality) for e in entities])))
+        return mlp(Tensor(self._raw_tokens(entities, modality)))
 
     def _prompts(self, fP):
         """Fusion terms and token means of projected prompts [U, l, d_k]."""
@@ -431,11 +440,10 @@ def train(samples, trajectories, tasks, model: ReferringModel, epochs=100,
             np.array([row(local_entity(ent, i), features.LOCAL_TRACK)
                       for i in smp.frame_indices]),
             row(by_prompt[smp.prompt_id].entity_id, features.PROMPT)))
-    tables = {m: np.stack([model._raw_tokens(e, m) for e in ents])
-              for m, ents in rows.items()}
+    tables = {m: model._raw_tokens(list(ents), m) for m, ents in rows.items()}
     match = np.array([smp.match for smp in samples])
-    params = model.parameters()
-    velocities = [np.zeros_like(p.data) for p in params]
+    # the parameters become views into one buffer, updated as a whole
+    optimizer = MomentumSGD(model.parameters(), lr, momentum)
     order_rng = np.random.default_rng(seed)
     curve = []
     for epoch in range(epochs):
@@ -457,7 +465,7 @@ def train(samples, trajectories, tasks, model: ReferringModel, epochs=100,
                         f"non-finite loss {val} at epoch {epoch}, batch start {start}")
                 total += val * len(batch)
                 batch_loss.backward()
-            sgd_momentum_step(params, velocities, lr, momentum)
+            optimizer.step()
         curve.append(total / len(samples))
         if log is not None:
             log({"epoch": epoch, "mean_loss": curve[-1],
@@ -622,7 +630,9 @@ def load_dataset(in_dir):
     Raises DataFileError naming the file, and the line where there is one,
     for a missing or unreadable file, a line that is not a JSON object, a
     missing key, a trajectory row with a box extent <= 0 or a frame its
-    track already has, or a task row whose candidates are not a list of ints.
+    track already has, a task row whose candidates are not a list of ints,
+    or a window row whose frames are not a non-empty list of that track's
+    frames or whose match is not a bool.
     """
     by_track = {}
 
@@ -650,10 +660,27 @@ def load_dataset(in_dir):
                                   check=check_candidates)]
     labels = _read_jsonl(os.path.join(in_dir, "labels.jsonl"),
                          ("prompt_id", "track_id", "match"))
+    frames_of = {}
+    for t in trajectories:
+        frames_of.setdefault(t.track_id, set()).update(f for f, _ in t.frames)
+
+    def check_window(r):
+        f, tid = r["frames"], r["track_id"]
+        if not isinstance(f, list) or not f or any(type(i) is not int for i in f):
+            raise TypeError(f"frames must be a non-empty list of int frame indices, got {f!r}")
+        if type(r["match"]) is not bool:
+            raise TypeError(f"match must be true or false, got {r['match']!r}")
+        if tid not in frames_of:
+            raise ValueError(f"unknown track_id {tid!r}")
+        missing = [i for i in f if i not in frames_of[tid]]
+        if missing:
+            raise ValueError(f"track {tid!r} has no frame(s) {missing}")
+
     samples = [TrainSample(track_id=r["track_id"], prompt_id=r["prompt_id"],
                            frame_indices=r["frames"], match=r["match"])
                for r in _read_jsonl(os.path.join(in_dir, "windows.jsonl"),
-                                    ("track_id", "prompt_id", "frames", "match"))]
+                                    ("track_id", "prompt_id", "frames", "match"),
+                                    check=check_window)]
     manifest = _read_jsonl(os.path.join(in_dir, "concepts.jsonl"), ("entity_id", "concept"))
     meta_path = os.path.join(in_dir, "meta.json")
     try:

@@ -99,11 +99,16 @@ def no_grad():
         ctx.grad_enabled = prev
 
 
+_F64 = np.dtype(np.float64)
+
+
 class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad=False, _parents=(), _backward=None, _charge=None):
-        arr = np.asarray(data, dtype=np.float64)
+        # np.asarray returns a float64 array as it is, but its call costs more than this test
+        arr = data if type(data) is np.ndarray and data.dtype is _F64 else \
+            np.asarray(data, dtype=np.float64)
         self.data = arr
         self.requires_grad = requires_grad
         self.grad = None
@@ -234,9 +239,11 @@ def _sum_to(g, shape):
     """Sum a gradient over the axes its operand was broadcast along."""
     if g.shape == shape:
         return g
-    g = g.sum(axis=tuple(range(g.ndim - len(shape))))
+    # np.add.reduce is ndarray.sum without its Python-level wrapper
+    if g.ndim > len(shape):
+        g = np.add.reduce(g, axis=tuple(range(g.ndim - len(shape))))
     axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
-    return g.sum(axis=axes, keepdims=True) if axes else g
+    return np.add.reduce(g, axis=axes, keepdims=True) if axes else g
 
 
 def matmul(a, b):
@@ -335,7 +342,7 @@ def attention_map(q, k):
 
     def bwd(g):
         # dS = y * (g - sum(g * y)) * c over each row of the map
-        ds = y * (g - (g * y).sum(axis=-1, keepdims=True))
+        ds = y * (g - np.add.reduce(g * y, axis=-1, keepdims=True))
         ds *= c
         if q.requires_grad:
             ctx.ledger.add_flops(madds)
@@ -348,41 +355,66 @@ def attention_map(q, k):
     return node(y, (q, k), bwd)
 
 
-def pooled_product(p, v, r=None):
-    """mean_rows(p) @ v + mean_rows(r), as one graph node: the row mean of p @ v + r.
+def pooled_cosine(p, v, r, b):
+    """cos(max over frames of mean_rows(p @ v + r), b), as one graph node.
 
-    ``p`` is [..., m, n], ``v`` [..., n, d] and ``r`` [..., m, d] or None;
-    leading batch axes broadcast as in ``matmul``, and the result is
-    [..., d]. The mean is linear, so it is taken before the product and the
-    [..., m, d] product is never built. The node keeps the row means of
-    ``p`` for its backward pass and charges them with its output; the
+    ``p`` is [..., F, m, n], ``v`` [..., F, n, d] and ``r`` [..., F, m, d]
+    or None; leading batch axes broadcast as in ``matmul``, ``F`` being the
+    last of them. The row mean is linear, so it is taken before the product:
+    the pooled rows are mean_rows(p) @ v + mean_rows(r), [..., F, d], and
+    the [..., m, d] product is never built. Each channel's max over the F
+    frames takes the first frame among ties, as ``np.argmax`` does. ``b`` is
+    [..., d] of the maxima's shape; the result is their cosine, [...],
+    clamped and checked as ``cosine_similarity`` does.
+
+    The node keeps the row means of ``p`` and the argmax frames for its
+    backward pass, and charges what the pooled product (with those row
+    means), the max and the cosine charge as separate nodes; the
     multiply-adds are those of ``mean_rows(p) @ v``, forward and backward.
     """
     if p.data.ndim < 2 or v.data.ndim < 2:
         raise DimensionError(
-            f"pooled_product: need operands of rank >= 2, got {p.data.shape} x {v.data.shape}")
+            f"pooled_cosine: need operands of rank >= 2, got {p.data.shape} x {v.data.shape}")
     m, n = p.data.shape[-2:]
     d = v.data.shape[-1]
     if v.data.shape[-2] != n:
-        raise DimensionError(f"pooled_product: inner extents differ, {p.data.shape} x {v.data.shape}")
+        raise DimensionError(f"pooled_cosine: inner extents differ, {p.data.shape} x {v.data.shape}")
     if r is not None and r.data.shape[-2:] != (m, d):
-        raise DimensionError(
-            f"pooled_product: residual {r.data.shape} is not [..., {m}, {d}]")
-    parents = (p, v) if r is None else (p, v, r)
+        raise DimensionError(f"pooled_cosine: residual {r.data.shape} is not [..., {m}, {d}]")
+    # parents in the order of the separate nodes' graph, so that a backward
+    # pass adds up shared gradients in the same order
+    parents = (p, v, b) if r is None else (p, v, r, b)
     # np.add.reduce(x) / m is x.mean() without its Python-level wrapper
     p_mean = (np.add.reduce(p.data, axis=-2) / m)[..., None, :]  # [..., 1, n]
     try:
         prod = kernels.matmul2d(p_mean, v.data)[..., 0, :]
-        out = prod if r is None else prod + np.add.reduce(r.data, axis=-2) / m
+        pooled = prod if r is None else prod + np.add.reduce(r.data, axis=-2) / m
     except ValueError:
-        raise DimensionError(f"pooled_product: batch axes do not broadcast, "
-                             f"{tuple(t.data.shape for t in parents)}") from None
+        raise DimensionError(f"pooled_cosine: batch axes do not broadcast, "
+                             f"{tuple(t.data.shape for t in parents[:-1])}") from None
+    if pooled.ndim < 2:
+        raise DimensionError(f"pooled_cosine: pooled rows {pooled.shape} have no frame axis")
+    frames = pooled.shape[-2]
+    if frames == 0:
+        raise DegenerateInputError(f"max over an empty frame axis of {pooled.shape}")
+    if b.data.shape != pooled.shape[:-2] + (d,):
+        raise DimensionError(f"pooled_cosine: need [..., d] rows of one shape, got maxima "
+                             f"{pooled.shape[:-2] + (d,)} vs {b.data.shape}")
+    idx = np.argmax(pooled, axis=-2)  # [..., d]
+    a = np.maximum.reduce(pooled, axis=-2)
+    clamped, c, den, na, nb = _cosine(a, b.data)
     madds = prod.size * n
     ctx = current_context()
     ctx.ledger.add_flops(madds)
 
     def bwd(g):
-        g1 = g[..., None, :]  # [..., 1, d]
+        g, ab, cn = g[..., None], den[..., None], c[..., None]
+        if b.requires_grad:
+            b._accumulate(g * (a / ab - cn * b.data / (nb * nb)[..., None]))
+        ga = g * (b.data / ab - cn * a / (na * na)[..., None])
+        # each channel's gradient goes to its argmax frame, zero elsewhere
+        mask = idx[..., None, :] == np.arange(frames)[:, None]
+        g1 = np.where(mask, ga[..., None, :], 0.0)[..., None, :]  # [..., F, 1, d]
         if p.requires_grad:
             ctx.ledger.add_flops(madds)
             gp = kernels.matmul2d(g1, np.swapaxes(v.data, -1, -2))
@@ -398,7 +430,7 @@ def pooled_product(p, v, r=None):
             r._accumulate(np.broadcast_to(_sum_to(g1, r.data.shape[:-2] + (1, d)) / m,
                                           r.data.shape))
 
-    return node(out, parents, bwd, charge=out.size + p_mean.size)
+    return node(clamped, parents, bwd, charge=pooled.size + p_mean.size + a.size + c.size)
 
 
 # ---- reductions ------------------------------------------------------------
@@ -443,19 +475,15 @@ def max_axis(a, axis):
 # ---- similarity ------------------------------------------------------------
 
 
-def cosine_similarity(a, b):
-    """cos(a, b) along the last axis, clamped to [-1, 1].
+def _cosine(a, b):
+    """(cos clamped to [-1, 1], cos, |a||b|, |a|, |b|) of the rows of a and b.
 
-    ``a`` and ``b`` are [..., d] of one shape; leading axes are batch axes
-    and the result is [...] (a scalar for 1-D vectors). Zero and non-finite
-    rows are rejected: clamping a NaN cosine would report it as a confident
-    non-match.
+    Rows lie along the last axis. Zero and non-finite rows are rejected:
+    clamping a NaN cosine would report it as a confident non-match.
     """
-    if a.data.ndim < 1 or a.data.shape != b.data.shape:
-        raise DimensionError(f"cosine: need matching [..., d] rows, got {a.data.shape} vs {b.data.shape}")
-    na = np.sqrt(np.vecdot(a.data, a.data))
-    nb = np.sqrt(np.vecdot(b.data, b.data))
-    dot = np.vecdot(a.data, b.data)
+    na = np.sqrt(np.vecdot(a, a))
+    nb = np.sqrt(np.vecdot(b, b))
+    dot = np.vecdot(a, b)
     den = na * nb
     with np.errstate(divide="ignore", invalid="ignore"):
         c = dot / den
@@ -469,6 +497,19 @@ def cosine_similarity(a, b):
                 f"cosine similarity of a non-finite vector (dot {dot[i]}, norms {na[i]}, {nb[i]})")
         raise DegenerateInputError("cosine similarity of a zero-norm vector")
     clamped = np.minimum(np.maximum(c, -1.0), 1.0)  # np.clip costs twice as much
+    return clamped, c, den, na, nb
+
+
+def cosine_similarity(a, b):
+    """cos(a, b) along the last axis, clamped to [-1, 1].
+
+    ``a`` and ``b`` are [..., d] of one shape; leading axes are batch axes
+    and the result is [...] (a scalar for 1-D vectors). Zero and non-finite
+    rows are rejected.
+    """
+    if a.data.ndim < 1 or a.data.shape != b.data.shape:
+        raise DimensionError(f"cosine: need matching [..., d] rows, got {a.data.shape} vs {b.data.shape}")
+    clamped, c, den, na, nb = _cosine(a.data, b.data)
 
     def bwd(g):
         g, ab, cn = g[..., None], den[..., None], c[..., None]
@@ -542,17 +583,44 @@ class Linear:
                 ctx.ledger.add_flops(madds)
                 w._accumulate(kernels.matmul2d(x2.T, g2))
             if bias.requires_grad:
-                bias._accumulate(g2.sum(axis=0))
+                bias._accumulate(np.add.reduce(g2, axis=0))
 
         return node(out.reshape(x.data.shape[:-1] + (self.d_out,)), (x, w, bias), bwd)
 
 
-def sgd_momentum_step(params, velocities, lr, momentum):
-    """Classic momentum update: v = mu*v + grad; w -= lr*v. In-place on leaves."""
-    for p, v in zip(params, velocities):
-        if p.grad is None:
-            continue
-        v *= momentum
-        v += p.grad
-        p.data -= lr * v
-        p.grad = None
+class MomentumSGD:
+    """Classic momentum, v = mu*v + grad; w -= lr*v, over one flat buffer.
+
+    Each parameter's ``data`` becomes a view into one contiguous buffer of
+    their values, and the velocities are a second one. A step in which every
+    parameter has a gradient is one concatenate and three whole-buffer ops;
+    a parameter with no gradient keeps its value and its velocity, as the
+    update runs over each run of consecutive parameters that have one.
+    """
+
+    def __init__(self, params, lr, momentum):
+        self.params = list(params)
+        self.lr = lr
+        self.momentum = momentum
+        self.offsets = np.cumsum([0] + [p.data.size for p in self.params]).tolist()
+        self.weights = np.concatenate([p.data for p in self.params], axis=None)
+        for p, lo, hi in zip(self.params, self.offsets, self.offsets[1:]):
+            p.data = self.weights[lo:hi].reshape(p.data.shape)
+        self.velocities = np.zeros_like(self.weights)
+
+    def step(self):
+        params, offsets = self.params, self.offsets
+        start = 0
+        for i in range(len(params) + 1):
+            if i < len(params) and params[i].grad is not None:
+                continue
+            if start < i:  # params[start:i] all have a gradient
+                lo, hi = offsets[start], offsets[i]
+                v = self.velocities[lo:hi]
+                v *= self.momentum
+                v += np.concatenate([p.grad for p in params[start:i]], axis=None)
+                w = self.weights[lo:hi]
+                w -= self.lr * v
+            start = i + 1
+        for p in params:
+            p.grad = None

@@ -217,6 +217,35 @@ class TestTrainScore:
         assert "Traceback" not in result.output
         assert isinstance(result.exception, SystemExit)
 
+    @pytest.mark.parametrize("key,value,named", [
+        ("frames", 3, "frames must be a non-empty list of int frame indices, got 3"),
+        ("frames", [], "frames must be a non-empty list of int frame indices, got []"),
+        ("frames", [1, "2"], "frames must be a non-empty list of int frame indices"),
+        ("frames", [1, 99], "has no frame(s) [99]"),
+        ("match", "yes", "match must be true or false, got 'yes'"),
+        ("match", 1, "match must be true or false, got 1"),
+        ("track_id", 999, "unknown track_id 999"),
+    ], ids=["frames-int", "frames-empty", "frames-str", "frame-not-in-track", "match-str",
+            "match-int", "unknown-track"])
+    def test_bad_window_row_exits_2_naming_file_and_line(self, runner, trained, tmp_path,
+                                                         key, value, named):
+        cfg_path, out = trained
+        data = tmp_path / "dataset"
+        shutil.copytree(out / "dataset", data)
+        lines = (data / "windows.jsonl").read_text().splitlines()
+        row = json.loads(lines[1])
+        row[key] = value
+        lines[1] = json.dumps(row)
+        (data / "windows.jsonl").write_text("".join(l + "\n" for l in lines))
+        result = runner.invoke(main, ["--config", str(cfg_path), "--out", str(tmp_path / "o"),
+                                      "train", "--dataset", str(data)])
+        assert result.exit_code == 2, result.output
+        assert "windows.jsonl:2: " in result.output and named in result.output
+        if key == "frames" and value == [1, 99]:
+            assert f"track {row['track_id']} has no frame(s) [99]" in result.output
+        assert "Traceback" not in result.output
+        assert isinstance(result.exception, SystemExit)
+
     def test_missing_dataset_exits_2(self, runner, tmp_path):
         result = runner.invoke(main, ["--out", str(tmp_path / "empty"), "train"])
         assert result.exit_code == 2

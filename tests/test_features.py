@@ -13,6 +13,8 @@ from mexfuse.features import (
 from mexfuse.pipeline import ReferringModel
 from mexfuse.tensor import DegenerateInputError, DimensionError, Tensor, fresh_context, sum_all
 
+from conftest import mul
+
 
 def mean_pooled_cosine(a, b):
     va, vb = a.tokens[0].mean(axis=0), b.tokens[0].mean(axis=0)
@@ -20,6 +22,20 @@ def mean_pooled_cosine(a, b):
 
 
 class TestEmbedSynthetic:
+    @pytest.mark.parametrize("oracle", [False, True])
+    def test_model_batch_same_bytes(self, oracle):
+        # the model draws a batch straight into one buffer; embed_synthetic one entity
+        emb = EmbedderConfig(seed=6, raw_visual_dim=8, visual_tokens=3, raw_text_dim=5,
+                             text_tokens=4, fused_dim=2, oracle_mode=oracle,
+                             concepts=("red", "blue"))
+        concept_of = {"a": "red", "b": "blue"}
+        model = ReferringModel.build(emb, mlp_hidden=2, concept_of=concept_of)
+        for modality in (GLOBAL_FRAME, LOCAL_TRACK, PROMPT):
+            batch = model._raw_tokens(["a", "b", "c"], modality)
+            for row, e in zip(batch, "abc"):
+                one = embed_synthetic(e, modality, emb, concept=concept_of.get(e)).tokens[0]
+                assert np.array_equal(row, one)
+
     def test_deterministic_bit_identical(self):
         cfg = EmbedderConfig(seed=3)
         a = embed_synthetic("car-1", LOCAL_TRACK, cfg)
@@ -79,7 +95,7 @@ class TestTruncate:
     def _tokens(self, truncate_to, text_tokens=20):
         emb = EmbedderConfig(seed=2, raw_visual_dim=4, visual_tokens=2, raw_text_dim=3,
                              text_tokens=text_tokens, fused_dim=2, truncate_to=truncate_to)
-        return ReferringModel.build(emb, mlp_hidden=2)._raw_tokens("e", PROMPT)
+        return ReferringModel.build(emb, mlp_hidden=2)._raw_tokens(["e"], PROMPT)[0]
 
     def test_full_length_unchanged(self):
         assert np.array_equal(self._tokens(20), self._tokens(None))
@@ -129,6 +145,31 @@ class TestProject:
         gelu = 0.5 * h * (1 + np.tanh(np.sqrt(2 / np.pi) * (h + 0.044715 * h ** 3)))
         expected = gelu @ mlp.second.w.data + mlp.second.bias.data
         assert np.abs(mlp(Tensor(x)).data - expected).max() <= 1e-12
+
+    def test_gelu_node_bitwise_textbook(self):
+        # forward and backward against the tanh-approximation formulas written out
+        rng = np.random.default_rng(4)
+        mlp = ProjectionMLP.init(5, 3, rng, hidden=4)
+        for p in mlp.parameters():
+            p.data += rng.standard_normal(p.data.shape)  # non-zero biases
+        x = Tensor(rng.standard_normal((2, 3, 5)), requires_grad=True)
+        g = rng.standard_normal((2, 3, 3))
+        out = mlp(x)
+        sum_all(mul(out, Tensor(g))).backward()
+        w1, b1, w2, b2 = (p.data for p in mlp.parameters())
+        c = np.sqrt(2.0 / np.pi)
+        x2 = x.data.reshape(-1, 5)
+        h = x2 @ w1 + b1
+        t = np.tanh(c * (h + 0.044715 * (h * h * h)))
+        a = 0.5 * h * (1.0 + t)
+        assert np.array_equal(out.data, (a @ w2 + b2).reshape(2, 3, 3))
+        g2 = g.reshape(-1, 3)
+        d_inner = c * (1.0 + 3 * 0.044715 * (h * h))
+        gh = (g2 @ w2.T) * (0.5 * (1.0 + t) + 0.5 * h * (1.0 - t * t) * d_inner)
+        want = [(gh @ w1.T).reshape(x.data.shape), x2.T @ gh, gh.sum(axis=0), a.T @ g2,
+                g2.sum(axis=0)]
+        for got, w in zip([x.grad] + [p.grad for p in mlp.parameters()], want):
+            assert np.array_equal(got, w)
 
     def test_one_node_charges_the_composed_chain(self):
         # h, gelu(h) and the output, and the multiply-adds of Linear -> Linear,

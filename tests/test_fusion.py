@@ -5,13 +5,15 @@ from mexfuse.fusion import (
     FusionParams,
     fuse,
     global_terms,
+    last_stage,
     pooled_score,
     profile,
     prompt_terms,
+    score,
     st_pool,
     visual_terms,
 )
-from mexfuse.tensor import DimensionError, Tensor, attention_map, matmul
+from mexfuse.tensor import DimensionError, Tensor, attention_map, matmul, pooled_cosine
 
 
 # ---- independent straight-from-formula oracles -----------------------------
@@ -246,6 +248,33 @@ class TestPooledScore:
             got = pooled_score(params, visual, prompt_terms(params, Tensor(fP)),
                                Tensor(target)).data
             assert got.shape == (n_prompts,)
+            worst = max(worst, np.abs(got - want).max())
+        assert worst <= 1e-12
+
+    @pytest.mark.parametrize("variant,kw", [
+        ("mex", {}), ("mex", {"per_pair": True}), ("mex", {"residual_add": True}),
+        ("cascade", {}), ("plain", {})],
+        ids=["mex", "mex-per_pair", "mex-residual_add", "cascade", "plain"])
+    def test_pooled_cosine_equals_st_pool_score(self, variant, kw):
+        # the one-node head against the engine's fuse -> st_pool -> score, with
+        # [P, 1, l, d_k] prompts broadcast over the frames and with one shared prompt
+        rng = np.random.default_rng(15)
+        worst = 0.0
+        for k in range(40):
+            n_prompts, w = (int(n) for n in rng.integers(2, 5, size=2))
+            g, t, l = rng.integers(1, 6, size=3)
+            d_k = int(rng.choice([4, 8]))
+            params = FusionParams(variant, d_k, rng, **kw)
+            fG = Tensor(rng.standard_normal((w, g, d_k)))
+            fL = Tensor(rng.standard_normal((w, t, d_k)))
+            lead = (n_prompts, 1) if k % 2 else ()
+            fP = Tensor(rng.standard_normal(lead + (l, d_k)))
+            target = Tensor(rng.standard_normal(lead[:1] + (d_k,)))
+            want = score(st_pool(fuse(params, fG, fL, fP).fused), target).data
+            last = last_stage(params, visual_terms(params, global_terms(params, fG), fL),
+                              prompt_terms(params, fP))
+            got = pooled_cosine(last.map, last.values, last.residual, target).data
+            assert got.shape == want.shape == lead[:1]
             worst = max(worst, np.abs(got - want).max())
         assert worst <= 1e-12
 

@@ -18,7 +18,7 @@ from mexfuse.tensor import (
     matmul,
     max_axis,
     mean_axis,
-    pooled_product,
+    pooled_cosine,
     sum_all,
     take,
 )
@@ -99,24 +99,48 @@ def test_add_broadcast(rng, a_shape, b_shape):
 
 
 @pytest.mark.parametrize("p_shape,v_shape,r_shape", [
-    ((3, 4), (4, 2), None),
+    ((2, 3, 4), (4, 2), None),
     ((2, 3, 4), (2, 4, 2), (2, 3, 2)),
     # [P, w, m, n] maps against [P, 1, n, d] values, plus a [w, m, d] residual
     ((2, 3, 3, 4), (2, 1, 4, 2), (3, 3, 2)),
     # a map shared by the batch, and a residual that broadcasts over it
     ((3, 4), (2, 4, 2), (2, 1, 3, 2)),
-], ids=["2d", "batched-residual", "broadcast-prompts", "broadcast-map"])
-def test_pooled_product(rng, p_shape, v_shape, r_shape):
+], ids=["frames", "batched-residual", "broadcast-prompts", "broadcast-map"])
+def test_pooled_cosine(rng, p_shape, v_shape, r_shape):
     p = Tensor(rng.standard_normal(p_shape), requires_grad=True)
     v = Tensor(rng.standard_normal(v_shape), requires_grad=True)
-    leaves = [p, v]
-    r = None
-    if r_shape is not None:
-        r = Tensor(rng.standard_normal(r_shape), requires_grad=True)
-        leaves.append(r)
+    r = Tensor(rng.standard_normal(r_shape), requires_grad=True) if r_shape else None
     batch = np.broadcast_shapes(p_shape[:-2], v_shape[:-2], r_shape[:-2] if r_shape else ())
-    w = rng.standard_normal(batch + v_shape[-1:])
-    check(lambda: sum_all(mul(pooled_product(p, v, r), Tensor(w))), *leaves)
+    b = Tensor(rng.standard_normal(batch[:-1] + v_shape[-1:]), requires_grad=True)
+    w = rng.standard_normal(batch[:-1])
+    leaves = [p, v, b] if r is None else [p, v, r, b]
+    check(lambda: sum_all(mul(pooled_cosine(p, v, r, b), Tensor(w))), *leaves)
+
+
+def test_pooled_cosine_tied_frames(rng):
+    # frames 0 and 2 pool to the same row and hold every channel's max: the
+    # gradient goes to frame 0, as max_axis gives it, and b's passes gradcheck
+    p1, r1 = rng.standard_normal((3, 4)), rng.standard_normal((3, 2))
+    p_data = np.stack([p1, p1 - 5.0, p1])
+    r_data = np.stack([r1, r1 - 5.0, r1])
+    v = Tensor(np.abs(rng.standard_normal((4, 2))), requires_grad=True)
+    p = Tensor(p_data, requires_grad=True)
+    r = Tensor(r_data, requires_grad=True)
+    b = Tensor(rng.standard_normal(2), requires_grad=True)
+    with fresh_context():
+        pooled_cosine(p, v, r, b).backward()
+        fused = [t.grad for t in (p, v, r, b)]
+    p.grad = v.grad = r.grad = b.grad = None
+    with fresh_context():
+        pooled = mean_axis(add(matmul(p, v), r), axis=-2)
+        cosine_similarity(max_axis(pooled, axis=-2), b).backward()
+        composed = [t.grad for t in (p, v, r, b)]
+    for got, want in zip(fused, composed):
+        assert np.abs(got - want).max() <= 1e-12
+    assert not fused[0][2].any() and not fused[2][2].any()
+    assert np.abs(fused[2][0]).max() > 0
+    p.grad = v.grad = r.grad = b.grad = None
+    check(lambda: pooled_cosine(p, v, r, b), b)
 
 
 def test_projection_mlp(rng):

@@ -40,7 +40,6 @@ from mexfuse.tensor import (
     mean_axis,
     no_grad,
     scale,
-    sgd_momentum_step,
     sub,
 )
 
@@ -95,6 +94,18 @@ def per_pair_reference(trajectories, tasks, model, window, threshold):
     return out
 
 
+def momentum_loop(params, velocities, lr, momentum):
+    """Reference momentum update, one parameter at a time: v = mu*v + grad;
+    w -= lr*v; a parameter with no gradient keeps its value and velocity."""
+    for p, v in zip(params, velocities):
+        if p.grad is None:
+            continue
+        v *= momentum
+        v += p.grad
+        p.data -= lr * v
+        p.grad = None
+
+
 def per_sample_train(samples, trajectories, tasks, model, epochs, batch_size, lr,
                      momentum, neg_margin, seed):
     """Reference training loop: one full-stream graph per window
@@ -125,7 +136,7 @@ def per_sample_train(samples, trajectories, tasks, model, epochs, batch_size, lr
                 loss = scale(loss, 1.0 / len(losses))
                 total += loss.item() * len(losses)
                 loss.backward()
-            sgd_momentum_step(params, velocities, lr, momentum)
+            momentum_loop(params, velocities, lr, momentum)
         curve.append(total / len(samples))
     return curve
 
@@ -354,6 +365,16 @@ class TestTraining:
                 distinct.add((frame_entity(i), GLOBAL_FRAME))
                 distinct.add((local_entity(by_track[s.track_id], i), LOCAL_TRACK))
         assert sorted(calls) == sorted(distinct)
+
+    def test_parameters_without_gradient_keep_their_values(self, small_data):
+        # plain attends from the local tracks to the prompt: its global MLP gets no gradient
+        model = small_model(small_data, variant="plain")
+        before = [p.data.copy() for p in model.parameters()]
+        train(small_data["samples"], small_data["trajectories"], small_data["tasks"],
+              model, epochs=3, batch_size=4, lr=0.05, momentum=0.9)
+        unused = {id(p) for p in model.mlp_global.parameters()}
+        for prev, p in zip(before, model.parameters()):
+            assert np.array_equal(prev, p.data) == (id(p) in unused)
 
     def test_unknown_track_id(self, small_data):
         model = small_model(small_data)

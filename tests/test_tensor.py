@@ -12,6 +12,7 @@ from mexfuse.tensor import (
     DegenerateInputError,
     DimensionError,
     Linear,
+    MomentumSGD,
     Tensor,
     add,
     attention_map,
@@ -21,13 +22,13 @@ from mexfuse.tensor import (
     matmul,
     max_axis,
     mean_axis,
-    pooled_product,
+    pooled_cosine,
     sum_all,
     take,
 )
 
 from conftest import mul
-from test_pipeline import SMALL, small_model
+from test_pipeline import SMALL, momentum_loop, small_model
 
 
 def naive_matmul(a, b):
@@ -262,33 +263,105 @@ class TestAdd:
             add(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 4))))
 
 
+def _pooled_cosine_oracle(p, v, r, b):
+    """cos(max over frames of mean_rows(p @ v + r), b) in numpy."""
+    a = (p @ v + (0.0 if r is None else r)).mean(axis=-2).max(axis=-2)
+    return (a * b).sum(axis=-1) / (np.linalg.norm(a, axis=-1) * np.linalg.norm(b, axis=-1))
+
+
 class TestPooledProduct:
+    """The pooled product mean_rows(p) @ v + mean_rows(r) inside the head
+    ``pooled_cosine``, which takes its max over frames and the cosine."""
+
     @pytest.mark.parametrize("p_shape,v_shape,r_shape", [
-        ((3, 4), (4, 2), None), ((3, 4), (4, 2), (3, 2)),
+        ((2, 3, 4), (4, 2), None), ((2, 3, 4), (4, 2), (2, 3, 2)),
         ((2, 5, 3, 4), (2, 1, 4, 6), (5, 3, 6)), ((5, 3, 4), (2, 1, 4, 6), None)])
     def test_row_mean_of_product_plus_residual(self, p_shape, v_shape, r_shape):
         rng = np.random.default_rng(21)
         p, v = rng.standard_normal(p_shape), rng.standard_normal(v_shape)
         r = rng.standard_normal(r_shape) if r_shape else None
-        out = pooled_product(Tensor(p), Tensor(v), Tensor(r) if r_shape else None)
-        want = (p @ v + (r if r_shape else 0.0)).mean(axis=-2)
+        maxima = np.broadcast_shapes(p_shape[:-2], v_shape[:-2],
+                                     r_shape[:-2] if r_shape else ())[:-1]
+        b = rng.standard_normal(maxima + v_shape[-1:])
+        out = pooled_cosine(Tensor(p), Tensor(v), Tensor(r) if r_shape else None, Tensor(b))
+        want = _pooled_cosine_oracle(p, v, r, b)
         assert out.data.shape == want.shape
         assert np.abs(out.data - want).max() <= 1e-12
 
     def test_charges_output_and_row_means(self):
+        # the pooled rows and p's row means, then the maxima and the cosine
         rng = np.random.default_rng(22)
         p, v = Tensor(rng.standard_normal((2, 3, 4))), Tensor(rng.standard_normal((4, 5)))
+        b = Tensor(rng.standard_normal(5))
         with fresh_context() as ctx:
-            pooled_product(p, v)
-            assert ctx.ledger.snapshot() == {"peak_values": 2 * 5 + 2 * 4, "flops": 2 * 4 * 5}
+            pooled_cosine(p, v, None, b)
+            assert ctx.ledger.snapshot() == {"peak_values": 2 * 5 + 2 * 4 + 5 + 1,
+                                             "flops": 2 * 4 * 5}
 
     @pytest.mark.parametrize("p_shape,v_shape,r_shape", [
         ((3, 4), (5, 2), None), ((3, 4), (4, 2), (2, 2)), ((2, 3, 4), (3, 4, 2), None),
         ((2, 3, 4), (4, 2), (3, 3, 2))])
     def test_bad_shapes_rejected(self, p_shape, v_shape, r_shape):
-        with pytest.raises(DimensionError, match="pooled_product"):
-            pooled_product(Tensor(np.ones(p_shape)), Tensor(np.ones(v_shape)),
-                           Tensor(np.ones(r_shape)) if r_shape else None)
+        with pytest.raises(DimensionError, match="pooled_cosine"):
+            pooled_cosine(Tensor(np.ones(p_shape)), Tensor(np.ones(v_shape)),
+                          Tensor(np.ones(r_shape)) if r_shape else None, Tensor(np.ones(2)))
+
+
+class TestPooledCosine:
+    @pytest.mark.parametrize("p_shape,b_shape", [
+        ((3, 4), (2,)), ((2, 3, 4), (3,)), ((2, 3, 4), (2, 2))],
+        ids=["no-frame-axis", "prompt-channels", "prompt-rows"])
+    def test_bad_frames_or_prompt_rejected(self, p_shape, b_shape):
+        with pytest.raises(DimensionError, match="pooled_cosine"):
+            pooled_cosine(Tensor(np.ones(p_shape)), Tensor(np.ones((4, 2))), None,
+                          Tensor(np.ones(b_shape)))
+
+    def test_zero_norm_rejected(self):
+        p, v = Tensor(np.ones((2, 3, 4))), Tensor(np.ones((4, 2)))
+        with pytest.raises(DegenerateInputError, match="zero-norm"):
+            pooled_cosine(p, v, None, Tensor(np.zeros(2)))
+        with pytest.raises(DegenerateInputError, match="zero-norm"):
+            pooled_cosine(p, Tensor(np.zeros((4, 2))), None, Tensor(np.ones(2)))
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_rejected(self, bad):
+        # clamping a NaN cosine would score the pair as a confident non-match
+        v = np.ones((4, 2))
+        v[1, 0] = bad
+        with pytest.raises(DegenerateInputError, match="non-finite"):
+            pooled_cosine(Tensor(np.ones((2, 3, 4))), Tensor(v), None, Tensor(np.ones(2)))
+        b = np.ones(2)
+        b[1] = bad
+        with pytest.raises(DegenerateInputError, match="non-finite"):
+            pooled_cosine(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((4, 2))), None, Tensor(b))
+
+
+class TestMomentumSGD:
+    def test_flat_buffer_equals_per_parameter_loop(self):
+        # five steps; parameter 2 never gets a gradient and parameter 0 misses step 3
+        rng = np.random.default_rng(24)
+        shapes = [(3, 4), (4,), (2, 2), (5, 3), (3,)]
+        init = [rng.standard_normal(s) for s in shapes]
+        flat = [Tensor(x.copy(), requires_grad=True) for x in init]
+        loop = [Tensor(x.copy(), requires_grad=True) for x in init]
+        velocities = [np.zeros(s) for s in shapes]
+        opt = MomentumSGD(flat, lr=0.05, momentum=0.9)
+        for p, x in zip(flat, init):
+            assert np.shares_memory(p.data, opt.weights) and np.array_equal(p.data, x)
+        for step in range(5):
+            for i, s in enumerate(shapes):
+                if i == 2 or (i == 0 and step == 3):
+                    continue
+                g = rng.standard_normal(s)
+                flat[i].grad, loop[i].grad = g, g.copy()
+            opt.step()
+            momentum_loop(loop, velocities, 0.05, 0.9)
+            for a, b, vel, lo, hi in zip(flat, loop, velocities, opt.offsets, opt.offsets[1:]):
+                assert a.grad is None and b.grad is None
+                assert np.array_equal(a.data, b.data)
+                assert np.array_equal(opt.velocities[lo:hi], vel.reshape(-1))
+        assert np.array_equal(flat[2].data, init[2])
+        assert not opt.velocities[opt.offsets[2]:opt.offsets[3]].any()
 
 
 class TestBackward:
