@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import json
 import os
+import queue
+import threading
 import time
 from dataclasses import asdict, dataclass
 
@@ -124,20 +126,27 @@ class ReferringModel:
         return (self.fusion_params.param_count() + self.mlp_global.param_count()
                 + self.mlp_local.param_count() + self.mlp_prompt.param_count())
 
-    def _raw_tokens(self, entities, modality):
+    def _raw_shape(self, modality):
+        """(s, d_raw) of one entity's raw tokens: at most ``truncate_to`` tokens."""
+        s, d = self.embedder.token_shape(modality)
+        return min(s, self.embedder.truncate_to or s), d
+
+    def _raw_tokens(self, entities, modality, out=None):
         """Raw tokens of a list of entity ids from the frozen embedder, [n, s, d_raw].
 
-        Each entity's tokens are drawn straight into its row of one buffer;
-        only the first ``truncate_to`` tokens are drawn when that is set.
+        Each entity's tokens are drawn straight into its row of one buffer:
+        ``out``, an [n, s, d_raw] array the caller gives, or a new one. It
+        makes no tensor and touches no context, so it may run off the
+        calling thread.
         """
-        s, d = self.embedder.token_shape(modality)
-        buf = np.empty((len(entities), min(s, self.embedder.truncate_to or s), d))
-        for row, e in zip(buf, entities):
+        if out is None:
+            out = np.empty((len(entities),) + self._raw_shape(modality))
+        for row, e in zip(out, entities):
             features.embed_synthetic(e, modality, self.embedder,
                                      concept=self.concept_of.get(e), out=row)
-        if not np.isfinite(buf).all():
+        if not np.isfinite(out).all():
             raise ValueError(f"non-finite {modality} embedding values")
-        return buf
+        return out
 
     def _project(self, entities, modality, mlp):
         """[n, s, d_k] streams of a list of entity ids: one MLP call."""
@@ -173,16 +182,17 @@ class ReferringModel:
         """(fusion terms, token means) of a list of prompts, projected in one call."""
         return self._prompts(self._project(prompt_entities, features.PROMPT, self.mlp_prompt))
 
-    def forward_window(self, glob, local_entities, prompts, idx):
+    def forward_window(self, glob, local_tokens, prompts, idx):
         """Raw scores of one track window against the prompts at rows ``idx``, [len(idx)].
 
-        ``glob`` is the window's ``global_terms`` and ``prompts`` the pass's
-        ``prompt_terms``. The window's local tokens go through the local MLP
-        as one [w, s, d_raw] batch and its prompt-independent fusion terms
-        are computed once; the per-prompt part runs for all its prompts at
+        ``glob`` is the window's ``global_terms``, ``local_tokens`` its raw
+        local tokens [w, s, d_raw] (``_raw_tokens``) and ``prompts`` the
+        pass's ``prompt_terms``. The local tokens go through the local MLP
+        as one batch and the window's prompt-independent fusion terms are
+        computed once; the per-prompt part runs for all its prompts at
         once, pooled over tokens before the last product.
         """
-        fL = self._project(local_entities, features.LOCAL_TRACK, self.mlp_local)
+        fL = self.mlp_local(Tensor(local_tokens))
         return self._scores(fusion.visual_terms(self.fusion_params, glob, fL), prompts, idx)
 
     def forward_batch(self, tables, windows):
@@ -334,6 +344,15 @@ def score_all(trajectories, tasks, model: ReferringModel, window, stats=None,
     pass, and each distinct window of global frames once. Pairs are grouped
     by track: each track window is scored against all its prompts in one
     ``forward_window`` call.
+
+    The frozen embedder runs one track window ahead on one worker thread:
+    while a window goes through the local MLP and the fusion block here,
+    the worker draws the next window's raw local tokens into the other of
+    two buffers. The worker only fills those buffers; every tensor, and so
+    every ledger charge, is made on the calling thread. Inputs are checked
+    and the prompts projected before the worker starts, a draw's error is
+    raised here in window order, and the worker is joined before this
+    returns or raises.
     """
     by_id = {t.track_id: t for t in trajectories}
     by_track = {}
@@ -344,21 +363,54 @@ def score_all(trajectories, tasks, model: ReferringModel, window, stats=None,
             if tid not in by_id:
                 raise LookupError_(f"unknown track_id {tid} in task {task.prompt_id}")
             by_track.setdefault(tid, []).append(task)
+    windows = [(tid, jobs, _window_frames(by_id[tid], window))
+               for tid, jobs in by_track.items()]
+    requests, results = queue.SimpleQueue(), queue.SimpleQueue()
+
+    def draw():
+        """The worker: each requested window's raw local tokens, into its buffer."""
+        while (k := requests.get()) is not None:
+            tid, _, idx = windows[k]
+            entity = by_id[tid].entity_id
+            try:
+                results.put((model._raw_tokens([local_entity(entity, i) for i in idx],
+                                               features.LOCAL_TRACK,
+                                               out=buffers[k % 2][:len(idx)]), None))
+            except BaseException as exc:  # raised again on the calling thread
+                results.put((None, exc))
+
     raw = []
     with no_grad():
         slots = {e: i for i, e in enumerate(dict.fromkeys(t.entity_id for t in tasks))}
         prompts = model.prompt_terms(list(slots))
-        glob = {}
-        for tid, jobs in by_track.items():
-            traj = by_id[tid]
-            idx = _window_frames(traj, window)
-            frames = tuple(frame_entity(i) for i in idx)
-            if frames not in glob:
-                glob[frames] = model.global_terms(frames)
-            scores = model.forward_window(glob[frames],
-                                          [local_entity(traj.entity_id, i) for i in idx],
-                                          prompts, [slots[task.entity_id] for task in jobs])
-            raw.extend((tid, task.prompt_id, float(s)) for task, s in zip(jobs, scores.data))
+        # made after the prompt projection has freed its arrays: made before
+        # it, they raise a paper-dims score's peak RSS by about 1 MB more
+        rows = max((len(idx) for _, _, idx in windows), default=0)
+        buffers = [np.empty((rows,) + model._raw_shape(features.LOCAL_TRACK)) for _ in range(2)]
+        worker = threading.Thread(target=draw, name="mexfuse-embedder")
+        worker.start()
+        try:
+            if windows:
+                requests.put(0)
+            glob = {}
+            for k, (tid, jobs, idx) in enumerate(windows):
+                local, exc = results.get()
+                if exc is not None:
+                    raise exc
+                frames = tuple(frame_entity(i) for i in idx)
+                if frames not in glob:
+                    glob[frames] = model.global_terms(frames)
+                # window k-1's buffer is free again: the worker draws window k+1
+                # into it, after a global projection so that the two do not add up
+                # at the pass's peak memory
+                if k + 1 < len(windows):
+                    requests.put(k + 1)
+                scores = model.forward_window(glob[frames], local, prompts,
+                                              [slots[task.entity_id] for task in jobs])
+                raw.extend((tid, task.prompt_id, float(s)) for task, s in zip(jobs, scores.data))
+        finally:
+            requests.put(None)
+            worker.join()
     return refine_threshold_sort(raw, stats or calibration.disabled_stats(), threshold)
 
 
@@ -631,6 +683,7 @@ def load_dataset(in_dir):
     for a missing or unreadable file, a line that is not a JSON object, a
     missing key, a trajectory row with a box extent <= 0 or a frame its
     track already has, a task row whose candidates are not a list of ints,
+    a label row whose track_id is not an int or whose match is not a bool,
     or a window row whose frames are not a non-empty list of that track's
     frames or whose match is not a bool.
     """
@@ -658,8 +711,18 @@ def load_dataset(in_dir):
              for r in _read_jsonl(os.path.join(in_dir, "tasks.jsonl"),
                                   ("prompt_id", "text", "entity_id", "candidates"),
                                   check=check_candidates)]
+
+    def check_match(r):
+        if type(r["match"]) is not bool:
+            raise TypeError(f"match must be true or false, got {r['match']!r}")
+
+    def check_label(r):
+        if type(r["track_id"]) is not int:
+            raise TypeError(f"track_id must be an int, got {r['track_id']!r}")
+        check_match(r)
+
     labels = _read_jsonl(os.path.join(in_dir, "labels.jsonl"),
-                         ("prompt_id", "track_id", "match"))
+                         ("prompt_id", "track_id", "match"), check=check_label)
     frames_of = {}
     for t in trajectories:
         frames_of.setdefault(t.track_id, set()).update(f for f, _ in t.frames)
@@ -668,8 +731,7 @@ def load_dataset(in_dir):
         f, tid = r["frames"], r["track_id"]
         if not isinstance(f, list) or not f or any(type(i) is not int for i in f):
             raise TypeError(f"frames must be a non-empty list of int frame indices, got {f!r}")
-        if type(r["match"]) is not bool:
-            raise TypeError(f"match must be true or false, got {r['match']!r}")
+        check_match(r)
         if tid not in frames_of:
             raise ValueError(f"unknown track_id {tid!r}")
         missing = [i for i in f if i not in frames_of[tid]]

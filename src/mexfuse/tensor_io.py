@@ -4,6 +4,7 @@ Layout: magic "MEXT", version u16, dtype code u8 (0=f64, 1=f32), rank u8,
 extents as u64 little-endian, then raw values little-endian.
 """
 
+import os
 import struct
 
 import numpy as np
@@ -31,22 +32,35 @@ def write_tensor(path, array):
         fh.write(arr.astype(arr.dtype.newbyteorder("<")).tobytes())
 
 
+def _read_exact(fh, n, path, part):
+    """The next ``n`` bytes of ``fh``, checked against what is left of the file
+    first, so that corrupt extents allocate nothing."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if n > left:
+        raise TensorFileError(f"{path}: truncated {part} ({left} of {n} bytes)")
+    return fh.read(n)
+
+
 def read_tensor(path):
+    """The array in the ``.mext`` file at ``path``.
+
+    Raises TensorFileError naming the file for a bad magic, version or
+    dtype code, and for a file that ends inside its header or before the
+    payload its extents give.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != MAGIC:
             raise TensorFileError(f"{path}: bad magic {magic!r}")
-        version, code, rank = struct.unpack("<HBB", fh.read(4))
+        version, code, rank = struct.unpack("<HBB", _read_exact(fh, 4, path, "header"))
         if version != VERSION:
             raise TensorFileError(f"{path}: unsupported version {version}")
         if code not in _DTYPE_CODES:
             raise TensorFileError(f"{path}: unknown dtype code {code}")
-        shape = struct.unpack(f"<{rank}Q", fh.read(8 * rank))
+        shape = struct.unpack(f"<{rank}Q", _read_exact(fh, 8 * rank, path, "extents"))
         dtype = _DTYPE_CODES[code]
         count = 1
         for s in shape:
             count *= s
-        raw = fh.read(count * dtype.itemsize)
-        if len(raw) != count * dtype.itemsize:
-            raise TensorFileError(f"{path}: truncated payload")
+        raw = _read_exact(fh, count * dtype.itemsize, path, "payload")
         return np.frombuffer(raw, dtype=dtype).reshape(shape).astype(dtype.newbyteorder("="))

@@ -157,6 +157,23 @@ class TestTrainScore:
         assert "mlp_local.second.w.mext" in result.output
         assert "Traceback" not in result.output
 
+    @pytest.mark.parametrize("keep,part", [
+        (6, "truncated header (2 of 4 bytes)"), (12, "truncated extents (4 of 16 bytes)"),
+        (30, "truncated payload (6 of 512 bytes)")], ids=["header", "extents", "payload"])
+    def test_truncated_model_file_exits_2(self, runner, trained, tmp_path, keep, part):
+        cfg_path, out = trained
+        model = tmp_path / "model"
+        shutil.copytree(out / "model", model)
+        path = model / "fusion.proj_i.w.mext"
+        path.write_bytes(path.read_bytes()[:keep])
+        result = runner.invoke(main, ["--config", str(cfg_path), "--out", str(tmp_path / "o"),
+                                      "score", "--dataset", str(out / "dataset"),
+                                      "--model", str(model)])
+        assert result.exit_code == 2, result.output
+        assert f"{path}: {part}" in result.output
+        assert "Traceback" not in result.output
+        assert isinstance(result.exception, SystemExit)
+
     def test_unknown_fusion_variant_exits_2(self, runner, trained, tmp_path):
         cfg_path, out = trained
         model = tmp_path / "model"
@@ -182,6 +199,9 @@ class TestTrainScore:
         ("score", "frame listed twice", "trajectories.jsonl:4: track 0: frame 1 listed twice"),
         ("score", "candidates not a list",
          "tasks.jsonl:2: candidates must be a list of int track ids, got 3"),
+        ("score", "label match a string",
+         "labels.jsonl:2: match must be true or false, got 'false'"),
+        ("score", "label track_id a string", "labels.jsonl:2: track_id must be an int, got '1'"),
     ])
     def test_bad_dataset_exits_2_naming_file_and_line(self, runner, trained, tmp_path,
                                                       cmd, fault, named):
@@ -205,6 +225,11 @@ class TestTrainScore:
         elif fault == "candidates not a list":
             row = json.loads(lines[1])
             row["candidates"] = 3
+            lines[1] = json.dumps(row)
+        elif fault.startswith("label"):
+            row = json.loads(lines[1])
+            key = fault.split()[1]
+            row[key] = str(row[key]).lower()
             lines[1] = json.dumps(row)
         (data / name).write_text("".join(l + "\n" for l in lines))
         if fault == "file removed":

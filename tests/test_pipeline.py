@@ -1,5 +1,7 @@
 import copy
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -34,6 +36,7 @@ from mexfuse.pipeline import (
     write_scores,
 )
 from mexfuse.tensor import (
+    DegenerateInputError,
     Tensor,
     add,
     fresh_context,
@@ -261,6 +264,71 @@ class TestScoring:
         tasks[0].candidates = [999]
         with pytest.raises(KeyError):
             score_all(small_data["trajectories"], tasks, model, window=3)
+
+    @pytest.mark.parametrize("failing", [(), (0,), (2,), (3,), (1, 2)],
+                             ids=["none", "first", "middle", "last", "two"])
+    def test_embedder_worker(self, small_data, monkeypatch, failing):
+        # the tracks' windows are scored in candidate order, 0 to 3
+        trajs = small_data["trajectories"]
+        bad = {local_entity(trajs[k].entity_id, trajs[k].frames[-1][0]): k for k in failing}
+        embed = features.embed_synthetic
+        threads = {}
+
+        def draw(entity_id, modality, *args, **kw):
+            threads.setdefault(modality, set()).add(threading.current_thread())
+            if entity_id in bad:
+                raise RuntimeError(f"draw failed for window {bad[entity_id]}")
+            return embed(entity_id, modality, *args, **kw)
+
+        monkeypatch.setattr(features, "embed_synthetic", draw)
+        baseline = threading.active_count()
+        model = small_model(small_data)
+        if failing:
+            # the first failing window's error, raised here
+            with pytest.raises(RuntimeError, match=f"window {failing[0]}$"):
+                score_all(trajs, small_data["tasks"], model, window=3)
+        else:
+            got = score_all(trajs, small_data["tasks"], model, window=3)
+            assert len(got) == len(trajs) * len(small_data["tasks"])
+        assert threading.active_count() == baseline
+        # every local draw ran on one worker thread; the rest on this one
+        main = threading.current_thread()
+        assert len(threads[LOCAL_TRACK]) == 1 and main not in threads[LOCAL_TRACK]
+        assert threads[PROMPT] | threads.get(GLOBAL_FRAME, set()) == {main}
+
+    def test_input_checked_before_the_worker_starts(self, small_data, monkeypatch):
+        calls = []
+        monkeypatch.setattr(features, "embed_synthetic", lambda *a, **kw: calls.append(a))
+        model = small_model(small_data)
+        trajs, tasks = small_data["trajectories"], small_data["tasks"]
+        with pytest.raises(DegenerateInputError, match="window must be >= 1"):
+            score_all(trajs, tasks, model, window=0)
+        empty = [copy.deepcopy(tasks[0]), copy.deepcopy(tasks[1])]
+        empty[1].candidates = []
+        with pytest.raises(DegenerateInputError, match="no candidates"):
+            score_all(trajs, empty, model, window=3)
+        unknown = [copy.deepcopy(tasks[0]), copy.deepcopy(tasks[1])]
+        unknown[1].candidates = [0, 999]
+        with pytest.raises(LookupError_, match="999"):
+            score_all(trajs, unknown, model, window=3)
+        assert calls == []
+
+    def test_short_switch_interval_matches_reference(self, small_data):
+        # the two stages swap the interpreter lock as often as it allows
+        model = small_model(small_data)
+        trajs = [Trajectory(track_id=t.track_id, frames=t.frames[:len(t.frames) - i % 3],
+                            entity_id=t.entity_id)
+                 for i, t in enumerate(small_data["trajectories"])]
+        want = per_pair_reference(trajs, small_data["tasks"], model, window=3, threshold=0.0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = score_all(trajs, small_data["tasks"], model, window=3)
+        finally:
+            sys.setswitchinterval(interval)
+        assert [(c.prompt_id, c.track_id) for c in got] == \
+               [(c.prompt_id, c.track_id) for c in want]
+        assert max(abs(a.raw_score - b.raw_score) for a, b in zip(got, want)) <= 1e-12
 
 
 def kept_candidates(cands, threshold):

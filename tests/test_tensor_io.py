@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,26 @@ def test_truncated_payload(tmp_path):
     write_tensor(path, np.ones((4, 4)))
     path.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(TensorFileError, match="truncated"):
+        read_tensor(path)
+
+
+@pytest.mark.parametrize("keep", range(4, 24))
+def test_truncated_header(tmp_path, keep):
+    # a rank-2 header is 24 bytes: magic, version/code/rank, two extents
+    path = tmp_path / "head.mext"
+    write_tensor(path, np.ones((2, 3)))
+    path.write_bytes(path.read_bytes()[:keep])
+    with pytest.raises(TensorFileError, match="truncated (header|extents)"):
+        read_tensor(path)
+
+
+def test_extents_beyond_file_allocate_nothing(tmp_path):
+    path = tmp_path / "huge.mext"
+    write_tensor(path, np.ones((2, 3)))
+    raw = bytearray(path.read_bytes())
+    raw[8:24] = struct.pack("<2Q", 2**40, 2**40)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(TensorFileError, match=rf"truncated payload \(48 of {2**80 * 8} bytes"):
         read_tensor(path)
 
 
