@@ -10,9 +10,10 @@ Three interchangeable blocks over the projected modality streams:
   row-stochastic maps chained by a matrix product, reusing one shared
   projection per modality.
 
-Every forward pass is charged to the active ledger, so parameter counts,
-the values charged in a pass, and multiply-add totals are exact and
-reproducible.
+The fused stream is never built: scoring and training pool each block's
+last stage as they compose it (``pooled_score``). Every forward pass is
+charged to the active ledger, so parameter counts, the values charged in a
+pass, and multiply-add totals are exact and reproducible.
 """
 
 from __future__ import annotations
@@ -27,26 +28,14 @@ from .tensor import (
     Tensor,
     add,
     attention_map,
-    cosine_similarity,
     fresh_context,
     matmul,
-    max_axis,
     mean_axis,
     pooled_cosine,
     sum_all,
 )
 
 VARIANTS = ("mex", "cascade", "plain")
-
-
-@dataclass
-class FusionOutput:
-    """The fused stream and, for inspection, the attention maps' arrays (not copies)."""
-
-    fused: Tensor
-    attn_it: np.ndarray | None = None
-    attn_tp: np.ndarray | None = None
-    attn_itp: np.ndarray | None = None
 
 
 class FusionParams:
@@ -112,13 +101,14 @@ def _check_channels(params, *streams):
 class LastStage:
     """A variant's last stage left factored: fused = map @ values + residual.
 
-    ``maps`` holds the attention maps' arrays, as FusionOutput names them.
+    ``map`` and ``residual`` may have fewer rows than the fused stream when
+    they are already means over its rows (mex): pooling takes the row mean,
+    and the mean of ``map @ values + residual`` is the same either way.
     """
 
     map: Tensor
     values: Tensor
     residual: Tensor | None
-    maps: dict
 
 
 # Each variant is split into four parts:
@@ -136,16 +126,23 @@ def _mex_global(params, fI):
 
 
 def _mex_visual(params, glob, fT):
+    """The row mean of p_it, [..., 1, t], and the pooled residual it gives.
+
+    Pooling takes the mean over the fused stream's g rows, and every term
+    of mex's fused stream starts with p_it, so only its row mean pbar is
+    kept: the pooled residual is pbar @ f(T) (+ the row mean of f(I)).
+    """
     L = params.linears
     q_it = glob["q_it"]
     if params.per_pair:
         k_it, q_tp, v_t = L["k_it"](fT), L["q_tp"](fT), L["v_t"](fT)
     else:
         k_it = q_tp = v_t = L["proj_t"](fT)
-    p_it = attention_map(q_it, k_it)
-    it = matmul(p_it, v_t)
-    return {"q_tp": q_tp, "p_it": p_it,
-            "residual": add(it, q_it) if params.residual_add else it}
+    pbar = mean_axis(attention_map(q_it, k_it), axis=-2, keepdims=True)
+    residual = matmul(pbar, v_t)
+    if params.residual_add:
+        residual = add(residual, mean_axis(q_it, axis=-2, keepdims=True))
+    return {"q_tp": q_tp, "pbar": pbar, "residual": residual}
 
 
 def _mex_prompt(params, fP):
@@ -165,13 +162,12 @@ def _mex_joint(params, vis, txt):
     fused = p_it @ f(T) + p_itp @ f(P)               [g x d_k]
 
     ``residual_add`` adds the projected query stream f(I) to the output.
-    The last stage is p_itp @ f(P) with residual p_it @ f(T) (+ f(I)).
+    The last stage is left as the row mean of the fused stream: map
+    pbar @ p_tp ([1 x l], the row mean of p_itp), values f(P) and the
+    pooled residual of ``_mex_visual``.
     """
     p_tp = attention_map(vis["q_tp"], txt["k_tp"])
-    p_itp = matmul(vis["p_it"], p_tp)
-    return LastStage(p_itp, txt["v_p"], vis["residual"],
-                     {"attn_it": vis["p_it"].data, "attn_tp": p_tp.data,
-                      "attn_itp": p_itp.data})
+    return LastStage(matmul(vis["pbar"], p_tp), txt["v_p"], vis["residual"])
 
 
 def _cascade_global(params, fGlobal):
@@ -185,7 +181,7 @@ def _cascade_visual(params, glob, fLocal):
     q = L["s1_q"](fLocal)
     p1 = attention_map(q, glob["k"])
     mid = add(matmul(p1, glob["v"]), q)
-    return {"q": L["s2_q"](mid), "p1": p1}
+    return {"q": L["s2_q"](mid)}
 
 
 def _cascade_prompt(params, fP):
@@ -195,8 +191,7 @@ def _cascade_prompt(params, fP):
 
 def _cascade_joint(params, vis, txt):
     """Stage 2: the prompt attended from the stage-1 output, plus its query."""
-    p2 = attention_map(vis["q"], txt["k"])
-    return LastStage(p2, txt["v"], vis["q"], {"attn_it": vis["p1"].data, "attn_tp": p2.data})
+    return LastStage(attention_map(vis["q"], txt["k"]), txt["v"], vis["q"])
 
 
 def _plain_global(params, fGlobal):
@@ -213,7 +208,7 @@ def _plain_prompt(params, fP):
 
 
 def _plain_joint(params, vis, txt):
-    return LastStage(attention_map(vis["q"], txt["k"]), txt["v"], None, {})
+    return LastStage(attention_map(vis["q"], txt["k"]), txt["v"], None)
 
 
 _PARTS = {
@@ -246,26 +241,13 @@ def last_stage(params: FusionParams, visual: dict, prompt: dict) -> LastStage:
     return _PARTS[params.variant][3](params, visual, prompt)
 
 
-def fuse(params: FusionParams, fGlobal: Tensor, fLocal: Tensor, fPrompt: Tensor) -> FusionOutput:
-    """The whole fusion block with a uniform stream order: the full fused stream.
-
-    Streams are [..., tokens, d_k]; leading axes (frames of a window, and
-    prompts) are batch axes and broadcast.
-    """
-    visual = visual_terms(params, global_terms(params, fGlobal), fLocal)
-    last = last_stage(params, visual, prompt_terms(params, fPrompt))
-    fused = matmul(last.map, last.values)
-    if last.residual is not None:
-        fused = add(fused, last.residual)
-    return FusionOutput(fused=fused, **last.maps)
-
-
 def pooled_score(params: FusionParams, visual: dict, prompt: dict,
                  prompt_pooled: Tensor) -> Tensor:
-    """score(st_pool(fused), prompt_pooled), without building the fused stream.
+    """Cosine of the ST-pooled fused stream and ``prompt_pooled``, never building the stream.
 
-    The token mean of ST pooling is linear and comes before the max over
-    frames, so it is taken inside the last stage: mean_rows(map) @ values +
+    Spatio-temporal (ST) pooling is the mean over a frame's tokens, then the
+    max over frames. The token mean is linear and comes before the max, so
+    it is taken inside the last stage: mean_rows(map) @ values +
     mean_rows(residual) per frame, then the max over frames and the cosine,
     all in one graph node (``tensor.pooled_cosine``). ``visual`` holds the
     [..., frames, tokens, *] terms of track windows and ``prompt_pooled``
@@ -275,44 +257,35 @@ def pooled_score(params: FusionParams, visual: dict, prompt: dict,
     return pooled_cosine(last.map, last.values, last.residual, prompt_pooled)
 
 
-def st_pool(x: Tensor) -> Tensor:
-    """Spatio-temporal pooling: average over tokens, then max over frames.
-
-    Input is [..., n_frames, s, d_k]; output is [..., d_k]. Leading axes
-    (windows of a batch) are batch axes.
-    """
-    if x.data.ndim < 3:
-        raise DimensionError(f"st_pool expects [..., frames, tokens, d], got {x.data.shape}")
-    return max_axis(mean_axis(x, axis=-2), axis=-2)
-
-
-def score(fused_pooled: Tensor, prompt_pooled: Tensor) -> Tensor:
-    """Raw referring score: cosine similarity of the pooled vectors."""
-    return cosine_similarity(fused_pooled, prompt_pooled)
-
-
 def profile(variant, g, t, l, d_k, seed=0, with_backward=False,
-            residual_add=False, per_pair=False):
-    """One instrumented forward (optionally backward) pass under a fresh ledger.
+            residual_add=False, per_pair=False, windows=1, prompts=1):
+    """One instrumented pooled scoring pass, forward and optionally backward,
+    under a fresh ledger.
 
-    Returns exact, deterministic counts: trainable parameters, the values
-    charged within the pass (``peak_values``; nothing frees a charge, so
-    this is not a high-water mark of live values), and accumulated
-    multiply-adds. The pass's graph is freed by reference counting when it
-    returns.
+    The pass is the one ``score`` makes for a track window of ``windows``
+    frames (g global and t local tokens each) against ``prompts`` prompts of
+    l tokens: ``global_terms``, ``visual_terms``, ``prompt_terms`` and
+    ``pooled_score``, and with ``with_backward`` the backward pass of the
+    scores' sum. Returns exact, deterministic counts: trainable parameters,
+    the values charged within the pass (``peak_values``; nothing frees a
+    charge, so this is not a high-water mark of live values), and
+    accumulated multiply-adds. The pass's graph is freed by reference
+    counting when it returns.
     """
     rng = np.random.default_rng(seed)
     with fresh_context() as ctx:
         params = FusionParams(variant, d_k, rng, residual_add=residual_add,
                               per_pair=per_pair, requires_grad=with_backward)
-        fGlobal = Tensor(rng.standard_normal((g, d_k)))
-        fLocal = Tensor(rng.standard_normal((t, d_k)))
-        fPrompt = Tensor(rng.standard_normal((l, d_k)))
+        fGlobal = Tensor(rng.standard_normal((windows, g, d_k)))
+        fLocal = Tensor(rng.standard_normal((windows, t, d_k)))
+        prompt = rng.standard_normal((prompts, 1, l, d_k))  # broadcast over the frames
+        fPrompt, pooled = Tensor(prompt), Tensor(prompt.mean(axis=-2)[:, 0])
         # parameters and inputs are not activations; count the pass only
         ctx.ledger.reset()
-        out = fuse(params, fGlobal, fLocal, fPrompt)
+        visual = visual_terms(params, global_terms(params, fGlobal), fLocal)
+        scores = pooled_score(params, visual, prompt_terms(params, fPrompt), pooled)
         if with_backward:
-            sum_all(out.fused).backward()
+            sum_all(scores).backward()
         snap = ctx.ledger.snapshot()
     return {
         "variant": variant,

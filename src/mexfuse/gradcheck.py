@@ -2,17 +2,29 @@
 
 import numpy as np
 
-from .fusion import FusionParams, fuse, score, st_pool
-from .tensor import Tensor, fresh_context, sub
+from . import fusion, pipeline
+from .fusion import FusionParams
+from .tensor import Tensor, fresh_context
+
+# every other window matches its prompt, so the loss's two branches both run
+_MATCH = np.arange(4) % 2 == 0
+_NEG_MARGIN = 0.0
 
 
 def fusion_loss(params: FusionParams, streams, target):
-    """fusion of all frames as one batch -> ST pooling -> cosine loss against a fixed target.
+    """The training objective after the projection MLPs, over a batch of windows.
 
-    ``streams`` is a (global, local, prompt) triple of [frames, tokens, d_k] arrays.
+    ``streams`` is a (global, local, prompt) triple: [n, frames, tokens, d_k]
+    track windows and [n, 1, tokens, d_k] prompts, broadcast over the
+    frames; ``target`` is [n, d_k]. The chain is the one training runs:
+    ``global_terms`` -> ``visual_terms`` -> ``prompt_terms`` ->
+    ``pooled_score`` -> ``pipeline._loss_sum``, with window i a match when
+    ``_MATCH[i]`` holds.
     """
-    fused = fuse(params, *(Tensor(s) for s in streams)).fused
-    return sub(Tensor(np.asarray(1.0)), score(st_pool(fused), Tensor(target)))
+    fG, fL, fP = (Tensor(s) for s in streams)
+    visual = fusion.visual_terms(params, fusion.global_terms(params, fG), fL)
+    scores = fusion.pooled_score(params, visual, fusion.prompt_terms(params, fP), Tensor(target))
+    return pipeline._loss_sum(scores, _MATCH, _NEG_MARGIN)
 
 
 def max_relative_error(variant, g=2, t=3, l=4, d_k=8, n_frames=2, seed=0,
@@ -21,10 +33,11 @@ def max_relative_error(variant, g=2, t=3, l=4, d_k=8, n_frames=2, seed=0,
     rng = np.random.default_rng(seed)
     params = FusionParams(variant, d_k, rng, residual_add=residual_add,
                           per_pair=per_pair)
-    per_frame = [(rng.standard_normal((g, d_k)), rng.standard_normal((t, d_k)),
-                  rng.standard_normal((l, d_k))) for _ in range(n_frames)]
-    streams = [np.stack(s) for s in zip(*per_frame)]
-    target = rng.standard_normal(d_k)
+    n = len(_MATCH)
+    streams = (rng.standard_normal((n, n_frames, g, d_k)),
+               rng.standard_normal((n, n_frames, t, d_k)),
+               rng.standard_normal((n, 1, l, d_k)))
+    target = rng.standard_normal((n, d_k))
 
     def forward():
         with fresh_context():

@@ -310,8 +310,10 @@ def _read_param(in_dir, name, shape):
         arr = tensor_io.read_tensor(path)
     except FileNotFoundError:
         raise ModelLoadError(f"{path}: parameter file missing") from None
-    except (OSError, tensor_io.TensorFileError) as exc:
-        raise ModelLoadError(f"{path}: {exc}") from None
+    except tensor_io.TensorFileError as exc:  # its message names the file
+        raise ModelLoadError(str(exc)) from None
+    except OSError as exc:  # strerror: str(exc) may name the file again
+        raise ModelLoadError(f"{path}: {exc.strerror or exc}") from None
     if arr.shape != tuple(shape):
         raise ModelLoadError(f"{path}: shape {arr.shape}, the manifest needs {tuple(shape)}")
     return arr

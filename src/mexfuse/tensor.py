@@ -188,11 +188,6 @@ def node(data, parents, backward_fn, charge=None):
 # ---- elementwise ops -------------------------------------------------------
 
 
-def _check_same_shape(a, b, op):
-    if a.data.shape != b.data.shape:
-        raise DimensionError(f"{op}: shape mismatch {a.data.shape} vs {b.data.shape}")
-
-
 def add(a, b):
     """a + b; leading axes broadcast as in numpy, and each gradient is summed back."""
     try:
@@ -208,18 +203,6 @@ def add(a, b):
             b._accumulate(_sum_to(g, b.data.shape))
 
     return node(out, (a, b), bwd)
-
-
-def sub(a, b):
-    _check_same_shape(a, b, "sub")
-
-    def bwd(g):
-        if a.requires_grad:
-            a._accumulate(g)
-        if b.requires_grad:
-            b._accumulate(-g)
-
-    return node(a.data - b.data, (a, b), bwd)
 
 
 def scale(a, c):
@@ -365,7 +348,7 @@ def pooled_cosine(p, v, r, b):
     the [..., m, d] product is never built. Each channel's max over the F
     frames takes the first frame among ties, as ``np.argmax`` does. ``b`` is
     [..., d] of the maxima's shape; the result is their cosine, [...],
-    clamped and checked as ``cosine_similarity`` does.
+    clamped to [-1, 1]; zero and non-finite rows are rejected.
 
     The node keeps the row means of ``p`` and the argmax frames for its
     backward pass, and charges what the pooled product (with those row
@@ -444,7 +427,7 @@ def sum_all(a):
     return node(np.asarray(a.data.sum()), (a,), bwd)
 
 
-def mean_axis(a, axis):
+def mean_axis(a, axis, keepdims=False):
     if a.data.shape[axis] == 0:
         raise DegenerateInputError(f"mean over empty axis {axis} of {a.data.shape}")
     n = a.data.shape[axis]
@@ -452,24 +435,10 @@ def mean_axis(a, axis):
     def bwd(g):
         if a.requires_grad:
             # a read-only view: no gradient array is written in place
-            a._accumulate(np.broadcast_to(np.expand_dims(g / n, axis), a.data.shape))
+            g = g if keepdims else np.expand_dims(g, axis)
+            a._accumulate(np.broadcast_to(g / n, a.data.shape))
 
-    return node(a.data.mean(axis=axis), (a,), bwd)
-
-
-def max_axis(a, axis):
-    if a.data.shape[axis] == 0:
-        raise DegenerateInputError(f"max over empty axis {axis} of {a.data.shape}")
-    idx = np.argmax(a.data, axis=axis)
-
-    def bwd(g):
-        if a.requires_grad:
-            full = np.zeros_like(a.data)
-            np.put_along_axis(full, np.expand_dims(idx, axis),
-                              np.expand_dims(g, axis), axis)
-            a._accumulate(full)
-
-    return node(np.max(a.data, axis=axis), (a,), bwd)
+    return node(a.data.mean(axis=axis, keepdims=keepdims), (a,), bwd)
 
 
 # ---- similarity ------------------------------------------------------------
@@ -498,27 +467,6 @@ def _cosine(a, b):
         raise DegenerateInputError("cosine similarity of a zero-norm vector")
     clamped = np.minimum(np.maximum(c, -1.0), 1.0)  # np.clip costs twice as much
     return clamped, c, den, na, nb
-
-
-def cosine_similarity(a, b):
-    """cos(a, b) along the last axis, clamped to [-1, 1].
-
-    ``a`` and ``b`` are [..., d] of one shape; leading axes are batch axes
-    and the result is [...] (a scalar for 1-D vectors). Zero and non-finite
-    rows are rejected.
-    """
-    if a.data.ndim < 1 or a.data.shape != b.data.shape:
-        raise DimensionError(f"cosine: need matching [..., d] rows, got {a.data.shape} vs {b.data.shape}")
-    clamped, c, den, na, nb = _cosine(a.data, b.data)
-
-    def bwd(g):
-        g, ab, cn = g[..., None], den[..., None], c[..., None]
-        if a.requires_grad:
-            a._accumulate(g * (b.data / ab - cn * a.data / (na * na)[..., None]))
-        if b.requires_grad:
-            b._accumulate(g * (a.data / ab - cn * b.data / (nb * nb)[..., None]))
-
-    return node(clamped, (a, b), bwd)
 
 
 # ---- parameter containers --------------------------------------------------

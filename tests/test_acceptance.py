@@ -14,11 +14,11 @@ from click.testing import CliRunner
 from mexfuse import gradcheck
 from mexfuse.calibration import normalized_weights, refine
 from mexfuse.cli import main as cli_main
-from mexfuse.fusion import FusionParams, fuse
+from mexfuse.fusion import FusionParams, global_terms, last_stage, prompt_terms, visual_terms
 from mexfuse.tensor import Tensor
 
-from conftest import TOY_CONFIG
-from test_fusion import oracle_cascade, oracle_mex, random_streams
+from conftest import TOY_CONFIG, full_stream
+from test_fusion import oracle_cascade, oracle_mex, oracle_score, pooled, random_streams
 
 
 def _report(num, desc, t0, budget_s):
@@ -34,10 +34,15 @@ def test_criterion_1_row_stochasticity():
         g, t, l = rng.integers(1, 9, size=3)
         d_k = int(rng.choice([4, 8, 16]))
         params = FusionParams("mex", d_k, rng)
-        out = fuse(params, *(Tensor(s) for s in random_streams(rng, g, t, l, d_k)))
-        for attn in (out.attn_it, out.attn_tp, out.attn_itp):
-            assert (attn >= -1e-12).all()
-            assert np.abs(attn.sum(axis=1) - 1).max() <= 1e-9
+        streams = [Tensor(s) for s in random_streams(rng, g, t, l, d_k, frames=(2,))]
+        # the maps the pooled path builds: the folded pbar and pbar @ p_tp
+        visual = visual_terms(params, global_terms(params, streams[0]), streams[1])
+        last = last_stage(params, visual, prompt_terms(params, streams[2]))
+        # and the full stream's p_it, p_tp and p_itp
+        _, maps = full_stream(params, *streams)
+        for attn in (visual["pbar"], last.map, *maps.values()):
+            assert (attn.data >= -1e-12).all()
+            assert np.abs(attn.data.sum(axis=-1) - 1).max() <= 1e-9
     _report(1, "all attention maps row-stochastic over 200 random configs", t0, 5)
 
 
@@ -47,14 +52,16 @@ def test_criterion_2_oracle_equivalence():
     for _ in range(50):
         g, t, l = rng.integers(1, 7, size=3)
         d_k = int(rng.choice([4, 8]))
-        fG, fL, fP = random_streams(rng, g, t, l, d_k)
+        fG, fL, fP = random_streams(rng, g, t, l, d_k, frames=(2,))
+        target = rng.standard_normal(d_k)
         mex = FusionParams("mex", d_k, rng)
-        got = fuse(mex, Tensor(fG), Tensor(fL), Tensor(fP)).fused.data
-        assert np.abs(got - oracle_mex(fG, fL, fP, mex)).max() <= 1e-10
+        want = oracle_score(oracle_mex(fG, fL, fP, mex), target)
+        assert abs(pooled(mex, fG, fL, fP, target) - want) <= 1e-10
         cas = FusionParams("cascade", d_k, rng)
-        got = fuse(cas, Tensor(fG), Tensor(fL), Tensor(fP)).fused.data
-        assert np.abs(got - oracle_cascade(fL, fG, fP, cas)).max() <= 1e-10
-    _report(2, "mex and cascade match straight-from-formula oracles on 50 instances", t0, 5)
+        want = oracle_score(oracle_cascade(fL, fG, fP, cas), target)
+        assert abs(pooled(cas, fG, fL, fP, target) - want) <= 1e-10
+    _report(2, "mex and cascade pooled scores match straight-from-formula oracles "
+               "on 50 instances", t0, 5)
 
 
 def test_criterion_3_gradient_check():
@@ -64,7 +71,7 @@ def test_criterion_3_gradient_check():
         err = gradcheck.max_relative_error(variant, g=2, t=3, l=4, d_k=8, step=1e-5)
         assert err <= 1e-4, f"{variant}: {err:.3e}"
         worst = max(worst, err)
-    _report(3, f"fusion+pooling+cosine gradients, max rel err {worst:.2e} <= 1e-4", t0, 30)
+    _report(3, f"fusion+pooled cosine+loss gradients, max rel err {worst:.2e} <= 1e-4", t0, 30)
 
 
 def test_criterion_4_efficiency_direction(tmp_path):

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import shutil
@@ -171,8 +172,23 @@ class TestTrainScore:
                                       "--model", str(model)])
         assert result.exit_code == 2, result.output
         assert f"{path}: {part}" in result.output
+        assert result.output.count(str(path)) == 1, result.output
         assert "Traceback" not in result.output
         assert isinstance(result.exception, SystemExit)
+
+    def test_unreadable_model_file_named_once(self, runner, trained, tmp_path):
+        cfg_path, out = trained
+        model = tmp_path / "model"
+        shutil.copytree(out / "model", model)
+        path = model / "fusion.proj_i.w.mext"
+        path.unlink()
+        path.mkdir()  # opening it fails with an OSError that names it too
+        result = runner.invoke(main, ["--config", str(cfg_path), "--out", str(tmp_path / "o"),
+                                      "score", "--dataset", str(out / "dataset"),
+                                      "--model", str(model)])
+        assert result.exit_code == 2, result.output
+        assert result.output.count(str(path)) == 1, result.output
+        assert "Traceback" not in result.output
 
     def test_unknown_fusion_variant_exits_2(self, runner, trained, tmp_path):
         cfg_path, out = trained
@@ -427,3 +443,22 @@ class TestGradcheck:
         result = invoke(runner, "gradcheck")
         assert result.exit_code == 0
         assert "passed" in result.output
+
+    @pytest.mark.parametrize("module,name", [("pipeline", "_loss_sum"),
+                                             ("fusion", "pooled_cosine")])
+    def test_fails_on_a_wrong_head_gradient(self, runner, monkeypatch, module, name):
+        # the training loss and the scoring head are on the checked chain: a
+        # backward pass that doubles its gradient must fail the gate
+        target = getattr(importlib.import_module(f"mexfuse.{module}"), name)
+
+        def doubled(*args):
+            out = target(*args)
+            right = out._backward
+            if right is not None:
+                out._backward = lambda g: right(2 * g)
+            return out
+
+        monkeypatch.setattr(f"mexfuse.{module}.{name}", doubled)
+        result = runner.invoke(main, ["gradcheck"])
+        assert result.exit_code == 1, result.output
+        assert "gradient check FAILED" in result.output

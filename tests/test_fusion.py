@@ -3,20 +3,27 @@ import pytest
 
 from mexfuse.fusion import (
     FusionParams,
-    fuse,
     global_terms,
     last_stage,
     pooled_score,
     profile,
     prompt_terms,
-    score,
-    st_pool,
     visual_terms,
 )
-from mexfuse.tensor import DimensionError, Tensor, attention_map, matmul, pooled_cosine
+from mexfuse.tensor import (
+    DimensionError,
+    Tensor,
+    attention_map,
+    fresh_context,
+    matmul,
+    pooled_cosine,
+)
+
+from conftest import cosine, full_stream, st_pool
 
 
 # ---- independent straight-from-formula oracles -----------------------------
+# Streams are [..., tokens, d_k]; leading axes broadcast as in np.matmul.
 
 
 def oracle_softmax(x):
@@ -24,8 +31,12 @@ def oracle_softmax(x):
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def T(x):
+    return np.swapaxes(x, -1, -2)
+
+
 def oracle_attention(q, k, v):
-    return oracle_softmax(q @ k.T / np.sqrt(q.shape[1])) @ v
+    return oracle_softmax(q @ T(k) / np.sqrt(q.shape[-1])) @ v
 
 
 def apply_linear(lin, x):
@@ -43,8 +54,8 @@ def oracle_mex(fI, fT, fP, params):
         k_it = q_tp = v_t = apply_linear(L["proj_t"], fT)
         k_tp = v_p = apply_linear(L["proj_p"], fP)
     rd = np.sqrt(params.d_k)
-    p_it = oracle_softmax(q_it @ k_it.T / rd)
-    p_tp = oracle_softmax(q_tp @ k_tp.T / rd)
+    p_it = oracle_softmax(q_it @ T(k_it) / rd)
+    p_tp = oracle_softmax(q_tp @ T(k_tp) / rd)
     fused = p_it @ v_t + (p_it @ p_tp) @ v_p
     if params.residual_add:
         fused = fused + q_it
@@ -57,10 +68,33 @@ def oracle_cascade(fL, fG, fP, params):
 
     def stage(x_q, x_kv, qn, kn, vn):
         q, k, v = apply_linear(L[qn], x_q), apply_linear(L[kn], x_kv), apply_linear(L[vn], x_kv)
-        return oracle_softmax(q @ k.T / rd) @ v + q
+        return oracle_softmax(q @ T(k) / rd) @ v + q
 
     mid = stage(fL, fG, "s1_q", "s1_k", "s1_v")
     return stage(mid, fP, "s2_q", "s2_k", "s2_v")
+
+
+def oracle_plain(fL, fP, params):
+    L = params.linears
+    return oracle_attention(apply_linear(L["q"], fL), apply_linear(L["k"], fP),
+                            apply_linear(L["v"], fP))
+
+
+def oracle_fused(variant, fG, fL, fP, params):
+    """The full fused stream of any variant, from the formulas."""
+    if variant == "mex":
+        return oracle_mex(fG, fL, fP, params)
+    if variant == "cascade":
+        return oracle_cascade(fL, fG, fP, params)
+    return oracle_plain(fL, fP, params)
+
+
+def oracle_score(fused, target):
+    """Cosine of ST-pooled [..., frames, tokens, d] streams (token mean, then
+    frame max) with [..., d] targets."""
+    pooled = fused.mean(axis=-2).max(axis=-2)
+    return (pooled * target).sum(axis=-1) / (
+        np.linalg.norm(pooled, axis=-1) * np.linalg.norm(target, axis=-1))
 
 
 def identity_params(variant, d_k, **kw):
@@ -71,9 +105,16 @@ def identity_params(variant, d_k, **kw):
     return params
 
 
-def random_streams(rng, g, t, l, d_k):
-    return (rng.standard_normal((g, d_k)), rng.standard_normal((t, d_k)),
+def random_streams(rng, g, t, l, d_k, frames=()):
+    """Global, local and prompt streams; ``frames`` leads the first two."""
+    return (rng.standard_normal(frames + (g, d_k)), rng.standard_normal(frames + (t, d_k)),
             rng.standard_normal((l, d_k)))
+
+
+def pooled(params, fG, fL, fP, target):
+    """The pooled scoring path on arrays: the window's score against each prompt."""
+    visual = visual_terms(params, global_terms(params, Tensor(fG)), Tensor(fL))
+    return pooled_score(params, visual, prompt_terms(params, Tensor(fP)), Tensor(target)).data
 
 
 # ---- scaled dot-product attention ------------------------------------------
@@ -115,51 +156,60 @@ class TestAttention:
 
 class TestMexAttention:
     def test_single_token_collapse(self):
-        # t = l = 1: all softmaxes collapse to 1, so each fused row is fT + fP
+        # t = l = 1: all softmaxes collapse to 1, so each fused row, and the
+        # pooled row the folded last stage gives, is fT + fP
         params = identity_params("mex", 4)
         rng = np.random.default_rng(2)
-        fI = rng.standard_normal((3, 4))
-        fT = rng.standard_normal((1, 4))
-        fP = rng.standard_normal((1, 4))
-        out = fuse(params, Tensor(fI), Tensor(fT), Tensor(fP))
-        expected = np.repeat(fT + fP, 3, axis=0)
-        assert np.abs(out.fused.data - expected).max() <= 1e-12
+        fI, fT, fP = random_streams(rng, 3, 1, 1, 4, frames=(1,))
+        visual = visual_terms(params, global_terms(params, Tensor(fI)), Tensor(fT))
+        last = last_stage(params, visual, prompt_terms(params, Tensor(fP)))
+        row = last.map.data @ last.values.data + last.residual.data
+        assert np.abs(row - (fT + fP)).max() <= 1e-12
 
     def test_chained_map_row_stochastic(self):
+        # the folded maps are the row means of p_it and of p_itp = p_it @ p_tp
         rng = np.random.default_rng(3)
         params = FusionParams("mex", 8, rng)
-        out = fuse(params, *(Tensor(s) for s in random_streams(rng, 3, 4, 5, 8)))
-        assert np.abs(out.attn_itp.sum(axis=1) - 1).max() <= 1e-9
+        fI, fT, fP = random_streams(rng, 3, 4, 5, 8, frames=(2,))
+        visual = visual_terms(params, global_terms(params, Tensor(fI)), Tensor(fT))
+        last = last_stage(params, visual, prompt_terms(params, Tensor(fP)))
+        _, maps = full_stream(params, Tensor(fI), Tensor(fT), Tensor(fP))
+        for got, full in ((visual["pbar"], maps["it"]), (last.map, maps["itp"])):
+            assert got.shape == (2, 1, full.shape[-1])
+            assert np.abs(got.data.sum(axis=-1) - 1).max() <= 1e-9
+            assert np.abs(got.data - full.data.mean(axis=-2, keepdims=True)).max() <= 1e-12
 
     def test_matches_independent_oracle(self):
         rng = np.random.default_rng(4)
         params = FusionParams("mex", 8, rng)
-        fI, fT, fP = random_streams(rng, 3, 4, 5, 8)
-        out = fuse(params, Tensor(fI), Tensor(fT), Tensor(fP))
-        assert np.abs(out.fused.data - oracle_mex(fI, fT, fP, params)).max() <= 1e-10
+        fI, fT, fP = random_streams(rng, 3, 4, 5, 8, frames=(3,))
+        target = rng.standard_normal(8)
+        want = oracle_score(oracle_mex(fI, fT, fP, params), target)
+        assert np.abs(pooled(params, fI, fT, fP, target) - want).max() <= 1e-10
 
     @pytest.mark.parametrize("per_pair,residual", [(True, False), (False, True)])
     def test_variants_match_oracle(self, per_pair, residual):
         rng = np.random.default_rng(5)
         params = FusionParams("mex", 8, rng, per_pair=per_pair, residual_add=residual)
-        fI, fT, fP = random_streams(rng, 2, 3, 4, 8)
-        out = fuse(params, Tensor(fI), Tensor(fT), Tensor(fP))
-        assert np.abs(out.fused.data - oracle_mex(fI, fT, fP, params)).max() <= 1e-10
+        fI, fT, fP = random_streams(rng, 2, 3, 4, 8, frames=(2,))
+        target = rng.standard_normal(8)
+        want = oracle_score(oracle_mex(fI, fT, fP, params), target)
+        assert np.abs(pooled(params, fI, fT, fP, target) - want).max() <= 1e-10
 
     def test_permutation_equivariance(self):
+        # the fused rows, and so the score, do not depend on the order of fT's tokens
         rng = np.random.default_rng(6)
         params = FusionParams("mex", 8, rng)
-        fI, fT, fP = random_streams(rng, 3, 5, 4, 8)
-        base = fuse(params, Tensor(fI), Tensor(fT), Tensor(fP)).fused.data
-        perm = rng.permutation(5)
-        permuted = fuse(params, Tensor(fI), Tensor(fT[perm]), Tensor(fP)).fused.data
+        fI, fT, fP = random_streams(rng, 3, 5, 4, 8, frames=(2,))
+        target = rng.standard_normal(8)
+        base = pooled(params, fI, fT, fP, target)
+        permuted = pooled(params, fI, fT[:, rng.permutation(5)], fP, target)
         assert np.abs(base - permuted).max() <= 1e-10
 
     def test_channel_mismatch(self):
         params = FusionParams("mex", 8, np.random.default_rng(0))
         with pytest.raises(DimensionError):
-            fuse(params, Tensor(np.ones((2, 8))), Tensor(np.ones((2, 4))),
-                 Tensor(np.ones((2, 8))))
+            pooled(params, np.ones((1, 2, 8)), np.ones((1, 2, 4)), np.ones((2, 8)), np.ones(8))
 
 
 # ---- cascade attention -----------------------------------------------------
@@ -170,18 +220,19 @@ class TestCascadeAttention:
         # identity projections: stage-2 output = stage-1 output + projected value row
         params = identity_params("cascade", 4)
         rng = np.random.default_rng(7)
-        fL, fG = rng.standard_normal((3, 4)), rng.standard_normal((2, 4))
-        fP = rng.standard_normal((1, 4))
-        out = fuse(params, Tensor(fG), Tensor(fL), Tensor(fP))
+        fG, fL, fP = random_streams(rng, 2, 3, 1, 4, frames=(1,))
+        target = rng.standard_normal(4)
         stage1 = oracle_attention(fL, fG, fG) + fL
-        assert np.abs(out.fused.data - (stage1 + fP)).max() <= 1e-10
+        want = oracle_score((stage1 + fP)[None], target)
+        assert np.abs(pooled(params, fG, fL, fP, target) - want).max() <= 1e-10
 
     def test_matches_composed_oracle(self):
         rng = np.random.default_rng(8)
         params = FusionParams("cascade", 8, rng)
-        fG, fL, fP = random_streams(rng, 3, 4, 5, 8)
-        out = fuse(params, Tensor(fG), Tensor(fL), Tensor(fP))
-        assert np.abs(out.fused.data - oracle_cascade(fL, fG, fP, params)).max() <= 1e-10
+        fG, fL, fP = random_streams(rng, 3, 4, 5, 8, frames=(3,))
+        target = rng.standard_normal(8)
+        want = oracle_score(oracle_cascade(fL, fG, fP, params), target)
+        assert np.abs(pooled(params, fG, fL, fP, target) - want).max() <= 1e-10
 
     def test_census_exceeds_mex(self):
         rng = np.random.default_rng(9)
@@ -197,6 +248,8 @@ class TestCascadeAttention:
 
 
 class TestStPool:
+    """The ST pooling of the full-stream references (``conftest.st_pool``)."""
+
     def test_single_frame_single_token_identity(self):
         x = np.array([[[1.0, -2.0, 3.0]]])
         assert np.array_equal(st_pool(Tensor(x)).data, x[0, 0])
@@ -219,15 +272,20 @@ class TestStPool:
             assert np.array_equal(out[i], st_pool(Tensor(x[i])).data)
 
 
-class TestPooledScore:
-    """The pooled path (token mean taken before the last product) against the
-    full fused stream of ``fuse``, pooled and compared in numpy."""
+POOLED_CASES = pytest.mark.parametrize("variant,kw", [
+    ("mex", {}), ("mex", {"per_pair": True}), ("mex", {"residual_add": True}),
+    ("cascade", {}), ("plain", {})],
+    ids=["mex", "mex-per_pair", "mex-residual_add", "cascade", "plain"])
 
-    @pytest.mark.parametrize("variant,kw", [
-        ("mex", {}), ("mex", {"per_pair": True}), ("mex", {"residual_add": True}),
-        ("cascade", {}), ("plain", {})],
-        ids=["mex", "mex-per_pair", "mex-residual_add", "cascade", "plain"])
+
+class TestPooledScore:
+    """The pooled path (token mean taken before the last product) against
+    full fused streams, pooled and compared."""
+
+    @POOLED_CASES
     def test_equals_full_stream_score(self, variant, kw):
+        # against the numpy formula oracles, with [P, 1, l, d_k] prompts
+        # broadcast over the w frames of one window
         rng = np.random.default_rng(14)
         worst = 0.0
         for _ in range(60):
@@ -237,27 +295,20 @@ class TestPooledScore:
             params = FusionParams(variant, d_k, rng, **kw)
             fG = rng.standard_normal((w, g, d_k))
             fL = rng.standard_normal((w, t, d_k))
-            fP = rng.standard_normal((n_prompts, 1, l, d_k))  # broadcast over the frames
+            fP = rng.standard_normal((n_prompts, 1, l, d_k))
             target = rng.standard_normal((n_prompts, d_k))
-            fused = fuse(params, Tensor(fG), Tensor(fL), Tensor(fP)).fused.data
+            fused = oracle_fused(variant, fG, fL, fP, params)
             assert fused.shape[:2] == (n_prompts, w)
-            pooled = fused.mean(axis=-2).max(axis=-2)
-            want = (pooled * target).sum(axis=-1) / (
-                np.linalg.norm(pooled, axis=-1) * np.linalg.norm(target, axis=-1))
-            visual = visual_terms(params, global_terms(params, Tensor(fG)), Tensor(fL))
-            got = pooled_score(params, visual, prompt_terms(params, Tensor(fP)),
-                               Tensor(target)).data
+            got = pooled(params, fG, fL, fP, target)
             assert got.shape == (n_prompts,)
-            worst = max(worst, np.abs(got - want).max())
+            worst = max(worst, np.abs(got - oracle_score(fused, target)).max())
         assert worst <= 1e-12
 
-    @pytest.mark.parametrize("variant,kw", [
-        ("mex", {}), ("mex", {"per_pair": True}), ("mex", {"residual_add": True}),
-        ("cascade", {}), ("plain", {})],
-        ids=["mex", "mex-per_pair", "mex-residual_add", "cascade", "plain"])
+    @POOLED_CASES
     def test_pooled_cosine_equals_st_pool_score(self, variant, kw):
-        # the one-node head against the engine's fuse -> st_pool -> score, with
-        # [P, 1, l, d_k] prompts broadcast over the frames and with one shared prompt
+        # the one-node head against the tensor composition full_stream ->
+        # st_pool -> cosine, with [P, 1, l, d_k] prompts broadcast over the
+        # frames and with one shared prompt
         rng = np.random.default_rng(15)
         worst = 0.0
         for k in range(40):
@@ -270,13 +321,25 @@ class TestPooledScore:
             lead = (n_prompts, 1) if k % 2 else ()
             fP = Tensor(rng.standard_normal(lead + (l, d_k)))
             target = Tensor(rng.standard_normal(lead[:1] + (d_k,)))
-            want = score(st_pool(fuse(params, fG, fL, fP).fused), target).data
+            fused, _ = full_stream(params, fG, fL, fP)
+            want = cosine(st_pool(fused), target).data
             last = last_stage(params, visual_terms(params, global_terms(params, fG), fL),
                               prompt_terms(params, fP))
             got = pooled_cosine(last.map, last.values, last.residual, target).data
             assert got.shape == want.shape == lead[:1]
             worst = max(worst, np.abs(got - want).max())
         assert worst <= 1e-12
+
+
+def full_stream_values(variant, g, t, l, d_k):
+    """Values the ledger charges for one full fused stream (2-D streams, forward)."""
+    rng = np.random.default_rng(0)
+    with fresh_context() as ctx:
+        params = FusionParams(variant, d_k, rng, requires_grad=False)
+        streams = [Tensor(s) for s in random_streams(rng, g, t, l, d_k)]
+        ctx.ledger.reset()
+        full_stream(params, *streams)
+        return ctx.ledger.peak_values
 
 
 class TestProfile:
@@ -290,6 +353,16 @@ class TestProfile:
         assert mex["param_count"] < cascade["param_count"]
         assert mex["peak_values"] < cascade["peak_values"]
 
+    def test_paper_dims_counts(self):
+        # op by op, one frame and one prompt; the head charges its pooled
+        # row, the row mean of its map, the max and the cosine: 2d + l + 1
+        g, t, l, d = 16, 16, 20, 256
+        head = 2 * d + l + 1
+        mex = (g + t + l) * d + g * t + t + d + t * l + l + head
+        cascade = 2 * g * d + t * d + t * g + 3 * t * d + 2 * l * d + t * l + head
+        assert profile("mex", g, t, l, d)["peak_values"] == mex == 14_713
+        assert profile("cascade", g, t, l, d)["peak_values"] == cascade == 35_925
+
     @pytest.mark.parametrize("variant", ["mex", "cascade"])
     def test_flops_scale_quadratically(self, variant):
         lo = profile(variant, 16, 16, 20, 128)
@@ -297,13 +370,27 @@ class TestProfile:
         assert 3.5 <= hi["flops"] / lo["flops"] <= 4.5
 
     def test_memory_ordering_across_configs(self):
+        # the full fused stream, as tests/conftest.py composes it
         for d_k in (16, 32, 64):
             for g, t, l in ((2, 2, 2), (4, 3, 5), (16, 16, 20), (1, 2, 3)):
                 if t * l <= 1:
                     continue
-                mex = profile("mex", g, t, l, d_k)
-                cascade = profile("cascade", g, t, l, d_k)
-                assert mex["peak_values"] < cascade["peak_values"], (g, t, l, d_k)
+                mex = full_stream_values("mex", g, t, l, d_k)
+                cascade = full_stream_values("cascade", g, t, l, d_k)
+                assert mex < cascade, (g, t, l, d_k)
+
+    def test_pooled_memory_ordering_across_configs(self):
+        # the pooled pass that score and train run, over frames w and prompts P
+        for d_k in (16, 32, 64, 256):
+            for g, t, l in ((2, 2, 2), (4, 3, 5), (16, 16, 20), (1, 2, 3)):
+                for w in (1, 8):
+                    for n_prompts in (1, 8):
+                        for bwd in (False, True):
+                            kw = dict(windows=w, prompts=n_prompts, with_backward=bwd)
+                            mex = profile("mex", g, t, l, d_k, **kw)
+                            cascade = profile("cascade", g, t, l, d_k, **kw)
+                            assert mex["peak_values"] < cascade["peak_values"], \
+                                (g, t, l, d_k, w, n_prompts, bwd)
 
     def test_deterministic(self):
         assert profile("mex", 3, 4, 5, 16) == profile("mex", 3, 4, 5, 16)

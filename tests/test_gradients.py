@@ -1,29 +1,26 @@
-"""Central finite-difference checks for every differentiable op and the
-full fusion + pooling + cosine loss."""
+"""Central finite-difference checks for every differentiable op, the ops the
+test references build, and the fusion + pooled cosine + training loss chain."""
 
 import numpy as np
 import pytest
 
 from mexfuse import gradcheck
 from mexfuse.features import ProjectionMLP
-from mexfuse.fusion import st_pool
 from mexfuse.pipeline import _loss_sum
 from mexfuse.tensor import (
     Linear,
     Tensor,
     add,
     attention_map,
-    cosine_similarity,
     fresh_context,
     matmul,
-    max_axis,
     mean_axis,
     pooled_cosine,
     sum_all,
     take,
 )
 
-from conftest import mul, stack
+from conftest import cosine, max_axis, mul, st_pool, stack
 
 STEP = 1e-5
 TOL = 1e-4
@@ -133,7 +130,7 @@ def test_pooled_cosine_tied_frames(rng):
     p.grad = v.grad = r.grad = b.grad = None
     with fresh_context():
         pooled = mean_axis(add(matmul(p, v), r), axis=-2)
-        cosine_similarity(max_axis(pooled, axis=-2), b).backward()
+        cosine(max_axis(pooled, axis=-2), b).backward()
         composed = [t.grad for t in (p, v, r, b)]
     for got, want in zip(fused, composed):
         assert np.abs(got - want).max() <= 1e-12
@@ -197,17 +194,25 @@ def test_take_repeated_indices(rng):
     check(lambda: sum_all(mul(take(x, idx), Tensor(w))), x)
 
 
+# the map of one frame with one row: pooled_cosine(ONE, a, None, b) is cos(a, b)
+ONE = Tensor(np.ones((1, 1, 1)))
+
+
 def test_cosine(rng):
-    a = Tensor(rng.standard_normal(6), requires_grad=True)
+    a = Tensor(rng.standard_normal((1, 1, 6)), requires_grad=True)
     b = Tensor(rng.standard_normal(6), requires_grad=True)
-    check(lambda: cosine_similarity(a, b), a, b)
+    check(lambda: pooled_cosine(ONE, a, None, b), a, b)
+    a1, b1 = (Tensor(x, requires_grad=True) for x in (a.data[0, 0], b.data))
+    check(lambda: cosine(a1, b1), a1, b1)  # the reference op
 
 
 def test_cosine_row_batched(rng):
-    a = Tensor(rng.standard_normal((2, 3, 6)), requires_grad=True)
+    a = Tensor(rng.standard_normal((2, 3, 1, 1, 6)), requires_grad=True)
     b = Tensor(rng.standard_normal((2, 3, 6)), requires_grad=True)
     w = rng.standard_normal((2, 3))
-    check(lambda: sum_all(mul(cosine_similarity(a, b), Tensor(w))), a, b)
+    check(lambda: sum_all(mul(pooled_cosine(ONE, a, None, b), Tensor(w))), a, b)
+    a2, b2 = (Tensor(x, requires_grad=True) for x in (a.data[:, :, 0, 0], b.data))
+    check(lambda: sum_all(mul(cosine(a2, b2), Tensor(w))), a2, b2)  # the reference op
 
 
 @pytest.mark.parametrize("variant", ["mex", "cascade", "plain"])

@@ -14,7 +14,6 @@ from mexfuse.features import (
     EmbedderConfig,
     embed_synthetic,
 )
-from mexfuse.fusion import fuse, score, st_pool
 from mexfuse.pipeline import (
     DatasetConfig,
     LookupError_,
@@ -43,10 +42,9 @@ from mexfuse.tensor import (
     mean_axis,
     no_grad,
     scale,
-    sub,
 )
 
-from conftest import relu, stack
+from conftest import cosine, full_stream, relu, st_pool, stack, sub
 
 
 SMALL = DatasetConfig(seed=3, n_concepts=2, n_tracks=4, n_prompts=2,
@@ -73,12 +71,12 @@ def full_stream_score(model, track_entity, frame_indices, prompt_entity):
     as 2-D streams, the full fused stream stacked, ST-pooled and compared."""
     fP = stream(model, prompt_entity, PROMPT, model.mlp_prompt)
     per_frame = [
-        fuse(model.fusion_params,
-             stream(model, frame_entity(i), GLOBAL_FRAME, model.mlp_global),
-             stream(model, local_entity(track_entity, i), LOCAL_TRACK, model.mlp_local),
-             fP).fused
+        full_stream(model.fusion_params,
+                    stream(model, frame_entity(i), GLOBAL_FRAME, model.mlp_global),
+                    stream(model, local_entity(track_entity, i), LOCAL_TRACK, model.mlp_local),
+                    fP)[0]
         for i in frame_indices]
-    return score(st_pool(stack(per_frame)), mean_axis(fP, axis=0))
+    return cosine(st_pool(stack(per_frame)), mean_axis(fP, axis=0))
 
 
 def per_pair_reference(trajectories, tasks, model, window, threshold):

@@ -5,8 +5,8 @@ import threading
 import numpy as np
 import pytest
 
-from mexfuse.fusion import FusionParams, fuse
-from mexfuse.pipeline import generate_synthetic_dataset, train
+from mexfuse.fusion import FusionParams, global_terms, pooled_score, prompt_terms, visual_terms
+from mexfuse.pipeline import _loss_sum, generate_synthetic_dataset, train
 from mexfuse.tensor import (
     ContractError,
     DegenerateInputError,
@@ -16,18 +16,16 @@ from mexfuse.tensor import (
     Tensor,
     add,
     attention_map,
-    cosine_similarity,
     current_context,
     fresh_context,
     matmul,
-    max_axis,
     mean_axis,
     pooled_cosine,
     sum_all,
     take,
 )
 
-from conftest import mul
+from conftest import max_axis, mul
 from test_pipeline import SMALL, momentum_loop, small_model
 
 
@@ -174,52 +172,61 @@ class TestLinear:
         assert snap3 == snap2
 
 
+def cos(a, b):
+    """cos(a, b) of [..., d] rows through the scoring head: one frame, one map row."""
+    a = np.asarray(a, dtype=float)
+    return pooled_cosine(Tensor(np.ones((1, 1, 1))), Tensor(a[..., None, None, :]), None,
+                         Tensor(b))
+
+
 class TestCosine:
+    """The cosine of ``pooled_cosine``, on one frame whose one row is ``a``."""
+
     def test_self_similarity(self):
-        assert cosine_similarity(Tensor([1.0, 2, 3]), Tensor([1.0, 2, 3])).item() == 1.0
+        assert cos([1.0, 2, 3], [1.0, 2, 3]).item() == 1.0
 
     def test_orthogonal(self):
-        assert cosine_similarity(Tensor([1.0, 0]), Tensor([0.0, 1])).item() == 0.0
-        assert cosine_similarity(Tensor([1.0, 1]), Tensor([1.0, -1])).item() == 0.0
+        assert cos([1.0, 0], [0.0, 1]).item() == 0.0
+        assert cos([1.0, 1], [1.0, -1]).item() == 0.0
 
     def test_zero_norm_rejected(self):
-        with pytest.raises(DegenerateInputError):
-            cosine_similarity(Tensor([0.0, 0.0]), Tensor([1.0, 1.0]))
+        with pytest.raises(DegenerateInputError, match="zero-norm"):
+            cos([0.0, 0.0], [1.0, 1.0])
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_non_finite_rejected(self, bad):
         # clamping a NaN cosine would score the pair as a confident non-match
         with pytest.raises(DegenerateInputError, match="non-finite"):
-            cosine_similarity(Tensor([bad, 1.0]), Tensor([1.0, 1.0]))
+            cos([bad, 1.0], [1.0, 1.0])
 
     def test_clamped_to_unit_interval(self):
-        v = Tensor([1e-8, 1e8])
-        assert abs(cosine_similarity(v, v).item()) <= 1.0
+        v = [1e-8, 1e8]
+        assert abs(cos(v, v).item()) <= 1.0
 
     def test_row_batched_matches_per_row(self):
         rng = np.random.default_rng(6)
         a, b = rng.standard_normal((2, 3, 5)), rng.standard_normal((2, 3, 5))
-        out = cosine_similarity(Tensor(a), Tensor(b)).data
+        out = cos(a, b).data
         assert out.shape == (2, 3)
         for i in range(2):
             for j in range(3):
-                assert out[i, j] == cosine_similarity(Tensor(a[i, j]), Tensor(b[i, j])).item()
+                assert out[i, j] == cos(a[i, j], b[i, j]).item()
 
     def test_inf_row_rejected(self):
         a = np.ones((3, 4))
         a[1, 2] = np.inf
         with pytest.raises(DegenerateInputError, match="non-finite"):
-            cosine_similarity(Tensor(a), Tensor(np.ones((3, 4))))
+            cos(a, np.ones((3, 4)))
 
     def test_zero_row_rejected(self):
         b = np.ones((3, 4))
         b[2] = 0.0
         with pytest.raises(DegenerateInputError, match="zero-norm"):
-            cosine_similarity(Tensor(np.ones((3, 4))), Tensor(b))
+            cos(np.ones((3, 4)), b)
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
-            cosine_similarity(Tensor(np.ones((2, 4))), Tensor(np.ones(4)))
+            cos(np.ones((2, 4)), np.ones(4))
 
 
 class TestTake:
@@ -234,6 +241,8 @@ class TestTake:
 
 
 class TestPooling:
+    """``mean_axis``, and the ``max_axis`` of the test references."""
+
     def test_avg_rows(self):
         out = mean_axis(Tensor([[1.0, 3], [3, 5]]), axis=0)
         assert np.array_equal(out.data, [2.0, 4.0])
@@ -250,6 +259,13 @@ class TestPooling:
     def test_empty_axis_rejected(self):
         with pytest.raises(DegenerateInputError):
             mean_axis(Tensor(np.zeros((0, 3))), axis=0)
+
+    def test_keepdims(self):
+        x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        out = mean_axis(x, axis=-2, keepdims=True)
+        assert np.array_equal(out.data, [[1.5, 2.5, 3.5]])
+        sum_all(out).backward()
+        assert np.array_equal(x.grad, np.full((2, 3), 0.5))
 
 
 class TestAdd:
@@ -460,20 +476,29 @@ class TestGraphRelease:
                 gc.enable()
 
     def test_graphs_leave_nothing_to_the_cyclic_collector(self):
+        # the pooled graph training builds after the MLPs: two windows of
+        # two frames, each against its own prompt, and the loss
         rng = np.random.default_rng(0)
         params = FusionParams("mex", 8, rng)
-        streams = [Tensor(rng.standard_normal((2, n, 8))) for n in (3, 4, 5)]
+        fG, fL = (Tensor(rng.standard_normal((2, 2, n, 8))) for n in (3, 4))
+        fP = Tensor(rng.standard_normal((2, 1, 5, 8)))
+        target = Tensor(rng.standard_normal((2, 8)))
+
+        def loss():
+            visual = visual_terms(params, global_terms(params, fG), fL)
+            scores = pooled_score(params, visual, prompt_terms(params, fP), target)
+            return _loss_sum(scores, [True, False], -1.0)
 
         def forward():
             with fresh_context():
-                fuse(params, *streams)
+                loss()
 
         def backward():
             with fresh_context():
-                out = fuse(params, *streams)
-                sum_all(out.fused).backward()
+                out = loss()
+                out.backward()
             # backward released the interior node; the leaves keep their gradients
-            assert out.fused._backward is None and out.fused.grad is None
+            assert out._backward is None and out.grad is None
             assert all(p.grad is not None for p in params.parameters())
 
         data = generate_synthetic_dataset(SMALL)
