@@ -77,15 +77,19 @@ def _stats_from(cfg):
         raise click.UsageError("calibration.enabled requires calibration.manifest")
     if not os.path.exists(cal["manifest"]):
         raise click.UsageError(f"calibration manifest not found: {cal['manifest']}")
-    return _with_constants(calibration.load_manifest(cal["manifest"]),
-                           cal["tau"], cal["a"], cal["b"])
+    return _load_stats(cfg, cal["manifest"])
 
 
-def _with_constants(stats, tau, a, b):
-    """``stats`` with each of ``tau``, ``a`` and ``b`` that is set replacing the manifest's."""
-    for name, value in (("tau", tau), ("a", a), ("b", b)):
-        if value is not None:
-            setattr(stats, name, value)
+def _load_stats(cfg, manifest_path):
+    """The calibration manifest at ``manifest_path``.
+
+    Each of the config's ``calibration.tau``, ``a`` and ``b`` that is set
+    replaces the manifest's value; ``score`` and ``calibrate`` both load here.
+    """
+    stats = calibration.load_manifest(manifest_path)
+    for name in ("tau", "a", "b"):
+        if cfg["calibration"][name] is not None:
+            setattr(stats, name, cfg["calibration"][name])
     return stats
 
 
@@ -219,18 +223,15 @@ def score(ctx, dataset_dir, model_dir):
 @main.command()
 @click.option("--scores", "scores_path", type=click.Path(), required=True)
 @click.option("--manifest", "manifest_path", type=click.Path(), required=True)
-@click.option("--tau", type=float, default=None)
-@click.option("--cal-a", type=float, default=None)
-@click.option("--cal-b", type=float, default=None)
 @click.pass_context
-def calibrate(ctx, scores_path, manifest_path, tau, cal_a, cal_b):
-    """Re-refine an existing scores file with a calibration manifest."""
+def calibrate(ctx, scores_path, manifest_path):
+    """Re-refine a scores file with a calibration manifest (and the config's tau, a, b)."""
     cfg = _load_config(ctx.obj)
     for path, what in ((scores_path, "scores file"), (manifest_path, "calibration manifest")):
         if not os.path.exists(path):
             raise click.UsageError(f"{what} not found: {path}")
     with _input_errors():
-        stats = _with_constants(calibration.load_manifest(manifest_path), tau, cal_a, cal_b)
+        stats = _load_stats(cfg, manifest_path)
         scored = pipeline.read_scores(scores_path)
         refined = pipeline.refine_threshold_sort(
             [(c.track_id, c.prompt_id, c.raw_score) for c in scored],

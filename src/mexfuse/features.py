@@ -138,18 +138,6 @@ class ProjectionMLP:
         self.first = first
         self.second = second
 
-    @classmethod
-    def init(cls, d_raw, d_k, rng, hidden=None, requires_grad=True):
-        hidden = hidden or d_k
-        return cls(Linear.init(d_raw, hidden, rng, requires_grad=requires_grad),
-                   Linear.init(hidden, d_k, rng, requires_grad=requires_grad))
-
-    def param_count(self):
-        return self.first.param_count() + self.second.param_count()
-
-    def parameters(self):
-        return self.first.parameters() + self.second.parameters()
-
     def __call__(self, x):
         """second(gelu(first(x))) over x[..., d_raw], as one graph node.
 

@@ -48,25 +48,19 @@ class FusionParams:
     census up to the cascade block's.
     """
 
-    def __init__(self, variant, d_k, rng, residual_add=False, per_pair=False,
-                 requires_grad=True):
-        self._setup(variant, d_k, residual_add, per_pair, {
-            name: Linear.init(d_k, d_k, rng, requires_grad=requires_grad)
-            for name in linear_names(variant, per_pair)})
-
-    @classmethod
-    def from_linears(cls, variant, d_k, linears, residual_add=False, per_pair=False):
-        """Params made of given ``Linear``s, keyed as ``linear_names`` lists them."""
-        self = cls.__new__(cls)
-        self._setup(variant, d_k, residual_add, per_pair, dict(linears))
-        return self
-
-    def _setup(self, variant, d_k, residual_add, per_pair, linears):
+    def __init__(self, variant, d_k, linears, residual_add=False, per_pair=False):
         self.variant = variant
         self.d_k = d_k
         self.residual_add = residual_add
         self.per_pair = per_pair
-        self.linears = linears
+        self.linears = linears  # keyed as ``linear_names`` lists them
+
+    @classmethod
+    def init(cls, variant, d_k, rng, residual_add=False, per_pair=False, requires_grad=True):
+        """Params of fresh ``Linear.init`` projections, drawn in ``linear_names`` order."""
+        return cls(variant, d_k, {name: Linear.init(d_k, d_k, rng, requires_grad=requires_grad)
+                                  for name in linear_names(variant, per_pair)},
+                   residual_add=residual_add, per_pair=per_pair)
 
     def param_count(self):
         return sum(l.param_count() for l in self.linears.values())
@@ -274,8 +268,8 @@ def profile(variant, g, t, l, d_k, seed=0, with_backward=False,
     """
     rng = np.random.default_rng(seed)
     with fresh_context() as ctx:
-        params = FusionParams(variant, d_k, rng, residual_add=residual_add,
-                              per_pair=per_pair, requires_grad=with_backward)
+        params = FusionParams.init(variant, d_k, rng, residual_add=residual_add,
+                                   per_pair=per_pair, requires_grad=with_backward)
         fGlobal = Tensor(rng.standard_normal((windows, g, d_k)))
         fLocal = Tensor(rng.standard_normal((windows, t, d_k)))
         prompt = rng.standard_normal((prompts, 1, l, d_k))  # broadcast over the frames

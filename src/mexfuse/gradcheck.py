@@ -31,8 +31,8 @@ def max_relative_error(variant, g=2, t=3, l=4, d_k=8, n_frames=2, seed=0,
                        step=1e-5, residual_add=False, per_pair=False):
     """Analytic vs central-difference gradients over every fusion parameter."""
     rng = np.random.default_rng(seed)
-    params = FusionParams(variant, d_k, rng, residual_add=residual_add,
-                          per_pair=per_pair)
+    params = FusionParams.init(variant, d_k, rng, residual_add=residual_add,
+                               per_pair=per_pair)
     n = len(_MATCH)
     streams = (rng.standard_normal((n, n_frames, g, d_k)),
                rng.standard_normal((n, n_frames, t, d_k)),

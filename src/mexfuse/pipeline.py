@@ -96,35 +96,35 @@ class TrainSample:
 
 
 class ReferringModel:
-    """Frozen synthetic embedders + trainable projection MLPs + fusion block."""
+    """Frozen synthetic embedders + trainable projection MLPs + fusion block.
 
-    def __init__(self, embedder: EmbedderConfig, fusion_params: FusionParams,
-                 mlp_global: ProjectionMLP, mlp_local: ProjectionMLP,
-                 mlp_prompt: ProjectionMLP, concept_of=None):
+    Every trainable ``Linear`` is in one table, ``linears``, keyed by the
+    names ``_linear_shapes`` gives; the fusion block and the MLPs use them.
+    """
+
+    def __init__(self, embedder: EmbedderConfig, linears, variant="mex", residual_add=False,
+                 per_pair=False, concept_of=None):
         self.embedder = embedder
-        self.fusion_params = fusion_params
-        self.mlp_global = mlp_global
-        self.mlp_local = mlp_local
-        self.mlp_prompt = mlp_prompt
+        self.linears = linears
+        self.fusion_params = FusionParams(
+            variant, embedder.fused_dim,
+            {n: linears[f"fusion.{n}"] for n in fusion.linear_names(variant, per_pair)},
+            residual_add=residual_add, per_pair=per_pair)
+        self.mlp_global, self.mlp_local, self.mlp_prompt = (
+            ProjectionMLP(linears[f"{m}.first"], linears[f"{m}.second"]) for m in _MLPS)
         self.concept_of = dict(concept_of or {})
 
     @classmethod
     def build(cls, embedder: EmbedderConfig, variant="mex", residual_add=False,
               per_pair=False, mlp_hidden=None, seed=0, concept_of=None):
         rng = np.random.default_rng(seed)
-        d_k = embedder.fused_dim
-        fp = FusionParams(variant, d_k, rng, residual_add=residual_add, per_pair=per_pair)
-        mk = lambda d_raw: ProjectionMLP.init(d_raw, d_k, rng, hidden=mlp_hidden)
-        return cls(embedder, fp, mk(embedder.raw_visual_dim), mk(embedder.raw_visual_dim),
-                   mk(embedder.raw_text_dim), concept_of=concept_of)
+        linears = {name: Linear.init(d_in, d_out, rng) for name, (d_in, d_out)
+                   in _linear_shapes(embedder, variant, per_pair, mlp_hidden).items()}
+        return cls(embedder, linears, variant, residual_add=residual_add, per_pair=per_pair,
+                   concept_of=concept_of)
 
     def parameters(self):
-        return (self.fusion_params.parameters() + self.mlp_global.parameters()
-                + self.mlp_local.parameters() + self.mlp_prompt.parameters())
-
-    def param_count(self):
-        return (self.fusion_params.param_count() + self.mlp_global.param_count()
-                + self.mlp_local.param_count() + self.mlp_prompt.param_count())
+        return [t for name in sorted(self.linears) for t in self.linears[name].parameters()]
 
     def _raw_shape(self, modality):
         """(s, d_raw) of one entity's raw tokens: at most ``truncate_to`` tokens."""
@@ -148,22 +148,28 @@ class ReferringModel:
             raise ValueError(f"non-finite {modality} embedding values")
         return out
 
-    def _project(self, entities, modality, mlp):
-        """[n, s, d_k] streams of a list of entity ids: one MLP call."""
-        return mlp(Tensor(self._raw_tokens(entities, modality)))
+    def global_terms(self, tokens):
+        """Fusion terms of global frames, from raw tokens [..., w, s, d_raw] in one MLP call."""
+        return fusion.global_terms(self.fusion_params, self.mlp_global(Tensor(tokens)))
 
-    def _prompts(self, fP):
-        """Fusion terms and token means of projected prompts [U, l, d_k]."""
+    def prompt_terms(self, tokens):
+        """(fusion terms, token means) of prompts, from raw tokens [U, s, d_raw] in one MLP call."""
+        fP = self.mlp_prompt(Tensor(tokens))
         return fusion.prompt_terms(self.fusion_params, fP), tensor.mean_axis(fP, axis=-2)
 
-    def _scores(self, visual, prompts, idx):
-        """Raw scores against the prompts at rows ``idx`` of ``prompts``, [len(idx)].
+    def forward_window(self, glob, local_tokens, prompts, idx):
+        """Raw scores of track windows against the prompts at rows ``idx``, [len(idx)].
 
-        Each term of those prompts is taken as [len(idx), 1, l, d_k], which
-        broadcasts over the frames: against the [len(idx), w, ...] visual
-        terms of a batch of windows, window i meets prompt idx[i]; against
-        the [w, ...] terms of one window, the window meets every prompt.
+        ``glob`` is the windows' ``global_terms``, ``local_tokens`` their raw
+        local tokens and ``prompts`` a ``prompt_terms``. The local tokens go
+        through the local MLP as one batch, and the per-prompt part runs for
+        all the prompts at once, pooled over tokens before the last product.
+        Each prompt term is taken as [len(idx), 1, l, d_k]: one window
+        ([w, s, d_raw] tokens) meets every prompt; in a batch of windows
+        ([len(idx), w, s, d_raw]) window i meets prompt idx[i].
         """
+        params = self.fusion_params
+        visual = fusion.visual_terms(params, glob, self.mlp_local(Tensor(local_tokens)))
         terms, pooled = prompts
         # a tensor that serves as two terms (shared mex: k_tp is v_p) is taken once
         taken = {}
@@ -171,29 +177,7 @@ class ReferringModel:
             if id(v) not in taken:
                 taken[id(v)] = reshape(take(v, idx), (len(idx), 1) + v.shape[1:])
         txt = {k: taken[id(v)] for k, v in terms.items()}
-        return fusion.pooled_score(self.fusion_params, visual, txt, take(pooled, idx))
-
-    def global_terms(self, frame_entities):
-        """Fusion terms of one window of global frames, projected as one [w, s, d_raw] batch."""
-        fG = self._project(frame_entities, features.GLOBAL_FRAME, self.mlp_global)
-        return fusion.global_terms(self.fusion_params, fG)
-
-    def prompt_terms(self, prompt_entities):
-        """(fusion terms, token means) of a list of prompts, projected in one call."""
-        return self._prompts(self._project(prompt_entities, features.PROMPT, self.mlp_prompt))
-
-    def forward_window(self, glob, local_tokens, prompts, idx):
-        """Raw scores of one track window against the prompts at rows ``idx``, [len(idx)].
-
-        ``glob`` is the window's ``global_terms``, ``local_tokens`` its raw
-        local tokens [w, s, d_raw] (``_raw_tokens``) and ``prompts`` the
-        pass's ``prompt_terms``. The local tokens go through the local MLP
-        as one batch and the window's prompt-independent fusion terms are
-        computed once; the per-prompt part runs for all its prompts at
-        once, pooled over tokens before the last product.
-        """
-        fL = self.mlp_local(Tensor(local_tokens))
-        return self._scores(fusion.visual_terms(self.fusion_params, glob, fL), prompts, idx)
+        return fusion.pooled_score(params, visual, txt, take(pooled, idx))
 
     def forward_batch(self, tables, windows):
         """Raw scores of a minibatch of windows, as one graph.
@@ -201,31 +185,26 @@ class ReferringModel:
         ``tables`` maps each modality to the raw tokens of the training
         entities, one [n, s, d_raw] row per entity; ``windows`` is a list of
         (global frame rows [w], local track rows [w], prompt row) into them.
-        The batch's distinct prompts are projected in one call and their
-        fusion terms computed once; each window takes its prompt's terms by
-        index. Windows of one length are gathered as [n, w, s, d_raw] with
-        one index per modality and go through each projection MLP and the
-        fusion block as one batch.
+        The batch's distinct prompts go through ``prompt_terms`` once, and
+        the windows of one length go through ``global_terms`` and
+        ``forward_window`` as one [n, w, s, d_raw] batch, each window taking
+        its prompt's terms by index.
 
         Returns one (positions, scores) pair per window length: ``scores`` is
         the [n] tensor of the windows at ``positions`` in ``windows``.
         """
-        params = self.fusion_params
         slots = {pr: i for i, pr in enumerate(dict.fromkeys(pr for _, _, pr in windows))}
-        prompts = self._prompts(self.mlp_prompt(Tensor(tables[features.PROMPT][list(slots)])))
+        prompts = self.prompt_terms(tables[features.PROMPT][list(slots)])
         by_length = {}
         for pos, (frames, _, _) in enumerate(windows):
             by_length.setdefault(len(frames), []).append(pos)
         out = []
         for positions in by_length.values():
-            group = [windows[i] for i in positions]
-            fG = self.mlp_global(Tensor(tables[features.GLOBAL_FRAME][
-                np.array([f for f, _, _ in group])]))
-            fL = self.mlp_local(Tensor(tables[features.LOCAL_TRACK][
-                np.array([l for _, l, _ in group])]))
-            visual = fusion.visual_terms(params, fusion.global_terms(params, fG), fL)
-            out.append((positions, self._scores(visual, prompts,
-                                                [slots[pr] for _, _, pr in group])))
+            frames, local, prs = zip(*(windows[i] for i in positions))
+            glob = self.global_terms(tables[features.GLOBAL_FRAME][np.array(frames)])
+            out.append((positions, self.forward_window(
+                glob, tables[features.LOCAL_TRACK][np.array(local)], prompts,
+                [slots[pr] for pr in prs])))
         return out
 
     # ---- persistence -------------------------------------------------------
@@ -233,10 +212,10 @@ class ReferringModel:
     def save(self, out_dir):
         os.makedirs(out_dir, exist_ok=True)
         names = []
-        for name, t in self._named_parameters():
-            fn = name + ".mext"
-            tensor_io.write_tensor(os.path.join(out_dir, fn), t.data)
-            names.append(name)
+        for name in sorted(self.linears):
+            for part, t in zip(("w", "bias"), self.linears[name].parameters()):
+                tensor_io.write_tensor(os.path.join(out_dir, f"{name}.{part}.mext"), t.data)
+                names.append(f"{name}.{part}")
         manifest = {
             "embedder": asdict(self.embedder),
             "fusion": {
@@ -256,7 +235,9 @@ class ReferringModel:
         """The model saved in ``in_dir``; its ``Linear``s are built from the ``.mext`` files.
 
         Raises ModelLoadError, naming the file, for a missing or unreadable
-        file, a missing manifest key, or a parameter whose shape disagrees
+        file, a missing or ill-typed manifest key, a fusion ``d_k`` other
+        than the embedder's ``fused_dim``, a ``concept_of`` that maps an
+        entity to an unknown concept, or a parameter whose shape disagrees
         with the manifest.
         """
         manifest_path = os.path.join(in_dir, "params.json")
@@ -266,42 +247,46 @@ class ReferringModel:
             emb = EmbedderConfig(**{**manifest["embedder"],
                                     "concepts": tuple(manifest["embedder"]["concepts"])})
             f = manifest["fusion"]
-            variant, d_k, per_pair = f["variant"], f["d_k"], f["per_pair"]
-            residual_add, hidden = f["residual_add"], manifest["mlp_hidden"]
+            if f["d_k"] != emb.fused_dim:
+                raise ValueError(f"fusion d_k {f['d_k']!r} is not the embedder's fused_dim "
+                                 f"{emb.fused_dim}")
+            shapes = _linear_shapes(emb, f["variant"], f["per_pair"], manifest["mlp_hidden"])
             concept_of = manifest["concept_of"]
-            names = fusion.linear_names(variant, per_pair)
+            if not (isinstance(concept_of, dict)
+                    and all(isinstance(c, str) for c in concept_of.values())):
+                raise TypeError(f"concept_of must be an object of strings, got {concept_of!r}")
+            unknown = sorted(set(concept_of.values()) - set(emb.concepts))
+            if unknown:
+                raise ValueError(f"concept_of names concept(s) {unknown} not in the "
+                                 f"embedder's concepts")
         except (OSError, ValueError, KeyError, TypeError) as exc:
             raise ModelLoadError(f"{manifest_path}: {type(exc).__name__}: {exc}") from None
+        linears = {name: Linear(*(Tensor(_read_param(in_dir, f"{name}.{part}", shape),
+                                         requires_grad=True)
+                                  for part, shape in (("w", (d_in, d_out)), ("bias", (d_out,)))))
+                   for name, (d_in, d_out) in shapes.items()}
+        return cls(emb, linears, f["variant"], residual_add=f["residual_add"],
+                   per_pair=f["per_pair"], concept_of=concept_of)
 
-        def linear(name, d_in, d_out):
-            return Linear(*(Tensor(_read_param(in_dir, f"{name}.{part}", shape),
-                                   requires_grad=True)
-                            for part, shape in (("w", (d_in, d_out)), ("bias", (d_out,)))))
 
-        def mlp(name, d_raw):
-            return ProjectionMLP(linear(f"{name}.first", d_raw, hidden),
-                                 linear(f"{name}.second", hidden, d_k))
+_MLPS = ("mlp_global", "mlp_local", "mlp_prompt")
 
-        fp = fusion.FusionParams.from_linears(
-            variant, d_k, {n: linear(f"fusion.{n}", d_k, d_k) for n in names},
-            residual_add=residual_add, per_pair=per_pair)
-        return cls(emb, fp, mlp("mlp_global", emb.raw_visual_dim),
-                   mlp("mlp_local", emb.raw_visual_dim), mlp("mlp_prompt", emb.raw_text_dim),
-                   concept_of=concept_of)
 
-    def _named_parameters(self):
-        out = []
-        for ln in sorted(self.fusion_params.linears):
-            lin = self.fusion_params.linears[ln]
-            out.append((f"fusion.{ln}.w", lin.w))
-            out.append((f"fusion.{ln}.bias", lin.bias))
-        for mname, mlp in (("mlp_global", self.mlp_global), ("mlp_local", self.mlp_local),
-                           ("mlp_prompt", self.mlp_prompt)):
-            for part in ("first", "second"):
-                lin = getattr(mlp, part)
-                out.append((f"{mname}.{part}.w", lin.w))
-                out.append((f"{mname}.{part}.bias", lin.bias))
-        return out
+def _linear_shapes(embedder: EmbedderConfig, variant, per_pair, mlp_hidden):
+    """Each ``Linear``'s name and (d_in, d_out), in initialisation order.
+
+    ``fusion.<name>`` (d_k x d_k) in ``fusion.linear_names`` order, then the
+    global, local and prompt MLPs' ``<mlp>.first`` (d_raw -> hidden) and
+    ``<mlp>.second`` (hidden -> d_k); ``mlp_hidden`` defaults to d_k.
+    """
+    d_k = embedder.fused_dim
+    hidden = mlp_hidden or d_k
+    shapes = {f"fusion.{n}": (d_k, d_k) for n in fusion.linear_names(variant, per_pair)}
+    for mlp, d_raw in zip(_MLPS, (embedder.raw_visual_dim, embedder.raw_visual_dim,
+                                  embedder.raw_text_dim)):
+        shapes[f"{mlp}.first"] = (d_raw, hidden)
+        shapes[f"{mlp}.second"] = (hidden, d_k)
+    return shapes
 
 
 def _read_param(in_dir, name, shape):
@@ -384,7 +369,7 @@ def score_all(trajectories, tasks, model: ReferringModel, window, stats=None,
     raw = []
     with no_grad():
         slots = {e: i for i, e in enumerate(dict.fromkeys(t.entity_id for t in tasks))}
-        prompts = model.prompt_terms(list(slots))
+        prompts = model.prompt_terms(model._raw_tokens(list(slots), features.PROMPT))
         # made after the prompt projection has freed its arrays: made before
         # it, they raise a paper-dims score's peak RSS by about 1 MB more
         rows = max((len(idx) for _, _, idx in windows), default=0)
@@ -401,7 +386,8 @@ def score_all(trajectories, tasks, model: ReferringModel, window, stats=None,
                     raise exc
                 frames = tuple(frame_entity(i) for i in idx)
                 if frames not in glob:
-                    glob[frames] = model.global_terms(frames)
+                    glob[frames] = model.global_terms(
+                        model._raw_tokens(frames, features.GLOBAL_FRAME))
                 # window k-1's buffer is free again: the worker draws window k+1
                 # into it, after a global projection so that the two do not add up
                 # at the pass's peak memory
@@ -686,8 +672,9 @@ def load_dataset(in_dir):
     missing key, a trajectory row with a box extent <= 0 or a frame its
     track already has, a task row whose candidates are not a list of ints,
     a label row whose track_id is not an int or whose match is not a bool,
-    or a window row whose frames are not a non-empty list of that track's
-    frames or whose match is not a bool.
+    a window row whose frames are not a non-empty list of that track's
+    frames or whose match is not a bool, or a concepts row whose concept is
+    not in meta.json's list of concept names.
     """
     by_track = {}
 
@@ -745,7 +732,6 @@ def load_dataset(in_dir):
                for r in _read_jsonl(os.path.join(in_dir, "windows.jsonl"),
                                     ("track_id", "prompt_id", "frames", "match"),
                                     check=check_window)]
-    manifest = _read_jsonl(os.path.join(in_dir, "concepts.jsonl"), ("entity_id", "concept"))
     meta_path = os.path.join(in_dir, "meta.json")
     try:
         with open(meta_path) as fh:
@@ -754,6 +740,16 @@ def load_dataset(in_dir):
         raise DataFileError(f"{meta_path}: cannot read ({exc})") from None
     if not isinstance(meta, dict) or "concepts" not in meta:
         raise DataFileError(f"{meta_path}: missing key 'concepts'")
+    concepts = meta["concepts"]
+    if not isinstance(concepts, list) or any(type(c) is not str for c in concepts):
+        raise DataFileError(f"{meta_path}: 'concepts' must be a list of strings, got {concepts!r}")
+
+    def check_concept(r):
+        if r["concept"] not in concepts:
+            raise ValueError(f"concept {r['concept']!r} is not in {meta_path}'s concepts")
+
+    manifest = _read_jsonl(os.path.join(in_dir, "concepts.jsonl"), ("entity_id", "concept"),
+                           check=check_concept)
     return {"trajectories": trajectories, "tasks": tasks, "labels": labels,
             "samples": samples, "manifest": manifest, "meta": meta}
 

@@ -352,8 +352,9 @@ def pooled_cosine(p, v, r, b):
 
     The node keeps the row means of ``p`` and the argmax frames for its
     backward pass, and charges what the pooled product (with those row
-    means), the max and the cosine charge as separate nodes; the
-    multiply-adds are those of ``mean_rows(p) @ v``, forward and backward.
+    means, unless ``p`` has one row), the max and the cosine charge as
+    separate nodes; the multiply-adds are those of ``mean_rows(p) @ v``,
+    forward and backward.
     """
     if p.data.ndim < 2 or v.data.ndim < 2:
         raise DimensionError(
@@ -367,8 +368,9 @@ def pooled_cosine(p, v, r, b):
     # parents in the order of the separate nodes' graph, so that a backward
     # pass adds up shared gradients in the same order
     parents = (p, v, b) if r is None else (p, v, r, b)
-    # np.add.reduce(x) / m is x.mean() without its Python-level wrapper
-    p_mean = (np.add.reduce(p.data, axis=-2) / m)[..., None, :]  # [..., 1, n]
+    # np.add.reduce(x) / m is x.mean() without its Python-level wrapper; a
+    # one-row map is its own row mean and is neither copied nor charged
+    p_mean = p.data if m == 1 else (np.add.reduce(p.data, axis=-2) / m)[..., None, :]
     try:
         prod = kernels.matmul2d(p_mean, v.data)[..., 0, :]
         pooled = prod if r is None else prod + np.add.reduce(r.data, axis=-2) / m
@@ -413,7 +415,8 @@ def pooled_cosine(p, v, r, b):
             r._accumulate(np.broadcast_to(_sum_to(g1, r.data.shape[:-2] + (1, d)) / m,
                                           r.data.shape))
 
-    return node(clamped, parents, bwd, charge=pooled.size + p_mean.size + a.size + c.size)
+    return node(clamped, parents, bwd,
+                charge=pooled.size + (p_mean.size if m > 1 else 0) + a.size + c.size)
 
 
 # ---- reductions ------------------------------------------------------------

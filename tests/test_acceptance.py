@@ -33,7 +33,7 @@ def test_criterion_1_row_stochasticity():
     for _ in range(200):
         g, t, l = rng.integers(1, 9, size=3)
         d_k = int(rng.choice([4, 8, 16]))
-        params = FusionParams("mex", d_k, rng)
+        params = FusionParams.init("mex", d_k, rng)
         streams = [Tensor(s) for s in random_streams(rng, g, t, l, d_k, frames=(2,))]
         # the maps the pooled path builds: the folded pbar and pbar @ p_tp
         visual = visual_terms(params, global_terms(params, streams[0]), streams[1])
@@ -54,10 +54,10 @@ def test_criterion_2_oracle_equivalence():
         d_k = int(rng.choice([4, 8]))
         fG, fL, fP = random_streams(rng, g, t, l, d_k, frames=(2,))
         target = rng.standard_normal(d_k)
-        mex = FusionParams("mex", d_k, rng)
+        mex = FusionParams.init("mex", d_k, rng)
         want = oracle_score(oracle_mex(fG, fL, fP, mex), target)
         assert abs(pooled(mex, fG, fL, fP, target) - want) <= 1e-10
-        cas = FusionParams("cascade", d_k, rng)
+        cas = FusionParams.init("cascade", d_k, rng)
         want = oracle_score(oracle_cascade(fL, fG, fP, cas), target)
         assert abs(pooled(cas, fG, fL, fP, target) - want) <= 1e-10
     _report(2, "mex and cascade pooled scores match straight-from-formula oracles "

@@ -205,6 +205,27 @@ class TestTrainScore:
         assert "'bogus'" in result.output
         assert isinstance(result.exception, SystemExit)
 
+    @pytest.mark.parametrize("concept_of,named", [
+        ([1, 2], "TypeError: concept_of must be an object of strings, got [1, 2]"),
+        ({"prompt-0": "bogus"}, "ValueError: concept_of names concept(s) ['bogus'] not in"),
+    ], ids=["not-an-object", "unknown-concept"])
+    def test_bad_concept_of_exits_2(self, runner, trained, tmp_path, concept_of, named):
+        cfg_path, out = trained
+        model = tmp_path / "model"
+        shutil.copytree(out / "model", model)
+        manifest = json.loads((model / "params.json").read_text())
+        if isinstance(concept_of, dict):
+            concept_of = {**manifest["concept_of"], **concept_of}
+        manifest["concept_of"] = concept_of
+        (model / "params.json").write_text(json.dumps(manifest))
+        result = runner.invoke(main, ["--config", str(cfg_path), "--out", str(tmp_path / "o"),
+                                      "score", "--dataset", str(out / "dataset"),
+                                      "--model", str(model)])
+        assert result.exit_code == 2, result.output
+        assert f"{model / 'params.json'}: {named}" in result.output
+        assert "Traceback" not in result.output
+        assert isinstance(result.exception, SystemExit)
+
     @pytest.mark.parametrize("cmd,fault,named", [
         ("train", "row without frames", "windows.jsonl:2: missing key(s) ['frames']"),
         ("train", "bad JSON line", "windows.jsonl:2: not valid JSON"),
@@ -218,6 +239,7 @@ class TestTrainScore:
         ("score", "label match a string",
          "labels.jsonl:2: match must be true or false, got 'false'"),
         ("score", "label track_id a string", "labels.jsonl:2: track_id must be an int, got '1'"),
+        ("train", "unknown concept", "concepts.jsonl:2: concept 'bogus' is not in"),
     ])
     def test_bad_dataset_exits_2_naming_file_and_line(self, runner, trained, tmp_path,
                                                       cmd, fault, named):
@@ -241,6 +263,10 @@ class TestTrainScore:
         elif fault == "candidates not a list":
             row = json.loads(lines[1])
             row["candidates"] = 3
+            lines[1] = json.dumps(row)
+        elif fault == "unknown concept":
+            row = json.loads(lines[1])
+            row["concept"] = "bogus"
             lines[1] = json.dumps(row)
         elif fault.startswith("label"):
             row = json.loads(lines[1])
@@ -396,8 +422,8 @@ class TestCalibrate:
         assert scored == calibrated
         assert any(r["s_prime"] != r["s"] for r in scored)
 
-    def test_config_constants_override_the_manifest_in_score(self, runner, trained,
-                                                             tmp_path):
+    @pytest.mark.parametrize("cmd", ["score", "calibrate"])
+    def test_config_constants_override_the_manifest(self, runner, trained, tmp_path, cmd):
         cfg_path, out = trained
         manifest = tmp_path / "cal.json"
         manifest.write_text(json.dumps({"train": [{"expr_id": "a", "freq": 0.25}],
@@ -406,11 +432,19 @@ class TestCalibrate:
         cfg.write_text(json.dumps({**SMALL_CFG, "calibration": {
             "enabled": True, "manifest": str(manifest), "a": 2.0}}))
         run = tmp_path / "run"
-        result = invoke(runner, "--config", str(cfg), "--out", str(run), "score",
-                        "--dataset", str(out / "dataset"), "--model", str(out / "model"))
+        args = ["score", "--dataset", str(out / "dataset"), "--model", str(out / "model")]
+        if cmd == "calibrate":
+            # raw scores from an uncalibrated run
+            assert invoke(runner, "--config", str(cfg_path), "--out", str(run), *args
+                          ).exit_code == 0
+            args = ["calibrate", "--scores", str(run / "scores.jsonl"),
+                    "--manifest", str(manifest)]
+        result = invoke(runner, "--config", str(cfg), "--out", str(run), *args)
         assert result.exit_code == 0, result.output
-        for line in (run / "scores.jsonl").read_text().splitlines():
-            row = json.loads(line)
+        name = "scores.jsonl" if cmd == "score" else "scores_calibrated.jsonl"
+        rows = [json.loads(line) for line in (run / name).read_text().splitlines()]
+        assert len(rows) == 8
+        for row in rows:
             assert row["p"] == 0.25
             assert row["s_prime"] == pytest.approx(row["s"] + 2.0 * 0.25 + 0.0, abs=1e-15)
 

@@ -11,7 +11,14 @@ from mexfuse.features import (
     embed_synthetic,
 )
 from mexfuse.pipeline import ReferringModel
-from mexfuse.tensor import DegenerateInputError, DimensionError, Tensor, fresh_context, sum_all
+from mexfuse.tensor import (
+    DegenerateInputError,
+    DimensionError,
+    Linear,
+    Tensor,
+    fresh_context,
+    sum_all,
+)
 
 from conftest import mul
 
@@ -116,30 +123,41 @@ class TestTruncate:
         assert np.array_equal(self._tokens(6), self._tokens(13)[:6])
 
 
+def make_mlp(d_raw, d_k, rng, hidden=None):
+    """A projection MLP of two fresh ``Linear.init``s: d_raw -> hidden -> d_k."""
+    hidden = hidden or d_k
+    return ProjectionMLP(Linear.init(d_raw, hidden, rng), Linear.init(hidden, d_k, rng))
+
+
+def mlp_parameters(mlp):
+    return mlp.first.parameters() + mlp.second.parameters()
+
+
 class TestProject:
     def test_visual_paper_dims(self):
         rng = np.random.default_rng(0)
-        mlp = ProjectionMLP.init(768, 256, rng)
+        mlp = make_mlp(768, 256, rng)
         assert mlp(Tensor(rng.standard_normal((2, 16, 768)))).data.shape == (2, 16, 256)
 
     def test_prompt_paper_dims(self):
         rng = np.random.default_rng(0)
-        mlp = ProjectionMLP.init(1024, 256, rng)
+        mlp = make_mlp(1024, 256, rng)
         assert mlp(Tensor(rng.standard_normal((2, 20, 1024)))).data.shape == (2, 20, 256)
 
     def test_dim_mismatch(self):
         rng = np.random.default_rng(0)
-        mlp = ProjectionMLP.init(768, 256, rng)
+        mlp = make_mlp(768, 256, rng)
         with pytest.raises(DimensionError):
             mlp(Tensor(rng.standard_normal((1, 20, 1024))))
 
     def test_census(self):
-        mlp = ProjectionMLP.init(768, 256, np.random.default_rng(0), hidden=512)
-        assert mlp.param_count() == (768 * 512 + 512) + (512 * 256 + 256)
+        mlp = make_mlp(768, 256, np.random.default_rng(0), hidden=512)
+        census = mlp.first.param_count() + mlp.second.param_count()
+        assert census == (768 * 512 + 512) + (512 * 256 + 256)
 
     def test_gelu_matches_formula(self):
         rng = np.random.default_rng(2)
-        mlp = ProjectionMLP.init(5, 3, rng, hidden=4)
+        mlp = make_mlp(5, 3, rng, hidden=4)
         x = rng.standard_normal((2, 3, 5))
         h = x @ mlp.first.w.data + mlp.first.bias.data
         gelu = 0.5 * h * (1 + np.tanh(np.sqrt(2 / np.pi) * (h + 0.044715 * h ** 3)))
@@ -149,14 +167,14 @@ class TestProject:
     def test_gelu_node_bitwise_textbook(self):
         # forward and backward against the tanh-approximation formulas written out
         rng = np.random.default_rng(4)
-        mlp = ProjectionMLP.init(5, 3, rng, hidden=4)
-        for p in mlp.parameters():
+        mlp = make_mlp(5, 3, rng, hidden=4)
+        for p in mlp_parameters(mlp):
             p.data += rng.standard_normal(p.data.shape)  # non-zero biases
         x = Tensor(rng.standard_normal((2, 3, 5)), requires_grad=True)
         g = rng.standard_normal((2, 3, 3))
         out = mlp(x)
         sum_all(mul(out, Tensor(g))).backward()
-        w1, b1, w2, b2 = (p.data for p in mlp.parameters())
+        w1, b1, w2, b2 = (p.data for p in mlp_parameters(mlp))
         c = np.sqrt(2.0 / np.pi)
         x2 = x.data.reshape(-1, 5)
         h = x2 @ w1 + b1
@@ -168,7 +186,7 @@ class TestProject:
         gh = (g2 @ w2.T) * (0.5 * (1.0 + t) + 0.5 * h * (1.0 - t * t) * d_inner)
         want = [(gh @ w1.T).reshape(x.data.shape), x2.T @ gh, gh.sum(axis=0), a.T @ g2,
                 g2.sum(axis=0)]
-        for got, w in zip([x.grad] + [p.grad for p in mlp.parameters()], want):
+        for got, w in zip([x.grad] + [p.grad for p in mlp_parameters(mlp)], want):
             assert np.array_equal(got, w)
 
     def test_one_node_charges_the_composed_chain(self):
@@ -176,7 +194,7 @@ class TestProject:
         # forward and backward
         rng = np.random.default_rng(3)
         rows, d_raw, hidden, d_k = 2 * 3 * 4, 6, 5, 3
-        mlp = ProjectionMLP.init(d_raw, d_k, rng, hidden=hidden)
+        mlp = make_mlp(d_raw, d_k, rng, hidden=hidden)
         x = Tensor(rng.standard_normal((2, 3, 4, d_raw)))
 
         def run(forward):

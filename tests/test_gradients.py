@@ -149,7 +149,8 @@ def test_projection_mlp(rng):
         Linear(Tensor(rng.standard_normal((5, 3)), requires_grad=True),
                Tensor(rng.standard_normal(3), requires_grad=True)))
     w = rng.standard_normal((2, 3, 2, 3))
-    check(lambda: sum_all(mul(mlp(x), Tensor(w))), x, *mlp.parameters())
+    check(lambda: sum_all(mul(mlp(x), Tensor(w))), x, *mlp.first.parameters(),
+          *mlp.second.parameters())
 
 
 def test_loss_sum(rng):

@@ -14,7 +14,9 @@ from mexfuse.features import (
     EmbedderConfig,
     embed_synthetic,
 )
+from mexfuse.fusion import linear_names
 from mexfuse.pipeline import (
+    DataFileError,
     DatasetConfig,
     LookupError_,
     ModelLoadError,
@@ -36,6 +38,7 @@ from mexfuse.pipeline import (
 )
 from mexfuse.tensor import (
     DegenerateInputError,
+    Linear,
     Tensor,
     add,
     fresh_context,
@@ -162,6 +165,14 @@ class TestDatasetGeneration:
         assert loaded["tasks"] == small_data["tasks"]
         assert loaded["labels"] == small_data["labels"]
         assert loaded["samples"] == small_data["samples"]
+
+    @pytest.mark.parametrize("concepts", ["concept-0", ["concept-0", 1]], ids=["str", "int"])
+    def test_meta_concepts_must_be_a_list_of_strings(self, tmp_path, small_data, concepts):
+        save_dataset(tmp_path / "ds", small_data, SMALL)
+        meta = json.loads((tmp_path / "ds" / "meta.json").read_text())
+        (tmp_path / "ds" / "meta.json").write_text(json.dumps({**meta, "concepts": concepts}))
+        with pytest.raises(DataFileError, match="meta.json: 'concepts' must be a list of strings"):
+            load_dataset(tmp_path / "ds")
 
     def test_match_counts_by_construction(self, small_data):
         # 4 tracks over 2 concepts: every prompt matches exactly 2 tracks
@@ -438,7 +449,8 @@ class TestTraining:
         before = [p.data.copy() for p in model.parameters()]
         train(small_data["samples"], small_data["trajectories"], small_data["tasks"],
               model, epochs=3, batch_size=4, lr=0.05, momentum=0.9)
-        unused = {id(p) for p in model.mlp_global.parameters()}
+        unused = {id(p) for name in ("mlp_global.first", "mlp_global.second")
+                  for p in model.linears[name].parameters()}
         for prev, p in zip(before, model.parameters()):
             assert np.array_equal(prev, p.data) == (id(p) in unused)
 
@@ -471,21 +483,71 @@ class TestTraining:
         assert len(curve) == 3
 
 
+MLPS = ("mlp_global", "mlp_local", "mlp_prompt")
+
+
 class TestPersistence:
-    def test_round_trip(self, small_data, tmp_path):
-        model = small_model(small_data, variant="cascade")
+    @pytest.mark.parametrize("variant,kw", VARIANTS, ids=VARIANT_IDS)
+    def test_round_trip(self, small_data, tmp_path, variant, kw):
+        model = small_model(small_data, variant=variant, **kw)
         model.save(tmp_path / "m")
+        # the fusion projections by sorted name, then each MLP's first and
+        # second layer; each weight before its bias
+        fused = linear_names(variant, kw.get("per_pair", False))
+        names = [f"fusion.{n}.{part}" for n in sorted(fused) for part in ("w", "bias")]
+        names += [f"{m}.{layer}.{part}" for m in MLPS for layer in ("first", "second")
+                  for part in ("w", "bias")]
+        assert json.loads((tmp_path / "m" / "params.json").read_text())["params"] == names
         loaded = ReferringModel.load(tmp_path / "m")
+        for m in (model, loaded):
+            assert [id(p) for p in m.parameters()] == \
+                   [id(getattr(m.linears[n.rsplit(".", 1)[0]], n.rsplit(".", 1)[1]))
+                    for n in names]
         for p, q in zip(model.parameters(), loaded.parameters()):
             assert np.array_equal(p.data, q.data) and q.requires_grad
         kw = dict(window=3)
         assert score_all(small_data["trajectories"], small_data["tasks"], model, **kw) == \
                score_all(small_data["trajectories"], small_data["tasks"], loaded, **kw)
 
+    @pytest.mark.parametrize("variant,kw", VARIANTS, ids=VARIANT_IDS)
+    def test_build_draw_order(self, small_data, variant, kw):
+        model = small_model(small_data, variant=variant, seed=11, **kw)
+        emb, hidden = model.embedder, 16
+        d_k = emb.fused_dim
+        # one rng: the fusion projections in linear_names order, then the
+        # global, local and prompt MLPs, each first then second
+        rng = np.random.default_rng(11)
+        want = {f"fusion.{n}": Linear.init(d_k, d_k, rng)
+                for n in linear_names(variant, kw.get("per_pair", False))}
+        for m, d_raw in zip(MLPS, (emb.raw_visual_dim, emb.raw_visual_dim, emb.raw_text_dim)):
+            want[f"{m}.first"] = Linear.init(d_raw, hidden, rng)
+            want[f"{m}.second"] = Linear.init(hidden, d_k, rng)
+        assert sorted(model.linears) == sorted(want)
+        for name, lin in want.items():
+            assert np.array_equal(model.linears[name].w.data, lin.w.data)
+            assert np.array_equal(model.linears[name].bias.data, lin.bias.data)
+        # the fusion block and the MLPs are wired from that one table
+        for n, lin in model.fusion_params.linears.items():
+            assert lin is model.linears[f"fusion.{n}"]
+        for m in MLPS:
+            mlp = getattr(model, m)
+            assert mlp.first is model.linears[f"{m}.first"]
+            assert mlp.second is model.linears[f"{m}.second"]
+
     def test_missing_file_named(self, small_data, tmp_path):
         small_model(small_data).save(tmp_path / "m")
         (tmp_path / "m" / "fusion.proj_t.bias.mext").unlink()
         with pytest.raises(ModelLoadError, match="fusion.proj_t.bias.mext"):
+            ReferringModel.load(tmp_path / "m")
+
+    def test_d_k_other_than_the_embedder_width_named(self, small_data, tmp_path):
+        small_model(small_data).save(tmp_path / "m")
+        path = tmp_path / "m" / "params.json"
+        manifest = json.loads(path.read_text())
+        manifest["fusion"]["d_k"] = 16
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ModelLoadError, match=r"params.json: ValueError: fusion d_k 16 is "
+                                                 r"not the embedder's fused_dim 8"):
             ReferringModel.load(tmp_path / "m")
 
     def test_shape_mismatch_named(self, small_data, tmp_path):

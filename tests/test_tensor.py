@@ -479,7 +479,7 @@ class TestGraphRelease:
         # the pooled graph training builds after the MLPs: two windows of
         # two frames, each against its own prompt, and the loss
         rng = np.random.default_rng(0)
-        params = FusionParams("mex", 8, rng)
+        params = FusionParams.init("mex", 8, rng)
         fG, fL = (Tensor(rng.standard_normal((2, 2, n, 8))) for n in (3, 4))
         fP = Tensor(rng.standard_normal((2, 1, 5, 8)))
         target = Tensor(rng.standard_normal((2, 8)))
