@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
-from .tensor import DegenerateInputError, DimensionError, Linear, current_context, node
+from .tensor import DegenerateInputError, DimensionError, Linear, node
 
 GLOBAL_FRAME = "global_frame"
 LOCAL_TRACK = "local_track"
@@ -145,21 +144,14 @@ class ProjectionMLP:
         arrays the node has just made. The node keeps the hidden
         pre-activation h, h*h, the tanh term t, 1 + t and gelu(h) for its
         backward pass and charges the ledger what the composed
-        Linear-GELU-Linear chain would: h, gelu(h) and the output, with
-        ``rows*(d_raw*hidden + hidden*d_k)`` multiply-adds per pass.
+        Linear-GELU-Linear chain would: h, gelu(h) and the output.
         """
         first, second = self.first, self.second
         if x.data.shape[-1] != first.d_in:
             raise DimensionError(
                 f"projection MLP: input trailing dim {x.data.shape} vs weight {first.w.data.shape}")
-        w1, b1, w2, b2 = first.w, first.bias, second.w, second.bias
         x2 = x.data.reshape(-1, first.d_in)
-        madds1 = x2.shape[0] * first.d_in * first.d_out
-        madds2 = x2.shape[0] * second.d_in * second.d_out
-        ctx = current_context()
-        ctx.ledger.add_flops(madds1 + madds2)
-        h = kernels.matmul2d(x2, w1.data)
-        h += b1.data
+        h = first.forward(x2)
         # tanh-approximation GELU, in place and in the operation order of
         # 0.5*h*(1 + tanh(c*(h + 0.044715*h*h*h))); powers as products, as
         # ``**`` goes through pow. h*h and 1 + t are kept for the backward pass.
@@ -172,22 +164,15 @@ class ProjectionMLP:
         one_t = t + 1.0
         a = h * 0.5
         a *= one_t
-        out = kernels.matmul2d(a, w2.data)
-        out += b2.data
+        out = second.forward(a)
 
         def bwd(g):
-            g2 = g.reshape(-1, second.d_out)
-            if w2.requires_grad:
-                ctx.ledger.add_flops(madds2)
-                w2._accumulate(kernels.matmul2d(a.T, g2))
-            if b2.requires_grad:
-                b2._accumulate(np.add.reduce(g2, axis=0))
-            if not (x.requires_grad or w1.requires_grad or b1.requires_grad):
+            want = x.requires_grad or first.w.requires_grad or first.bias.requires_grad
+            gh = second.backward(a, g.reshape(-1, second.d_out), want)
+            if gh is None:
                 return
-            ctx.ledger.add_flops(madds2)
             # gh is made here, so it is scaled in place by the GELU derivative
             # 0.5*(1 + t) + 0.5*h*(1 - t*t) * c*(1 + 3*0.044715*h*h)
-            gh = kernels.matmul2d(g2, w2.data.T)
             slope = h * 0.5
             tmp = t * t
             np.subtract(1.0, tmp, out=tmp)
@@ -199,14 +184,10 @@ class ProjectionMLP:
             np.multiply(one_t, 0.5, out=tmp)
             slope += tmp
             gh *= slope
-            if x.requires_grad:
-                ctx.ledger.add_flops(madds1)
-                x._accumulate(kernels.matmul2d(gh, w1.data.T).reshape(x.data.shape))
-            if w1.requires_grad:
-                ctx.ledger.add_flops(madds1)
-                w1._accumulate(kernels.matmul2d(x2.T, gh))
-            if b1.requires_grad:
-                b1._accumulate(np.add.reduce(gh, axis=0))
+            gx = first.backward(x2, gh, x.requires_grad)
+            if gx is not None:
+                x._accumulate(gx.reshape(x.data.shape))
 
-        return node(out.reshape(x.data.shape[:-1] + (second.d_out,)), (x, w1, b1, w2, b2), bwd,
+        return node(out.reshape(x.data.shape[:-1] + (second.d_out,)),
+                    (x, first.w, first.bias, second.w, second.bias), bwd,
                     charge=out.size + h.size + a.size)

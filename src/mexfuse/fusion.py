@@ -63,7 +63,7 @@ class FusionParams:
                    residual_add=residual_add, per_pair=per_pair)
 
     def param_count(self):
-        return sum(l.param_count() for l in self.linears.values())
+        return sum(p.data.size for p in self.parameters())
 
     def parameters(self):
         out = []

@@ -136,12 +136,10 @@ class Tensor:
         # No gradient array is ever written in place, so one array may be the
         # gradient of several tensors: the first one is kept as it comes, and
         # later ones are added out of place.
-        if g.shape == self.data.shape and g.dtype == self.data.dtype:
-            self.grad = g if self.grad is None else self.grad + g
-        else:  # broadcast or cast, as an in-place add does
-            grad = np.zeros_like(self.data) if self.grad is None else self.grad.copy()
-            grad += g
-            self.grad = grad
+        if g.shape != self.data.shape or g.dtype != self.data.dtype:
+            raise ContractError(f"gradient {g.shape} {g.dtype} for a tensor "
+                                f"{self.data.shape} {self.data.dtype}")
+        self.grad = g if self.grad is None else self.grad + g
 
     def backward(self):
         if self.data.size != 1:
@@ -218,6 +216,21 @@ def scale(a, c):
 # ---- linear algebra --------------------------------------------------------
 
 
+def product(a, b):
+    """a @ b of two arrays through ``kernels.matmul2d``, charged to the active ledger.
+
+    Every multiply-add the engine counts is one of these products, forward
+    and backward: ``out.size * a.shape[-1]`` of them, leading batch axes
+    broadcast as in ``np.matmul``. A backward product charges the context
+    active when ``backward()`` runs; ``train`` (per batch),
+    ``fusion.profile`` and ``gradcheck`` each run a pass's forward and
+    backward in one context.
+    """
+    out = kernels.matmul2d(a, b)
+    current_context().ledger.add_flops(out.size * a.shape[-1])
+    return out
+
+
 def _sum_to(g, shape):
     """Sum a gradient over the axes its operand was broadcast along."""
     if g.shape == shape:
@@ -230,36 +243,23 @@ def _sum_to(g, shape):
 
 
 def matmul(a, b):
-    """a @ b over the last two axes; leading batch axes broadcast as in np.matmul.
-
-    Charges B*m*n*k multiply-adds, B being the size of the broadcast batch.
-    """
+    """a @ b over the last two axes; leading batch axes broadcast as in np.matmul."""
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise DimensionError(
             f"matmul: need operands of rank >= 2, got {a.data.shape} x {b.data.shape}")
     if a.data.shape[-1] != b.data.shape[-2]:
         raise DimensionError(f"matmul: inner extents differ, {a.data.shape} x {b.data.shape}")
     try:
-        batch = np.broadcast_shapes(a.data.shape[:-2], b.data.shape[:-2])
+        out = product(a.data, b.data)
     except ValueError:
         raise DimensionError(
             f"matmul: batch axes do not broadcast, {a.data.shape} x {b.data.shape}") from None
-    m, k = a.data.shape[-2:]
-    n = b.data.shape[-1]
-    madds = math.prod(batch) * m * n * k
-    ctx = current_context()
-    ctx.ledger.add_flops(madds)
-    out = kernels.matmul2d(a.data, b.data)
 
     def bwd(g):
         if a.requires_grad:
-            ctx.ledger.add_flops(madds)
-            a._accumulate(_sum_to(kernels.matmul2d(g, np.swapaxes(b.data, -1, -2)),
-                                  a.data.shape))
+            a._accumulate(_sum_to(product(g, np.swapaxes(b.data, -1, -2)), a.data.shape))
         if b.requires_grad:
-            ctx.ledger.add_flops(madds)
-            b._accumulate(_sum_to(kernels.matmul2d(np.swapaxes(a.data, -1, -2), g),
-                                  b.data.shape))
+            b._accumulate(_sum_to(product(np.swapaxes(a.data, -1, -2), g), b.data.shape))
 
     return node(out, (a, b), bwd)
 
@@ -301,7 +301,7 @@ def attention_map(q, k):
     ``q`` is [..., m, d] and ``k`` [..., n, d]; leading batch axes broadcast
     as in ``matmul``. ``k`` is read through a transposed view and the logits
     are scaled in place, so the [..., m, n] map is the only array kept and
-    the only one charged; the multiply-adds are those of ``matmul(q, k^T)``.
+    the only one charged.
     """
     if q.data.ndim < 2 or k.data.ndim < 2:
         raise DimensionError(
@@ -309,17 +309,11 @@ def attention_map(q, k):
     if q.data.shape[-1] != k.data.shape[-1]:
         raise DimensionError(f"attention_map: channels differ, {q.data.shape} x {k.data.shape}")
     try:
-        batch = np.broadcast_shapes(q.data.shape[:-2], k.data.shape[:-2])
+        logits = product(q.data, np.swapaxes(k.data, -1, -2))
     except ValueError:
         raise DimensionError(
             f"attention_map: batch axes do not broadcast, {q.data.shape} x {k.data.shape}") from None
-    m, d = q.data.shape[-2:]
-    n = k.data.shape[-2]
-    madds = math.prod(batch) * m * n * d
-    c = 1.0 / math.sqrt(d)
-    ctx = current_context()
-    ctx.ledger.add_flops(madds)
-    logits = kernels.matmul2d(q.data, np.swapaxes(k.data, -1, -2))
+    c = 1.0 / math.sqrt(q.data.shape[-1])
     logits *= c
     y = kernels.softmax_rows2d(logits)
 
@@ -328,12 +322,9 @@ def attention_map(q, k):
         ds = y * (g - np.add.reduce(g * y, axis=-1, keepdims=True))
         ds *= c
         if q.requires_grad:
-            ctx.ledger.add_flops(madds)
-            q._accumulate(_sum_to(kernels.matmul2d(ds, k.data), q.data.shape))
+            q._accumulate(_sum_to(product(ds, k.data), q.data.shape))
         if k.requires_grad:
-            ctx.ledger.add_flops(madds)
-            k._accumulate(_sum_to(kernels.matmul2d(np.swapaxes(ds, -1, -2), q.data),
-                                  k.data.shape))
+            k._accumulate(_sum_to(product(np.swapaxes(ds, -1, -2), q.data), k.data.shape))
 
     return node(y, (q, k), bwd)
 
@@ -353,8 +344,7 @@ def pooled_cosine(p, v, r, b):
     The node keeps the row means of ``p`` and the argmax frames for its
     backward pass, and charges what the pooled product (with those row
     means, unless ``p`` has one row), the max and the cosine charge as
-    separate nodes; the multiply-adds are those of ``mean_rows(p) @ v``,
-    forward and backward.
+    separate nodes.
     """
     if p.data.ndim < 2 or v.data.ndim < 2:
         raise DimensionError(
@@ -372,7 +362,7 @@ def pooled_cosine(p, v, r, b):
     # one-row map is its own row mean and is neither copied nor charged
     p_mean = p.data if m == 1 else (np.add.reduce(p.data, axis=-2) / m)[..., None, :]
     try:
-        prod = kernels.matmul2d(p_mean, v.data)[..., 0, :]
+        prod = product(p_mean, v.data)[..., 0, :]
         pooled = prod if r is None else prod + np.add.reduce(r.data, axis=-2) / m
     except ValueError:
         raise DimensionError(f"pooled_cosine: batch axes do not broadcast, "
@@ -388,9 +378,6 @@ def pooled_cosine(p, v, r, b):
     idx = np.argmax(pooled, axis=-2)  # [..., d]
     a = np.maximum.reduce(pooled, axis=-2)
     clamped, c, den, na, nb = _cosine(a, b.data)
-    madds = prod.size * n
-    ctx = current_context()
-    ctx.ledger.add_flops(madds)
 
     def bwd(g):
         g, ab, cn = g[..., None], den[..., None], c[..., None]
@@ -401,16 +388,13 @@ def pooled_cosine(p, v, r, b):
         mask = idx[..., None, :] == np.arange(frames)[:, None]
         g1 = np.where(mask, ga[..., None, :], 0.0)[..., None, :]  # [..., F, 1, d]
         if p.requires_grad:
-            ctx.ledger.add_flops(madds)
-            gp = kernels.matmul2d(g1, np.swapaxes(v.data, -1, -2))
+            gp = product(g1, np.swapaxes(v.data, -1, -2))
             gp /= m
             # every row of p gets the same share: sum over the batch first, then a view
             p._accumulate(np.broadcast_to(_sum_to(gp, p.data.shape[:-2] + (1, n)),
                                           p.data.shape))
         if v.requires_grad:
-            ctx.ledger.add_flops(madds)
-            v._accumulate(_sum_to(kernels.matmul2d(np.swapaxes(p_mean, -1, -2), g1),
-                                  v.data.shape))
+            v._accumulate(_sum_to(product(np.swapaxes(p_mean, -1, -2), g1), v.data.shape))
         if r is not None and r.requires_grad:
             r._accumulate(np.broadcast_to(_sum_to(g1, r.data.shape[:-2] + (1, d)) / m,
                                           r.data.shape))
@@ -487,9 +471,9 @@ class Linear:
         self.bias = bias
 
     @classmethod
-    def init(cls, d_in, d_out, rng, scale=None, requires_grad=True):
-        scale = scale if scale is not None else 1.0 / np.sqrt(d_in)
-        w = Tensor(rng.standard_normal((d_in, d_out)) * scale, requires_grad=requires_grad)
+    def init(cls, d_in, d_out, rng, requires_grad=True):
+        w = Tensor(rng.standard_normal((d_in, d_out)) * (1.0 / np.sqrt(d_in)),
+                   requires_grad=requires_grad)
         b = Tensor(np.zeros(d_out), requires_grad=requires_grad)
         return cls(w, b)
 
@@ -501,42 +485,43 @@ class Linear:
     def d_out(self):
         return self.w.data.shape[1]
 
-    def param_count(self):
-        return self.d_in * self.d_out + self.d_out
-
     def parameters(self):
         return [self.w, self.bias]
+
+    def forward(self, x2):
+        """x2[rows, d_in] @ w + bias, as an array; the bias is added in place."""
+        out = product(x2, self.w.data)
+        out += self.bias.data
+        return out
+
+    def backward(self, x2, g2, want_input):
+        """Accumulate w's and bias's gradients from g2[rows, d_out], the gradient
+        of ``forward(x2)``; return the input's gradient g2 @ w^T when ``want_input``."""
+        if self.w.requires_grad:
+            self.w._accumulate(product(x2.T, g2))
+        if self.bias.requires_grad:
+            self.bias._accumulate(np.add.reduce(g2, axis=0))
+        return product(g2, self.w.data.T) if want_input else None
 
     def __call__(self, x):
         """x[..., d_in] @ w + bias as one graph node.
 
         Leading axes are folded inside numpy and the bias is added in place,
-        so the ledger is charged the output only (the pre-bias product is
-        never a tensor) and ``rows*d_in*d_out`` multiply-adds per product.
+        so the ledger is charged the output only: the pre-bias product is
+        never a tensor.
         """
         if x.data.shape[-1] != self.d_in:
             raise DimensionError(
                 f"linear: input trailing dim {x.data.shape} vs weight {self.w.data.shape}")
-        w, bias = self.w, self.bias
         x2 = x.data.reshape(-1, self.d_in)
-        madds = x2.shape[0] * self.d_in * self.d_out
-        ctx = current_context()
-        ctx.ledger.add_flops(madds)
-        out = kernels.matmul2d(x2, w.data)
-        out += bias.data
 
         def bwd(g):
-            g2 = g.reshape(-1, self.d_out)
-            if x.requires_grad:
-                ctx.ledger.add_flops(madds)
-                x._accumulate(kernels.matmul2d(g2, w.data.T).reshape(x.data.shape))
-            if w.requires_grad:
-                ctx.ledger.add_flops(madds)
-                w._accumulate(kernels.matmul2d(x2.T, g2))
-            if bias.requires_grad:
-                bias._accumulate(np.add.reduce(g2, axis=0))
+            gx = self.backward(x2, g.reshape(-1, self.d_out), x.requires_grad)
+            if gx is not None:
+                x._accumulate(gx.reshape(x.data.shape))
 
-        return node(out.reshape(x.data.shape[:-1] + (self.d_out,)), (x, w, bias), bwd)
+        return node(self.forward(x2).reshape(x.data.shape[:-1] + (self.d_out,)),
+                    (x, self.w, self.bias), bwd)
 
 
 class MomentumSGD:

@@ -152,7 +152,7 @@ class TestProject:
 
     def test_census(self):
         mlp = make_mlp(768, 256, np.random.default_rng(0), hidden=512)
-        census = mlp.first.param_count() + mlp.second.param_count()
+        census = sum(p.data.size for p in mlp_parameters(mlp))
         assert census == (768 * 512 + 512) + (512 * 256 + 256)
 
     def test_gelu_matches_formula(self):

@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import json
 import sys
@@ -6,7 +7,7 @@ import threading
 import numpy as np
 import pytest
 
-from mexfuse import calibration, features, tensor_io
+from mexfuse import calibration, features, kernels, pipeline, tensor_io
 from mexfuse.features import (
     GLOBAL_FRAME,
     LOCAL_TRACK,
@@ -47,7 +48,7 @@ from mexfuse.tensor import (
     scale,
 )
 
-from conftest import cosine, full_stream, relu, st_pool, stack, sub
+from conftest import TOY_CONFIG, cosine, full_stream, relu, st_pool, stack, sub
 
 
 SMALL = DatasetConfig(seed=3, n_concepts=2, n_tracks=4, n_prompts=2,
@@ -481,6 +482,70 @@ class TestTraining:
         curve = train(small_data["samples"], small_data["trajectories"],
                       small_data["tasks"], model, epochs=3, batch_size=4, lr=1e-3)
         assert len(curve) == 3
+
+
+class TestLedgerCountsProducts:
+    """The ledger's multiply-adds are those of the products the engine makes,
+    ``out.size * a.shape[-1]`` each, forward and backward."""
+
+    @pytest.fixture
+    def products(self, monkeypatch):
+        made = []
+        matmul2d = kernels.matmul2d
+
+        def counted(a, b):
+            out = matmul2d(a, b)
+            made.append(out.size * a.shape[-1])
+            return out
+
+        monkeypatch.setattr(kernels, "matmul2d", counted)
+        return made
+
+    def test_one_toy_training_batch(self, products, monkeypatch):
+        ds, emb = TOY_CONFIG["dataset"], TOY_CONFIG["embedder"]
+        data = generate_synthetic_dataset(DatasetConfig(
+            seed=TOY_CONFIG["seed"], window=TOY_CONFIG["pipeline"]["window"], **ds))
+        model = ReferringModel.build(
+            EmbedderConfig(seed=TOY_CONFIG["seed"], fused_dim=TOY_CONFIG["fusion"]["d_k"],
+                           oracle_mode=True, concepts=tuple(data["concepts"]),
+                           **{k: v for k, v in emb.items() if k != "mlp_hidden"}),
+            mlp_hidden=emb["mlp_hidden"], seed=TOY_CONFIG["seed"],
+            concept_of=concept_map(data["manifest"]))
+        ledgers = []
+        fresh = pipeline.fresh_context
+
+        @contextlib.contextmanager
+        def recorded():
+            with fresh() as ctx:
+                ledgers.append(ctx.ledger)
+                yield ctx
+
+        monkeypatch.setattr(pipeline, "fresh_context", recorded)
+        batch = TOY_CONFIG["pipeline"]["batch_size"]
+        train(data["samples"][:batch], data["trajectories"], data["tasks"], model, epochs=1,
+              batch_size=batch, lr=0.05, momentum=0.9, neg_margin=-0.1)
+        assert len(ledgers) == 1
+        assert products and ledgers[0].flops == sum(products)
+
+    def test_paper_dims_score_pass(self, products, monkeypatch):
+        # the paper-score benchmark's inputs at seed 12: 40 tracks, 8 prompts, window 8
+        data = generate_synthetic_dataset(DatasetConfig(
+            seed=12, n_concepts=4, n_tracks=40, n_prompts=8, n_frames=12, n_windows=8, window=8))
+        model = ReferringModel.build(
+            EmbedderConfig(seed=12, oracle_mode=True, concepts=tuple(data["concepts"])),
+            seed=12, concept_of=concept_map(data["manifest"]))
+        mlp_calls = []
+        mlp_call = features.ProjectionMLP.__call__
+
+        def counted(mlp, x):
+            mlp_calls.append(x.shape)
+            return mlp_call(mlp, x)
+
+        monkeypatch.setattr(features.ProjectionMLP, "__call__", counted)
+        with fresh_context() as ctx:
+            score_all(data["trajectories"], data["tasks"], model, window=8)
+        assert ctx.ledger.flops == sum(products)
+        assert (len(products), sum(products), len(mlp_calls)) == (326, 2_028_503_040, 42)
 
 
 MLPS = ("mlp_global", "mlp_local", "mlp_prompt")

@@ -78,6 +78,49 @@ def test_scan_flags_an_unused_function(tmp_path):
     assert unreferenced(tmp_path) == ["a.py:unused", "a.py:Box.grow"]
 
 
+def callers(src, name):
+    """``module:qualname`` of every scope in ``src`` that calls ``name`` or ``x.name``."""
+    out = set()
+
+    class Scan(ast.NodeVisitor):
+        def __init__(self, module):
+            self.scope = [module]
+
+        def visit_scope(self, node):
+            self.scope.append(node.name)
+            self.generic_visit(node)
+            self.scope.pop()
+
+        visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = visit_scope
+
+        def visit_Call(self, node):
+            if name in (getattr(node.func, "attr", None), getattr(node.func, "id", None)):
+                out.add(f"{self.scope[0]}:{'.'.join(self.scope[1:])}")
+            self.generic_visit(node)
+
+    for path in sorted(src.glob("*.py")):
+        Scan(path.stem).visit(ast.parse(path.read_text(), str(path)))
+    return out
+
+
+def test_every_product_is_counted_in_one_place():
+    # the ledger counts multiply-adds in tensor.product; a direct kernel call
+    # elsewhere would make a product the ledger never sees
+    assert callers(SRC, "matmul2d") == {"tensor:product"}
+    assert callers(SRC, "add_flops") == {"tensor:product"}
+
+
+def test_scan_finds_a_direct_call(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "from k import matmul2d\n\n"
+        "def product(a, b):\n    return k.matmul2d(a, b)\n\n"
+        "class Op:\n"
+        "    def run(self, a):\n"
+        "        def bwd(g):\n            return matmul2d(g, a)\n"
+        "        return bwd\n")
+    assert callers(tmp_path, "matmul2d") == {"a:product", "a:Op.run.bwd"}
+
+
 # perfbench/tracing.py wraps these program functions by name; a wrap whose
 # target is gone leaves its per-layer metric reading 0 without an error.
 # These three were removed from src with the full fused stream, and the

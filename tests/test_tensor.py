@@ -1,4 +1,5 @@
 import gc
+import re
 import sys
 import threading
 
@@ -20,6 +21,7 @@ from mexfuse.tensor import (
     fresh_context,
     matmul,
     mean_axis,
+    node,
     pooled_cosine,
     sum_all,
     take,
@@ -151,7 +153,7 @@ class TestLinear:
 
     def test_param_count(self):
         lin = Linear(Tensor(np.zeros((7, 3))), Tensor(np.zeros(3)))
-        assert lin.param_count() == 7 * 3 + 3
+        assert sum(p.data.size for p in lin.parameters()) == 7 * 3 + 3
 
     def test_batched_input_charges_as_flattened(self):
         # the flattening and un-flattening reshapes are views: no new values
@@ -405,6 +407,18 @@ class TestBackward:
         sum_all(mul(add(add(a, b), a), w)).backward()
         assert np.array_equal(b.grad, [5.0, 7.0])
         assert np.array_equal(a.grad, [10.0, 14.0])
+
+
+    @pytest.mark.parametrize("bad", [np.ones(3), np.ones((1, 2)), np.ones(2, dtype=np.float32)],
+                             ids=["shape", "broadcastable", "dtype"])
+    def test_wrong_gradient_is_a_contract_error(self, bad):
+        # a backward hands each parent a gradient of its exact shape and dtype;
+        # anything else is a bug in the op, never broadcast or cast
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        y = node(x.data * 2.0, (x,), lambda g: x._accumulate(bad))
+        with pytest.raises(ContractError, match=re.escape(
+                f"gradient {bad.shape} {bad.dtype} for a tensor (2,) float64")):
+            sum_all(y).backward()
 
 
 class TestLedger:
