@@ -10,15 +10,17 @@ Three interchangeable blocks over the projected modality streams:
   row-stochastic maps chained by a matrix product, reusing one shared
   projection per modality.
 
-The fused stream is never built: scoring and training pool each block's
-last stage as they compose it (``pooled_score``). Every forward pass is
-charged to the active ledger, so parameter counts, the values charged in a
-pass, and multiply-add totals are exact and reproducible.
+The blocks differ only before the prompt: all three end in one last stage,
+map @ values + residual (``last_stage``). The fused stream is never built:
+scoring and training pool that last stage as they compose it
+(``pooled_score``). Every forward pass is charged to the active ledger, so
+parameter counts, the values charged in a pass, and multiply-add totals are
+exact and reproducible.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -91,8 +93,7 @@ def _check_channels(params, *streams):
                 f"stream shape {s.data.shape} incompatible with d_k={params.d_k}")
 
 
-@dataclass
-class LastStage:
+class LastStage(NamedTuple):
     """A variant's last stage left factored: fused = map @ values + residual.
 
     ``map`` and ``residual`` may have fewer rows than the fused stream when
@@ -105,14 +106,16 @@ class LastStage:
     residual: Tensor | None
 
 
-# Each variant is split into four parts:
-#   global(params, fGlobal)        -> terms of the global frames alone
-#   visual(params, glob, fLocal)   -> prompt-independent terms of a track window
-#   prompt(params, fPrompt)        -> terms of the prompt alone
-#   joint(params, vis, txt)        -> the LastStage of the visual and prompt terms
-# so a scoring pass computes each global window's terms and each prompt's
-# terms once. Streams are [..., tokens, d_k]; leading axes (prompts, windows,
-# frames) are batch axes and broadcast.
+# The variants differ only before the prompt meets a track window:
+#   global(params, fGlobal)       -> terms of the global frames alone
+#   visual(params, glob, fLocal)  -> a track window's query q, the map pbar
+#                                    (or None) that q's map is chained after,
+#                                    and the residual (or None)
+# Every variant's prompt terms are its (key, value) projections of the
+# prompt, and one ``last_stage`` joins the two, so a scoring pass computes
+# each global window's terms and each prompt's terms once. Streams are
+# [..., tokens, d_k]; leading axes (prompts, windows, frames) are batch axes
+# and broadcast.
 
 
 def _mex_global(params, fI):
@@ -120,11 +123,18 @@ def _mex_global(params, fI):
 
 
 def _mex_visual(params, glob, fT):
-    """The row mean of p_it, [..., 1, t], and the pooled residual it gives.
+    """Mex's window terms. The block is two chained row-stochastic maps:
 
+    p_it = softmax(f(I) f(T)^T / sqrt(d_k))          [g x t]
+    p_tp = softmax(f(T) f(P)^T / sqrt(d_k))          [t x l]
+    p_itp = p_it @ p_tp                              [g x l]
+    fused = p_it @ f(T) + p_itp @ f(P)               [g x d_k]
+
+    ``residual_add`` adds the projected query stream f(I) to the output.
     Pooling takes the mean over the fused stream's g rows, and every term
-    of mex's fused stream starts with p_it, so only its row mean pbar is
-    kept: the pooled residual is pbar @ f(T) (+ the row mean of f(I)).
+    starts with p_it, so only its row mean pbar ([..., 1, t]) is kept: the
+    last stage's map is pbar @ p_tp, and the pooled residual is
+    pbar @ f(T) (+ the row mean of f(I)).
     """
     L = params.linears
     q_it = glob["q_it"]
@@ -136,32 +146,7 @@ def _mex_visual(params, glob, fT):
     residual = matmul(pbar, v_t)
     if params.residual_add:
         residual = add(residual, mean_axis(q_it, axis=-2, keepdims=True))
-    return {"q_tp": q_tp, "pbar": pbar, "residual": residual}
-
-
-def _mex_prompt(params, fP):
-    L = params.linears
-    if params.per_pair:
-        return {"k_tp": L["k_tp"](fP), "v_p": L["v_p"](fP)}
-    k_tp = L["proj_p"](fP)
-    return {"k_tp": k_tp, "v_p": k_tp}
-
-
-def _mex_joint(params, vis, txt):
-    """Triple-modality attention: two chained row-stochastic maps.
-
-    p_it = softmax(f(I) f(T)^T / sqrt(d_k))          [g x t]
-    p_tp = softmax(f(T) f(P)^T / sqrt(d_k))          [t x l]
-    p_itp = p_it @ p_tp                              [g x l]
-    fused = p_it @ f(T) + p_itp @ f(P)               [g x d_k]
-
-    ``residual_add`` adds the projected query stream f(I) to the output.
-    The last stage is left as the row mean of the fused stream: map
-    pbar @ p_tp ([1 x l], the row mean of p_itp), values f(P) and the
-    pooled residual of ``_mex_visual``.
-    """
-    p_tp = attention_map(vis["q_tp"], txt["k_tp"])
-    return LastStage(matmul(vis["pbar"], p_tp), txt["v_p"], vis["residual"])
+    return {"q": q_tp, "pbar": pbar, "residual": residual}
 
 
 def _cascade_global(params, fGlobal):
@@ -170,22 +155,13 @@ def _cascade_global(params, fGlobal):
 
 
 def _cascade_visual(params, glob, fLocal):
-    """Stage 1 (local queries on the global frames, plus the query) and the stage-2 query."""
+    """Stage 1 (local queries on the global frames, plus the query) and the
+    stage-2 query, which stage 2 adds to its output."""
     L = params.linears
     q = L["s1_q"](fLocal)
     p1 = attention_map(q, glob["k"])
-    mid = add(matmul(p1, glob["v"]), q)
-    return {"q": L["s2_q"](mid)}
-
-
-def _cascade_prompt(params, fP):
-    L = params.linears
-    return {"k": L["s2_k"](fP), "v": L["s2_v"](fP)}
-
-
-def _cascade_joint(params, vis, txt):
-    """Stage 2: the prompt attended from the stage-1 output, plus its query."""
-    return LastStage(attention_map(vis["q"], txt["k"]), txt["v"], vis["q"])
+    q2 = L["s2_q"](add(matmul(p1, glob["v"]), q))
+    return {"q": q2, "pbar": None, "residual": q2}
 
 
 def _plain_global(params, fGlobal):
@@ -193,22 +169,13 @@ def _plain_global(params, fGlobal):
 
 
 def _plain_visual(params, glob, fLocal):
-    return {"q": params.linears["q"](fLocal)}
-
-
-def _plain_prompt(params, fP):
-    L = params.linears
-    return {"k": L["k"](fP), "v": L["v"](fP)}
-
-
-def _plain_joint(params, vis, txt):
-    return LastStage(attention_map(vis["q"], txt["k"]), txt["v"], None)
+    return {"q": params.linears["q"](fLocal), "pbar": None, "residual": None}
 
 
 _PARTS = {
-    "mex": (_mex_global, _mex_visual, _mex_prompt, _mex_joint),
-    "cascade": (_cascade_global, _cascade_visual, _cascade_prompt, _cascade_joint),
-    "plain": (_plain_global, _plain_visual, _plain_prompt, _plain_joint),
+    "mex": (_mex_global, _mex_visual),
+    "cascade": (_cascade_global, _cascade_visual),
+    "plain": (_plain_global, _plain_visual),
 }
 
 
@@ -219,24 +186,32 @@ def global_terms(params: FusionParams, fGlobal: Tensor) -> dict:
 
 
 def visual_terms(params: FusionParams, glob: dict, fLocal: Tensor) -> dict:
-    """The prompt-independent part of the fusion block for a track window."""
+    """A track window's prompt-independent terms: ``q``, ``pbar`` and ``residual``."""
     _check_channels(params, fLocal)
     return _PARTS[params.variant][1](params, glob, fLocal)
 
 
 def prompt_terms(params: FusionParams, fPrompt: Tensor) -> dict:
-    """The part of the fusion block that depends on the prompt alone."""
+    """A prompt's keys ``k`` and values ``v``: one tensor when one projection gives both."""
     _check_channels(params, fPrompt)
-    return _PARTS[params.variant][2](params, fPrompt)
+    if params.variant == "mex":
+        k_name, v_name = ("k_tp", "v_p") if params.per_pair else ("proj_p", "proj_p")
+    else:
+        k_name, v_name = {"cascade": ("s2_k", "s2_v"), "plain": ("k", "v")}[params.variant]
+    k = params.linears[k_name](fPrompt)
+    return {"k": k, "v": k if v_name == k_name else params.linears[v_name](fPrompt)}
 
 
-def last_stage(params: FusionParams, visual: dict, prompt: dict) -> LastStage:
-    """The per-prompt part: a window's visual terms with a prompt's terms, factored."""
-    return _PARTS[params.variant][3](params, visual, prompt)
+def last_stage(visual: dict, prompt: dict) -> LastStage:
+    """The per-prompt part of every variant: map = [pbar @] softmax(q k^T / sqrt(d_k)),
+    values v and the window's residual."""
+    p = attention_map(visual["q"], prompt["k"])
+    if visual["pbar"] is not None:
+        p = matmul(visual["pbar"], p)
+    return LastStage(p, prompt["v"], visual["residual"])
 
 
-def pooled_score(params: FusionParams, visual: dict, prompt: dict,
-                 prompt_pooled: Tensor) -> Tensor:
+def pooled_score(visual: dict, prompt: dict, prompt_pooled: Tensor) -> Tensor:
     """Cosine of the ST-pooled fused stream and ``prompt_pooled``, never building the stream.
 
     Spatio-temporal (ST) pooling is the mean over a frame's tokens, then the
@@ -247,8 +222,7 @@ def pooled_score(params: FusionParams, visual: dict, prompt: dict,
     [..., frames, tokens, *] terms of track windows and ``prompt_pooled``
     is [..., d_k]; leading axes broadcast.
     """
-    last = last_stage(params, visual, prompt)
-    return pooled_cosine(last.map, last.values, last.residual, prompt_pooled)
+    return pooled_cosine(*last_stage(visual, prompt), prompt_pooled)
 
 
 def profile(variant, g, t, l, d_k, seed=0, with_backward=False,
@@ -277,7 +251,7 @@ def profile(variant, g, t, l, d_k, seed=0, with_backward=False,
         # parameters and inputs are not activations; count the pass only
         ctx.ledger.reset()
         visual = visual_terms(params, global_terms(params, fGlobal), fLocal)
-        scores = pooled_score(params, visual, prompt_terms(params, fPrompt), pooled)
+        scores = pooled_score(visual, prompt_terms(params, fPrompt), pooled)
         if with_backward:
             sum_all(scores).backward()
         snap = ctx.ledger.snapshot()

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import json
 import os
-import queue
-import threading
+import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -171,13 +171,14 @@ class ReferringModel:
         params = self.fusion_params
         visual = fusion.visual_terms(params, glob, self.mlp_local(Tensor(local_tokens)))
         terms, pooled = prompts
-        # a tensor that serves as two terms (shared mex: k_tp is v_p) is taken once
-        taken = {}
-        for v in terms.values():
-            if id(v) not in taken:
-                taken[id(v)] = reshape(take(v, idx), (len(idx), 1) + v.shape[1:])
-        txt = {k: taken[id(v)] for k, v in terms.items()}
-        return fusion.pooled_score(params, visual, txt, take(pooled, idx))
+
+        def taken(t):
+            return reshape(take(t, idx), (len(idx), 1) + t.shape[1:])
+
+        # shared mex's one prompt projection is both k and v: take it once
+        k = taken(terms["k"])
+        v = k if terms["v"] is terms["k"] else taken(terms["v"])
+        return fusion.pooled_score(visual, {"k": k, "v": v}, take(pooled, idx))
 
     def forward_batch(self, tables, windows):
         """Raw scores of a minibatch of windows, as one graph.
@@ -352,19 +353,12 @@ def score_all(trajectories, tasks, model: ReferringModel, window, stats=None,
             by_track.setdefault(tid, []).append(task)
     windows = [(tid, jobs, _window_frames(by_id[tid], window))
                for tid, jobs in by_track.items()]
-    requests, results = queue.SimpleQueue(), queue.SimpleQueue()
 
-    def draw():
-        """The worker: each requested window's raw local tokens, into its buffer."""
-        while (k := requests.get()) is not None:
-            tid, _, idx = windows[k]
-            entity = by_id[tid].entity_id
-            try:
-                results.put((model._raw_tokens([local_entity(entity, i) for i in idx],
-                                               features.LOCAL_TRACK,
-                                               out=buffers[k % 2][:len(idx)]), None))
-            except BaseException as exc:  # raised again on the calling thread
-                results.put((None, exc))
+    def draw(k):
+        """The worker's job: window k's raw local tokens, into its buffer."""
+        tid, _, idx = windows[k]
+        return model._raw_tokens([local_entity(by_id[tid].entity_id, i) for i in idx],
+                                 features.LOCAL_TRACK, out=buffers[k % 2][:len(idx)])
 
     raw = []
     with no_grad():
@@ -374,16 +368,12 @@ def score_all(trajectories, tasks, model: ReferringModel, window, stats=None,
         # it, they raise a paper-dims score's peak RSS by about 1 MB more
         rows = max((len(idx) for _, _, idx in windows), default=0)
         buffers = [np.empty((rows,) + model._raw_shape(features.LOCAL_TRACK)) for _ in range(2)]
-        worker = threading.Thread(target=draw, name="mexfuse-embedder")
-        worker.start()
-        try:
-            if windows:
-                requests.put(0)
+        # leaving the block waits for the draw in flight
+        with ThreadPoolExecutor(1, thread_name_prefix="mexfuse-embedder") as worker:
+            ahead = worker.submit(draw, 0) if windows else None
             glob = {}
             for k, (tid, jobs, idx) in enumerate(windows):
-                local, exc = results.get()
-                if exc is not None:
-                    raise exc
+                local = ahead.result()  # raises a failed draw here, in window order
                 frames = tuple(frame_entity(i) for i in idx)
                 if frames not in glob:
                     glob[frames] = model.global_terms(
@@ -392,13 +382,10 @@ def score_all(trajectories, tasks, model: ReferringModel, window, stats=None,
                 # into it, after a global projection so that the two do not add up
                 # at the pass's peak memory
                 if k + 1 < len(windows):
-                    requests.put(k + 1)
+                    ahead = worker.submit(draw, k + 1)
                 scores = model.forward_window(glob[frames], local, prompts,
                                               [slots[task.entity_id] for task in jobs])
                 raw.extend((tid, task.prompt_id, float(s)) for task, s in zip(jobs, scores.data))
-        finally:
-            requests.put(None)
-            worker.join()
     return refine_threshold_sort(raw, stats or calibration.disabled_stats(), threshold)
 
 
@@ -766,10 +753,27 @@ def write_scores(path, candidates):
 
 
 def read_scores(path):
+    """The candidates ``write_scores`` wrote to ``path``.
+
+    Raises DataFileError naming the file and line, as ``_read_jsonl`` does,
+    and for a row whose ``s`` is not a finite number, whose prompt_id is
+    not a str or whose track_id is not an int.
+    """
+    def check_row(r):
+        s = r["s"]
+        # NaN, the infinities and ints past the float range fail the bound
+        if type(s) not in (int, float) or not abs(s) <= sys.float_info.max:
+            raise ValueError(f"s must be a finite number, got {s!r}")
+        if type(r["prompt_id"]) is not str:
+            raise TypeError(f"prompt_id must be a str, got {r['prompt_id']!r}")
+        if type(r["track_id"]) is not int:
+            raise TypeError(f"track_id must be an int, got {r['track_id']!r}")
+
     return [ScoredCandidate(track_id=r["track_id"], prompt_id=r["prompt_id"],
                             raw_score=r["s"], pseudo_freq=r["p"],
                             refined_score=r["s_prime"], kept=r["kept"])
-            for r in _read_jsonl(path, ("track_id", "prompt_id", "s", "p", "s_prime", "kept"))]
+            for r in _read_jsonl(path, ("track_id", "prompt_id", "s", "p", "s_prime", "kept"),
+                                 check=check_row)]
 
 
 def precision_recall(candidates, labels):

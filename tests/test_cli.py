@@ -448,6 +448,34 @@ class TestCalibrate:
             assert row["p"] == 0.25
             assert row["s_prime"] == pytest.approx(row["s"] + 2.0 * 0.25 + 0.0, abs=1e-15)
 
+    @pytest.mark.parametrize("fault,named", [
+        ({"s": "0.5"}, "s must be a finite number, got '0.5'"),
+        ({"s": True}, "s must be a finite number, got True"),
+        ({"s": float("nan")}, "s must be a finite number, got nan"),
+        ({"s": float("-inf")}, "s must be a finite number, got -inf"),
+        ({"s": 10 ** 400}, "s must be a finite number"),
+        ({"prompt_id": 7}, "prompt_id must be a str, got 7"),
+        ({"track_id": "1"}, "track_id must be an int, got '1'"),
+        ({"track_id": 1.0}, "track_id must be an int, got 1.0"),
+    ], ids=["str s", "bool s", "nan s", "inf s", "huge int s", "int prompt_id",
+            "str track_id", "float track_id"])
+    def test_bad_score_row_exits_2_naming_line(self, runner, tmp_path, fault, named):
+        good = {"prompt_id": "p0", "track_id": 0, "s": 0.5, "p": 0.0, "s_prime": 0.5,
+                "kept": True}
+        scores = tmp_path / "scores.jsonl"
+        scores.write_text(json.dumps(good) + "\n"
+                          + json.dumps({**good, "track_id": 1, **fault}) + "\n")
+        manifest = tmp_path / "cal.json"
+        manifest.write_text(json.dumps({"train": [{"expr_id": "a", "freq": 0.5}],
+                                        "similarity": [[1.0]]}))
+        result = runner.invoke(main, ["--out", str(tmp_path / "run"), "calibrate",
+                                      "--scores", str(scores), "--manifest", str(manifest)])
+        assert result.exit_code == 2, result.output
+        assert f"{scores}:2: {named}" in result.output
+        assert "Traceback" not in result.output
+        assert isinstance(result.exception, SystemExit)
+        assert not (tmp_path / "run" / "scores_calibrated.jsonl").exists()
+
     def test_missing_scores_exits_2(self, runner, tmp_path):
         result = runner.invoke(main, ["calibrate", "--scores", "/nope.jsonl",
                                       "--manifest", "/nope.json"])

@@ -546,6 +546,8 @@ class TestLedgerCountsProducts:
             score_all(data["trajectories"], data["tasks"], model, window=8)
         assert ctx.ledger.flops == sum(products)
         assert (len(products), sum(products), len(mlp_calls)) == (326, 2_028_503_040, 42)
+        # shared mex's one prompt tensor is both k and v, and taken once per window
+        assert ctx.ledger.peak_values == 13_231_424
 
 
 MLPS = ("mlp_global", "mlp_local", "mlp_prompt")

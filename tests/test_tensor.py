@@ -500,7 +500,7 @@ class TestGraphRelease:
 
         def loss():
             visual = visual_terms(params, global_terms(params, fG), fL)
-            scores = pooled_score(params, visual, prompt_terms(params, fP), target)
+            scores = pooled_score(visual, prompt_terms(params, fP), target)
             return _loss_sum(scores, [True, False], -1.0)
 
         def forward():
