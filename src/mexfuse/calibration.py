@@ -100,8 +100,10 @@ class ExpressionStats:
         if self.similarity.shape[0] == 1:
             return 0  # single row applies to every test expression
         if fallback_index >= self.similarity.shape[0]:
-            raise DimensionError(
-                f"no similarity row for test expression index {fallback_index}")
+            raise CalibrationError(
+                f"{self.source}: no similarity row for prompt {prompt_id!r}: it is prompt "
+                f"{fallback_index} in sorted order, and there are "
+                f"{self.similarity.shape[0]} rows and no test_ids")
         return fallback_index
 
     def pseudo_for(self, prompt_id, fallback_index=0):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
-import math
+import sys
 
 
 class ConfigError(ValueError):
@@ -55,12 +55,6 @@ DEFAULTS = {
         "n_frames": 12,
         "n_windows": 32,
     },
-    "bench": {
-        "d_k_sweep": [32, 64, 256],
-        "visual_tokens": 16,
-        "text_tokens": 20,
-        "with_backward": False,
-    },
 }
 
 
@@ -68,66 +62,66 @@ def defaults():
     return copy.deepcopy(DEFAULTS)
 
 
-# the type of the leaves whose default is None, when they are set
+def _finite(v):
+    # NaN, the infinities and ints past the float range fail the bound
+    return type(v) in (int, float) and abs(v) <= sys.float_info.max
+
+
+def _ints(v):
+    return type(v) is list and all(type(i) is int for i in v)
+
+
+# the kinds of JSON value a config leaf or a data-file field may hold:
+# each kind's test, and the words that name it in a message
+KINDS = {
+    "bool": (lambda v: type(v) is bool, "true or false"),
+    "int": (lambda v: type(v) is int, "an int"),
+    "str": (lambda v: type(v) is str, "a str"),
+    "number": (_finite, "a finite number"),
+    "track ids": (_ints, "a list of int track ids"),
+    "frames": (lambda v: _ints(v) and len(v) > 0, "a non-empty list of int frame indices"),
+    "box": (lambda v: type(v) is list and len(v) == 4 and all(map(_finite, v)),
+            "4 finite numbers"),
+}
+
+
+def check_kind(kind, value, key):
+    """Raise TypeError naming ``key`` unless ``value`` is of ``kind``, a key of KINDS."""
+    test, words = KINDS[kind]
+    if not test(value):
+        raise TypeError(f"{key} must be {words}, got {value!r}")
+
+
+# the kind of the leaves whose default is None, when they are set
 _NULLABLE = {"embedder.truncate_to": "int", "embedder.mlp_hidden": "int",
              "calibration.manifest": "str", "calibration.tau": "number",
              "calibration.a": "number", "calibration.b": "number"}
-# ranges of numeric leaves (of each element of a list); other numbers need only be finite
+# ranges of numeric leaves; other numbers need only be finite
 _POSITIVE = {"embedder.raw_visual_dim", "embedder.visual_tokens", "embedder.raw_text_dim",
              "embedder.text_tokens", "embedder.truncate_to", "embedder.mlp_hidden",
              "fusion.d_k", "pipeline.window", "pipeline.epochs", "pipeline.batch_size",
              "dataset.n_concepts", "dataset.n_tracks", "dataset.n_prompts",
-             "dataset.n_frames", "dataset.n_windows", "bench.d_k_sweep",
-             "bench.visual_tokens", "bench.text_tokens"}
+             "dataset.n_frames", "dataset.n_windows"}
 _NON_NEGATIVE = {"seed", "embedder.noise_scale", "pipeline.lr", "pipeline.momentum"}
 _CHOICES = {"fusion.variant": ("mex", "cascade", "plain")}
-
-
-def _kind(default):
-    """Type of a leaf, named after its default: bool, int, number (int or float) or str."""
-    if isinstance(default, bool):
-        return "bool"
-    if isinstance(default, int):
-        return "int"
-    if isinstance(default, float):
-        return "number"
-    return "str"
-
-
-def _check_value(kind, value, key):
-    if kind == "bool":
-        ok = isinstance(value, bool)
-    elif kind == "int":
-        ok = isinstance(value, int) and not isinstance(value, bool)
-    elif kind == "number":
-        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-    else:
-        ok = isinstance(value, str)
-    if not ok:
-        raise ConfigError(f"{key} must be {kind}, got {value!r}")
-    if kind in ("int", "number"):
-        if not math.isfinite(value):
-            raise ConfigError(f"{key} must be finite, got {value!r}")
-        if key in _POSITIVE and value < 1:
-            raise ConfigError(f"{key} must be >= 1, got {value!r}")
-        if key in _NON_NEGATIVE and value < 0:
-            raise ConfigError(f"{key} must be >= 0, got {value!r}")
-    if key in _CHOICES and value not in _CHOICES[key]:
-        raise ConfigError(f"{key} must be one of {', '.join(_CHOICES[key])}, got {value!r}")
+# the kind of a leaf, named after the type of its default
+_KIND_OF = {bool: "bool", int: "int", float: "number", str: "str"}
 
 
 def _check_leaf(default, value, key):
     """Raise ConfigError naming the dotted ``key`` unless ``value`` fits its default."""
-    if default is None:
-        if value is not None:
-            _check_value(_NULLABLE[key], value, key)
-    elif isinstance(default, list):
-        if not isinstance(value, list) or not value:
-            raise ConfigError(f"{key} must be a non-empty list, got {value!r}")
-        for v in value:
-            _check_value(_kind(default[0]), v, key)
-    else:
-        _check_value(_kind(default), value, key)
+    if default is None and value is None:
+        return
+    try:
+        check_kind(_NULLABLE[key] if default is None else _KIND_OF[type(default)], value, key)
+    except TypeError as exc:
+        raise ConfigError(str(exc)) from None
+    if key in _POSITIVE and value < 1:
+        raise ConfigError(f"{key} must be >= 1, got {value!r}")
+    if key in _NON_NEGATIVE and value < 0:
+        raise ConfigError(f"{key} must be >= 0, got {value!r}")
+    if key in _CHOICES and value not in _CHOICES[key]:
+        raise ConfigError(f"{key} must be one of {', '.join(_CHOICES[key])}, got {value!r}")
 
 
 def _merge(base, override, path="", spec=DEFAULTS):

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import os
-import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
@@ -18,6 +17,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import calibration, features, fusion, tensor, tensor_io
+from .config import check_kind
 from .features import EmbedderConfig, ProjectionMLP
 from .fusion import FusionParams
 from .tensor import (
@@ -35,7 +35,7 @@ from .tensor import (
 )
 
 
-class LookupError_(KeyError):
+class LookupError_(ValueError):
     pass
 
 
@@ -594,15 +594,16 @@ def _write_jsonl(path, records):
             fh.write(json.dumps(r, sort_keys=True) + "\n")
 
 
-def _read_jsonl(path, keys=(), check=None):
-    """The records of a JSON-lines file; each line is a JSON object holding ``keys``.
+def _read_jsonl(path, fields, check=None):
+    """The records of a JSON-lines file; each line is a JSON object holding ``fields``.
 
-    ``check``, when given, is called on each record and raises ValueError,
-    TypeError or IndexError for a bad one.
+    ``fields`` maps each key a record requires to its kind (``config.KINDS``).
+    ``check``, when given, is called on each record whose fields are of
+    their kinds, and raises ValueError, TypeError or IndexError for a bad one.
 
     Raises DataFileError naming the file for a missing or unreadable file,
-    and the file and line for a line that is not a JSON object, lacks a key
-    or fails ``check``.
+    and the file and line for a line that is not a JSON object, lacks a key,
+    holds a field not of its kind or fails ``check``.
     """
     out = []
     try:
@@ -617,14 +618,16 @@ def _read_jsonl(path, keys=(), check=None):
                     raise DataFileError(f"{path}:{lineno}: not valid JSON ({exc})") from None
                 if not isinstance(rec, dict):
                     raise DataFileError(f"{path}:{lineno}: not a JSON object")
-                missing = [k for k in keys if k not in rec]
+                missing = [k for k in fields if k not in rec]
                 if missing:
                     raise DataFileError(f"{path}:{lineno}: missing key(s) {missing}")
-                if check is not None:
-                    try:
+                try:
+                    for key, kind in fields.items():
+                        check_kind(kind, rec[key], key)
+                    if check is not None:
                         check(rec)
-                    except (ValueError, TypeError, IndexError) as exc:
-                        raise DataFileError(f"{path}:{lineno}: {exc}") from None
+                except (ValueError, TypeError, IndexError) as exc:
+                    raise DataFileError(f"{path}:{lineno}: {exc}") from None
                 out.append(rec)
     except (OSError, UnicodeDecodeError) as exc:
         raise DataFileError(f"{path}: cannot read ({exc})") from None
@@ -656,12 +659,11 @@ def load_dataset(in_dir):
 
     Raises DataFileError naming the file, and the line where there is one,
     for a missing or unreadable file, a line that is not a JSON object, a
-    missing key, a trajectory row with a box extent <= 0 or a frame its
-    track already has, a task row whose candidates are not a list of ints,
-    a label row whose track_id is not an int or whose match is not a bool,
-    a window row whose frames are not a non-empty list of that track's
-    frames or whose match is not a bool, or a concepts row whose concept is
-    not in meta.json's list of concept names.
+    missing key or a field not of its kind (README "File formats"), a
+    trajectory row with a box extent <= 0 or a frame its track already has,
+    a task candidate that is not a track, a window row whose track or
+    prompt is unknown or whose frames are not that track's, or a concepts
+    row whose concept is not in meta.json's list of concept names.
     """
     by_track = {}
 
@@ -674,51 +676,43 @@ def load_dataset(in_dir):
         frames[r["frame"]] = r["box"]
 
     _read_jsonl(os.path.join(in_dir, "trajectories.jsonl"),
-                ("track_id", "frame", "box", "entity_id"), check=add_box)
+                {"track_id": "int", "frame": "int", "box": "box", "entity_id": "str"},
+                check=add_box)
     trajectories = [Trajectory(track_id=tid, frames=sorted(frames.items()), entity_id=ent)
                     for (tid, ent), frames in sorted(by_track.items())]
-    def check_candidates(r):
-        c = r["candidates"]
-        if not isinstance(c, list) or any(type(t) is not int for t in c):
-            raise TypeError(f"candidates must be a list of int track ids, got {c!r}")
-
-    tasks = [ReferringTask(prompt_id=r["prompt_id"], text=r["text"],
-                           entity_id=r["entity_id"], candidates=r["candidates"])
-             for r in _read_jsonl(os.path.join(in_dir, "tasks.jsonl"),
-                                  ("prompt_id", "text", "entity_id", "candidates"),
-                                  check=check_candidates)]
-
-    def check_match(r):
-        if type(r["match"]) is not bool:
-            raise TypeError(f"match must be true or false, got {r['match']!r}")
-
-    def check_label(r):
-        if type(r["track_id"]) is not int:
-            raise TypeError(f"track_id must be an int, got {r['track_id']!r}")
-        check_match(r)
-
-    labels = _read_jsonl(os.path.join(in_dir, "labels.jsonl"),
-                         ("prompt_id", "track_id", "match"), check=check_label)
     frames_of = {}
     for t in trajectories:
         frames_of.setdefault(t.track_id, set()).update(f for f, _ in t.frames)
 
+    def check_task(r):
+        unknown = [tid for tid in r["candidates"] if tid not in frames_of]
+        if unknown:
+            raise ValueError(f"unknown track_id {unknown[0]} in candidates")
+
+    tasks = [ReferringTask(prompt_id=r["prompt_id"], text=r["text"],
+                           entity_id=r["entity_id"], candidates=r["candidates"])
+             for r in _read_jsonl(os.path.join(in_dir, "tasks.jsonl"),
+                                  {"prompt_id": "str", "text": "str", "entity_id": "str",
+                                   "candidates": "track ids"}, check=check_task)]
+    labels = _read_jsonl(os.path.join(in_dir, "labels.jsonl"),
+                         {"prompt_id": "str", "track_id": "int", "match": "bool"})
+    prompt_ids = {t.prompt_id for t in tasks}
+
     def check_window(r):
-        f, tid = r["frames"], r["track_id"]
-        if not isinstance(f, list) or not f or any(type(i) is not int for i in f):
-            raise TypeError(f"frames must be a non-empty list of int frame indices, got {f!r}")
-        check_match(r)
+        tid = r["track_id"]
         if tid not in frames_of:
-            raise ValueError(f"unknown track_id {tid!r}")
-        missing = [i for i in f if i not in frames_of[tid]]
+            raise ValueError(f"unknown track_id {tid}")
+        if r["prompt_id"] not in prompt_ids:
+            raise ValueError(f"unknown prompt_id {r['prompt_id']}")
+        missing = [i for i in r["frames"] if i not in frames_of[tid]]
         if missing:
-            raise ValueError(f"track {tid!r} has no frame(s) {missing}")
+            raise ValueError(f"track {tid} has no frame(s) {missing}")
 
     samples = [TrainSample(track_id=r["track_id"], prompt_id=r["prompt_id"],
                            frame_indices=r["frames"], match=r["match"])
                for r in _read_jsonl(os.path.join(in_dir, "windows.jsonl"),
-                                    ("track_id", "prompt_id", "frames", "match"),
-                                    check=check_window)]
+                                    {"track_id": "int", "prompt_id": "str", "frames": "frames",
+                                     "match": "bool"}, check=check_window)]
     meta_path = os.path.join(in_dir, "meta.json")
     try:
         with open(meta_path) as fh:
@@ -735,8 +729,8 @@ def load_dataset(in_dir):
         if r["concept"] not in concepts:
             raise ValueError(f"concept {r['concept']!r} is not in {meta_path}'s concepts")
 
-    manifest = _read_jsonl(os.path.join(in_dir, "concepts.jsonl"), ("entity_id", "concept"),
-                           check=check_concept)
+    manifest = _read_jsonl(os.path.join(in_dir, "concepts.jsonl"),
+                           {"entity_id": "str", "concept": "str"}, check=check_concept)
     return {"trajectories": trajectories, "tasks": tasks, "labels": labels,
             "samples": samples, "manifest": manifest, "meta": meta}
 
@@ -755,25 +749,13 @@ def write_scores(path, candidates):
 def read_scores(path):
     """The candidates ``write_scores`` wrote to ``path``.
 
-    Raises DataFileError naming the file and line, as ``_read_jsonl`` does,
-    and for a row whose ``s`` is not a finite number, whose prompt_id is
-    not a str or whose track_id is not an int.
+    Raises DataFileError naming the file and line, as ``_read_jsonl`` does.
     """
-    def check_row(r):
-        s = r["s"]
-        # NaN, the infinities and ints past the float range fail the bound
-        if type(s) not in (int, float) or not abs(s) <= sys.float_info.max:
-            raise ValueError(f"s must be a finite number, got {s!r}")
-        if type(r["prompt_id"]) is not str:
-            raise TypeError(f"prompt_id must be a str, got {r['prompt_id']!r}")
-        if type(r["track_id"]) is not int:
-            raise TypeError(f"track_id must be an int, got {r['track_id']!r}")
-
     return [ScoredCandidate(track_id=r["track_id"], prompt_id=r["prompt_id"],
                             raw_score=r["s"], pseudo_freq=r["p"],
                             refined_score=r["s_prime"], kept=r["kept"])
-            for r in _read_jsonl(path, ("track_id", "prompt_id", "s", "p", "s_prime", "kept"),
-                                 check=check_row)]
+            for r in _read_jsonl(path, {"track_id": "int", "prompt_id": "str", "s": "number",
+                                        "p": "number", "s_prime": "number", "kept": "bool"})]
 
 
 def precision_recall(candidates, labels):

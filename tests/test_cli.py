@@ -47,7 +47,8 @@ class TestConfig:
         assert "bogus_knob" in result.output
 
     @pytest.mark.parametrize("cfg,key", [({"pipeline": {"window": "8"}}, "pipeline.window"),
-                                         ({"fusion": {"d_k": 0}}, "fusion.d_k")])
+                                         ({"fusion": {"d_k": 0}}, "fusion.d_k"),
+                                         ({"pipeline": {"lr": 10 ** 400}}, "pipeline.lr")])
     def test_bad_value_exits_2_naming_key(self, runner, tmp_path, cfg, key):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(cfg))
@@ -292,8 +293,9 @@ class TestTrainScore:
         ("match", "yes", "match must be true or false, got 'yes'"),
         ("match", 1, "match must be true or false, got 1"),
         ("track_id", 999, "unknown track_id 999"),
+        ("prompt_id", "nope", "unknown prompt_id nope"),
     ], ids=["frames-int", "frames-empty", "frames-str", "frame-not-in-track", "match-str",
-            "match-int", "unknown-track"])
+            "match-int", "unknown-track", "unknown-prompt"])
     def test_bad_window_row_exits_2_naming_file_and_line(self, runner, trained, tmp_path,
                                                          key, value, named):
         cfg_path, out = trained
@@ -310,6 +312,30 @@ class TestTrainScore:
         assert "windows.jsonl:2: " in result.output and named in result.output
         if key == "frames" and value == [1, 99]:
             assert f"track {row['track_id']} has no frame(s) [99]" in result.output
+        assert "Traceback" not in result.output
+        assert isinstance(result.exception, SystemExit)
+
+    @pytest.mark.parametrize("cmd,name,key,value,named", [
+        ("score", "tasks.jsonl", "prompt_id", 5, "prompt_id must be a str, got 5"),
+        ("train", "trajectories.jsonl", "frame", "2", "frame must be an int, got '2'"),
+        ("score", "trajectories.jsonl", "track_id", "1", "track_id must be an int, got '1'"),
+        ("train", "trajectories.jsonl", "box", [1, 2, 3],
+         "box must be 4 finite numbers, got [1, 2, 3]"),
+        ("score", "tasks.jsonl", "candidates", [0, 999], "unknown track_id 999"),
+    ], ids=["int prompt_id", "str frame", "str track_id", "short box", "unknown candidate"])
+    def test_bad_field_exits_2_naming_file_and_line(self, runner, trained, tmp_path, cmd,
+                                                     name, key, value, named):
+        cfg_path, out = trained
+        data = tmp_path / "dataset"
+        shutil.copytree(out / "dataset", data)
+        lines = (data / name).read_text().splitlines()
+        lines[1] = json.dumps({**json.loads(lines[1]), key: value})
+        (data / name).write_text("".join(l + "\n" for l in lines))
+        result = runner.invoke(main, ["--config", str(cfg_path), "--out", str(tmp_path / "o"),
+                                      cmd, "--dataset", str(data)]
+                               + (["--model", str(out / "model")] if cmd == "score" else []))
+        assert result.exit_code == 2, result.output
+        assert f"{data / name}:2: {named}" in result.output
         assert "Traceback" not in result.output
         assert isinstance(result.exception, SystemExit)
 
@@ -392,6 +418,36 @@ class TestCalibrate:
         result = runner.invoke(main, args)
         assert result.exit_code == 2, result.output
         assert f"{manifest}: {named}" in result.output
+        assert "Traceback" not in result.output
+        assert isinstance(result.exception, SystemExit)
+
+    @pytest.mark.parametrize("cmd", ["score", "calibrate"])
+    def test_fewer_rows_than_prompts_without_test_ids_exits_2(self, runner, tmp_path, cmd):
+        # rows are taken in sorted prompt order; the third and fourth prompts have none
+        manifest = tmp_path / "cal.json"
+        manifest.write_text(json.dumps({"train": [{"expr_id": "a", "freq": 0.2}],
+                                        "similarity": [[0.1], [0.2]]}))
+        run = tmp_path / "run"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**SMALL_CFG, "pipeline": {**SMALL_CFG["pipeline"], "epochs": 1},
+                                   "dataset": {**SMALL_CFG["dataset"], "n_prompts": 4}}))
+        if cmd == "score":
+            for step in ("gen", "train"):
+                assert invoke(runner, "--config", str(cfg), "--out", str(run), step).exit_code == 0
+            cfg.write_text(json.dumps({**json.loads(cfg.read_text()), "calibration": {
+                "enabled": True, "manifest": str(manifest)}}))
+            args = ["--config", str(cfg), "--out", str(run), "score"]
+        else:
+            from mexfuse.pipeline import ScoredCandidate, write_scores
+
+            scores = tmp_path / "scores.jsonl"
+            write_scores(scores, [ScoredCandidate(0, f"p{j:03d}", 0.5, 0.0, 0.5, True)
+                                  for j in range(4)])
+            args = ["--out", str(run), "calibrate", "--scores", str(scores),
+                    "--manifest", str(manifest)]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert f"{manifest}: no similarity row for prompt 'p002'" in result.output
         assert "Traceback" not in result.output
         assert isinstance(result.exception, SystemExit)
 

@@ -272,7 +272,7 @@ class TestScoring:
         model = small_model(small_data)
         tasks = [copy.deepcopy(small_data["tasks"][0])]
         tasks[0].candidates = [999]
-        with pytest.raises(KeyError):
+        with pytest.raises(LookupError_):
             score_all(small_data["trajectories"], tasks, model, window=3)
 
     @pytest.mark.parametrize("failing", [(), (0,), (2,), (3,), (1, 2)],
