@@ -8,10 +8,12 @@ then refined by an affine rule s' = s + a * p + b.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import check_kind
 from .tensor import DegenerateInputError, DimensionError
 
 DEFAULT_TAU = 100.0
@@ -59,7 +61,8 @@ class ExpressionStats:
     """Calibration inputs: train frequencies plus the test-vs-train similarity matrix.
 
     ``similarity[j]`` holds x_{ij} for test expression j against every train
-    expression i; ``test_ids`` optionally names the rows.
+    expression i, and ``test_ids[j]`` names that row. Without ``test_ids``
+    there must be one row, which applies to every test expression.
     """
 
     train_ids: list
@@ -69,9 +72,9 @@ class ExpressionStats:
     a: float = DEFAULT_A
     b: float = DEFAULT_B
     test_ids: list | None = None
-    _pseudo: dict = field(default_factory=dict, repr=False)
     # the manifest file these stats were read from, for error messages
-    source: str = field(default="calibration stats", init=False, repr=False)
+    source: str = "calibration stats"
+    _pseudo: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         self.train_freqs = np.asarray(self.train_freqs, dtype=np.float64)
@@ -84,38 +87,29 @@ class ExpressionStats:
                 f"{self.train_freqs.shape}")
         if self.similarity.shape[1] == 0:
             raise DegenerateInputError("similarity rows must have >= 1 entry")
-        if self.test_ids is not None and len(self.test_ids) != self.similarity.shape[0]:
-            raise DimensionError(f"{len(self.test_ids)} test_ids name "
-                                 f"{self.similarity.shape[0]} similarity rows")
         if not np.isfinite(self.similarity).all():
             raise ValueError("non-finite similarity matrix")
+        n_rows = self.similarity.shape[0]
+        if self.test_ids is None and n_rows > 1:
+            raise CalibrationError(f"{self.source}: {n_rows} similarity rows and no test_ids")
+        if self.test_ids is not None and len(self.test_ids) != n_rows:
+            raise DimensionError(f"{len(self.test_ids)} test_ids name {n_rows} similarity rows")
+        repeated = [i for i, n in Counter(self.test_ids).items() if n > 1]
+        if repeated:
+            raise CalibrationError(f"{self.source}: test_ids repeat {repeated[0]!r}")
 
-    def _row_for(self, prompt_id, fallback_index):
-        if self.test_ids is not None:
-            try:
-                return self.test_ids.index(prompt_id)
-            except ValueError:
-                raise CalibrationError(
-                    f"{self.source}: prompt {prompt_id!r} not in test_ids") from None
-        if self.similarity.shape[0] == 1:
-            return 0  # single row applies to every test expression
-        if fallback_index >= self.similarity.shape[0]:
-            raise CalibrationError(
-                f"{self.source}: no similarity row for prompt {prompt_id!r}: it is prompt "
-                f"{fallback_index} in sorted order, and there are "
-                f"{self.similarity.shape[0]} rows and no test_ids")
-        return fallback_index
+    def pseudo_for(self, prompt_id):
+        if prompt_id not in self._pseudo:
+            if self.test_ids is not None and prompt_id not in self.test_ids:
+                raise CalibrationError(f"{self.source}: prompt {prompt_id!r} not in test_ids")
+            # without test_ids, the one row applies to every test expression
+            row = self.test_ids.index(prompt_id) if self.test_ids is not None else 0
+            w = normalized_weights(self.similarity[row], self.tau)
+            self._pseudo[prompt_id] = pseudo_frequency(w, self.train_freqs)
+        return self._pseudo[prompt_id]
 
-    def pseudo_for(self, prompt_id, fallback_index=0):
-        key = (prompt_id, fallback_index)
-        if key not in self._pseudo:
-            row = self.similarity[self._row_for(prompt_id, fallback_index)]
-            w = normalized_weights(row, self.tau)
-            self._pseudo[key] = pseudo_frequency(w, self.train_freqs)
-        return self._pseudo[key]
-
-    def refine(self, s, prompt_id, fallback_index=0):
-        p = self.pseudo_for(prompt_id, fallback_index)
+    def refine(self, s, prompt_id):
+        p = self.pseudo_for(prompt_id)
         return refine(s, p, self.a, self.b), p
 
 
@@ -128,12 +122,13 @@ def disabled_stats():
 def load_manifest(path):
     """Calibration manifest JSON:
 
-    {"train": [{"expr_id": ..., "freq": ...}], "similarity": [[x_ij]],
-     "tau": ..., "a": ..., "b": ..., "test_ids": [...]}   (test_ids optional)
+    {"train": [{"expr_id": str, "freq": number}], "similarity": [[number, ...]],
+     "tau": number, "a": number, "b": number, "test_ids": [str]}
 
-    Raises CalibrationError naming ``path`` for a file that cannot be read or
-    is not JSON, an unknown or missing key, or values that do not form valid
-    stats.
+    ``tau``, ``a`` and ``b`` are optional, and ``test_ids`` is too when there
+    is one similarity row. Raises CalibrationError naming ``path`` for a file
+    that cannot be read or is not JSON, an unknown or missing key, a value of
+    the wrong kind (naming its key), or values that do not form valid stats.
     """
     try:
         with open(path) as fh:
@@ -146,18 +141,26 @@ def load_manifest(path):
     if unknown:
         raise CalibrationError(f"{path}: unknown calibration keys {sorted(unknown)}")
     try:
-        stats = ExpressionStats(
-            train_ids=[t["expr_id"] for t in raw["train"]],
-            train_freqs=np.array([t["freq"] for t in raw["train"]], dtype=np.float64),
-            similarity=np.array(raw["similarity"], dtype=np.float64),
-            tau=float(raw.get("tau", DEFAULT_TAU)),
-            a=float(raw.get("a", DEFAULT_A)),
-            b=float(raw.get("b", DEFAULT_B)),
-            test_ids=raw.get("test_ids"),
-        )
+        train, rows = raw["train"], raw["similarity"]
+        if not (type(train) is type(rows) is list and all(type(t) is dict for t in train)):
+            raise TypeError("train must be a list of objects, and similarity a list of rows")
+        scalars = {key: raw[key] for key in ("tau", "a", "b") if key in raw}
+        for i, t in enumerate(train):
+            check_kind("str", t["expr_id"], f"train[{i}].expr_id")
+            check_kind("number", t["freq"], f"train[{i}].freq")
+        for j, row in enumerate(rows):
+            check_kind("numbers", row, f"similarity[{j}]")
+        for key, value in scalars.items():
+            check_kind("number", value, key)
+        if "test_ids" in raw:
+            check_kind("strs", raw["test_ids"], "test_ids")
+        return ExpressionStats(
+            train_ids=[t["expr_id"] for t in train], train_freqs=[t["freq"] for t in train],
+            similarity=rows, **{key: float(value) for key, value in scalars.items()},
+            test_ids=raw.get("test_ids"), source=str(path))
     except KeyError as exc:
         raise CalibrationError(f"{path}: missing key {exc}") from None
+    except CalibrationError:
+        raise
     except (TypeError, ValueError) as exc:
         raise CalibrationError(f"{path}: {exc}") from None
-    stats.source = str(path)
-    return stats

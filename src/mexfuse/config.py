@@ -71,8 +71,8 @@ def _ints(v):
     return type(v) is list and all(type(i) is int for i in v)
 
 
-# the kinds of JSON value a config leaf or a data-file field may hold:
-# each kind's test, and the words that name it in a message
+# the kinds of JSON value a config leaf, a data-file field or a calibration
+# manifest value may hold: each kind's test, and the words that name it in a message
 KINDS = {
     "bool": (lambda v: type(v) is bool, "true or false"),
     "int": (lambda v: type(v) is int, "an int"),
@@ -82,6 +82,9 @@ KINDS = {
     "frames": (lambda v: _ints(v) and len(v) > 0, "a non-empty list of int frame indices"),
     "box": (lambda v: type(v) is list and len(v) == 4 and all(map(_finite, v)),
             "4 finite numbers"),
+    "numbers": (lambda v: type(v) is list and len(v) > 0 and all(map(_finite, v)),
+                "a non-empty list of finite numbers"),
+    "strs": (lambda v: type(v) is list and all(type(i) is str for i in v), "a list of strs"),
 }
 
 

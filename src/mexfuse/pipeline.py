@@ -394,14 +394,12 @@ def refine_threshold_sort(raw, stats, threshold):
 
     Each score is refined with ``stats``, kept when the refined score is
     strictly above ``threshold``, and the candidates are sorted by prompt,
-    refined score (descending) and track. A prompt's fallback row in
-    ``stats`` is its rank among the sorted distinct prompt ids. ``score_all``
-    and the ``calibrate`` command both go through here.
+    refined score (descending) and track. ``score_all`` and the
+    ``calibrate`` command both go through here.
     """
-    rank = {pid: j for j, pid in enumerate(sorted({pid for _, pid, _ in raw}))}
     out = []
     for tid, pid, s in raw:
-        s_prime, p = stats.refine(s, pid, fallback_index=rank[pid])
+        s_prime, p = stats.refine(s, pid)
         out.append(ScoredCandidate(track_id=tid, prompt_id=pid, raw_score=s, pseudo_freq=p,
                                    refined_score=s_prime, kept=s_prime > threshold))
     out.sort(key=lambda c: (c.prompt_id, -c.refined_score, c.track_id))

@@ -1,9 +1,10 @@
 """Binary tensor files for embedding fixtures and saved parameters.
 
-Layout: magic "MEXT", version u16, dtype code u8 (0=f64, 1=f32), rank u8,
+Layout: magic "MEXT", version u16, dtype code u8 (0 = f64, the only one), rank u8,
 extents as u64 little-endian, then raw values little-endian.
 """
 
+import math
 import os
 import struct
 
@@ -12,9 +13,6 @@ import numpy as np
 MAGIC = b"MEXT"
 VERSION = 1
 
-_DTYPE_CODES = {0: np.dtype("<f8"), 1: np.dtype("<f4")}
-_CODE_FOR = {np.dtype("float64"): 0, np.dtype("float32"): 1}
-
 
 class TensorFileError(ValueError):
     pass
@@ -22,14 +20,13 @@ class TensorFileError(ValueError):
 
 def write_tensor(path, array):
     arr = np.ascontiguousarray(array)
-    if arr.dtype not in _CODE_FOR:
-        raise TensorFileError(f"unsupported dtype {arr.dtype}")
-    code = _CODE_FOR[arr.dtype]
+    if arr.dtype != np.float64:
+        raise TensorFileError(f"unsupported dtype {arr.dtype}: tensors are float64")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
-        fh.write(struct.pack("<HBB", VERSION, code, arr.ndim))
+        fh.write(struct.pack("<HBB", VERSION, 0, arr.ndim))  # dtype code 0: f64
         fh.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-        fh.write(arr.astype(arr.dtype.newbyteorder("<")).tobytes())
+        fh.write(arr.astype("<f8").tobytes())
 
 
 def _read_exact(fh, n, path, part):
@@ -45,8 +42,8 @@ def read_tensor(path):
     """The array in the ``.mext`` file at ``path``.
 
     Raises TensorFileError naming the file for a bad magic, version or
-    dtype code, and for a file that ends inside its header or before the
-    payload its extents give.
+    dtype code, for a file that ends inside its header or before the
+    payload its extents give, and for extents that shape no array.
     """
     with open(path, "rb") as fh:
         magic = fh.read(4)
@@ -55,12 +52,11 @@ def read_tensor(path):
         version, code, rank = struct.unpack("<HBB", _read_exact(fh, 4, path, "header"))
         if version != VERSION:
             raise TensorFileError(f"{path}: unsupported version {version}")
-        if code not in _DTYPE_CODES:
+        if code != 0:
             raise TensorFileError(f"{path}: unknown dtype code {code}")
         shape = struct.unpack(f"<{rank}Q", _read_exact(fh, 8 * rank, path, "extents"))
-        dtype = _DTYPE_CODES[code]
-        count = 1
-        for s in shape:
-            count *= s
-        raw = _read_exact(fh, count * dtype.itemsize, path, "payload")
-        return np.frombuffer(raw, dtype=dtype).reshape(shape).astype(dtype.newbyteorder("="))
+        raw = _read_exact(fh, math.prod(shape) * 8, path, "payload")
+    try:  # a 0 extent next to huge ones, or a rank past numpy's limit
+        return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+    except ValueError as exc:
+        raise TensorFileError(f"{path}: extents {shape} shape no array ({exc})") from None

@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import re
+import struct
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mexfuse.calibration import (
     CalibrationError,
@@ -13,6 +18,7 @@ from mexfuse.calibration import (
     pseudo_frequency,
     refine,
 )
+from mexfuse.pipeline import refine_threshold_sort
 from mexfuse.tensor import DegenerateInputError, DimensionError
 
 
@@ -140,3 +146,71 @@ class TestExpressionStats:
                                 similarity=[[0.5]], test_ids=["p0"])
         with pytest.raises(CalibrationError, match="'missing' not in test_ids"):
             stats.refine(0.5, "missing")
+
+    def test_several_rows_without_test_ids_refused_at_load(self, tmp_path):
+        # which row a prompt reads is named, never taken from its place among the prompts
+        path = tmp_path / "cal.json"
+        path.write_text(json.dumps({"train": [{"expr_id": "x", "freq": 0.2},
+                                              {"expr_id": "y", "freq": 0.6}],
+                                    "similarity": [[1.0, 0.0], [0.0, 1.0]]}))
+        with pytest.raises(CalibrationError,
+                           match=re.escape(f"{path}: 2 similarity rows and no test_ids")):
+            load_manifest(path)
+
+    def test_repeated_test_ids_refused_at_load(self, tmp_path):
+        path = tmp_path / "cal.json"
+        path.write_text(json.dumps({"train": [{"expr_id": "x", "freq": 0.2}],
+                                    "similarity": [[1.0], [0.5], [0.0]],
+                                    "test_ids": ["p0", "p1", "p1"]}))
+        with pytest.raises(CalibrationError, match=re.escape(f"{path}: test_ids repeat 'p1'")):
+            load_manifest(path)
+
+
+FINITE = st.floats(-1.0, 1.0)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(data=st.data())
+def test_refine_threshold_sort_invariants(data):
+    """Over random finite manifests with test_ids and random raw scores: p lies
+    within the train frequencies and comes from the row its prompt names; every
+    pair comes out once, sorted by (prompt, -s', track), in raw-score order
+    within a prompt, kept when s' > threshold; disabled stats leave s as is."""
+    n_train, n_test = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 4))
+    freqs = data.draw(st.lists(st.floats(0.0, 1.0), min_size=n_train, max_size=n_train))
+    ids = data.draw(st.permutations([f"p{j}" for j in range(n_test)]), label="test_ids")
+    doc = {"train": [{"expr_id": f"e{i}", "freq": f} for i, f in enumerate(freqs)],
+           "similarity": data.draw(st.lists(st.lists(FINITE, min_size=n_train,
+                                                     max_size=n_train),
+                                            min_size=n_test, max_size=n_test)),
+           "tau": data.draw(st.floats(0.0, 200.0)), "a": data.draw(st.floats(-10.0, 10.0)),
+           "b": data.draw(st.floats(-1.0, 1.0)), "test_ids": ids}
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, 5), st.sampled_from(ids)),
+                               unique=True, max_size=20), label="pairs")
+    raw = [(tid, pid, data.draw(FINITE, label="s")) for tid, pid in pairs]
+    threshold = data.draw(st.floats(-3.0, 3.0), label="threshold")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cal.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        out = refine_threshold_sort(raw, load_manifest(path), threshold)
+
+    for c in out:
+        assert min(freqs) - 1e-12 <= c.pseudo_freq <= max(freqs) + 1e-12
+        row = doc["similarity"][ids.index(c.prompt_id)]
+        assert c.pseudo_freq == pseudo_frequency(normalized_weights(row, doc["tau"]), freqs)
+        assert c.kept == (c.refined_score > threshold)
+    assert sorted((c.track_id, c.prompt_id, c.raw_score) for c in out) == sorted(raw)
+    key = [(c.prompt_id, -c.refined_score, c.track_id) for c in out]
+    assert key == sorted(key)
+    for c, d in zip(out, out[1:]):
+        if c.prompt_id == d.prompt_id:  # s' ties may put a lower raw score first
+            assert c.raw_score >= d.raw_score or c.refined_score == d.refined_score
+
+    def bits(x):
+        return struct.pack("<d", x)
+
+    for c in refine_threshold_sort(raw, disabled_stats(), threshold):
+        # bitwise, except that -0.0 + 0.0 is 0.0
+        assert bits(c.refined_score) == bits(c.raw_score) or c.raw_score == 0.0
+        assert c.refined_score == c.raw_score and c.pseudo_freq == 0.0

@@ -2,6 +2,7 @@ import importlib
 import json
 import os
 import shutil
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -161,13 +162,20 @@ class TestTrainScore:
 
     @pytest.mark.parametrize("keep,part", [
         (6, "truncated header (2 of 4 bytes)"), (12, "truncated extents (4 of 16 bytes)"),
-        (30, "truncated payload (6 of 512 bytes)")], ids=["header", "extents", "payload"])
+        (30, "truncated payload (6 of 512 bytes)"),
+        # bytes written over the header from its dtype code on
+        (b"\x01", "unknown dtype code 1"),
+        # rank 3 with extents (0, 2**40, 2**40): a 0-byte payload, which no array fits
+        (b"\x00\x03" + struct.pack("<3Q", 0, 2**40, 2**40),
+         "extents (0, 1099511627776, 1099511627776) shape no array")],
+        ids=["header", "extents", "payload", "f32", "zero-extent"])
     def test_truncated_model_file_exits_2(self, runner, trained, tmp_path, keep, part):
         cfg_path, out = trained
         model = tmp_path / "model"
         shutil.copytree(out / "model", model)
         path = model / "fusion.proj_i.w.mext"
-        path.write_bytes(path.read_bytes()[:keep])
+        raw = path.read_bytes()
+        path.write_bytes(raw[:keep] if type(keep) is int else raw[:6] + keep + raw[6 + len(keep):])
         result = runner.invoke(main, ["--config", str(cfg_path), "--out", str(tmp_path / "o"),
                                       "score", "--dataset", str(out / "dataset"),
                                       "--model", str(model)])
@@ -386,6 +394,13 @@ class TestCalibrate:
         ("truncated JSON", "cannot read"),
         ("no train key", "missing key 'train'"),
         ("prompt not in test_ids", "prompt 'p000' not in test_ids"),
+        ("NaN freq", "train[0].freq must be a finite number, got nan"),
+        ("infinite tau", "tau must be a finite number, got inf"),
+        ("bool tau", "tau must be a finite number, got True"),
+        ("str a", "a must be a finite number, got '2'"),
+        ("str test_ids", "test_ids must be a list of strs, got 'p000'"),
+        ("repeated test_ids", "test_ids repeat 'p000'"),
+        ("rows without test_ids", "2 similarity rows and no test_ids"),
     ])
     def test_bad_manifest_exits_2_naming_file(self, runner, trained, tmp_path, cmd, fault,
                                               named):
@@ -400,6 +415,18 @@ class TestCalibrate:
             del doc["train"]
         elif fault == "prompt not in test_ids":
             doc["test_ids"] = ["p001", "p002"]
+        elif fault == "NaN freq":
+            doc["train"][0]["freq"] = float("nan")
+        elif fault in ("infinite tau", "bool tau"):
+            doc["tau"] = float("inf") if fault == "infinite tau" else True
+        elif fault == "str a":
+            doc["a"] = "2"
+        elif fault == "str test_ids":  # four chars, as many as there are rows
+            doc["test_ids"], doc["similarity"] = "p000", [[1.0]] * 4
+        elif fault == "repeated test_ids":
+            doc["test_ids"] = ["p000", "p000"]
+        elif fault == "rows without test_ids":
+            del doc["test_ids"]
         text = json.dumps(doc)
         manifest = tmp_path / "cal.json"
         manifest.write_text(text[:len(text) // 2] if fault == "truncated JSON" else text)
@@ -420,10 +447,11 @@ class TestCalibrate:
         assert f"{manifest}: {named}" in result.output
         assert "Traceback" not in result.output
         assert isinstance(result.exception, SystemExit)
+        assert not os.path.exists(run)
 
     @pytest.mark.parametrize("cmd", ["score", "calibrate"])
     def test_fewer_rows_than_prompts_without_test_ids_exits_2(self, runner, tmp_path, cmd):
-        # rows are taken in sorted prompt order; the third and fourth prompts have none
+        # unnamed rows cannot be matched to prompts: refused when the manifest is loaded
         manifest = tmp_path / "cal.json"
         manifest.write_text(json.dumps({"train": [{"expr_id": "a", "freq": 0.2}],
                                         "similarity": [[0.1], [0.2]]}))
@@ -447,7 +475,7 @@ class TestCalibrate:
                     "--manifest", str(manifest)]
         result = runner.invoke(main, args)
         assert result.exit_code == 2, result.output
-        assert f"{manifest}: no similarity row for prompt 'p002'" in result.output
+        assert f"{manifest}: 2 similarity rows and no test_ids" in result.output
         assert "Traceback" not in result.output
         assert isinstance(result.exception, SystemExit)
 

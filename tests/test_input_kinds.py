@@ -1,10 +1,11 @@
 """A value of the wrong JSON kind in any data-file field or config leaf is named.
 
 Property: put one value of the wrong kind into one field of one line of a
-data file, or into one config leaf, and the reader raises DataFileError
-naming ``file:line`` and the field, or ConfigError naming the dotted key,
-never another exception. The kinds of each field and leaf are listed here
-by hand, apart from the program's own table.
+data file, into one config leaf, or into one field of a calibration
+manifest, and the reader raises DataFileError naming ``file:line`` and the
+field, ConfigError naming the dotted key, or CalibrationError naming the
+manifest and the key, never another exception. The kinds of each field and
+leaf are listed here by hand, apart from the program's own table.
 """
 
 import json
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mexfuse import config
+from mexfuse.calibration import CalibrationError, load_manifest
 from mexfuse.config import ConfigError
 from mexfuse.pipeline import (
     DataFileError,
@@ -36,7 +38,7 @@ VALUES = [
     (0.5, ("number",)),
     (float("nan"), ()),
     ("7", ("str",)),
-    ([], ("track ids",)),
+    ([], ("track ids", "strs")),
     ([0, "1"], ()),
     ({"a": 1}, ()),
 ]
@@ -74,6 +76,15 @@ LEAVES = {
     "dataset.n_frames": "int", "dataset.n_windows": "int",
 }
 
+# every calibration manifest field and its kind; [i] is any train entry and
+# [j] any similarity row
+MANIFEST = {"train[i].expr_id": "str", "train[i].freq": "number", "similarity[j]": "numbers",
+            "tau": "number", "a": "number", "b": "number", "test_ids": "strs"}
+# a manifest that sets every field
+MANIFEST_DOC = {"train": [{"expr_id": "x", "freq": 0.25}, {"expr_id": "y", "freq": 0.75}],
+                "similarity": [[0.5, 0.125], [0.25, 1.0]], "tau": 10.0, "a": 1.0, "b": 0.0,
+                "test_ids": ["p000", "p001"]}
+
 SETTINGS = settings(max_examples=120, deadline=None, database=None)
 
 
@@ -83,11 +94,12 @@ def fits(kind, value_kinds, value):
 
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
-    """A small saved dataset and a scores file, in one directory."""
+    """A small saved dataset, a scores file and a calibration manifest, in one directory."""
     root = tmp_path_factory.mktemp("kinds")
     cfg = DatasetConfig(seed=1, n_concepts=2, n_tracks=3, n_prompts=2, n_frames=4,
                         n_windows=4, window=2)
     save_dataset(str(root), generate_synthetic_dataset(cfg), cfg)
+    (root / "cal.json").write_text(json.dumps(MANIFEST_DOC))
     write_scores(str(root / "scores.jsonl"),
                  [ScoredCandidate(t, p, 0.25 * t, 0.0, 0.25 * t, t > 0)
                   for p in ("p000", "p001") for t in range(3)])
@@ -105,6 +117,9 @@ def test_the_tables_cover_every_field_and_leaf(files):
             yield from leaves(value, here) if isinstance(value, dict) else [here]
 
     assert sorted(leaves(config.defaults())) == sorted(LEAVES)
+    fields = {f"train[i].{k}" for t in MANIFEST_DOC["train"] for k in t} | {"similarity[j]"}
+    assert fields | (set(MANIFEST_DOC) - {"train", "similarity"}) == set(MANIFEST)
+    assert load_manifest(files / "cal.json").test_ids == MANIFEST_DOC["test_ids"]
 
 
 @SETTINGS
@@ -140,3 +155,27 @@ def test_wrong_kind_in_a_config_leaf_is_named(key, sample):
     with pytest.raises(ConfigError) as err:
         config.load(overrides={section: {leaf: value}} if section else {key: value})
     assert str(err.value).startswith(f"{key} must be ")
+
+
+@SETTINGS
+@given(field=st.sampled_from(sorted(MANIFEST)), sample=st.sampled_from(VALUES),
+       k=st.integers(0, 1))
+def test_wrong_kind_in_a_manifest_field_is_named(files, field, sample, k):
+    value, kinds = sample
+    if fits(MANIFEST[field], kinds, value):
+        return
+    doc = json.loads(json.dumps(MANIFEST_DOC))
+    key = field.replace("[i]", f"[{k}]").replace("[j]", f"[{k}]")
+    if field.startswith("train"):
+        doc["train"][k][field.rpartition(".")[2]] = value
+    elif field.startswith("similarity"):
+        doc["similarity"][k] = value
+    else:
+        doc[field] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cal.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        with pytest.raises(CalibrationError) as err:
+            load_manifest(path)
+    assert f"{path}: {key} must be " in str(err.value)

@@ -380,15 +380,6 @@ class TestFilter:
         assert {(c.prompt_id, c.track_id) for c in kept} == \
                {(c.prompt_id, c.track_id) for c in cands if c.raw_score > 0}
 
-    def test_fallback_row_is_prompt_rank(self):
-        # rows unnamed: prompt "b" (rank 1 of the sorted ids) reads row 1
-        stats = calibration.ExpressionStats(
-            train_ids=["x", "y"], train_freqs=[0.2, 0.6],
-            similarity=[[1.0, 0.0], [0.0, 1.0]], tau=1e3, a=1.0, b=0.0)
-        out = refine_threshold_sort([(0, "b", 0.0), (1, "a", 0.0)], stats, threshold=0.5)
-        assert [(c.prompt_id, c.pseudo_freq, c.kept) for c in out] == \
-               [("a", pytest.approx(0.2), False), ("b", pytest.approx(0.6), True)]
-
 
 VARIANTS = [("mex", {}), ("mex", {"per_pair": True}), ("mex", {"residual_add": True}),
             ("cascade", {}), ("plain", {})]

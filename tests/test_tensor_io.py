@@ -1,7 +1,10 @@
+import os
 import struct
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mexfuse.tensor_io import TensorFileError, read_tensor, write_tensor
 
@@ -13,13 +16,15 @@ def test_round_trip_f64(tmp_path):
     assert np.array_equal(read_tensor(path), arr)
 
 
-def test_round_trip_f32(tmp_path):
-    arr = np.random.default_rng(1).standard_normal((5,)).astype(np.float32)
+def test_f32_refused(tmp_path):
     path = tmp_path / "b.mext"
-    write_tensor(path, arr)
-    out = read_tensor(path)
-    assert out.dtype == np.float32
-    assert np.array_equal(out, arr)
+    with pytest.raises(TensorFileError, match="unsupported dtype float32"):
+        write_tensor(path, np.ones(5, dtype=np.float32))
+    assert not path.exists()
+    # five float32 values under dtype code 1
+    path.write_bytes(b"MEXT" + struct.pack("<HBBQ5f", 1, 1, 1, 5, *[1.0] * 5))
+    with pytest.raises(TensorFileError, match=f"{path}: unknown dtype code 1"):
+        read_tensor(path)
 
 
 def test_header_layout(tmp_path):
@@ -71,3 +76,43 @@ def test_extents_beyond_file_allocate_nothing(tmp_path):
 def test_unsupported_dtype(tmp_path):
     with pytest.raises(TensorFileError):
         write_tensor(tmp_path / "d.mext", np.zeros(3, dtype=np.int64))
+
+
+def test_zero_extent_next_to_huge_ones(tmp_path):
+    path = tmp_path / "zero.mext"
+    path.write_bytes(b"MEXT" + struct.pack("<HBB3Q", 1, 0, 3, 0, 2**40, 2**40))
+    with pytest.raises(TensorFileError, match=rf"{path}: extents \(0, {2**40}, {2**40}\)"):
+        read_tensor(path)
+
+
+def test_empty_extent_reads_an_empty_array(tmp_path):
+    path = tmp_path / "empty.mext"
+    write_tensor(path, np.zeros((0, 3)))
+    assert read_tensor(path).shape == (0, 3)
+
+
+# a saved rank-3 tensor: 8 header bytes, 24 bytes of extents, 24 of payload
+SAVED = b"MEXT" + struct.pack("<HBB3Q3d", 1, 0, 3, 1, 3, 1, 0.5, -1.0, 2.0)
+EXTENT = st.sampled_from([0, 1, 2, 3, 2**31, 2**40, 2**63, 2**64 - 1]) | st.integers(0, 2**64 - 1)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(data=st.data())
+def test_corrupt_header_gives_an_array_or_a_named_error(data):
+    """Random bytes over the header and extents, with or without a truncation,
+    give an array or a TensorFileError naming the file, never another error."""
+    raw = bytearray(SAVED)
+    if data.draw(st.booleans(), label="whole extents"):
+        raw[8:32] = struct.pack("<3Q", *(data.draw(EXTENT, label="extent") for _ in range(3)))
+    else:
+        for k in data.draw(st.lists(st.integers(0, 31), min_size=1, max_size=6), label="at"):
+            raw[k] = data.draw(st.integers(0, 255), label="byte")
+    keep = data.draw(st.just(len(raw)) | st.integers(0, len(raw)), label="keep")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.mext")
+        with open(path, "wb") as fh:
+            fh.write(raw[:keep])
+        try:
+            assert isinstance(read_tensor(path), np.ndarray)
+        except TensorFileError as exc:
+            assert str(exc).startswith(f"{path}: ")
