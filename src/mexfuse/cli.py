@@ -16,7 +16,7 @@ import click
 import numpy as np
 
 from . import __version__, calibration, config as config_mod, gradcheck, pipeline
-from .config import ConfigError
+from .config import ConfigError, DataFileError
 from .features import EmbedderConfig
 from .fusion import VARIANTS, profile
 from .pipeline import DatasetConfig, ReferringModel
@@ -38,7 +38,7 @@ def _load_config(ctx_obj):
             overrides[key] = ctx_obj[key]
     try:
         return config_mod.load(ctx_obj.get("config"), overrides)
-    except ConfigError as exc:
+    except (ConfigError, DataFileError) as exc:
         raise click.UsageError(str(exc))
 
 
@@ -75,9 +75,10 @@ def _build_model(cfg, dataset):
 
 
 def _stats_from(cfg):
+    """The calibration stats ``score`` refines with, or None with calibration off."""
     cal = cfg["calibration"]
     if not cal["enabled"]:
-        return calibration.disabled_stats()
+        return None
     if cal["manifest"] is None:
         raise click.UsageError("calibration.enabled requires calibration.manifest")
     if not os.path.exists(cal["manifest"]):
@@ -151,8 +152,7 @@ def _input_errors():
     """Map the pipeline's bad-input errors to exit code 2 with their message."""
     try:
         yield
-    except (DegenerateInputError, pipeline.LookupError_, pipeline.ModelLoadError,
-            pipeline.DataFileError, calibration.CalibrationError) as exc:
+    except (DataFileError, DegenerateInputError, pipeline.LookupError_) as exc:
         raise InputError(str(exc)) from None
 
 

@@ -1,4 +1,4 @@
-"""Run configuration: defaults, file loading, strict key checking."""
+"""Run configuration, and the one reader of JSON input files: kinds and field tables."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import sys
 
 
 class ConfigError(ValueError):
-    pass
+    """A bad config value; one read from a config file raises DataFileError naming the file."""
 
 
 DEFAULTS = {
@@ -67,16 +67,23 @@ def _finite(v):
     return type(v) in (int, float) and abs(v) <= sys.float_info.max
 
 
+def _int(v):
+    # numpy and struct take sizes and seeds as int64
+    return type(v) is int and -2 ** 63 <= v < 2 ** 63
+
+
 def _ints(v):
-    return type(v) is list and all(type(i) is int for i in v)
+    return type(v) is list and all(map(_int, v))
 
 
-# the kinds of JSON value a config leaf, a data-file field or a calibration
-# manifest value may hold: each kind's test, and the words that name it in a message
+# the kinds of JSON value a config leaf or an input file's field may hold:
+# each kind's test, and the words that name it in a message
 KINDS = {
     "bool": (lambda v: type(v) is bool, "true or false"),
-    "int": (lambda v: type(v) is int, "an int"),
+    "int": (_int, "an int"),
+    "size": (lambda v: _int(v) and v >= 1, "an int >= 1"),
     "str": (lambda v: type(v) is str, "a str"),
+    "variant": (lambda v: v in ("mex", "cascade", "plain"), "one of mex, cascade, plain"),
     "number": (_finite, "a finite number"),
     "track ids": (_ints, "a list of int track ids"),
     "frames": (lambda v: _ints(v) and len(v) > 0, "a non-empty list of int frame indices"),
@@ -85,46 +92,106 @@ KINDS = {
     "numbers": (lambda v: type(v) is list and len(v) > 0 and all(map(_finite, v)),
                 "a non-empty list of finite numbers"),
     "strs": (lambda v: type(v) is list and all(type(i) is str for i in v), "a list of strs"),
+    "str map": (lambda v: type(v) is dict and all(type(i) is str for i in v.values()),
+                "an object of strs"),
 }
 
 
 def check_kind(kind, value, key):
-    """Raise TypeError naming ``key`` unless ``value`` is of ``kind``, a key of KINDS."""
+    """Raise TypeError naming ``key`` unless ``value`` is of ``kind``, a key of
+    KINDS; a kind ending in "?" also takes null."""
+    nullable = kind[-1] == "?"
+    if nullable:
+        if value is None:
+            return
+        kind = kind[:-1]
     test, words = KINDS[kind]
     if not test(value):
-        raise TypeError(f"{key} must be {words}, got {value!r}")
+        raise TypeError(f"{key} must be {words}{' or null' if nullable else ''}, got {value!r}")
 
 
-# the kind of the leaves whose default is None, when they are set
-_NULLABLE = {"embedder.truncate_to": "int", "embedder.mlp_hidden": "int",
-             "calibration.manifest": "str", "calibration.tau": "number",
-             "calibration.a": "number", "calibration.b": "number"}
-# ranges of numeric leaves; other numbers need only be finite
-_POSITIVE = {"embedder.raw_visual_dim", "embedder.visual_tokens", "embedder.raw_text_dim",
-             "embedder.text_tokens", "embedder.truncate_to", "embedder.mlp_hidden",
-             "fusion.d_k", "pipeline.window", "pipeline.epochs", "pipeline.batch_size",
-             "dataset.n_concepts", "dataset.n_tracks", "dataset.n_prompts",
-             "dataset.n_frames", "dataset.n_windows"}
+def check_fields(record, fields, path=""):
+    """Raise TypeError naming the key unless the object ``record`` holds every
+    key of ``fields``, each with a value of its kind.
+
+    A field's kind is a kind for ``check_kind``, a dict of fields for an
+    object, or a one-item list ``[kind]`` for a list each of whose items is
+    of that kind. Keys are named by their path: ``fusion.d_k``, ``train[0].freq``.
+    """
+    missing = [path + key for key in fields if key not in record]
+    if missing:
+        raise TypeError(f"missing key(s) {missing}")
+    for key, kind in fields.items():
+        value = record[key]
+        if type(kind) is str:
+            check_kind(kind, value, path + key)
+        elif type(value) is not type(kind):
+            raise TypeError(f"{path}{key} must be "
+                            f"{'an object' if type(kind) is dict else 'a list'}, got {value!r}")
+        elif type(kind) is dict:
+            check_fields(value, kind, f"{path}{key}.")
+        else:  # each item, as a one-field record named by its index
+            for i, item in enumerate(value):
+                check_fields({"": item}, {"": kind[0]}, f"{path}{key}[{i}]")
+
+
+class DataFileError(ValueError):
+    """An input file that is missing, unreadable or not JSON, or that holds a
+    bad field; the message names the file, and the line or key."""
+
+
+def check_record(where, record, fields, check=None):
+    """``record``, once it is a JSON object holding ``fields`` (see ``check_fields``).
+
+    ``check``, when given, is then called on it, and raises ValueError,
+    TypeError or IndexError for a bad one. Raises DataFileError whose
+    message starts with ``where``, the file or ``file:line``, for a record
+    that is not an object, lacks a key, holds a field not of its kind
+    (naming the key) or fails ``check``.
+    """
+    if type(record) is not dict:
+        raise DataFileError(f"{where}: not a JSON object")
+    try:
+        check_fields(record, fields)
+        if check is not None:
+            check(record)
+    except (ValueError, TypeError, IndexError) as exc:
+        raise DataFileError(f"{where}: {exc}") from None
+    return record
+
+
+def read_json(path, fields, check=None):
+    """The JSON object in the file at ``path``, through ``check_record``.
+
+    Raises DataFileError naming the file for a missing or unreadable file too.
+    """
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise DataFileError(f"{path}: cannot read ({exc})") from None
+    return check_record(path, doc, fields, check)
+
+
+# the kind of a leaf, named after the type of its default: every int leaf
+# but the seed is a size. _LEAF_KINDS names the others, and the kinds of
+# the leaves whose default is null.
+_KIND_OF = {bool: "bool", int: "size", float: "number", str: "str"}
+_LEAF_KINDS = {"seed": "int", "fusion.variant": "variant",
+               "embedder.truncate_to": "size?", "embedder.mlp_hidden": "size?",
+               "calibration.manifest": "str?", "calibration.tau": "number?",
+               "calibration.a": "number?", "calibration.b": "number?"}
 _NON_NEGATIVE = {"seed", "embedder.noise_scale", "pipeline.lr", "pipeline.momentum"}
-_CHOICES = {"fusion.variant": ("mex", "cascade", "plain")}
-# the kind of a leaf, named after the type of its default
-_KIND_OF = {bool: "bool", int: "int", float: "number", str: "str"}
 
 
 def _check_leaf(default, value, key):
     """Raise ConfigError naming the dotted ``key`` unless ``value`` fits its default."""
-    if default is None and value is None:
-        return
     try:
-        check_kind(_NULLABLE[key] if default is None else _KIND_OF[type(default)], value, key)
+        check_kind(_LEAF_KINDS.get(key) or _KIND_OF[type(default)], value, key)
     except TypeError as exc:
         raise ConfigError(str(exc)) from None
-    if key in _POSITIVE and value < 1:
-        raise ConfigError(f"{key} must be >= 1, got {value!r}")
     if key in _NON_NEGATIVE and value < 0:
         raise ConfigError(f"{key} must be >= 0, got {value!r}")
-    if key in _CHOICES and value not in _CHOICES[key]:
-        raise ConfigError(f"{key} must be one of {', '.join(_CHOICES[key])}, got {value!r}")
 
 
 def _merge(base, override, path="", spec=DEFAULTS):
@@ -144,18 +211,13 @@ def _merge(base, override, path="", spec=DEFAULTS):
 
 
 def load(path=None, overrides=None):
+    """The defaults, merged with the config file at ``path`` and then ``overrides``.
+
+    A bad file raises DataFileError naming it and the key, a bad override ConfigError.
+    """
     cfg = defaults()
     if path is not None:
-        try:
-            with open(path) as fh:
-                raw = json.load(fh)
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {path}")
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: line {exc.lineno}: {exc.msg}")
-        if not isinstance(raw, dict):
-            raise ConfigError(f"{path}: top level must be an object")
-        _merge(cfg, raw)
+        read_json(path, {}, check=lambda raw: _merge(cfg, raw))
     if overrides:
         _merge(cfg, overrides)
     return cfg

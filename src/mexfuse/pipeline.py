@@ -16,8 +16,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import calibration, features, fusion, tensor, tensor_io
-from .config import check_kind
+from . import features, fusion, tensor, tensor_io
+from .config import DataFileError, check_record, read_json
 from .features import EmbedderConfig, ProjectionMLP
 from .fusion import FusionParams
 from .tensor import (
@@ -41,14 +41,6 @@ class LookupError_(ValueError):
 
 class TrainingError(RuntimeError):
     pass
-
-
-class ModelLoadError(ValueError):
-    """A saved model directory that is incomplete or disagrees with its manifest."""
-
-
-class DataFileError(ValueError):
-    """A data file that is missing, unreadable, not JSON or lacks a key; names the file and line."""
 
 
 @dataclass
@@ -235,39 +227,42 @@ class ReferringModel:
     def load(cls, in_dir):
         """The model saved in ``in_dir``; its ``Linear``s are built from the ``.mext`` files.
 
-        Raises ModelLoadError, naming the file, for a missing or unreadable
-        file, a missing or ill-typed manifest key, a fusion ``d_k`` other
-        than the embedder's ``fused_dim``, a ``concept_of`` that maps an
-        entity to an unknown concept, or a parameter whose shape disagrees
-        with the manifest.
+        Raises DataFileError, naming the file, for a missing or unreadable
+        file, a ``params.json`` field that is missing or not of its kind in
+        ``PARAMS`` (naming the key), a ``fusion.d_k`` other than
+        ``embedder.fused_dim``, a ``concept_of`` that maps an entity to an
+        unknown concept, or a parameter whose shape disagrees with the manifest.
         """
-        manifest_path = os.path.join(in_dir, "params.json")
-        try:
-            with open(manifest_path) as fh:
-                manifest = json.load(fh)
-            emb = EmbedderConfig(**{**manifest["embedder"],
-                                    "concepts": tuple(manifest["embedder"]["concepts"])})
-            f = manifest["fusion"]
-            if f["d_k"] != emb.fused_dim:
-                raise ValueError(f"fusion d_k {f['d_k']!r} is not the embedder's fused_dim "
-                                 f"{emb.fused_dim}")
-            shapes = _linear_shapes(emb, f["variant"], f["per_pair"], manifest["mlp_hidden"])
-            concept_of = manifest["concept_of"]
-            if not (isinstance(concept_of, dict)
-                    and all(isinstance(c, str) for c in concept_of.values())):
-                raise TypeError(f"concept_of must be an object of strings, got {concept_of!r}")
-            unknown = sorted(set(concept_of.values()) - set(emb.concepts))
-            if unknown:
-                raise ValueError(f"concept_of names concept(s) {unknown} not in the "
-                                 f"embedder's concepts")
-        except (OSError, ValueError, KeyError, TypeError) as exc:
-            raise ModelLoadError(f"{manifest_path}: {type(exc).__name__}: {exc}") from None
+        doc = read_json(os.path.join(in_dir, "params.json"), PARAMS, check=_check_params)
+        e, f = doc["embedder"], doc["fusion"]
+        emb = EmbedderConfig(**{key: e[key] for key in PARAMS["embedder"]}
+                             | {"concepts": tuple(e["concepts"])})
+        shapes = _linear_shapes(emb, f["variant"], f["per_pair"], doc["mlp_hidden"])
         linears = {name: Linear(*(Tensor(_read_param(in_dir, f"{name}.{part}", shape),
                                          requires_grad=True)
                                   for part, shape in (("w", (d_in, d_out)), ("bias", (d_out,)))))
                    for name, (d_in, d_out) in shapes.items()}
         return cls(emb, linears, f["variant"], residual_add=f["residual_add"],
-                   per_pair=f["per_pair"], concept_of=concept_of)
+                   per_pair=f["per_pair"], concept_of=doc["concept_of"])
+
+
+# every field ``ReferringModel.save`` writes to params.json, and its kind
+PARAMS = {
+    "embedder": {"seed": "int", "raw_visual_dim": "size", "visual_tokens": "size",
+                 "raw_text_dim": "size", "text_tokens": "size", "fused_dim": "size",
+                 "truncate_to": "size?", "oracle_mode": "bool", "noise_scale": "number",
+                 "concepts": "strs"},
+    "fusion": {"variant": "variant", "d_k": "size", "residual_add": "bool", "per_pair": "bool"},
+    "mlp_hidden": "size?", "params": "strs", "concept_of": "str map"}
+
+
+def _check_params(doc):
+    emb, d_k = doc["embedder"], doc["fusion"]["d_k"]
+    if d_k != emb["fused_dim"]:
+        raise ValueError(f"fusion.d_k {d_k} is not embedder.fused_dim {emb['fused_dim']}")
+    unknown = sorted(set(doc["concept_of"].values()) - set(emb["concepts"]))
+    if unknown:
+        raise ValueError(f"concept_of names concept(s) {unknown} not in embedder.concepts")
 
 
 _MLPS = ("mlp_global", "mlp_local", "mlp_prompt")
@@ -292,16 +287,9 @@ def _linear_shapes(embedder: EmbedderConfig, variant, per_pair, mlp_hidden):
 
 def _read_param(in_dir, name, shape):
     path = os.path.join(in_dir, name + ".mext")
-    try:
-        arr = tensor_io.read_tensor(path)
-    except FileNotFoundError:
-        raise ModelLoadError(f"{path}: parameter file missing") from None
-    except tensor_io.TensorFileError as exc:  # its message names the file
-        raise ModelLoadError(str(exc)) from None
-    except OSError as exc:  # strerror: str(exc) may name the file again
-        raise ModelLoadError(f"{path}: {exc.strerror or exc}") from None
+    arr = tensor_io.read_tensor(path)
     if arr.shape != tuple(shape):
-        raise ModelLoadError(f"{path}: shape {arr.shape}, the manifest needs {tuple(shape)}")
+        raise DataFileError(f"{path}: shape {arr.shape}, the manifest needs {tuple(shape)}")
     return arr
 
 
@@ -386,20 +374,21 @@ def score_all(trajectories, tasks, model: ReferringModel, window, stats=None,
                 scores = model.forward_window(glob[frames], local, prompts,
                                               [slots[task.entity_id] for task in jobs])
                 raw.extend((tid, task.prompt_id, float(s)) for task, s in zip(jobs, scores.data))
-    return refine_threshold_sort(raw, stats or calibration.disabled_stats(), threshold)
+    return refine_threshold_sort(raw, stats, threshold)
 
 
 def refine_threshold_sort(raw, stats, threshold):
     """Calibrated candidates from raw (track_id, prompt_id, score) triples.
 
-    Each score is refined with ``stats``, kept when the refined score is
-    strictly above ``threshold``, and the candidates are sorted by prompt,
+    Each score is refined with ``stats``; with ``stats`` None, calibration
+    is off: p = 0 and s' = s. A candidate is kept when s' is strictly above
+    ``threshold``, and the candidates are sorted by prompt,
     refined score (descending) and track. ``score_all`` and the
     ``calibrate`` command both go through here.
     """
     out = []
     for tid, pid, s in raw:
-        s_prime, p = stats.refine(s, pid)
+        s_prime, p = (s, 0.0) if stats is None else stats.refine(s, pid)
         out.append(ScoredCandidate(track_id=tid, prompt_id=pid, raw_score=s, pseudo_freq=p,
                                    refined_score=s_prime, kept=s_prime > threshold))
     out.sort(key=lambda c: (c.prompt_id, -c.refined_score, c.track_id))
@@ -593,15 +582,10 @@ def _write_jsonl(path, records):
 
 
 def _read_jsonl(path, fields, check=None):
-    """The records of a JSON-lines file; each line is a JSON object holding ``fields``.
-
-    ``fields`` maps each key a record requires to its kind (``config.KINDS``).
-    ``check``, when given, is called on each record whose fields are of
-    their kinds, and raises ValueError, TypeError or IndexError for a bad one.
+    """The records of a JSON-lines file, each through ``config.check_record``.
 
     Raises DataFileError naming the file for a missing or unreadable file,
-    and the file and line for a line that is not a JSON object, lacks a key,
-    holds a field not of its kind or fails ``check``.
+    and the file and line for a line that is not JSON or a bad record.
     """
     out = []
     try:
@@ -614,19 +598,7 @@ def _read_jsonl(path, fields, check=None):
                     rec = json.loads(line)
                 except json.JSONDecodeError as exc:
                     raise DataFileError(f"{path}:{lineno}: not valid JSON ({exc})") from None
-                if not isinstance(rec, dict):
-                    raise DataFileError(f"{path}:{lineno}: not a JSON object")
-                missing = [k for k in fields if k not in rec]
-                if missing:
-                    raise DataFileError(f"{path}:{lineno}: missing key(s) {missing}")
-                try:
-                    for key, kind in fields.items():
-                        check_kind(kind, rec[key], key)
-                    if check is not None:
-                        check(rec)
-                except (ValueError, TypeError, IndexError) as exc:
-                    raise DataFileError(f"{path}:{lineno}: {exc}") from None
-                out.append(rec)
+                out.append(check_record(f"{path}:{lineno}", rec, fields, check))
     except (OSError, UnicodeDecodeError) as exc:
         raise DataFileError(f"{path}: cannot read ({exc})") from None
     return out
@@ -712,19 +684,10 @@ def load_dataset(in_dir):
                                     {"track_id": "int", "prompt_id": "str", "frames": "frames",
                                      "match": "bool"}, check=check_window)]
     meta_path = os.path.join(in_dir, "meta.json")
-    try:
-        with open(meta_path) as fh:
-            meta = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise DataFileError(f"{meta_path}: cannot read ({exc})") from None
-    if not isinstance(meta, dict) or "concepts" not in meta:
-        raise DataFileError(f"{meta_path}: missing key 'concepts'")
-    concepts = meta["concepts"]
-    if not isinstance(concepts, list) or any(type(c) is not str for c in concepts):
-        raise DataFileError(f"{meta_path}: 'concepts' must be a list of strings, got {concepts!r}")
+    meta = read_json(meta_path, {"concepts": "strs"})
 
     def check_concept(r):
-        if r["concept"] not in concepts:
+        if r["concept"] not in meta["concepts"]:
             raise ValueError(f"concept {r['concept']!r} is not in {meta_path}'s concepts")
 
     manifest = _read_jsonl(os.path.join(in_dir, "concepts.jsonl"),

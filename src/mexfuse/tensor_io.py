@@ -10,18 +10,16 @@ import struct
 
 import numpy as np
 
+from .config import DataFileError
+
 MAGIC = b"MEXT"
 VERSION = 1
-
-
-class TensorFileError(ValueError):
-    pass
 
 
 def write_tensor(path, array):
     arr = np.ascontiguousarray(array)
     if arr.dtype != np.float64:
-        raise TensorFileError(f"unsupported dtype {arr.dtype}: tensors are float64")
+        raise ValueError(f"unsupported dtype {arr.dtype}: tensors are float64")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<HBB", VERSION, 0, arr.ndim))  # dtype code 0: f64
@@ -34,29 +32,32 @@ def _read_exact(fh, n, path, part):
     first, so that corrupt extents allocate nothing."""
     left = os.fstat(fh.fileno()).st_size - fh.tell()
     if n > left:
-        raise TensorFileError(f"{path}: truncated {part} ({left} of {n} bytes)")
+        raise DataFileError(f"{path}: truncated {part} ({left} of {n} bytes)")
     return fh.read(n)
 
 
 def read_tensor(path):
     """The array in the ``.mext`` file at ``path``.
 
-    Raises TensorFileError naming the file for a bad magic, version or
-    dtype code, for a file that ends inside its header or before the
-    payload its extents give, and for extents that shape no array.
+    Raises DataFileError naming the file for a missing or unreadable file,
+    a bad magic, version or dtype code, a file that ends inside its header
+    or before the payload its extents give, and extents that shape no array.
     """
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != MAGIC:
-            raise TensorFileError(f"{path}: bad magic {magic!r}")
-        version, code, rank = struct.unpack("<HBB", _read_exact(fh, 4, path, "header"))
-        if version != VERSION:
-            raise TensorFileError(f"{path}: unsupported version {version}")
-        if code != 0:
-            raise TensorFileError(f"{path}: unknown dtype code {code}")
-        shape = struct.unpack(f"<{rank}Q", _read_exact(fh, 8 * rank, path, "extents"))
-        raw = _read_exact(fh, math.prod(shape) * 8, path, "payload")
+    try:
+        with open(path, "rb") as fh:
+            magic = fh.read(4)
+            if magic != MAGIC:
+                raise DataFileError(f"{path}: bad magic {magic!r}")
+            version, code, rank = struct.unpack("<HBB", _read_exact(fh, 4, path, "header"))
+            if version != VERSION:
+                raise DataFileError(f"{path}: unsupported version {version}")
+            if code != 0:
+                raise DataFileError(f"{path}: unknown dtype code {code}")
+            shape = struct.unpack(f"<{rank}Q", _read_exact(fh, 8 * rank, path, "extents"))
+            raw = _read_exact(fh, math.prod(shape) * 8, path, "payload")
+    except OSError as exc:  # strerror: str(exc) would name the file again
+        raise DataFileError(f"{path}: cannot read ({exc.strerror or exc})") from None
     try:  # a 0 extent next to huge ones, or a rank past numpy's limit
         return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
     except ValueError as exc:
-        raise TensorFileError(f"{path}: extents {shape} shape no array ({exc})") from None
+        raise DataFileError(f"{path}: extents {shape} shape no array ({exc})") from None

@@ -10,14 +10,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mexfuse.calibration import (
-    CalibrationError,
     ExpressionStats,
-    disabled_stats,
     load_manifest,
     normalized_weights,
     pseudo_frequency,
     refine,
 )
+from mexfuse.config import DataFileError
 from mexfuse.pipeline import refine_threshold_sort
 from mexfuse.tensor import DegenerateInputError, DimensionError
 
@@ -112,10 +111,10 @@ class TestExpressionStats:
         assert s_prime == pytest.approx(0.5 + 8 * p - 0.1)
 
     def test_disabled_is_identity(self):
-        stats = disabled_stats()
-        s_prime, p = stats.refine(0.123456789, "anything")
-        assert s_prime == 0.123456789
-        assert p == 0.0
+        # calibration off is no stats: p = 0 and s' = s
+        (c,) = refine_threshold_sort([(0, "anything", 0.123456789)], None, 0.0)
+        assert c.refined_score == 0.123456789
+        assert c.pseudo_freq == 0.0
 
     def test_manifest_round_trip(self, tmp_path):
         doc = {"train": [{"expr_id": "a", "freq": 0.4}, {"expr_id": "b", "freq": 0.6}],
@@ -136,15 +135,28 @@ class TestExpressionStats:
         with pytest.raises(ValueError, match="bogus"):
             load_manifest(path)
 
-    def test_test_ids_name_every_row(self):
-        with pytest.raises(DimensionError, match="2 test_ids name 1 similarity rows"):
-            ExpressionStats(train_ids=["a"], train_freqs=[1.0], similarity=[[0.5]],
-                            test_ids=["p0", "p1"])
+    def test_test_ids_name_every_row(self, tmp_path):
+        path = tmp_path / "cal.json"
+        path.write_text(json.dumps({"train": [{"expr_id": "a", "freq": 1.0}],
+                                    "similarity": [[0.5]], "test_ids": ["p0", "p1"]}))
+        with pytest.raises(DataFileError,
+                           match=re.escape(f"{path}: 2 test_ids name 1 similarity rows")):
+            load_manifest(path)
+
+    def test_row_of_the_wrong_length_named(self, tmp_path):
+        path = tmp_path / "cal.json"
+        path.write_text(json.dumps({"train": [{"expr_id": "a", "freq": 0.5},
+                                              {"expr_id": "b", "freq": 0.5}],
+                                    "similarity": [[0.5, 0.5], [0.5], [0.5, 0.5]],
+                                    "test_ids": ["p0", "p1", "p2"]}))
+        with pytest.raises(DataFileError, match=re.escape(
+                f"{path}: similarity[1] has length 1; train has 2 entries")):
+            load_manifest(path)
 
     def test_unknown_prompt_in_test_ids(self):
         stats = ExpressionStats(train_ids=["a"], train_freqs=[1.0],
                                 similarity=[[0.5]], test_ids=["p0"])
-        with pytest.raises(CalibrationError, match="'missing' not in test_ids"):
+        with pytest.raises(DataFileError, match="'missing' not in test_ids"):
             stats.refine(0.5, "missing")
 
     def test_several_rows_without_test_ids_refused_at_load(self, tmp_path):
@@ -153,7 +165,7 @@ class TestExpressionStats:
         path.write_text(json.dumps({"train": [{"expr_id": "x", "freq": 0.2},
                                               {"expr_id": "y", "freq": 0.6}],
                                     "similarity": [[1.0, 0.0], [0.0, 1.0]]}))
-        with pytest.raises(CalibrationError,
+        with pytest.raises(DataFileError,
                            match=re.escape(f"{path}: 2 similarity rows and no test_ids")):
             load_manifest(path)
 
@@ -162,7 +174,7 @@ class TestExpressionStats:
         path.write_text(json.dumps({"train": [{"expr_id": "x", "freq": 0.2}],
                                     "similarity": [[1.0], [0.5], [0.0]],
                                     "test_ids": ["p0", "p1", "p1"]}))
-        with pytest.raises(CalibrationError, match=re.escape(f"{path}: test_ids repeat 'p1'")):
+        with pytest.raises(DataFileError, match=re.escape(f"{path}: test_ids repeat 'p1'")):
             load_manifest(path)
 
 
@@ -175,7 +187,7 @@ def test_refine_threshold_sort_invariants(data):
     """Over random finite manifests with test_ids and random raw scores: p lies
     within the train frequencies and comes from the row its prompt names; every
     pair comes out once, sorted by (prompt, -s', track), in raw-score order
-    within a prompt, kept when s' > threshold; disabled stats leave s as is."""
+    within a prompt, kept when s' > threshold; no stats leave s as is, bitwise."""
     n_train, n_test = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 4))
     freqs = data.draw(st.lists(st.floats(0.0, 1.0), min_size=n_train, max_size=n_train))
     ids = data.draw(st.permutations([f"p{j}" for j in range(n_test)]), label="test_ids")
@@ -210,7 +222,5 @@ def test_refine_threshold_sort_invariants(data):
     def bits(x):
         return struct.pack("<d", x)
 
-    for c in refine_threshold_sort(raw, disabled_stats(), threshold):
-        # bitwise, except that -0.0 + 0.0 is 0.0
-        assert bits(c.refined_score) == bits(c.raw_score) or c.raw_score == 0.0
-        assert c.refined_score == c.raw_score and c.pseudo_freq == 0.0
+    for c in refine_threshold_sort(raw, None, threshold):
+        assert bits(c.refined_score) == bits(c.raw_score) and bits(c.pseudo_freq) == bits(0.0)

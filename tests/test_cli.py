@@ -49,7 +49,8 @@ class TestConfig:
 
     @pytest.mark.parametrize("cfg,key", [({"pipeline": {"window": "8"}}, "pipeline.window"),
                                          ({"fusion": {"d_k": 0}}, "fusion.d_k"),
-                                         ({"pipeline": {"lr": 10 ** 400}}, "pipeline.lr")])
+                                         ({"pipeline": {"lr": 10 ** 400}}, "pipeline.lr"),
+                                         ({"fusion": {"d_k": 10 ** 400}}, "fusion.d_k")])
     def test_bad_value_exits_2_naming_key(self, runner, tmp_path, cfg, key):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(cfg))
@@ -210,13 +211,13 @@ class TestTrainScore:
                                       "score", "--dataset", str(out / "dataset"),
                                       "--model", str(model)])
         assert result.exit_code == 2, result.output
-        assert f"{model / 'params.json'}: ValueError: variant must be one of" in result.output
+        assert f"{model / 'params.json'}: fusion.variant must be one of" in result.output
         assert "'bogus'" in result.output
         assert isinstance(result.exception, SystemExit)
 
     @pytest.mark.parametrize("concept_of,named", [
-        ([1, 2], "TypeError: concept_of must be an object of strings, got [1, 2]"),
-        ({"prompt-0": "bogus"}, "ValueError: concept_of names concept(s) ['bogus'] not in"),
+        ([1, 2], "concept_of must be an object of strs, got [1, 2]"),
+        ({"prompt-0": "bogus"}, "concept_of names concept(s) ['bogus'] not in"),
     ], ids=["not-an-object", "unknown-concept"])
     def test_bad_concept_of_exits_2(self, runner, trained, tmp_path, concept_of, named):
         cfg_path, out = trained
@@ -234,6 +235,29 @@ class TestTrainScore:
         assert f"{model / 'params.json'}: {named}" in result.output
         assert "Traceback" not in result.output
         assert isinstance(result.exception, SystemExit)
+
+    @pytest.mark.parametrize("section,key,value,named", [
+        ("embedder", "noise_scale", "x", "embedder.noise_scale must be a finite number, got 'x'"),
+        ("embedder", "truncate_to", 2.5,
+         "embedder.truncate_to must be an int >= 1 or null, got 2.5"),
+        ("fusion", "residual_add", "no", "fusion.residual_add must be true or false, got 'no'"),
+    ], ids=["str noise_scale", "float truncate_to", "str residual_add"])
+    def test_bad_params_field_exits_2_naming_file_and_key(self, runner, trained, tmp_path,
+                                                          section, key, value, named):
+        cfg_path, out = trained
+        model = tmp_path / "model"
+        shutil.copytree(out / "model", model)
+        doc = json.loads((model / "params.json").read_text())
+        doc[section][key] = value
+        (model / "params.json").write_text(json.dumps(doc))
+        result = runner.invoke(main, ["--config", str(cfg_path), "--out", str(tmp_path / "o"),
+                                      "score", "--dataset", str(out / "dataset"),
+                                      "--model", str(model)])
+        assert result.exit_code == 2, result.output
+        assert f"{model / 'params.json'}: {named}" in result.output
+        assert "Traceback" not in result.output
+        assert isinstance(result.exception, SystemExit)
+        assert not os.path.exists(tmp_path / "o")
 
     @pytest.mark.parametrize("cmd,fault,named", [
         ("train", "row without frames", "windows.jsonl:2: missing key(s) ['frames']"),
@@ -392,7 +416,7 @@ class TestCalibrate:
     @pytest.mark.parametrize("fault,named", [
         ("unknown key", "unknown calibration keys ['bogus']"),
         ("truncated JSON", "cannot read"),
-        ("no train key", "missing key 'train'"),
+        ("no train key", "missing key(s) ['train']"),
         ("prompt not in test_ids", "prompt 'p000' not in test_ids"),
         ("NaN freq", "train[0].freq must be a finite number, got nan"),
         ("infinite tau", "tau must be a finite number, got inf"),
@@ -447,6 +471,34 @@ class TestCalibrate:
         assert f"{manifest}: {named}" in result.output
         assert "Traceback" not in result.output
         assert isinstance(result.exception, SystemExit)
+        assert not os.path.exists(run)
+
+    @pytest.mark.parametrize("cmd", ["score", "calibrate"])
+    def test_row_of_the_wrong_length_exits_2_naming_it(self, runner, trained, tmp_path, cmd):
+        from mexfuse.pipeline import ScoredCandidate, write_scores
+
+        cfg_path, out = trained
+        manifest = tmp_path / "cal.json"
+        manifest.write_text(json.dumps({"train": [{"expr_id": "a", "freq": 0.5},
+                                                  {"expr_id": "b", "freq": 0.25}],
+                                        "similarity": [[1.0, 0.5], [0.5]],
+                                        "test_ids": ["p000", "p001"]}))
+        run = tmp_path / "run"
+        if cmd == "score":
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({**SMALL_CFG, "calibration": {
+                "enabled": True, "manifest": str(manifest)}}))
+            args = ["--config", str(cfg), "--out", str(run), "score",
+                    "--dataset", str(out / "dataset"), "--model", str(out / "model")]
+        else:
+            scores = tmp_path / "scores.jsonl"
+            write_scores(scores, [ScoredCandidate(0, "p000", 0.5, 0.0, 0.5, True)])
+            args = ["--out", str(run), "calibrate", "--scores", str(scores),
+                    "--manifest", str(manifest)]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert f"{manifest}: similarity[1] has length 1; train has 2 entries" in result.output
+        assert "Traceback" not in result.output
         assert not os.path.exists(run)
 
     @pytest.mark.parametrize("cmd", ["score", "calibrate"])

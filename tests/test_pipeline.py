@@ -7,7 +7,7 @@ import threading
 import numpy as np
 import pytest
 
-from mexfuse import calibration, features, kernels, pipeline, tensor_io
+from mexfuse import features, kernels, pipeline, tensor_io
 from mexfuse.features import (
     GLOBAL_FRAME,
     LOCAL_TRACK,
@@ -20,7 +20,6 @@ from mexfuse.pipeline import (
     DataFileError,
     DatasetConfig,
     LookupError_,
-    ModelLoadError,
     ReferringModel,
     ScoredCandidate,
     TrainSample,
@@ -172,7 +171,7 @@ class TestDatasetGeneration:
         save_dataset(tmp_path / "ds", small_data, SMALL)
         meta = json.loads((tmp_path / "ds" / "meta.json").read_text())
         (tmp_path / "ds" / "meta.json").write_text(json.dumps({**meta, "concepts": concepts}))
-        with pytest.raises(DataFileError, match="meta.json: 'concepts' must be a list of strings"):
+        with pytest.raises(DataFileError, match="meta.json: concepts must be a list of strs"):
             load_dataset(tmp_path / "ds")
 
     def test_match_counts_by_construction(self, small_data):
@@ -220,7 +219,7 @@ class TestScoring:
         tasks = small_data["tasks"]
         threshold = 0.1
         got = score_all(trajs, tasks, model, window=3, threshold=threshold,
-                        stats=calibration.disabled_stats())
+                        stats=None)
         want = per_pair_reference(trajs, tasks, model, window=3, threshold=threshold)
         assert [(c.prompt_id, c.track_id, c.kept) for c in got] == \
                [(c.prompt_id, c.track_id, c.kept) for c in want]
@@ -344,7 +343,7 @@ class TestScoring:
 def kept_candidates(cands, threshold):
     """The candidates ``refine_threshold_sort`` keeps, without calibration."""
     raw = [(c.track_id, c.prompt_id, c.raw_score) for c in cands]
-    return [c for c in refine_threshold_sort(raw, calibration.disabled_stats(), threshold)
+    return [c for c in refine_threshold_sort(raw, None, threshold)
             if c.kept]
 
 
@@ -595,7 +594,7 @@ class TestPersistence:
     def test_missing_file_named(self, small_data, tmp_path):
         small_model(small_data).save(tmp_path / "m")
         (tmp_path / "m" / "fusion.proj_t.bias.mext").unlink()
-        with pytest.raises(ModelLoadError, match="fusion.proj_t.bias.mext"):
+        with pytest.raises(DataFileError, match="fusion.proj_t.bias.mext"):
             ReferringModel.load(tmp_path / "m")
 
     def test_d_k_other_than_the_embedder_width_named(self, small_data, tmp_path):
@@ -604,14 +603,14 @@ class TestPersistence:
         manifest = json.loads(path.read_text())
         manifest["fusion"]["d_k"] = 16
         path.write_text(json.dumps(manifest))
-        with pytest.raises(ModelLoadError, match=r"params.json: ValueError: fusion d_k 16 is "
-                                                 r"not the embedder's fused_dim 8"):
+        with pytest.raises(DataFileError,
+                           match=r"params.json: fusion.d_k 16 is not embedder.fused_dim 8"):
             ReferringModel.load(tmp_path / "m")
 
     def test_shape_mismatch_named(self, small_data, tmp_path):
         small_model(small_data).save(tmp_path / "m")
         tensor_io.write_tensor(tmp_path / "m" / "mlp_prompt.first.w.mext", np.zeros((24, 15)))
-        with pytest.raises(ModelLoadError, match=r"mlp_prompt.first.w.mext.*\(24, 16\)"):
+        with pytest.raises(DataFileError, match=r"mlp_prompt.first.w.mext.*\(24, 16\)"):
             ReferringModel.load(tmp_path / "m")
 
 

@@ -79,7 +79,8 @@ def test_scan_flags_an_unused_function(tmp_path):
 
 
 def callers(src, name):
-    """``module:qualname`` of every scope in ``src`` that calls ``name`` or ``x.name``."""
+    """``module:qualname`` of every scope in ``src`` that calls ``name`` or ``x.name``;
+    ``name`` may be dotted, as in ``json.load``."""
     out = set()
 
     class Scan(ast.NodeVisitor):
@@ -94,7 +95,8 @@ def callers(src, name):
         visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = visit_scope
 
         def visit_Call(self, node):
-            if name in (getattr(node.func, "attr", None), getattr(node.func, "id", None)):
+            called = ast.unparse(node.func)
+            if called == name or called.endswith("." + name):
                 out.add(f"{self.scope[0]}:{'.'.join(self.scope[1:])}")
             self.generic_visit(node)
 
@@ -117,8 +119,61 @@ def test_scan_finds_a_direct_call(tmp_path):
         "class Op:\n"
         "    def run(self, a):\n"
         "        def bwd(g):\n            return matmul2d(g, a)\n"
-        "        return bwd\n")
+        "        return bwd\n\n"
+        "def read(fh):\n    return json.load(fh), json.loads('1'), Model.load(fh)\n")
     assert callers(tmp_path, "matmul2d") == {"a:product", "a:Op.run.bwd"}
+    assert callers(tmp_path, "json.load") == {"a:read"}
+    assert callers(tmp_path, "load") == {"a:read"}
+    assert callers(tmp_path, "json.dump") == set()
+
+
+def test_json_is_parsed_in_two_places():
+    # every input file is read by config.read_json, or line by line by
+    # pipeline._read_jsonl; both check each field against its kind
+    assert callers(SRC, "json.load") == {"config:read_json"}
+    assert callers(SRC, "json.loads") == {"pipeline:_read_jsonl"}
+
+
+def exception_classes(src):
+    """``module:name`` of each module-level class in ``src`` whose base is named
+    ``*Error`` or ``*Exception``, or is such a class of the same module."""
+    out = set()
+    for path in sorted(src.glob("*.py")):
+        found = set()
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, ast.ClassDef) and any(
+                    ast.unparse(b).endswith(("Error", "Exception")) or ast.unparse(b) in found
+                    for b in node.bases):
+                found.add(node.name)
+        out |= {f"{path.stem}:{name}" for name in found}
+    return out
+
+
+# each exception class of the program, and what it is for; a bad input file,
+# whichever it is, raises config.DataFileError, so a new class for one fails here
+ERRORS = {
+    "config:DataFileError": "an input file that is missing, unreadable or holds a bad field",
+    "config:ConfigError": "a bad config value given as an override, not in a file",
+    "tensor:DimensionError": "operands whose shapes do not fit",
+    "tensor:DegenerateInputError": "an empty or zero-sized input",
+    "tensor:ContractError": "a gradient of the wrong shape or dtype, or a non-scalar loss",
+    "pipeline:LookupError_": "a track or prompt id that names nothing",
+    "pipeline:TrainingError": "a non-finite training loss",
+    "cli:InputError": "reports any of the above with exit code 2",
+}
+
+
+def test_one_exception_class_for_a_bad_input_file():
+    assert exception_classes(SRC) == set(ERRORS)
+
+
+def test_scan_finds_exception_classes(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "class Bad(ValueError):\n    pass\n\n"
+        "class Worse(Bad):\n    pass\n\n"
+        "class Exit(click.ClickException):\n    pass\n\n"
+        "class Box:\n    pass\n")
+    assert exception_classes(tmp_path) == {"a:Bad", "a:Worse", "a:Exit"}
 
 
 # perfbench/tracing.py wraps these program functions by name; a wrap whose

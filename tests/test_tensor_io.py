@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mexfuse.tensor_io import TensorFileError, read_tensor, write_tensor
+from mexfuse.config import DataFileError
+from mexfuse.tensor_io import read_tensor, write_tensor
 
 
 def test_round_trip_f64(tmp_path):
@@ -18,12 +19,12 @@ def test_round_trip_f64(tmp_path):
 
 def test_f32_refused(tmp_path):
     path = tmp_path / "b.mext"
-    with pytest.raises(TensorFileError, match="unsupported dtype float32"):
+    with pytest.raises(ValueError, match="unsupported dtype float32"):
         write_tensor(path, np.ones(5, dtype=np.float32))
     assert not path.exists()
     # five float32 values under dtype code 1
     path.write_bytes(b"MEXT" + struct.pack("<HBBQ5f", 1, 1, 1, 5, *[1.0] * 5))
-    with pytest.raises(TensorFileError, match=f"{path}: unknown dtype code 1"):
+    with pytest.raises(DataFileError, match=f"{path}: unknown dtype code 1"):
         read_tensor(path)
 
 
@@ -41,7 +42,7 @@ def test_header_layout(tmp_path):
 def test_bad_magic(tmp_path):
     path = tmp_path / "bad.mext"
     path.write_bytes(b"NOPE" + bytes(12))
-    with pytest.raises(TensorFileError, match="magic"):
+    with pytest.raises(DataFileError, match="magic"):
         read_tensor(path)
 
 
@@ -49,7 +50,7 @@ def test_truncated_payload(tmp_path):
     path = tmp_path / "short.mext"
     write_tensor(path, np.ones((4, 4)))
     path.write_bytes(path.read_bytes()[:-8])
-    with pytest.raises(TensorFileError, match="truncated"):
+    with pytest.raises(DataFileError, match="truncated"):
         read_tensor(path)
 
 
@@ -59,7 +60,7 @@ def test_truncated_header(tmp_path, keep):
     path = tmp_path / "head.mext"
     write_tensor(path, np.ones((2, 3)))
     path.write_bytes(path.read_bytes()[:keep])
-    with pytest.raises(TensorFileError, match="truncated (header|extents)"):
+    with pytest.raises(DataFileError, match="truncated (header|extents)"):
         read_tensor(path)
 
 
@@ -69,19 +70,19 @@ def test_extents_beyond_file_allocate_nothing(tmp_path):
     raw = bytearray(path.read_bytes())
     raw[8:24] = struct.pack("<2Q", 2**40, 2**40)
     path.write_bytes(bytes(raw))
-    with pytest.raises(TensorFileError, match=rf"truncated payload \(48 of {2**80 * 8} bytes"):
+    with pytest.raises(DataFileError, match=rf"truncated payload \(48 of {2**80 * 8} bytes"):
         read_tensor(path)
 
 
 def test_unsupported_dtype(tmp_path):
-    with pytest.raises(TensorFileError):
+    with pytest.raises(ValueError, match="unsupported dtype int64"):
         write_tensor(tmp_path / "d.mext", np.zeros(3, dtype=np.int64))
 
 
 def test_zero_extent_next_to_huge_ones(tmp_path):
     path = tmp_path / "zero.mext"
     path.write_bytes(b"MEXT" + struct.pack("<HBB3Q", 1, 0, 3, 0, 2**40, 2**40))
-    with pytest.raises(TensorFileError, match=rf"{path}: extents \(0, {2**40}, {2**40}\)"):
+    with pytest.raises(DataFileError, match=rf"{path}: extents \(0, {2**40}, {2**40}\)"):
         read_tensor(path)
 
 
@@ -100,7 +101,7 @@ EXTENT = st.sampled_from([0, 1, 2, 3, 2**31, 2**40, 2**63, 2**64 - 1]) | st.inte
 @given(data=st.data())
 def test_corrupt_header_gives_an_array_or_a_named_error(data):
     """Random bytes over the header and extents, with or without a truncation,
-    give an array or a TensorFileError naming the file, never another error."""
+    give an array or a DataFileError naming the file, never another error."""
     raw = bytearray(SAVED)
     if data.draw(st.booleans(), label="whole extents"):
         raw[8:32] = struct.pack("<3Q", *(data.draw(EXTENT, label="extent") for _ in range(3)))
@@ -114,5 +115,5 @@ def test_corrupt_header_gives_an_array_or_a_named_error(data):
             fh.write(raw[:keep])
         try:
             assert isinstance(read_tensor(path), np.ndarray)
-        except TensorFileError as exc:
+        except DataFileError as exc:
             assert str(exc).startswith(f"{path}: ")
