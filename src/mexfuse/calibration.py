@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DataFileError, check_fields, read_json
-from .tensor import DegenerateInputError, DimensionError
 
 DEFAULT_TAU = 100.0
 DEFAULT_A = 8.0
@@ -24,24 +23,22 @@ def normalized_weights(similarities, tau):
     """Temperature softmax over one test expression's train similarities.
 
     w_i = exp(tau * x_i) / sum_k exp(tau * x_k), max-subtracted for stability.
+    Where a product tau * x_i overflows, the max of x (the min when tau < 0)
+    is subtracted before scaling, on halves so that no step makes a NaN.
     """
     x = np.asarray(similarities, dtype=np.float64)
-    if x.size == 0:
-        raise DegenerateInputError("empty similarity vector")
-    if not np.isfinite(x).all():
-        raise ValueError("non-finite similarity values")
-    z = tau * x
-    z -= z.max()
+    with np.errstate(over="ignore"):
+        z = tau * x
+        if not np.isfinite(z).all():
+            z = 2 * (tau * (x / 2 - (x.max() if tau >= 0 else x.min()) / 2))
+        z -= z.max()
     e = np.exp(z)
     return e / e.sum()
 
 
 def pseudo_frequency(weights, train_freqs):
     """Convex combination of training frequencies under the softmax weights."""
-    w = np.asarray(weights, dtype=np.float64)
-    p = np.asarray(train_freqs, dtype=np.float64)
-    if w.shape != p.shape:
-        raise DimensionError(f"weights {w.shape} vs train freqs {p.shape}")
+    w, p = (np.asarray(v, dtype=np.float64) for v in (weights, train_freqs))
     return float(w @ p)
 
 

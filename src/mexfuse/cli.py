@@ -81,8 +81,6 @@ def _stats_from(cfg):
         return None
     if cal["manifest"] is None:
         raise click.UsageError("calibration.enabled requires calibration.manifest")
-    if not os.path.exists(cal["manifest"]):
-        raise click.UsageError(f"calibration manifest not found: {cal['manifest']}")
     return _load_stats(cfg, cal["manifest"])
 
 
@@ -97,6 +95,21 @@ def _load_stats(cfg, manifest_path):
         if cfg["calibration"][name] is not None:
             setattr(stats, name, cfg["calibration"][name])
     return stats
+
+
+class InputError(click.ClickException):
+    """Bad input data: reported as ``Error: <message>`` with exit code 2."""
+
+    exit_code = 2
+
+
+@contextmanager
+def _input_errors():
+    """Map the pipeline's bad-input errors to exit code 2 with their message."""
+    try:
+        yield
+    except (DataFileError, DegenerateInputError) as exc:
+        raise InputError(str(exc)) from None
 
 
 @click.group()
@@ -129,31 +142,12 @@ def gen(ctx):
                          n_tracks=ds["n_tracks"], n_prompts=ds["n_prompts"],
                          n_frames=ds["n_frames"], n_windows=ds["n_windows"],
                          window=cfg["pipeline"]["window"])
-    data = pipeline.generate_synthetic_dataset(dcfg)
+    with _input_errors():
+        data = pipeline.generate_synthetic_dataset(dcfg)
     out_dir = os.path.join(cfg["out"], "dataset")
     pipeline.save_dataset(out_dir, data, dcfg)
     _write_manifest(cfg, "gen", [out_dir])
     click.echo(f"dataset written to {out_dir}")
-
-
-def _require_dir(path, what):
-    if not os.path.isdir(path):
-        raise click.UsageError(f"{what} not found: {path}")
-
-
-class InputError(click.ClickException):
-    """Bad input data: reported as ``Error: <message>`` with exit code 2."""
-
-    exit_code = 2
-
-
-@contextmanager
-def _input_errors():
-    """Map the pipeline's bad-input errors to exit code 2 with their message."""
-    try:
-        yield
-    except (DataFileError, DegenerateInputError, pipeline.LookupError_) as exc:
-        raise InputError(str(exc)) from None
 
 
 @main.command()
@@ -163,7 +157,6 @@ def train(ctx, dataset_dir):
     """Train the fusion block and projection MLPs on the toy dataset."""
     cfg = _load_config(ctx.obj)
     dataset_dir = dataset_dir or os.path.join(cfg["out"], "dataset")
-    _require_dir(dataset_dir, "dataset directory")
     with _input_errors():
         data = pipeline.load_dataset(dataset_dir)
     model = _build_model(cfg, data)
@@ -199,12 +192,10 @@ def score(ctx, dataset_dir, model_dir):
     cfg = _load_config(ctx.obj)
     dataset_dir = dataset_dir or os.path.join(cfg["out"], "dataset")
     model_dir = model_dir or os.path.join(cfg["out"], "model")
-    _require_dir(dataset_dir, "dataset directory")
-    _require_dir(model_dir, "model directory")
     with _input_errors():
         stats = _stats_from(cfg)
         data = pipeline.load_dataset(dataset_dir)
-        model = ReferringModel.load(model_dir)
+        model = ReferringModel.load(model_dir, pipeline.concept_map(data["manifest"]))
         cands = pipeline.score_all(data["trajectories"], data["tasks"], model,
                                    window=cfg["pipeline"]["window"], stats=stats,
                                    threshold=cfg["pipeline"]["threshold"])
@@ -231,9 +222,6 @@ def score(ctx, dataset_dir, model_dir):
 def calibrate(ctx, scores_path, manifest_path):
     """Re-refine a scores file with a calibration manifest (and the config's tau, a, b)."""
     cfg = _load_config(ctx.obj)
-    for path, what in ((scores_path, "scores file"), (manifest_path, "calibration manifest")):
-        if not os.path.exists(path):
-            raise click.UsageError(f"{what} not found: {path}")
     with _input_errors():
         stats = _load_stats(cfg, manifest_path)
         scored = pipeline.read_scores(scores_path)

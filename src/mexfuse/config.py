@@ -80,8 +80,8 @@ def _ints(v):
 # each kind's test, and the words that name it in a message
 KINDS = {
     "bool": (lambda v: type(v) is bool, "true or false"),
-    "int": (_int, "an int"),
-    "size": (lambda v: _int(v) and v >= 1, "an int >= 1"),
+    "int": (_int, "an int from -2**63 to 2**63 - 1"),
+    "size": (lambda v: _int(v) and v >= 1, "an int from 1 to 2**63 - 1"),
     "str": (lambda v: type(v) is str, "a str"),
     "variant": (lambda v: v in ("mex", "cascade", "plain"), "one of mex, cascade, plain"),
     "number": (_finite, "a finite number"),
@@ -92,8 +92,6 @@ KINDS = {
     "numbers": (lambda v: type(v) is list and len(v) > 0 and all(map(_finite, v)),
                 "a non-empty list of finite numbers"),
     "strs": (lambda v: type(v) is list and all(type(i) is str for i in v), "a list of strs"),
-    "str map": (lambda v: type(v) is dict and all(type(i) is str for i in v.values()),
-                "an object of strs"),
 }
 
 
@@ -140,6 +138,12 @@ class DataFileError(ValueError):
     bad field; the message names the file, and the line or key."""
 
 
+def cannot_read(path, exc):
+    """The DataFileError for a file that cannot be opened or decoded: an
+    OSError by its strerror, since its str names the file again."""
+    return DataFileError(f"{path}: cannot read ({getattr(exc, 'strerror', None) or exc})")
+
+
 def check_record(where, record, fields, check=None):
     """``record``, once it is a JSON object holding ``fields`` (see ``check_fields``).
 
@@ -169,7 +173,7 @@ def read_json(path, fields, check=None):
         with open(path) as fh:
             doc = json.load(fh)
     except (OSError, ValueError) as exc:
-        raise DataFileError(f"{path}: cannot read ({exc})") from None
+        raise cannot_read(path, exc) from None
     return check_record(path, doc, fields, check)
 
 

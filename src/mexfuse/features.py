@@ -35,14 +35,6 @@ class EmbedderConfig:
     noise_scale: float = 0.05
     concepts: tuple = ()
 
-    def __post_init__(self):
-        for name in ("raw_visual_dim", "visual_tokens", "raw_text_dim",
-                     "text_tokens", "fused_dim"):
-            if getattr(self, name) <= 0:
-                raise DegenerateInputError(f"{name} must be positive")
-        if self.truncate_to is not None and self.truncate_to < 1:
-            raise DegenerateInputError("truncate_to must be >= 1 when set")
-
     def token_shape(self, modality):
         if modality == PROMPT:
             return self.text_tokens, self.raw_text_dim

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import features, fusion, tensor, tensor_io
-from .config import DataFileError, check_record, read_json
+from .config import DataFileError, cannot_read, check_record, read_json
 from .features import EmbedderConfig, ProjectionMLP
 from .fusion import FusionParams
 from .tensor import (
@@ -33,10 +33,6 @@ from .tensor import (
     scale,
     take,
 )
-
-
-class LookupError_(ValueError):
-    pass
 
 
 class TrainingError(RuntimeError):
@@ -219,21 +215,22 @@ class ReferringModel:
             },
             "mlp_hidden": self.mlp_global.first.d_out,
             "params": names,
-            "concept_of": self.concept_of,
         }
         _write_json(os.path.join(out_dir, "params.json"), manifest)
 
     @classmethod
-    def load(cls, in_dir):
-        """The model saved in ``in_dir``; its ``Linear``s are built from the ``.mext`` files.
+    def load(cls, in_dir, concept_of):
+        """The model saved in ``in_dir``, embedding entities by the dataset's
+        ``concept_of`` map; its ``Linear``s are built from the ``.mext`` files.
 
         Raises DataFileError, naming the file, for a missing or unreadable
         file, a ``params.json`` field that is missing or not of its kind in
         ``PARAMS`` (naming the key), a ``fusion.d_k`` other than
-        ``embedder.fused_dim``, a ``concept_of`` that maps an entity to an
-        unknown concept, or a parameter whose shape disagrees with the manifest.
+        ``embedder.fused_dim``, an ``embedder.concepts`` that lacks a concept
+        of ``concept_of``, or a parameter whose shape disagrees with the manifest.
         """
-        doc = read_json(os.path.join(in_dir, "params.json"), PARAMS, check=_check_params)
+        doc = read_json(os.path.join(in_dir, "params.json"), PARAMS,
+                        check=lambda doc: _check_params(doc, concept_of))
         e, f = doc["embedder"], doc["fusion"]
         emb = EmbedderConfig(**{key: e[key] for key in PARAMS["embedder"]}
                              | {"concepts": tuple(e["concepts"])})
@@ -243,7 +240,7 @@ class ReferringModel:
                                   for part, shape in (("w", (d_in, d_out)), ("bias", (d_out,)))))
                    for name, (d_in, d_out) in shapes.items()}
         return cls(emb, linears, f["variant"], residual_add=f["residual_add"],
-                   per_pair=f["per_pair"], concept_of=doc["concept_of"])
+                   per_pair=f["per_pair"], concept_of=concept_of)
 
 
 # every field ``ReferringModel.save`` writes to params.json, and its kind
@@ -253,16 +250,16 @@ PARAMS = {
                  "truncate_to": "size?", "oracle_mode": "bool", "noise_scale": "number",
                  "concepts": "strs"},
     "fusion": {"variant": "variant", "d_k": "size", "residual_add": "bool", "per_pair": "bool"},
-    "mlp_hidden": "size?", "params": "strs", "concept_of": "str map"}
+    "mlp_hidden": "size?", "params": "strs"}
 
 
-def _check_params(doc):
+def _check_params(doc, concept_of):
     emb, d_k = doc["embedder"], doc["fusion"]["d_k"]
     if d_k != emb["fused_dim"]:
         raise ValueError(f"fusion.d_k {d_k} is not embedder.fused_dim {emb['fused_dim']}")
-    unknown = sorted(set(doc["concept_of"].values()) - set(emb["concepts"]))
+    unknown = sorted(set(concept_of.values()) - set(emb["concepts"]))
     if unknown:
-        raise ValueError(f"concept_of names concept(s) {unknown} not in embedder.concepts")
+        raise ValueError(f"embedder.concepts lacks the dataset's concept(s) {unknown}")
 
 
 _MLPS = ("mlp_global", "mlp_local", "mlp_prompt")
@@ -304,14 +301,6 @@ def local_entity(track_entity, frame_index):
     return f"{track_entity}@{frame_index}"
 
 
-def _window_frames(traj: Trajectory, window):
-    if window < 1:
-        raise DegenerateInputError(f"window must be >= 1, got {window}")
-    if not traj.frames:
-        raise DegenerateInputError(f"track {traj.track_id} has no frames")
-    return [f for f, _ in traj.frames[-window:]]
-
-
 def score_all(trajectories, tasks, model: ReferringModel, window, stats=None,
               threshold=0.0):
     """Score every (candidate trajectory, prompt) pair. Deterministic given seeds.
@@ -325,21 +314,18 @@ def score_all(trajectories, tasks, model: ReferringModel, window, stats=None,
     while a window goes through the local MLP and the fusion block here,
     the worker draws the next window's raw local tokens into the other of
     two buffers. The worker only fills those buffers; every tensor, and so
-    every ledger charge, is made on the calling thread. Inputs are checked
-    and the prompts projected before the worker starts, a draw's error is
-    raised here in window order, and the worker is joined before this
-    returns or raises.
+    every ledger charge, is made on the calling thread. The prompts are
+    projected before the worker starts, a draw's error is raised here in
+    window order, and the worker is joined before this returns or raises.
+    Every candidate must be a track of ``trajectories``, as
+    ``load_dataset`` checks.
     """
     by_id = {t.track_id: t for t in trajectories}
     by_track = {}
     for task in sorted(tasks, key=lambda t: t.prompt_id):
-        if not task.candidates:
-            raise DegenerateInputError(f"task {task.prompt_id} has no candidates")
         for tid in task.candidates:
-            if tid not in by_id:
-                raise LookupError_(f"unknown track_id {tid} in task {task.prompt_id}")
             by_track.setdefault(tid, []).append(task)
-    windows = [(tid, jobs, _window_frames(by_id[tid], window))
+    windows = [(tid, jobs, [f for f, _ in by_id[tid].frames[-window:]])
                for tid, jobs in by_track.items()]
 
     def draw(k):
@@ -427,7 +413,8 @@ def train(samples, trajectories, tasks, model: ReferringModel, epochs=100,
     backward pass; its loss is the mean over its windows. Returns the
     per-epoch mean loss curve. ``log``, when given, is called after each
     epoch with a dict: epoch, mean_loss, wall_s (the epoch's wall time) and
-    batches.
+    batches. Each sample's track, prompt and frames must be known, as
+    ``load_dataset`` checks.
     """
     if not samples:
         raise DegenerateInputError("empty training dataset")
@@ -441,13 +428,7 @@ def train(samples, trajectories, tasks, model: ReferringModel, epochs=100,
         return rows[modality].setdefault(entity, len(rows[modality]))
 
     windows = []
-    for k, smp in enumerate(samples):
-        if smp.track_id not in by_track:
-            raise LookupError_(f"unknown track_id {smp.track_id} in training window {k}")
-        if smp.prompt_id not in by_prompt:
-            raise LookupError_(f"unknown prompt_id {smp.prompt_id} in training window {k}")
-        if not smp.frame_indices:
-            raise DegenerateInputError(f"training window {k} has no frames")
+    for smp in samples:
         ent = by_track[smp.track_id].entity_id
         windows.append((
             np.array([row(frame_entity(i), features.GLOBAL_FRAME) for i in smp.frame_indices]),
@@ -504,9 +485,9 @@ class DatasetConfig:
 
 def generate_synthetic_dataset(cfg: DatasetConfig):
     """Deterministic toy referring dataset; prompts link to >= 1 matching track."""
-    for name in ("n_concepts", "n_tracks", "n_prompts", "n_frames", "n_windows", "window"):
-        if getattr(cfg, name) <= 0:
-            raise DegenerateInputError(f"{name} must be positive")
+    if cfg.window > cfg.n_frames:
+        raise DegenerateInputError(f"pipeline.window {cfg.window} is more than "
+                                   f"dataset.n_frames {cfg.n_frames}: no window fits")
     rng = np.random.default_rng(cfg.seed)
     concepts = [f"concept-{i}" for i in range(cfg.n_concepts)]
     trajectories, manifest = [], []
@@ -600,7 +581,7 @@ def _read_jsonl(path, fields, check=None):
                     raise DataFileError(f"{path}:{lineno}: not valid JSON ({exc})") from None
                 out.append(check_record(f"{path}:{lineno}", rec, fields, check))
     except (OSError, UnicodeDecodeError) as exc:
-        raise DataFileError(f"{path}: cannot read ({exc})") from None
+        raise cannot_read(path, exc) from None
     return out
 
 
@@ -631,9 +612,9 @@ def load_dataset(in_dir):
     for a missing or unreadable file, a line that is not a JSON object, a
     missing key or a field not of its kind (README "File formats"), a
     trajectory row with a box extent <= 0 or a frame its track already has,
-    a task candidate that is not a track, a window row whose track or
-    prompt is unknown or whose frames are not that track's, or a concepts
-    row whose concept is not in meta.json's list of concept names.
+    a task with no candidates or a candidate that is not a track, a window
+    row whose track or prompt is unknown or whose frames are not that
+    track's, or a concepts row whose concept is not in meta.json's concepts.
     """
     by_track = {}
 
@@ -655,6 +636,8 @@ def load_dataset(in_dir):
         frames_of.setdefault(t.track_id, set()).update(f for f, _ in t.frames)
 
     def check_task(r):
+        if not r["candidates"]:
+            raise ValueError("candidates is empty")
         unknown = [tid for tid in r["candidates"] if tid not in frames_of]
         if unknown:
             raise ValueError(f"unknown track_id {unknown[0]} in candidates")

@@ -10,7 +10,7 @@ import struct
 
 import numpy as np
 
-from .config import DataFileError
+from .config import DataFileError, cannot_read
 
 MAGIC = b"MEXT"
 VERSION = 1
@@ -55,8 +55,8 @@ def read_tensor(path):
                 raise DataFileError(f"{path}: unknown dtype code {code}")
             shape = struct.unpack(f"<{rank}Q", _read_exact(fh, 8 * rank, path, "extents"))
             raw = _read_exact(fh, math.prod(shape) * 8, path, "payload")
-    except OSError as exc:  # strerror: str(exc) would name the file again
-        raise DataFileError(f"{path}: cannot read ({exc.strerror or exc})") from None
+    except OSError as exc:
+        raise cannot_read(path, exc) from None
     try:  # a 0 extent next to huge ones, or a rank past numpy's limit
         return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
     except ValueError as exc:

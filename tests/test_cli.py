@@ -22,6 +22,10 @@ def invoke(runner, *args):
     return runner.invoke(main, list(args), catch_exceptions=False)
 
 
+# how a message names the int kind
+INT = "an int from -2**63 to 2**63 - 1"
+
+
 def read_tree(root, skip=()):
     out = {}
     for dirpath, _, files in os.walk(root):
@@ -50,7 +54,10 @@ class TestConfig:
     @pytest.mark.parametrize("cfg,key", [({"pipeline": {"window": "8"}}, "pipeline.window"),
                                          ({"fusion": {"d_k": 0}}, "fusion.d_k"),
                                          ({"pipeline": {"lr": 10 ** 400}}, "pipeline.lr"),
-                                         ({"fusion": {"d_k": 10 ** 400}}, "fusion.d_k")])
+                                         ({"fusion": {"d_k": 10 ** 400}}, "fusion.d_k"),
+                                         # both keys: no window of 8 fits in 4 frames
+                                         ({"pipeline": {"window": 8}, "dataset": {"n_frames": 4}},
+                                          "pipeline.window 8 is more than dataset.n_frames 4")])
     def test_bad_value_exits_2_naming_key(self, runner, tmp_path, cfg, key):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(cfg))
@@ -135,20 +142,6 @@ class TestTrainScore:
         manifest = json.loads((out / "run_manifest_train.json").read_text())
         assert str(out / "train_log.jsonl") in manifest["outputs"]
 
-    def test_unknown_candidate_track_exits_2(self, runner, trained, tmp_path):
-        cfg_path, out = trained
-        data = tmp_path / "dataset"
-        shutil.copytree(out / "dataset", data)
-        tasks = [json.loads(l) for l in (data / "tasks.jsonl").read_text().splitlines()]
-        tasks[0]["candidates"].append(999)
-        (data / "tasks.jsonl").write_text("".join(json.dumps(t) + "\n" for t in tasks))
-        result = runner.invoke(main, ["--config", str(cfg_path), "--out", str(tmp_path / "o"),
-                                      "score", "--dataset", str(data),
-                                      "--model", str(out / "model")])
-        assert result.exit_code == 2, result.output
-        assert "unknown track_id 999" in result.output
-        assert result.exception is None or isinstance(result.exception, SystemExit)
-
     def test_model_file_removed_exits_2(self, runner, trained, tmp_path):
         cfg_path, out = trained
         model = tmp_path / "model"
@@ -215,31 +208,10 @@ class TestTrainScore:
         assert "'bogus'" in result.output
         assert isinstance(result.exception, SystemExit)
 
-    @pytest.mark.parametrize("concept_of,named", [
-        ([1, 2], "concept_of must be an object of strs, got [1, 2]"),
-        ({"prompt-0": "bogus"}, "concept_of names concept(s) ['bogus'] not in"),
-    ], ids=["not-an-object", "unknown-concept"])
-    def test_bad_concept_of_exits_2(self, runner, trained, tmp_path, concept_of, named):
-        cfg_path, out = trained
-        model = tmp_path / "model"
-        shutil.copytree(out / "model", model)
-        manifest = json.loads((model / "params.json").read_text())
-        if isinstance(concept_of, dict):
-            concept_of = {**manifest["concept_of"], **concept_of}
-        manifest["concept_of"] = concept_of
-        (model / "params.json").write_text(json.dumps(manifest))
-        result = runner.invoke(main, ["--config", str(cfg_path), "--out", str(tmp_path / "o"),
-                                      "score", "--dataset", str(out / "dataset"),
-                                      "--model", str(model)])
-        assert result.exit_code == 2, result.output
-        assert f"{model / 'params.json'}: {named}" in result.output
-        assert "Traceback" not in result.output
-        assert isinstance(result.exception, SystemExit)
-
     @pytest.mark.parametrize("section,key,value,named", [
         ("embedder", "noise_scale", "x", "embedder.noise_scale must be a finite number, got 'x'"),
         ("embedder", "truncate_to", 2.5,
-         "embedder.truncate_to must be an int >= 1 or null, got 2.5"),
+         "embedder.truncate_to must be an int from 1 to 2**63 - 1 or null, got 2.5"),
         ("fusion", "residual_add", "no", "fusion.residual_add must be true or false, got 'no'"),
     ], ids=["str noise_scale", "float truncate_to", "str residual_add"])
     def test_bad_params_field_exits_2_naming_file_and_key(self, runner, trained, tmp_path,
@@ -271,7 +243,8 @@ class TestTrainScore:
          "tasks.jsonl:2: candidates must be a list of int track ids, got 3"),
         ("score", "label match a string",
          "labels.jsonl:2: match must be true or false, got 'false'"),
-        ("score", "label track_id a string", "labels.jsonl:2: track_id must be an int, got '1'"),
+        ("score", "label track_id a string",
+         f"labels.jsonl:2: track_id must be {INT}, got '1'"),
         ("train", "unknown concept", "concepts.jsonl:2: concept 'bogus' is not in"),
     ])
     def test_bad_dataset_exits_2_naming_file_and_line(self, runner, trained, tmp_path,
@@ -324,10 +297,8 @@ class TestTrainScore:
         ("frames", [1, 99], "has no frame(s) [99]"),
         ("match", "yes", "match must be true or false, got 'yes'"),
         ("match", 1, "match must be true or false, got 1"),
-        ("track_id", 999, "unknown track_id 999"),
-        ("prompt_id", "nope", "unknown prompt_id nope"),
     ], ids=["frames-int", "frames-empty", "frames-str", "frame-not-in-track", "match-str",
-            "match-int", "unknown-track", "unknown-prompt"])
+            "match-int"])
     def test_bad_window_row_exits_2_naming_file_and_line(self, runner, trained, tmp_path,
                                                          key, value, named):
         cfg_path, out = trained
@@ -349,12 +320,11 @@ class TestTrainScore:
 
     @pytest.mark.parametrize("cmd,name,key,value,named", [
         ("score", "tasks.jsonl", "prompt_id", 5, "prompt_id must be a str, got 5"),
-        ("train", "trajectories.jsonl", "frame", "2", "frame must be an int, got '2'"),
-        ("score", "trajectories.jsonl", "track_id", "1", "track_id must be an int, got '1'"),
+        ("train", "trajectories.jsonl", "frame", "2", f"frame must be {INT}, got '2'"),
+        ("score", "trajectories.jsonl", "track_id", "1", f"track_id must be {INT}, got '1'"),
         ("train", "trajectories.jsonl", "box", [1, 2, 3],
          "box must be 4 finite numbers, got [1, 2, 3]"),
-        ("score", "tasks.jsonl", "candidates", [0, 999], "unknown track_id 999"),
-    ], ids=["int prompt_id", "str frame", "str track_id", "short box", "unknown candidate"])
+    ], ids=["int prompt_id", "str frame", "str track_id", "short box"])
     def test_bad_field_exits_2_naming_file_and_line(self, runner, trained, tmp_path, cmd,
                                                      name, key, value, named):
         cfg_path, out = trained
@@ -370,11 +340,6 @@ class TestTrainScore:
         assert f"{data / name}:2: {named}" in result.output
         assert "Traceback" not in result.output
         assert isinstance(result.exception, SystemExit)
-
-    def test_missing_dataset_exits_2(self, runner, tmp_path):
-        result = runner.invoke(main, ["--out", str(tmp_path / "empty"), "train"])
-        assert result.exit_code == 2
-        assert "not found" in result.output
 
 
 class TestCalibrate:
@@ -591,8 +556,8 @@ class TestCalibrate:
         ({"s": float("-inf")}, "s must be a finite number, got -inf"),
         ({"s": 10 ** 400}, "s must be a finite number"),
         ({"prompt_id": 7}, "prompt_id must be a str, got 7"),
-        ({"track_id": "1"}, "track_id must be an int, got '1'"),
-        ({"track_id": 1.0}, "track_id must be an int, got 1.0"),
+        ({"track_id": "1"}, f"track_id must be {INT}, got '1'"),
+        ({"track_id": 1.0}, f"track_id must be {INT}, got 1.0"),
     ], ids=["str s", "bool s", "nan s", "inf s", "huge int s", "int prompt_id",
             "str track_id", "float track_id"])
     def test_bad_score_row_exits_2_naming_line(self, runner, tmp_path, fault, named):
@@ -612,10 +577,132 @@ class TestCalibrate:
         assert isinstance(result.exception, SystemExit)
         assert not (tmp_path / "run" / "scores_calibrated.jsonl").exists()
 
-    def test_missing_scores_exits_2(self, runner, tmp_path):
-        result = runner.invoke(main, ["calibrate", "--scores", "/nope.jsonl",
-                                      "--manifest", "/nope.json"])
-        assert result.exit_code == 2
+
+def edit_jsonl(path, line, **fields):
+    """Set ``fields`` in the JSON object on ``line`` (from 1) of a JSON-lines file."""
+    lines = path.read_text().splitlines()
+    lines[line - 1] = json.dumps({**json.loads(lines[line - 1]), **fields})
+    path.write_text("".join(l + "\n" for l in lines))
+
+
+class TestInputFactsCheckedWhereRead:
+    """Each input fact is checked once, by the reader of the file that holds it."""
+
+    @pytest.mark.parametrize("case", [
+        "empty candidates", "unknown candidate", "window of an unknown track",
+        "window of an unknown prompt", "no dataset directory", "no model directory",
+        "no manifest for score", "no manifest for calibrate", "no scores file",
+        "zero visual_tokens", "zero truncate_to", "a concept the model lacks"])
+    def test_bad_input_exits_2_naming_where(self, runner, trained, tmp_path, case):
+        from mexfuse.pipeline import ScoredCandidate, write_scores
+
+        cfg_path, out = trained
+        data, model, run = tmp_path / "dataset", tmp_path / "model", tmp_path / "run"
+        shutil.copytree(out / "dataset", data)
+        shutil.copytree(out / "model", model)
+        manifest, scores = tmp_path / "cal.json", tmp_path / "scores.jsonl"
+        manifest.write_text(json.dumps({"train": [{"expr_id": "a", "freq": 0.5}],
+                                        "similarity": [[1.0]]}))
+        write_scores(scores, [ScoredCandidate(0, "p000", 0.5, 0.0, 0.5, True)])
+        params = model / "params.json"
+        cmd = "score"
+        if case == "empty candidates":
+            edit_jsonl(data / "tasks.jsonl", 2, candidates=[])
+            named = f"{data / 'tasks.jsonl'}:2: candidates is empty"
+        elif case == "unknown candidate":
+            edit_jsonl(data / "tasks.jsonl", 2, candidates=[0, 999])
+            named = f"{data / 'tasks.jsonl'}:2: unknown track_id 999 in candidates"
+        elif case == "window of an unknown track":
+            cmd = "train"
+            edit_jsonl(data / "windows.jsonl", 2, track_id=999)
+            named = f"{data / 'windows.jsonl'}:2: unknown track_id 999"
+        elif case == "window of an unknown prompt":
+            cmd = "train"
+            edit_jsonl(data / "windows.jsonl", 2, prompt_id="nope")
+            named = f"{data / 'windows.jsonl'}:2: unknown prompt_id nope"
+        elif case == "no dataset directory":
+            cmd = "train"
+            shutil.rmtree(data)
+            named = f"{data / 'trajectories.jsonl'}: cannot read (No such file or directory)"
+        elif case == "no model directory":
+            shutil.rmtree(model)
+            named = f"{params}: cannot read (No such file or directory)"
+        elif case.startswith("no manifest"):
+            cmd = case.split()[-1]
+            manifest.unlink()
+            named = f"{manifest}: cannot read (No such file or directory)"
+        elif case == "no scores file":
+            cmd = "calibrate"
+            scores.unlink()
+            named = f"{scores}: cannot read (No such file or directory)"
+        elif case.startswith("zero"):
+            key = case.split()[1]
+            doc = json.loads(params.read_text())
+            doc["embedder"][key] = 0
+            params.write_text(json.dumps(doc))
+            named = (f"{params}: embedder.{key} must be an int from 1 to 2**63 - 1"
+                     f"{' or null' if key == 'truncate_to' else ''}, got 0")
+        else:  # the dataset names a concept the model was not trained with
+            meta = json.loads((data / "meta.json").read_text())
+            (data / "meta.json").write_text(json.dumps(
+                {**meta, "concepts": meta["concepts"] + ["concept-9"]}))
+            edit_jsonl(data / "concepts.jsonl", 2, concept="concept-9")
+            named = f"{params}: embedder.concepts lacks the dataset's concept(s) ['concept-9']"
+        if cmd == "calibrate":
+            args = ["--out", str(run), "calibrate", "--scores", str(scores),
+                    "--manifest", str(manifest)]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({**SMALL_CFG, "calibration": {
+                "enabled": case == "no manifest for score", "manifest": str(manifest)}}))
+            args = ["--config", str(cfg), "--out", str(run), cmd, "--dataset", str(data)]
+            args += ["--model", str(model)] if cmd == "score" else []
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert named in result.output
+        assert result.output.count(named.split(": ")[0]) == 1, result.output
+        assert "Traceback" not in result.output
+        assert isinstance(result.exception, SystemExit)
+        assert not os.path.exists(run)
+
+    def test_score_embeds_by_the_dataset_concept_map(self, runner, trained, tmp_path):
+        # the model carries no concept map: a concepts.jsonl row edited after
+        # training changes the scores of its track, and of no other
+        cfg_path, out = trained
+        data = tmp_path / "dataset"
+        shutil.copytree(out / "dataset", data)
+        rows = [json.loads(l) for l in (data / "concepts.jsonl").read_text().splitlines()]
+        line = next(i for i, r in enumerate(rows, 1) if r["entity_id"] == "track-0@5")
+        assert rows[line - 1]["concept"] == "concept-0"
+        edit_jsonl(data / "concepts.jsonl", line, concept="concept-1")
+
+        def scores(dataset, run):
+            result = invoke(runner, "--config", str(cfg_path), "--out", str(run), "score",
+                            "--dataset", str(dataset), "--model", str(out / "model"))
+            assert result.exit_code == 0, result.output
+            return {(r["track_id"], r["prompt_id"]): r["s"] for r in
+                    map(json.loads, (run / "scores.jsonl").read_text().splitlines())}
+
+        before, after = scores(out / "dataset", tmp_path / "a"), scores(data, tmp_path / "b")
+        assert before.keys() == after.keys()
+        assert {tid for (tid, pid), s in before.items() if after[tid, pid] != s} == {0}
+
+    def test_a_model_scores_another_dataset_by_its_own_concepts(self, runner, toy_config_file,
+                                                                tmp_path):
+        # trained on 4 concepts, scoring a dataset of 2 whose tracks and
+        # prompts share entity ids with the training set but not concepts
+        a, b = tmp_path / "a", tmp_path / "b"
+        for cmd in ("gen", "train"):
+            assert invoke(runner, "--config", toy_config_file, "--out", str(a), cmd).exit_code == 0
+        cfg_b = tmp_path / "b.json"
+        doc = json.loads(Path(toy_config_file).read_text())
+        cfg_b.write_text(json.dumps({**doc, "dataset": {**doc["dataset"], "n_concepts": 2}}))
+        assert invoke(runner, "--config", str(cfg_b), "--out", str(b), "gen").exit_code == 0
+        result = invoke(runner, "--config", str(cfg_b), "--out", str(b), "score",
+                        "--model", str(a / "model"))
+        assert result.exit_code == 0, result.output
+        report = json.loads((b / "score_report.json").read_text())
+        assert report["precision"] == report["recall"] == 1.0
 
 
 class TestBench:

@@ -12,7 +12,6 @@ from mexfuse.features import (
 )
 from mexfuse.pipeline import ReferringModel
 from mexfuse.tensor import (
-    DegenerateInputError,
     DimensionError,
     Linear,
     Tensor,
@@ -114,10 +113,6 @@ class TestTruncate:
 
     def test_min_rule(self):
         assert np.array_equal(self._tokens(8, text_tokens=5), self._tokens(None, text_tokens=5))
-
-    def test_zero_rejected(self):
-        with pytest.raises(DegenerateInputError):
-            EmbedderConfig(truncate_to=0)
 
     def test_composition(self):
         assert np.array_equal(self._tokens(6), self._tokens(13)[:6])

@@ -46,7 +46,7 @@ VALUES = [
     ([], ("track ids", "strs")),
     ([0, "1"], ()),
     ({"a": 1}, ()),
-    ({}, ("str map",)),
+    ({}, ()),
 ]
 
 # the fields each data file's reader requires; concepts.jsonl's modality is
@@ -100,7 +100,7 @@ PARAMS = {
     "embedder.concepts": "strs",
     "fusion.variant": "variant", "fusion.d_k": "size", "fusion.residual_add": "bool",
     "fusion.per_pair": "bool",
-    "mlp_hidden": "size?", "params": "strs", "concept_of": "str map",
+    "mlp_hidden": "size?", "params": "strs",
 }
 # the one field of a dataset's meta.json that a command reads
 META = {"concepts": "strs"}
@@ -238,5 +238,5 @@ def test_wrong_kind_in_params_or_meta_is_named(files, model, name, data):
         with open(path, "w") as fh:
             json.dump(doc, fh)
         with pytest.raises(DataFileError) as err:
-            ReferringModel.load(tmp) if name == "params.json" else load_dataset(tmp)
+            ReferringModel.load(tmp, {}) if name == "params.json" else load_dataset(tmp)
     assert str(err.value).startswith(f"{path}: {key} must be ")

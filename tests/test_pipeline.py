@@ -19,7 +19,6 @@ from mexfuse.fusion import linear_names
 from mexfuse.pipeline import (
     DataFileError,
     DatasetConfig,
-    LookupError_,
     ReferringModel,
     ScoredCandidate,
     TrainSample,
@@ -37,7 +36,6 @@ from mexfuse.pipeline import (
     write_scores,
 )
 from mexfuse.tensor import (
-    DegenerateInputError,
     Linear,
     Tensor,
     add,
@@ -267,13 +265,6 @@ class TestScoring:
         b = score_all([last_only], [task], model, window=1)
         assert a[0].raw_score == b[0].raw_score
 
-    def test_unknown_track_id(self, small_data):
-        model = small_model(small_data)
-        tasks = [copy.deepcopy(small_data["tasks"][0])]
-        tasks[0].candidates = [999]
-        with pytest.raises(LookupError_):
-            score_all(small_data["trajectories"], tasks, model, window=3)
-
     @pytest.mark.parametrize("failing", [(), (0,), (2,), (3,), (1, 2)],
                              ids=["none", "first", "middle", "last", "two"])
     def test_embedder_worker(self, small_data, monkeypatch, failing):
@@ -304,23 +295,6 @@ class TestScoring:
         main = threading.current_thread()
         assert len(threads[LOCAL_TRACK]) == 1 and main not in threads[LOCAL_TRACK]
         assert threads[PROMPT] | threads.get(GLOBAL_FRAME, set()) == {main}
-
-    def test_input_checked_before_the_worker_starts(self, small_data, monkeypatch):
-        calls = []
-        monkeypatch.setattr(features, "embed_synthetic", lambda *a, **kw: calls.append(a))
-        model = small_model(small_data)
-        trajs, tasks = small_data["trajectories"], small_data["tasks"]
-        with pytest.raises(DegenerateInputError, match="window must be >= 1"):
-            score_all(trajs, tasks, model, window=0)
-        empty = [copy.deepcopy(tasks[0]), copy.deepcopy(tasks[1])]
-        empty[1].candidates = []
-        with pytest.raises(DegenerateInputError, match="no candidates"):
-            score_all(trajs, empty, model, window=3)
-        unknown = [copy.deepcopy(tasks[0]), copy.deepcopy(tasks[1])]
-        unknown[1].candidates = [0, 999]
-        with pytest.raises(LookupError_, match="999"):
-            score_all(trajs, unknown, model, window=3)
-        assert calls == []
 
     def test_short_switch_interval_matches_reference(self, small_data):
         # the two stages swap the interpreter lock as often as it allows
@@ -445,12 +419,6 @@ class TestTraining:
         for prev, p in zip(before, model.parameters()):
             assert np.array_equal(prev, p.data) == (id(p) in unused)
 
-    def test_unknown_track_id(self, small_data):
-        model = small_model(small_data)
-        samples = [TrainSample(999, "p000", [0, 1], True)]
-        with pytest.raises(LookupError_, match="999"):
-            train(samples, small_data["trajectories"], small_data["tasks"], model, epochs=1)
-
     def test_zero_lr_leaves_params_bit_identical(self, small_data):
         model = small_model(small_data)
         before = [p.data.copy() for p in model.parameters()]
@@ -555,7 +523,7 @@ class TestPersistence:
         names += [f"{m}.{layer}.{part}" for m in MLPS for layer in ("first", "second")
                   for part in ("w", "bias")]
         assert json.loads((tmp_path / "m" / "params.json").read_text())["params"] == names
-        loaded = ReferringModel.load(tmp_path / "m")
+        loaded = ReferringModel.load(tmp_path / "m", model.concept_of)
         for m in (model, loaded):
             assert [id(p) for p in m.parameters()] == \
                    [id(getattr(m.linears[n.rsplit(".", 1)[0]], n.rsplit(".", 1)[1]))
@@ -595,7 +563,7 @@ class TestPersistence:
         small_model(small_data).save(tmp_path / "m")
         (tmp_path / "m" / "fusion.proj_t.bias.mext").unlink()
         with pytest.raises(DataFileError, match="fusion.proj_t.bias.mext"):
-            ReferringModel.load(tmp_path / "m")
+            ReferringModel.load(tmp_path / "m", concept_map(small_data["manifest"]))
 
     def test_d_k_other_than_the_embedder_width_named(self, small_data, tmp_path):
         small_model(small_data).save(tmp_path / "m")
@@ -605,13 +573,13 @@ class TestPersistence:
         path.write_text(json.dumps(manifest))
         with pytest.raises(DataFileError,
                            match=r"params.json: fusion.d_k 16 is not embedder.fused_dim 8"):
-            ReferringModel.load(tmp_path / "m")
+            ReferringModel.load(tmp_path / "m", concept_map(small_data["manifest"]))
 
     def test_shape_mismatch_named(self, small_data, tmp_path):
         small_model(small_data).save(tmp_path / "m")
         tensor_io.write_tensor(tmp_path / "m" / "mlp_prompt.first.w.mext", np.zeros((24, 15)))
         with pytest.raises(DataFileError, match=r"mlp_prompt.first.w.mext.*\(24, 16\)"):
-            ReferringModel.load(tmp_path / "m")
+            ReferringModel.load(tmp_path / "m", concept_map(small_data["manifest"]))
 
 
 def test_precision_recall_and_scores_io(tmp_path):

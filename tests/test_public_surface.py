@@ -134,6 +134,12 @@ def test_json_is_parsed_in_two_places():
     assert callers(SRC, "json.loads") == {"pipeline:_read_jsonl"}
 
 
+def test_a_missing_file_is_reported_by_its_reader():
+    # a reader names a file it cannot open; a check before it would be a
+    # second path to the same exit
+    assert callers(SRC, "os.path.exists") == callers(SRC, "os.path.isdir") == set()
+
+
 def exception_classes(src):
     """``module:name`` of each module-level class in ``src`` whose base is named
     ``*Error`` or ``*Exception``, or is such a class of the same module."""
@@ -157,7 +163,6 @@ ERRORS = {
     "tensor:DimensionError": "operands whose shapes do not fit",
     "tensor:DegenerateInputError": "an empty or zero-sized input",
     "tensor:ContractError": "a gradient of the wrong shape or dtype, or a non-scalar loss",
-    "pipeline:LookupError_": "a track or prompt id that names nothing",
     "pipeline:TrainingError": "a non-finite training loss",
     "cli:InputError": "reports any of the above with exit code 2",
 }
