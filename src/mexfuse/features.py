@@ -129,6 +129,42 @@ class ProjectionMLP:
         self.first = first
         self.second = second
 
+    def _gelu_first(self, x):
+        """x[..., d_raw] as rows, h = first(rows) and the GELU terms (hh, t, 1 + t, gelu(h)).
+
+        The tanh-approximation GELU runs in place on arrays made here, in the
+        operation order of 0.5*h*(1 + tanh(c*(h + 0.044715*h*h*h))); powers
+        as products, as ``**`` goes through pow. h*h and 1 + t are kept for
+        the backward pass.
+        """
+        first = self.first
+        if x.data.shape[-1] != first.d_in:
+            raise DimensionError(
+                f"projection MLP: input trailing dim {x.data.shape} vs weight {first.w.data.shape}")
+        x2 = x.data.reshape(-1, first.d_in)
+        h = first.forward(x2)
+        hh = h * h
+        t = hh * h
+        t *= 0.044715
+        t += h
+        t *= _GELU_C
+        np.tanh(t, out=t)
+        one_t = t + 1.0
+        a = h * 0.5
+        a *= one_t
+        return x2, (h, hh, t, one_t, a)
+
+    def hidden(self, x):
+        """gelu(first(x)) over x[..., d_raw], [..., hidden], as a constant.
+
+        The entry point of a pass without gradients that applies ``second``
+        composed with what reads its output (``Linear.then``): no gradient
+        flows back. The result charges h and gelu(h), as ``__call__`` does.
+        """
+        _, (h, _, _, _, a) = self._gelu_first(x)
+        return node(a.reshape(x.data.shape[:-1] + (a.shape[-1],)), (), None,
+                    charge=h.size + a.size)
+
     def __call__(self, x):
         """second(gelu(first(x))) over x[..., d_raw], as one graph node.
 
@@ -139,23 +175,7 @@ class ProjectionMLP:
         Linear-GELU-Linear chain would: h, gelu(h) and the output.
         """
         first, second = self.first, self.second
-        if x.data.shape[-1] != first.d_in:
-            raise DimensionError(
-                f"projection MLP: input trailing dim {x.data.shape} vs weight {first.w.data.shape}")
-        x2 = x.data.reshape(-1, first.d_in)
-        h = first.forward(x2)
-        # tanh-approximation GELU, in place and in the operation order of
-        # 0.5*h*(1 + tanh(c*(h + 0.044715*h*h*h))); powers as products, as
-        # ``**`` goes through pow. h*h and 1 + t are kept for the backward pass.
-        hh = h * h
-        t = hh * h
-        t *= 0.044715
-        t += h
-        t *= _GELU_C
-        np.tanh(t, out=t)
-        one_t = t + 1.0
-        a = h * 0.5
-        a *= one_t
+        x2, (h, hh, t, one_t, a) = self._gelu_first(x)
         out = second.forward(a)
 
         def bwd(g):

@@ -24,6 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .features import GLOBAL_FRAME, LOCAL_TRACK, PROMPT
 from .tensor import (
     DimensionError,
     Linear,
@@ -86,11 +87,48 @@ def linear_names(variant, per_pair=False):
     return ("q", "k", "v")
 
 
-def _check_channels(params, *streams):
-    for s in streams:
-        if s.data.ndim < 2 or s.data.shape[-1] != params.d_k:
+# The role each d_k x d_k projection plays, by the stream it reads. Shared
+# mex's one projection per stream plays all of that stream's roles; cascade's
+# s2_q reads stage 1's output, no stream; plain's global stream has no reader.
+_ROLES = {
+    "mex": {GLOBAL_FRAME: {"q_it": "proj_i"},
+            LOCAL_TRACK: {"k_it": "proj_t", "q_tp": "proj_t", "v_t": "proj_t"},
+            PROMPT: {"k": "proj_p", "v": "proj_p"}},
+    "mex/per_pair": {GLOBAL_FRAME: {"q_it": "q_it"},
+                     LOCAL_TRACK: {"k_it": "k_it", "q_tp": "q_tp", "v_t": "v_t"},
+                     PROMPT: {"k": "k_tp", "v": "v_p"}},
+    "cascade": {GLOBAL_FRAME: {"k": "s1_k", "v": "s1_v"}, LOCAL_TRACK: {"q": "s1_q"},
+                PROMPT: {"k": "s2_k", "v": "s2_v"}},
+    "plain": {GLOBAL_FRAME: {}, LOCAL_TRACK: {"q": "q"}, PROMPT: {"k": "k", "v": "v"}},
+}
+
+
+def _roles(params, stream):
+    return _ROLES["mex/per_pair" if params.variant == "mex" and params.per_pair
+                  else params.variant][stream]
+
+
+def reads(params, stream):
+    """Names of the projections that read ``stream`` (a ``features`` modality)."""
+    return tuple(dict.fromkeys(_roles(params, stream).values()))
+
+
+def _project(params, stream, x, heads):
+    """Role -> ``x`` ([..., tokens, d]) through each projection that reads ``stream``.
+
+    ``heads`` maps projection names to the ``Linear``s applied: the block's
+    own, which read the stream's d_k features, when None. A projection that
+    plays several roles runs once, and its one tensor fills them all.
+    """
+    heads = params.linears if heads is None else heads
+    done = {}
+    for name in reads(params, stream):
+        d_in = heads[name].d_in
+        if x.data.ndim < 2 or x.data.shape[-1] != d_in:
             raise DimensionError(
-                f"stream shape {s.data.shape} incompatible with d_k={params.d_k}")
+                f"stream shape {x.data.shape} incompatible with {name}'s input width {d_in}")
+        done[name] = heads[name](x)
+    return {role: done[name] for role, name in _roles(params, stream).items()}
 
 
 class LastStage(NamedTuple):
@@ -106,23 +144,18 @@ class LastStage(NamedTuple):
     residual: Tensor | None
 
 
-# The variants differ only before the prompt meets a track window:
-#   global(params, fGlobal)       -> terms of the global frames alone
-#   visual(params, glob, fLocal)  -> a track window's query q, the map pbar
-#                                    (or None) that q's map is chained after,
-#                                    and the residual (or None)
-# Every variant's prompt terms are its (key, value) projections of the
-# prompt, and one ``last_stage`` joins the two, so a scoring pass computes
+# The variants differ only before the prompt meets a track window. The
+# global frames' and the prompt's terms are their projections by role
+# (``_ROLES``); each variant's ``visual(params, glob, local)`` gives a track
+# window's query q, the map pbar (or None) that q's map is chained after, and
+# the residual (or None), from the global terms and the window's projections.
+# One ``last_stage`` joins them to the prompt's, so a scoring pass computes
 # each global window's terms and each prompt's terms once. Streams are
-# [..., tokens, d_k]; leading axes (prompts, windows, frames) are batch axes
+# [..., tokens, d]; leading axes (prompts, windows, frames) are batch axes
 # and broadcast.
 
 
-def _mex_global(params, fI):
-    return {"q_it": params.linears["q_it" if params.per_pair else "proj_i"](fI)}
-
-
-def _mex_visual(params, glob, fT):
+def _mex_visual(params, glob, local):
     """Mex's window terms. The block is two chained row-stochastic maps:
 
     p_it = softmax(f(I) f(T)^T / sqrt(d_k))          [g x t]
@@ -136,70 +169,50 @@ def _mex_visual(params, glob, fT):
     last stage's map is pbar @ p_tp, and the pooled residual is
     pbar @ f(T) (+ the row mean of f(I)).
     """
-    L = params.linears
     q_it = glob["q_it"]
-    if params.per_pair:
-        k_it, q_tp, v_t = L["k_it"](fT), L["q_tp"](fT), L["v_t"](fT)
-    else:
-        k_it = q_tp = v_t = L["proj_t"](fT)
-    pbar = mean_axis(attention_map(q_it, k_it), axis=-2, keepdims=True)
-    residual = matmul(pbar, v_t)
+    pbar = mean_axis(attention_map(q_it, local["k_it"]), axis=-2, keepdims=True)
+    residual = matmul(pbar, local["v_t"])
     if params.residual_add:
         residual = add(residual, mean_axis(q_it, axis=-2, keepdims=True))
-    return {"q": q_tp, "pbar": pbar, "residual": residual}
+    return {"q": local["q_tp"], "pbar": pbar, "residual": residual}
 
 
-def _cascade_global(params, fGlobal):
-    L = params.linears
-    return {"k": L["s1_k"](fGlobal), "v": L["s1_v"](fGlobal)}
-
-
-def _cascade_visual(params, glob, fLocal):
+def _cascade_visual(params, glob, local):
     """Stage 1 (local queries on the global frames, plus the query) and the
     stage-2 query, which stage 2 adds to its output."""
-    L = params.linears
-    q = L["s1_q"](fLocal)
+    q = local["q"]
     p1 = attention_map(q, glob["k"])
-    q2 = L["s2_q"](add(matmul(p1, glob["v"]), q))
+    q2 = params.linears["s2_q"](add(matmul(p1, glob["v"]), q))
     return {"q": q2, "pbar": None, "residual": q2}
 
 
-def _plain_global(params, fGlobal):
-    return {}
+def _plain_visual(params, glob, local):
+    return {"q": local["q"], "pbar": None, "residual": None}
 
 
-def _plain_visual(params, glob, fLocal):
-    return {"q": params.linears["q"](fLocal), "pbar": None, "residual": None}
-
-
-_PARTS = {
-    "mex": (_mex_global, _mex_visual),
-    "cascade": (_cascade_global, _cascade_visual),
-    "plain": (_plain_global, _plain_visual),
-}
+_VISUAL = {"mex": _mex_visual, "cascade": _cascade_visual, "plain": _plain_visual}
 
 
 def global_terms(params: FusionParams, fGlobal: Tensor) -> dict:
-    """The part of the fusion block that depends on the global frames alone."""
-    _check_channels(params, fGlobal)
-    return _PARTS[params.variant][0](params, fGlobal)
+    """The part of the fusion block that depends on the global frames alone:
+    their projections by role."""
+    return _project(params, GLOBAL_FRAME, fGlobal, None)
 
 
-def visual_terms(params: FusionParams, glob: dict, fLocal: Tensor) -> dict:
-    """A track window's prompt-independent terms: ``q``, ``pbar`` and ``residual``."""
-    _check_channels(params, fLocal)
-    return _PARTS[params.variant][1](params, glob, fLocal)
+def visual_terms(params: FusionParams, glob: dict, fLocal: Tensor, heads=None) -> dict:
+    """A track window's prompt-independent terms: ``q``, ``pbar`` and ``residual``.
+
+    ``heads`` maps the names of the projections that read the stream to the
+    ``Linear``s that ``fLocal`` goes through: the block's own by default;
+    maps composed after the stream's MLP when ``fLocal`` is its hidden
+    activations.
+    """
+    return _VISUAL[params.variant](params, glob, _project(params, LOCAL_TRACK, fLocal, heads))
 
 
 def prompt_terms(params: FusionParams, fPrompt: Tensor) -> dict:
     """A prompt's keys ``k`` and values ``v``: one tensor when one projection gives both."""
-    _check_channels(params, fPrompt)
-    if params.variant == "mex":
-        k_name, v_name = ("k_tp", "v_p") if params.per_pair else ("proj_p", "proj_p")
-    else:
-        k_name, v_name = {"cascade": ("s2_k", "s2_v"), "plain": ("k", "v")}[params.variant]
-    k = params.linears[k_name](fPrompt)
-    return {"k": k, "v": k if v_name == k_name else params.linears[v_name](fPrompt)}
+    return _project(params, PROMPT, fPrompt, None)
 
 
 def last_stage(visual: dict, prompt: dict) -> LastStage:

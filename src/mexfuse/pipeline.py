@@ -136,6 +136,26 @@ class ReferringModel:
             raise ValueError(f"non-finite {modality} embedding values")
         return out
 
+    def composed_heads(self):
+        """For a pass without gradients, each projection that reads the local-track
+        stream composed after the local MLP's ``second``: {name: Linear}.
+
+        Nothing nonlinear lies between ``second`` and the projections that
+        read its output, so each pair is one affine map (``Linear.then``),
+        and a window runs the local MLP's ``first`` and GELU only
+        (``ProjectionMLP.hidden``): f(T) is never built. The composed maps
+        are constants, made from the current weights. A composed head saves
+        (rows - hidden) * d_k^2 multiply-adds for the rows a pass sends
+        through it, so the global-frame and prompt streams are not composed:
+        a paper-dims pass has 128 rows of each distinct global window and
+        160 prompt rows against a hidden width of 256, and the prompt's token
+        mean is the pooled prompt.
+        """
+        linears = self.fusion_params.linears
+        second = self.mlp_local.second
+        return {n: second.then(linears[n])
+                for n in fusion.reads(self.fusion_params, features.LOCAL_TRACK)}
+
     def global_terms(self, tokens):
         """Fusion terms of global frames, from raw tokens [..., w, s, d_raw] in one MLP call."""
         return fusion.global_terms(self.fusion_params, self.mlp_global(Tensor(tokens)))
@@ -145,19 +165,22 @@ class ReferringModel:
         fP = self.mlp_prompt(Tensor(tokens))
         return fusion.prompt_terms(self.fusion_params, fP), tensor.mean_axis(fP, axis=-2)
 
-    def forward_window(self, glob, local_tokens, prompts, idx):
+    def forward_window(self, glob, local_tokens, prompts, idx, heads=None):
         """Raw scores of track windows against the prompts at rows ``idx``, [len(idx)].
 
         ``glob`` is the windows' ``global_terms``, ``local_tokens`` their raw
-        local tokens and ``prompts`` a ``prompt_terms``. The local tokens go
-        through the local MLP as one batch, and the per-prompt part runs for
-        all the prompts at once, pooled over tokens before the last product.
+        local tokens and ``prompts`` a ``prompt_terms``; ``heads``, when
+        given, is ``composed_heads``. The local tokens go through the local
+        MLP (up to its hidden activations, with ``heads``) as one batch, and
+        the per-prompt part runs for all the prompts at once, pooled over
+        tokens before the last product.
         Each prompt term is taken as [len(idx), 1, l, d_k]: one window
         ([w, s, d_raw] tokens) meets every prompt; in a batch of windows
         ([len(idx), w, s, d_raw]) window i meets prompt idx[i].
         """
-        params = self.fusion_params
-        visual = fusion.visual_terms(params, glob, self.mlp_local(Tensor(local_tokens)))
+        fL = Tensor(local_tokens)
+        fL = self.mlp_local(fL) if heads is None else self.mlp_local.hidden(fL)
+        visual = fusion.visual_terms(self.fusion_params, glob, fL, heads)
         terms, pooled = prompts
 
         def taken(t):
@@ -306,9 +329,11 @@ def score_all(trajectories, tasks, model: ReferringModel, window, stats=None,
     """Score every (candidate trajectory, prompt) pair. Deterministic given seeds.
 
     The prompts are projected and their fusion terms computed once for the
-    pass, and each distinct window of global frames once. Pairs are grouped
-    by track: each track window is scored against all its prompts in one
-    ``forward_window`` call.
+    pass, and each distinct window of global frames once; global frames
+    that no projection reads (plain) are neither embedded nor projected.
+    The local tracks go through the model's ``composed_heads``, made once
+    per pass. Pairs are grouped by track: each track window is scored
+    against all its prompts in one ``forward_window`` call.
 
     The frozen embedder runs one track window ahead on one worker thread:
     while a window goes through the local MLP and the fusion block here,
@@ -317,8 +342,8 @@ def score_all(trajectories, tasks, model: ReferringModel, window, stats=None,
     every ledger charge, is made on the calling thread. The prompts are
     projected before the worker starts, a draw's error is raised here in
     window order, and the worker is joined before this returns or raises.
-    Every candidate must be a track of ``trajectories``, as
-    ``load_dataset`` checks.
+    Every candidate must be a track of ``trajectories``, listed once by its
+    task, as ``load_dataset`` checks.
     """
     by_id = {t.track_id: t for t in trajectories}
     by_track = {}
@@ -338,6 +363,8 @@ def score_all(trajectories, tasks, model: ReferringModel, window, stats=None,
     with no_grad():
         slots = {e: i for i, e in enumerate(dict.fromkeys(t.entity_id for t in tasks))}
         prompts = model.prompt_terms(model._raw_tokens(list(slots), features.PROMPT))
+        heads = model.composed_heads()
+        read_global = fusion.reads(model.fusion_params, features.GLOBAL_FRAME)
         # made after the prompt projection has freed its arrays: made before
         # it, they raise a paper-dims score's peak RSS by about 1 MB more
         rows = max((len(idx) for _, _, idx in windows), default=0)
@@ -351,14 +378,14 @@ def score_all(trajectories, tasks, model: ReferringModel, window, stats=None,
                 frames = tuple(frame_entity(i) for i in idx)
                 if frames not in glob:
                     glob[frames] = model.global_terms(
-                        model._raw_tokens(frames, features.GLOBAL_FRAME))
+                        model._raw_tokens(frames, features.GLOBAL_FRAME)) if read_global else {}
                 # window k-1's buffer is free again: the worker draws window k+1
                 # into it, after a global projection so that the two do not add up
                 # at the pass's peak memory
                 if k + 1 < len(windows):
                     ahead = worker.submit(draw, k + 1)
                 scores = model.forward_window(glob[frames], local, prompts,
-                                              [slots[task.entity_id] for task in jobs])
+                                              [slots[task.entity_id] for task in jobs], heads)
                 raw.extend((tid, task.prompt_id, float(s)) for task, s in zip(jobs, scores.data))
     return refine_threshold_sort(raw, stats, threshold)
 
@@ -488,6 +515,10 @@ def generate_synthetic_dataset(cfg: DatasetConfig):
     if cfg.window > cfg.n_frames:
         raise DegenerateInputError(f"pipeline.window {cfg.window} is more than "
                                    f"dataset.n_frames {cfg.n_frames}: no window fits")
+    if cfg.n_concepts > cfg.n_tracks:
+        raise DegenerateInputError(f"dataset.n_concepts {cfg.n_concepts} is more than "
+                                   f"dataset.n_tracks {cfg.n_tracks}: a concept would have "
+                                   f"no track")
     rng = np.random.default_rng(cfg.seed)
     concepts = [f"concept-{i}" for i in range(cfg.n_concepts)]
     trajectories, manifest = [], []
@@ -612,9 +643,10 @@ def load_dataset(in_dir):
     for a missing or unreadable file, a line that is not a JSON object, a
     missing key or a field not of its kind (README "File formats"), a
     trajectory row with a box extent <= 0 or a frame its track already has,
-    a task with no candidates or a candidate that is not a track, a window
-    row whose track or prompt is unknown or whose frames are not that
-    track's, or a concepts row whose concept is not in meta.json's concepts.
+    a task with no candidates or a candidate that is not a track or is
+    listed twice, a window row whose track or prompt is unknown or whose
+    frames are not that track's, or a concepts row whose concept is not in
+    meta.json's concepts.
     """
     by_track = {}
 
@@ -641,6 +673,11 @@ def load_dataset(in_dir):
         unknown = [tid for tid in r["candidates"] if tid not in frames_of]
         if unknown:
             raise ValueError(f"unknown track_id {unknown[0]} in candidates")
+        seen = set()
+        for tid in r["candidates"]:
+            if tid in seen:
+                raise ValueError(f"track_id {tid} listed twice in candidates")
+            seen.add(tid)
 
     tasks = [ReferringTask(prompt_id=r["prompt_id"], text=r["text"],
                            entity_id=r["entity_id"], candidates=r["candidates"])

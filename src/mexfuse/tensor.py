@@ -488,6 +488,16 @@ class Linear:
     def parameters(self):
         return [self.w, self.bias]
 
+    def then(self, after):
+        """The one affine map ``after(self(x))``: w = w_self @ w_after and
+        bias = bias_self @ w_after + bias_after, made through ``product``.
+
+        The result is a constant: no gradient flows back to either map.
+        """
+        bias = product(self.bias.data, after.w.data)
+        bias += after.bias.data
+        return Linear(product(self.w.data, after.w.data), bias)
+
     def forward(self, x2):
         """x2[rows, d_in] @ w + bias, as an array; the bias is added in place."""
         out = product(x2, self.w.data)

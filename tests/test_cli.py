@@ -57,7 +57,10 @@ class TestConfig:
                                          ({"fusion": {"d_k": 10 ** 400}}, "fusion.d_k"),
                                          # both keys: no window of 8 fits in 4 frames
                                          ({"pipeline": {"window": 8}, "dataset": {"n_frames": 4}},
-                                          "pipeline.window 8 is more than dataset.n_frames 4")])
+                                          "pipeline.window 8 is more than dataset.n_frames 4"),
+                                         # both keys: two tracks cannot carry four concepts
+                                         ({"dataset": {"n_concepts": 4, "n_tracks": 2}},
+                                          "dataset.n_concepts 4 is more than dataset.n_tracks 2")])
     def test_bad_value_exits_2_naming_key(self, runner, tmp_path, cfg, key):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(cfg))
@@ -592,7 +595,8 @@ class TestInputFactsCheckedWhereRead:
         "empty candidates", "unknown candidate", "window of an unknown track",
         "window of an unknown prompt", "no dataset directory", "no model directory",
         "no manifest for score", "no manifest for calibrate", "no scores file",
-        "zero visual_tokens", "zero truncate_to", "a concept the model lacks"])
+        "zero visual_tokens", "zero truncate_to", "a concept the model lacks",
+        "repeated candidate"])
     def test_bad_input_exits_2_naming_where(self, runner, trained, tmp_path, case):
         from mexfuse.pipeline import ScoredCandidate, write_scores
 
@@ -612,6 +616,9 @@ class TestInputFactsCheckedWhereRead:
         elif case == "unknown candidate":
             edit_jsonl(data / "tasks.jsonl", 2, candidates=[0, 999])
             named = f"{data / 'tasks.jsonl'}:2: unknown track_id 999 in candidates"
+        elif case == "repeated candidate":
+            edit_jsonl(data / "tasks.jsonl", 2, candidates=[0, 0, 1])
+            named = f"{data / 'tasks.jsonl'}:2: track_id 0 listed twice in candidates"
         elif case == "window of an unknown track":
             cmd = "train"
             edit_jsonl(data / "windows.jsonl", 2, track_id=999)

@@ -184,6 +184,19 @@ class TestProject:
         for got, w in zip([x.grad] + [p.grad for p in mlp_parameters(mlp)], want):
             assert np.array_equal(got, w)
 
+    def test_hidden_is_the_gelu_of_first(self):
+        # second over hidden is the whole MLP, bitwise; hidden charges h and gelu(h)
+        rng = np.random.default_rng(5)
+        rows, d_raw, hidden, d_k = 2 * 3, 5, 4, 3
+        mlp = make_mlp(d_raw, d_k, rng, hidden=hidden)
+        x = Tensor(rng.standard_normal((2, 3, d_raw)))
+        with fresh_context() as ctx:
+            a = mlp.hidden(x)
+            snap = ctx.ledger.snapshot()
+        assert a.data.shape == (2, 3, hidden)
+        assert snap == {"peak_values": 2 * rows * hidden, "flops": rows * d_raw * hidden}
+        assert np.array_equal(mlp.second(a).data, mlp(x).data)
+
     def test_one_node_charges_the_composed_chain(self):
         # h, gelu(h) and the output, and the multiply-adds of Linear -> Linear,
         # forward and backward

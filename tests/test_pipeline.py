@@ -148,6 +148,22 @@ def small_data():
     return generate_synthetic_dataset(SMALL)
 
 
+@pytest.fixture
+def mlp_calls(monkeypatch):
+    """(entry point, MLP, input shape) of each projection-MLP call: ``__call__``
+    (Linear, GELU, Linear) or ``hidden`` (Linear, GELU)."""
+    calls = []
+    for entry in ("__call__", "hidden"):
+        original = getattr(features.ProjectionMLP, entry)
+
+        def counted(mlp, x, entry=entry, original=original):
+            calls.append((entry, mlp, x.shape))
+            return original(mlp, x)
+
+        monkeypatch.setattr(features.ProjectionMLP, entry, counted)
+    return calls
+
+
 class TestDatasetGeneration:
     def test_byte_identical_given_seed(self, tmp_path):
         for sub in ("a", "b"):
@@ -224,22 +240,36 @@ class TestScoring:
         assert max(abs(a.raw_score - b.raw_score) for a, b in zip(got, want)) <= 1e-12
         assert all(c.refined_score == c.raw_score for c in got)
 
-    def test_projects_each_prompt_and_global_window_once(self, small_data, monkeypatch):
-        calls = []
-        mlp_call = features.ProjectionMLP.__call__
-
-        def counted(mlp, x):
-            calls.append(x.shape)
-            return mlp_call(mlp, x)
-
-        monkeypatch.setattr(features.ProjectionMLP, "__call__", counted)
+    def test_projects_each_prompt_and_global_window_once(self, small_data, mlp_calls):
         trajs = [Trajectory(track_id=t.track_id, frames=t.frames[:len(t.frames) - i % 2],
                             entity_id=t.entity_id)
                  for i, t in enumerate(small_data["trajectories"])]
-        score_all(trajs, small_data["tasks"], small_model(small_data), window=3)
-        # one call for all prompts, one per distinct global window, one per track window
-        assert calls[0][0] == len(small_data["tasks"])
-        assert len(calls) == 1 + 2 + len(trajs)
+        model = small_model(small_data)
+        score_all(trajs, small_data["tasks"], model, window=3)
+        # one whole-MLP call for all prompts and one per distinct global window;
+        # the local tracks stop at the hidden activations, one call per track window
+        name = {id(getattr(model, n)): n for n in MLPS}
+        assert mlp_calls[0][:2] == ("__call__", model.mlp_prompt)
+        assert mlp_calls[0][2][0] == len(small_data["tasks"])
+        assert sorted((e, name[id(m)]) for e, m, _ in mlp_calls[1:]) == \
+            [("__call__", "mlp_global")] * 2 + [("hidden", "mlp_local")] * len(trajs)
+
+    def test_plain_embeds_and_projects_no_global_frame(self, small_data, mlp_calls,
+                                                        monkeypatch):
+        # no projection of plain reads the global frames
+        modalities = []
+        embed = features.embed_synthetic
+
+        def counted(entity_id, modality, *args, **kw):
+            modalities.append(modality)
+            return embed(entity_id, modality, *args, **kw)
+
+        monkeypatch.setattr(features, "embed_synthetic", counted)
+        model = small_model(small_data, variant="plain")
+        got = score_all(small_data["trajectories"], small_data["tasks"], model, window=3)
+        assert len(got) == len(small_data["trajectories"]) * len(small_data["tasks"])
+        assert GLOBAL_FRAME not in modalities and LOCAL_TRACK in modalities
+        assert model.mlp_global not in {m for _, m, _ in mlp_calls}
 
     def test_track_relabeling_changes_only_ids(self, small_data):
         model = small_model(small_data)
@@ -408,6 +438,19 @@ class TestTraining:
                 distinct.add((local_entity(by_track[s.track_id], i), LOCAL_TRACK))
         assert sorted(calls) == sorted(distinct)
 
+    @pytest.mark.parametrize("variant,kw", VARIANTS, ids=VARIANT_IDS)
+    def test_never_takes_the_composed_path(self, small_data, mlp_calls, monkeypatch, variant,
+                                           kw):
+        # composed heads are constants: a training graph runs each MLP whole
+        def composed(*args):
+            raise AssertionError("composed heads in a training pass")
+
+        monkeypatch.setattr(Linear, "then", composed)
+        model = small_model(small_data, variant=variant, **kw)
+        train(small_data["samples"], small_data["trajectories"], small_data["tasks"],
+              model, epochs=1, batch_size=4, lr=1e-3)
+        assert mlp_calls and {e for e, _, _ in mlp_calls} == {"__call__"}
+
     def test_parameters_without_gradient_keep_their_values(self, small_data):
         # plain attends from the local tracks to the prompt: its global MLP gets no gradient
         model = small_model(small_data, variant="plain")
@@ -485,27 +528,21 @@ class TestLedgerCountsProducts:
         assert len(ledgers) == 1
         assert products and ledgers[0].flops == sum(products)
 
-    def test_paper_dims_score_pass(self, products, monkeypatch):
+    def test_paper_dims_score_pass(self, products, mlp_calls):
         # the paper-score benchmark's inputs at seed 12: 40 tracks, 8 prompts, window 8
         data = generate_synthetic_dataset(DatasetConfig(
             seed=12, n_concepts=4, n_tracks=40, n_prompts=8, n_frames=12, n_windows=8, window=8))
         model = ReferringModel.build(
             EmbedderConfig(seed=12, oracle_mode=True, concepts=tuple(data["concepts"])),
             seed=12, concept_of=concept_map(data["manifest"]))
-        mlp_calls = []
-        mlp_call = features.ProjectionMLP.__call__
-
-        def counted(mlp, x):
-            mlp_calls.append(x.shape)
-            return mlp_call(mlp, x)
-
-        monkeypatch.setattr(features.ProjectionMLP, "__call__", counted)
         with fresh_context() as ctx:
             score_all(data["trajectories"], data["tasks"], model, window=8)
         assert ctx.ledger.flops == sum(products)
-        assert (len(products), sum(products), len(mlp_calls)) == (326, 2_028_503_040, 42)
+        # the local MLP's last layer composed into the projection that reads
+        # the local tracks: 38 fewer products, 318,701,568 fewer multiply-adds
+        assert (len(products), sum(products), len(mlp_calls)) == (288, 1_709_801_472, 42)
         # shared mex's one prompt tensor is both k and v, and taken once per window
-        assert ctx.ledger.peak_values == 13_231_424
+        assert ctx.ledger.peak_values == 11_986_496
 
 
 MLPS = ("mlp_global", "mlp_local", "mlp_prompt")

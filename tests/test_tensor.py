@@ -173,6 +173,20 @@ class TestLinear:
         assert np.array_equal(out3.reshape(-1, 3), out2)
         assert snap3 == snap2
 
+    def test_then_is_the_chain_as_one_constant_map(self):
+        # w = w1 @ w2 and bias = b1 @ w2 + b2, through the counted product
+        rng = np.random.default_rng(6)
+        first, after = Linear.init(4, 5, rng), Linear.init(5, 3, rng)
+        for p in first.parameters() + after.parameters():
+            p.data += rng.standard_normal(p.data.shape)  # non-zero biases
+        x = Tensor(rng.standard_normal((2, 6, 4)))
+        with fresh_context() as ctx:
+            both = first.then(after)
+            snap = ctx.ledger.snapshot()
+        assert snap == {"peak_values": 4 * 3 + 3, "flops": 4 * 5 * 3 + 5 * 3}
+        assert np.abs(both(x).data - after(first(x)).data).max() <= 1e-12
+        assert not any(p.requires_grad for p in both.parameters())
+
 
 def cos(a, b):
     """cos(a, b) of [..., d] rows through the scoring head: one frame, one map row."""
