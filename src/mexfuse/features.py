@@ -123,21 +123,31 @@ _GELU_C = np.sqrt(2.0 / np.pi)
 
 
 class ProjectionMLP:
-    """Two-layer per-token MLP with a GELU between: d_raw -> hidden -> d_k."""
+    """Two-layer per-token MLP with a GELU between: d_raw -> hidden -> d_k.
 
-    def __init__(self, first: Linear, second: Linear):
+    Without ``second`` (a scoring form's local MLP, whose last layer is
+    composed into the projections that read it) it stops at gelu(first(x)).
+    """
+
+    def __init__(self, first: Linear, second: Linear | None = None):
         self.first = first
         self.second = second
 
-    def _gelu_first(self, x):
-        """x[..., d_raw] as rows, h = first(rows) and the GELU terms (hh, t, 1 + t, gelu(h)).
+    def __call__(self, x):
+        """second(gelu(first(x))) over x[..., d_raw], as one graph node.
 
-        The tanh-approximation GELU runs in place on arrays made here, in the
+        Leading axes are folded inside numpy, and the tanh-approximation
+        GELU runs in place on arrays the node has just made, in the
         operation order of 0.5*h*(1 + tanh(c*(h + 0.044715*h*h*h))); powers
-        as products, as ``**`` goes through pow. h*h and 1 + t are kept for
-        the backward pass.
+        as products, as ``**`` goes through pow. The node keeps the hidden
+        pre-activation h, h*h, the tanh term t, 1 + t and gelu(h) for its
+        backward pass and charges the ledger what the composed
+        Linear-GELU-Linear chain would: h, gelu(h) and the output.
+
+        Without ``second`` the result is gelu(h), [..., hidden], as a
+        constant that charges h and gelu(h): no gradient flows back.
         """
-        first = self.first
+        first, second = self.first, self.second
         if x.data.shape[-1] != first.d_in:
             raise DimensionError(
                 f"projection MLP: input trailing dim {x.data.shape} vs weight {first.w.data.shape}")
@@ -152,30 +162,9 @@ class ProjectionMLP:
         one_t = t + 1.0
         a = h * 0.5
         a *= one_t
-        return x2, (h, hh, t, one_t, a)
-
-    def hidden(self, x):
-        """gelu(first(x)) over x[..., d_raw], [..., hidden], as a constant.
-
-        The entry point of a pass without gradients that applies ``second``
-        composed with what reads its output (``Linear.then``): no gradient
-        flows back. The result charges h and gelu(h), as ``__call__`` does.
-        """
-        _, (h, _, _, _, a) = self._gelu_first(x)
-        return node(a.reshape(x.data.shape[:-1] + (a.shape[-1],)), (), None,
-                    charge=h.size + a.size)
-
-    def __call__(self, x):
-        """second(gelu(first(x))) over x[..., d_raw], as one graph node.
-
-        Leading axes are folded inside numpy, and GELU runs in place on
-        arrays the node has just made. The node keeps the hidden
-        pre-activation h, h*h, the tanh term t, 1 + t and gelu(h) for its
-        backward pass and charges the ledger what the composed
-        Linear-GELU-Linear chain would: h, gelu(h) and the output.
-        """
-        first, second = self.first, self.second
-        x2, (h, hh, t, one_t, a) = self._gelu_first(x)
+        if second is None:
+            return node(a.reshape(x.data.shape[:-1] + (a.shape[-1],)), (), None,
+                        charge=h.size + a.size)
         out = second.forward(a)
 
         def bwd(g):

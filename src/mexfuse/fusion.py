@@ -113,21 +113,20 @@ def reads(params, stream):
     return tuple(dict.fromkeys(_roles(params, stream).values()))
 
 
-def _project(params, stream, x, heads):
+def _project(params, stream, x):
     """Role -> ``x`` ([..., tokens, d]) through each projection that reads ``stream``.
 
-    ``heads`` maps projection names to the ``Linear``s applied: the block's
-    own, which read the stream's d_k features, when None. A projection that
-    plays several roles runs once, and its one tensor fills them all.
+    A projection that plays several roles runs once, and its one tensor
+    fills them all.
     """
-    heads = params.linears if heads is None else heads
+    linears = params.linears
     done = {}
     for name in reads(params, stream):
-        d_in = heads[name].d_in
+        d_in = linears[name].d_in
         if x.data.ndim < 2 or x.data.shape[-1] != d_in:
             raise DimensionError(
                 f"stream shape {x.data.shape} incompatible with {name}'s input width {d_in}")
-        done[name] = heads[name](x)
+        done[name] = linears[name](x)
     return {role: done[name] for role, name in _roles(params, stream).items()}
 
 
@@ -196,23 +195,17 @@ _VISUAL = {"mex": _mex_visual, "cascade": _cascade_visual, "plain": _plain_visua
 def global_terms(params: FusionParams, fGlobal: Tensor) -> dict:
     """The part of the fusion block that depends on the global frames alone:
     their projections by role."""
-    return _project(params, GLOBAL_FRAME, fGlobal, None)
+    return _project(params, GLOBAL_FRAME, fGlobal)
 
 
-def visual_terms(params: FusionParams, glob: dict, fLocal: Tensor, heads=None) -> dict:
-    """A track window's prompt-independent terms: ``q``, ``pbar`` and ``residual``.
-
-    ``heads`` maps the names of the projections that read the stream to the
-    ``Linear``s that ``fLocal`` goes through: the block's own by default;
-    maps composed after the stream's MLP when ``fLocal`` is its hidden
-    activations.
-    """
-    return _VISUAL[params.variant](params, glob, _project(params, LOCAL_TRACK, fLocal, heads))
+def visual_terms(params: FusionParams, glob: dict, fLocal: Tensor) -> dict:
+    """A track window's prompt-independent terms: ``q``, ``pbar`` and ``residual``."""
+    return _VISUAL[params.variant](params, glob, _project(params, LOCAL_TRACK, fLocal))
 
 
 def prompt_terms(params: FusionParams, fPrompt: Tensor) -> dict:
     """A prompt's keys ``k`` and values ``v``: one tensor when one projection gives both."""
-    return _project(params, PROMPT, fPrompt, None)
+    return _project(params, PROMPT, fPrompt)
 
 
 def last_stage(visual: dict, prompt: dict) -> LastStage:

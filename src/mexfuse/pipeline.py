@@ -99,7 +99,11 @@ class ReferringModel:
             {n: linears[f"fusion.{n}"] for n in fusion.linear_names(variant, per_pair)},
             residual_add=residual_add, per_pair=per_pair)
         self.mlp_global, self.mlp_local, self.mlp_prompt = (
-            ProjectionMLP(linears[f"{m}.first"], linears[f"{m}.second"]) for m in _MLPS)
+            ProjectionMLP(linears[f"{m}.first"], linears.get(f"{m}.second")) for m in _MLPS)
+        # the modalities some projection reads: plain's read no global frame,
+        # so neither scoring nor training embeds or projects one
+        self.streams = tuple(m for m in features.MODALITIES
+                             if fusion.reads(self.fusion_params, m))
         self.concept_of = dict(concept_of or {})
 
     @classmethod
@@ -136,25 +140,29 @@ class ReferringModel:
             raise ValueError(f"non-finite {modality} embedding values")
         return out
 
-    def composed_heads(self):
-        """For a pass without gradients, each projection that reads the local-track
-        stream composed after the local MLP's ``second``: {name: Linear}.
+    def scoring_form(self):
+        """This model re-parameterised for a pass without gradients: a new model
+        over a copy of ``linears`` with no ``mlp_local.second``, in which each
+        projection that reads the local-track stream is composed after it.
 
         Nothing nonlinear lies between ``second`` and the projections that
         read its output, so each pair is one affine map (``Linear.then``),
-        and a window runs the local MLP's ``first`` and GELU only
-        (``ProjectionMLP.hidden``): f(T) is never built. The composed maps
-        are constants, made from the current weights. A composed head saves
+        and a window runs the local MLP's ``first`` and GELU only: f(T) is
+        never built. The composed maps are constants, made from the current
+        weights; this model is left as it was. A composed projection saves
         (rows - hidden) * d_k^2 multiply-adds for the rows a pass sends
         through it, so the global-frame and prompt streams are not composed:
         a paper-dims pass has 128 rows of each distinct global window and
         160 prompt rows against a hidden width of 256, and the prompt's token
         mean is the pooled prompt.
         """
-        linears = self.fusion_params.linears
-        second = self.mlp_local.second
-        return {n: second.then(linears[n])
-                for n in fusion.reads(self.fusion_params, features.LOCAL_TRACK)}
+        linears = dict(self.linears)
+        second = linears.pop("mlp_local.second")
+        for n in fusion.reads(self.fusion_params, features.LOCAL_TRACK):
+            linears[f"fusion.{n}"] = second.then(linears[f"fusion.{n}"])
+        fp = self.fusion_params
+        return ReferringModel(self.embedder, linears, fp.variant, residual_add=fp.residual_add,
+                              per_pair=fp.per_pair, concept_of=self.concept_of)
 
     def global_terms(self, tokens):
         """Fusion terms of global frames, from raw tokens [..., w, s, d_raw] in one MLP call."""
@@ -165,22 +173,20 @@ class ReferringModel:
         fP = self.mlp_prompt(Tensor(tokens))
         return fusion.prompt_terms(self.fusion_params, fP), tensor.mean_axis(fP, axis=-2)
 
-    def forward_window(self, glob, local_tokens, prompts, idx, heads=None):
+    def forward_window(self, glob, local_tokens, prompts, idx):
         """Raw scores of track windows against the prompts at rows ``idx``, [len(idx)].
 
         ``glob`` is the windows' ``global_terms``, ``local_tokens`` their raw
-        local tokens and ``prompts`` a ``prompt_terms``; ``heads``, when
-        given, is ``composed_heads``. The local tokens go through the local
-        MLP (up to its hidden activations, with ``heads``) as one batch, and
-        the per-prompt part runs for all the prompts at once, pooled over
-        tokens before the last product.
+        local tokens and ``prompts`` a ``prompt_terms``. The local tokens go
+        through the local MLP (up to its hidden activations, in a
+        ``scoring_form``) as one batch, and the per-prompt part runs for all
+        the prompts at once, pooled over tokens before the last product.
         Each prompt term is taken as [len(idx), 1, l, d_k]: one window
         ([w, s, d_raw] tokens) meets every prompt; in a batch of windows
         ([len(idx), w, s, d_raw]) window i meets prompt idx[i].
         """
-        fL = Tensor(local_tokens)
-        fL = self.mlp_local(fL) if heads is None else self.mlp_local.hidden(fL)
-        visual = fusion.visual_terms(self.fusion_params, glob, fL, heads)
+        fL = self.mlp_local(Tensor(local_tokens))
+        visual = fusion.visual_terms(self.fusion_params, glob, fL)
         terms, pooled = prompts
 
         def taken(t):
@@ -194,9 +200,10 @@ class ReferringModel:
     def forward_batch(self, tables, windows):
         """Raw scores of a minibatch of windows, as one graph.
 
-        ``tables`` maps each modality to the raw tokens of the training
-        entities, one [n, s, d_raw] row per entity; ``windows`` is a list of
-        (global frame rows [w], local track rows [w], prompt row) into them.
+        ``tables`` maps each of the model's ``streams`` to the raw tokens of
+        the training entities, one [n, s, d_raw] row per entity; ``windows``
+        is a list of (global frame rows [w], local track rows [w], prompt
+        row) into them.
         The batch's distinct prompts go through ``prompt_terms`` once, and
         the windows of one length go through ``global_terms`` and
         ``forward_window`` as one [n, w, s, d_raw] batch, each window taking
@@ -213,7 +220,8 @@ class ReferringModel:
         out = []
         for positions in by_length.values():
             frames, local, prs = zip(*(windows[i] for i in positions))
-            glob = self.global_terms(tables[features.GLOBAL_FRAME][np.array(frames)])
+            glob = (self.global_terms(tables[features.GLOBAL_FRAME][np.array(frames)])
+                    if features.GLOBAL_FRAME in self.streams else {})
             out.append((positions, self.forward_window(
                 glob, tables[features.LOCAL_TRACK][np.array(local)], prompts,
                 [slots[pr] for pr in prs])))
@@ -331,9 +339,10 @@ def score_all(trajectories, tasks, model: ReferringModel, window, stats=None,
     The prompts are projected and their fusion terms computed once for the
     pass, and each distinct window of global frames once; global frames
     that no projection reads (plain) are neither embedded nor projected.
-    The local tracks go through the model's ``composed_heads``, made once
-    per pass. Pairs are grouped by track: each track window is scored
-    against all its prompts in one ``forward_window`` call.
+    The track windows go through the model's ``scoring_form``, made once
+    per pass; ``model`` itself is left unchanged. Pairs are grouped by
+    track: each track window is scored against all its prompts in one
+    ``forward_window`` call.
 
     The frozen embedder runs one track window ahead on one worker thread:
     while a window goes through the local MLP and the fusion block here,
@@ -363,8 +372,8 @@ def score_all(trajectories, tasks, model: ReferringModel, window, stats=None,
     with no_grad():
         slots = {e: i for i, e in enumerate(dict.fromkeys(t.entity_id for t in tasks))}
         prompts = model.prompt_terms(model._raw_tokens(list(slots), features.PROMPT))
-        heads = model.composed_heads()
-        read_global = fusion.reads(model.fusion_params, features.GLOBAL_FRAME)
+        model = model.scoring_form()
+        read_global = features.GLOBAL_FRAME in model.streams
         # made after the prompt projection has freed its arrays: made before
         # it, they raise a paper-dims score's peak RSS by about 1 MB more
         rows = max((len(idx) for _, _, idx in windows), default=0)
@@ -385,7 +394,7 @@ def score_all(trajectories, tasks, model: ReferringModel, window, stats=None,
                 if k + 1 < len(windows):
                     ahead = worker.submit(draw, k + 1)
                 scores = model.forward_window(glob[frames], local, prompts,
-                                              [slots[task.entity_id] for task in jobs], heads)
+                                              [slots[task.entity_id] for task in jobs])
                 raw.extend((tid, task.prompt_id, float(s)) for task, s in zip(jobs, scores.data))
     return refine_threshold_sort(raw, stats, threshold)
 
@@ -462,7 +471,7 @@ def train(samples, trajectories, tasks, model: ReferringModel, epochs=100,
             np.array([row(local_entity(ent, i), features.LOCAL_TRACK)
                       for i in smp.frame_indices]),
             row(by_prompt[smp.prompt_id].entity_id, features.PROMPT)))
-    tables = {m: model._raw_tokens(list(ents), m) for m, ents in rows.items()}
+    tables = {m: model._raw_tokens(list(rows[m]), m) for m in model.streams}
     match = np.array([smp.match for smp in samples])
     # the parameters become views into one buffer, updated as a whole
     optimizer = MomentumSGD(model.parameters(), lr, momentum)

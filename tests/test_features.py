@@ -185,13 +185,14 @@ class TestProject:
             assert np.array_equal(got, w)
 
     def test_hidden_is_the_gelu_of_first(self):
-        # second over hidden is the whole MLP, bitwise; hidden charges h and gelu(h)
+        # an MLP without second gives gelu(first(x)), charging h and gelu(h);
+        # second over it is the whole MLP, bitwise
         rng = np.random.default_rng(5)
         rows, d_raw, hidden, d_k = 2 * 3, 5, 4, 3
         mlp = make_mlp(d_raw, d_k, rng, hidden=hidden)
         x = Tensor(rng.standard_normal((2, 3, d_raw)))
         with fresh_context() as ctx:
-            a = mlp.hidden(x)
+            a = ProjectionMLP(mlp.first)(x)
             snap = ctx.ledger.snapshot()
         assert a.data.shape == (2, 3, hidden)
         assert snap == {"peak_values": 2 * rows * hidden, "flops": rows * d_raw * hidden}

@@ -150,17 +150,17 @@ def small_data():
 
 @pytest.fixture
 def mlp_calls(monkeypatch):
-    """(entry point, MLP, input shape) of each projection-MLP call: ``__call__``
-    (Linear, GELU, Linear) or ``hidden`` (Linear, GELU)."""
+    """(kind, MLP, input shape) of each projection-MLP call: ``__call__`` of a
+    whole MLP (Linear, GELU, Linear), or ``hidden`` of a scoring form's local
+    MLP (Linear, GELU), told apart by its ``second`` being None."""
     calls = []
-    for entry in ("__call__", "hidden"):
-        original = getattr(features.ProjectionMLP, entry)
+    original = features.ProjectionMLP.__call__
 
-        def counted(mlp, x, entry=entry, original=original):
-            calls.append((entry, mlp, x.shape))
-            return original(mlp, x)
+    def counted(mlp, x):
+        calls.append(("__call__" if mlp.second is not None else "hidden", mlp, x.shape))
+        return original(mlp, x)
 
-        monkeypatch.setattr(features.ProjectionMLP, entry, counted)
+    monkeypatch.setattr(features.ProjectionMLP, "__call__", counted)
     return calls
 
 
@@ -247,16 +247,17 @@ class TestScoring:
         model = small_model(small_data)
         score_all(trajs, small_data["tasks"], model, window=3)
         # one whole-MLP call for all prompts and one per distinct global window;
-        # the local tracks stop at the hidden activations, one call per track window
-        name = {id(getattr(model, n)): n for n in MLPS}
+        # the local tracks stop at the hidden activations, one call per track
+        # window. The scoring form's MLPs are new, over the model's first Linears
+        name = {id(getattr(model, n).first): n for n in MLPS}
         assert mlp_calls[0][:2] == ("__call__", model.mlp_prompt)
         assert mlp_calls[0][2][0] == len(small_data["tasks"])
-        assert sorted((e, name[id(m)]) for e, m, _ in mlp_calls[1:]) == \
+        assert sorted((e, name[id(m.first)]) for e, m, _ in mlp_calls[1:]) == \
             [("__call__", "mlp_global")] * 2 + [("hidden", "mlp_local")] * len(trajs)
 
     def test_plain_embeds_and_projects_no_global_frame(self, small_data, mlp_calls,
                                                         monkeypatch):
-        # no projection of plain reads the global frames
+        # no projection of plain reads the global frames, in scoring or training
         modalities = []
         embed = features.embed_synthetic
 
@@ -268,8 +269,11 @@ class TestScoring:
         model = small_model(small_data, variant="plain")
         got = score_all(small_data["trajectories"], small_data["tasks"], model, window=3)
         assert len(got) == len(small_data["trajectories"]) * len(small_data["tasks"])
+        train(small_data["samples"], small_data["trajectories"], small_data["tasks"], model,
+              epochs=1, batch_size=4, lr=1e-3)
         assert GLOBAL_FRAME not in modalities and LOCAL_TRACK in modalities
-        assert model.mlp_global not in {m for _, m, _ in mlp_calls}
+        # the scoring form's MLPs are new, over the model's first Linears
+        assert model.mlp_global.first not in {m.first for _, m, _ in mlp_calls}
 
     def test_track_relabeling_changes_only_ids(self, small_data):
         model = small_model(small_data)
@@ -570,6 +574,23 @@ class TestPersistence:
         kw = dict(window=3)
         assert score_all(small_data["trajectories"], small_data["tasks"], model, **kw) == \
                score_all(small_data["trajectories"], small_data["tasks"], loaded, **kw)
+
+    @pytest.mark.parametrize("variant,kw", VARIANTS, ids=VARIANT_IDS)
+    def test_scoring_leaves_the_model_unchanged(self, small_data, tmp_path, variant, kw):
+        # scoring goes through a new, re-parameterised model, never an edit of this one
+        model = small_model(small_data, variant=variant, **kw)
+        linears = dict(model.linears)
+        model.save(tmp_path / "before")
+        score_all(small_data["trajectories"], small_data["tasks"], model, window=3)
+        assert list(model.linears) == list(linears)
+        assert all(model.linears[n] is linear for n, linear in linears.items())
+        assert model.mlp_local.second is linears["mlp_local.second"]
+        model.save(tmp_path / "after")
+        files = sorted(p.name for p in (tmp_path / "before").iterdir())
+        assert files == sorted(p.name for p in (tmp_path / "after").iterdir())
+        for name in files:
+            assert (tmp_path / "before" / name).read_bytes() == \
+                (tmp_path / "after" / name).read_bytes()
 
     @pytest.mark.parametrize("variant,kw", VARIANTS, ids=VARIANT_IDS)
     def test_build_draw_order(self, small_data, variant, kw):

@@ -16,6 +16,7 @@ from collections import Counter
 from pathlib import Path
 
 import mexfuse
+from mexfuse.features import ProjectionMLP
 
 SRC = Path(mexfuse.__file__).parent
 
@@ -110,6 +111,20 @@ def test_every_product_is_counted_in_one_place():
     # elsewhere would make a product the ledger never sees
     assert callers(SRC, "matmul2d") == {"tensor:product"}
     assert callers(SRC, "add_flops") == {"tensor:product"}
+
+
+def test_composition_happens_in_one_place():
+    # a pass without gradients scores through the one re-parameterised model;
+    # a composition made anywhere else would be a second forward path
+    assert callers(SRC, "then") == {"pipeline:ReferringModel.scoring_form"}
+
+
+def test_a_projection_mlp_has_one_entry_point():
+    # the benchmark wraps ProjectionMLP.__call__ alone; any other public
+    # method would run an MLP that its tracer never sees
+    methods = {name for name, value in vars(ProjectionMLP).items()
+               if callable(value) and (name == "__call__" or not name.startswith("_"))}
+    assert methods == {"__call__"}
 
 
 def test_scan_finds_a_direct_call(tmp_path):
