@@ -17,18 +17,15 @@ import numpy as np
 
 from . import __version__, calibration, config as config_mod, gradcheck, pipeline
 from .config import ConfigError, DataFileError
-from .features import EmbedderConfig
-from .fusion import VARIANTS, profile
+from .features import MODALITIES, EmbedderConfig
+from .fusion import VARIANTS
 from .pipeline import DatasetConfig, ReferringModel
-from .tensor import DegenerateInputError
+from .tensor import DegenerateInputError, fresh_context
 
 PAPER_MEX_PARAMS = 81_000_000
 PAPER_CASCADE_PARAMS = 92_000_000
-# bench sweeps d_k at the paper's token counts (g = t = 16 visual, l = 20
-# text) and checks the claim at the paper's d_k = 256
-BENCH_D_K = (32, 64, 256)
-BENCH_VISUAL_TOKENS = 16
-BENCH_TEXT_TOKENS = 20
+# bench's rows: (variant, per_pair); mex per_pair has the cascade block's census
+BENCH_ROWS = (("mex", False), ("mex", True), ("cascade", False), ("plain", False))
 
 
 def _load_config(ctx_obj):
@@ -63,14 +60,22 @@ def _embedder_from(cfg, concepts=()):
     )
 
 
-def _build_model(cfg, dataset):
-    emb = _embedder_from(cfg, concepts=dataset["meta"]["concepts"])
+def _dataset_config(cfg):
+    ds = cfg["dataset"]
+    return DatasetConfig(seed=cfg["seed"], n_concepts=ds["n_concepts"],
+                         n_tracks=ds["n_tracks"], n_prompts=ds["n_prompts"],
+                         n_frames=ds["n_frames"], n_windows=ds["n_windows"],
+                         window=cfg["pipeline"]["window"])
+
+
+def _build_model(cfg, concepts, manifest):
+    emb = _embedder_from(cfg, concepts=concepts)
     return ReferringModel.build(
         emb, variant=cfg["fusion"]["variant"],
         residual_add=cfg["fusion"]["residual_add"],
         per_pair=cfg["fusion"]["per_pair_projections"],
         mlp_hidden=cfg["embedder"]["mlp_hidden"], seed=cfg["seed"],
-        concept_of=pipeline.concept_map(dataset["manifest"]),
+        concept_of=pipeline.concept_map(manifest),
     )
 
 
@@ -137,11 +142,7 @@ def show_defaults():
 def gen(ctx):
     """Generate the deterministic synthetic referring dataset."""
     cfg = _load_config(ctx.obj)
-    ds = cfg["dataset"]
-    dcfg = DatasetConfig(seed=cfg["seed"], n_concepts=ds["n_concepts"],
-                         n_tracks=ds["n_tracks"], n_prompts=ds["n_prompts"],
-                         n_frames=ds["n_frames"], n_windows=ds["n_windows"],
-                         window=cfg["pipeline"]["window"])
+    dcfg = _dataset_config(cfg)
     with _input_errors():
         data = pipeline.generate_synthetic_dataset(dcfg)
     out_dir = os.path.join(cfg["out"], "dataset")
@@ -159,7 +160,7 @@ def train(ctx, dataset_dir):
     dataset_dir = dataset_dir or os.path.join(cfg["out"], "dataset")
     with _input_errors():
         data = pipeline.load_dataset(dataset_dir)
-    model = _build_model(cfg, data)
+    model = _build_model(cfg, data["meta"]["concepts"], data["manifest"])
     p = cfg["pipeline"]
     epoch_rows = []
     try:
@@ -238,23 +239,24 @@ def calibrate(ctx, scores_path, manifest_path):
 @main.command()
 @click.pass_context
 def bench(ctx):
-    """Profile all fusion variants over a d_k sweep, forward only; check the efficiency claim."""
+    """Score the configured dataset with each untrained variant; check the efficiency claim."""
     cfg = _load_config(ctx.obj)
-    g = t = BENCH_VISUAL_TOKENS
-    l = BENCH_TEXT_TOKENS
+    window = cfg["pipeline"]["window"]
+    with _input_errors():
+        data = pipeline.generate_synthetic_dataset(_dataset_config(cfg))
     rows = []
-    for d_k in BENCH_D_K:
-        for variant in VARIANTS:
-            t0 = time.perf_counter()
-            row = profile(variant, g, t, l, d_k, seed=cfg["seed"],
-                          residual_add=cfg["fusion"]["residual_add"])
-            row["wall_time_s"] = time.perf_counter() - t0
-            if variant == "mex":
-                row["param_count_per_pair_mode"] = profile(
-                    "mex", g, t, l, d_k, seed=cfg["seed"], per_pair=True)["param_count"]
-            rows.append(row)
-    mex, cas = (next(r for r in rows if r["variant"] == v and r["d_k"] == 256)
-                for v in ("mex", "cascade"))
+    for variant, per_pair in BENCH_ROWS:
+        fusion = {**cfg["fusion"], "variant": variant, "per_pair_projections": per_pair}
+        model = _build_model({**cfg, "fusion": fusion}, data["concepts"], data["manifest"])
+        t0 = time.perf_counter()
+        with fresh_context() as run:
+            pipeline.score_all(data["trajectories"], data["tasks"], model, window=window)
+        wall = time.perf_counter() - t0
+        (g, _), (t, _), (l, _) = (model._raw_shape(m) for m in MODALITIES)
+        rows.append({"variant": variant, "per_pair": per_pair, "d_k": model.fusion_params.d_k,
+                     "g": g, "t": t, "l": l, "param_count": model.param_count(),
+                     **run.ledger.snapshot(), "wall_time_s": wall})
+    mex, cas = (rows[BENCH_ROWS.index(key)] for key in (("mex", False), ("cascade", False)))
     claim = {
         "params_ok": mex["param_count"] < cas["param_count"],
         "peak_ok": mex["peak_values"] < cas["peak_values"],
@@ -267,17 +269,18 @@ def bench(ctx):
     os.makedirs(cfg["out"], exist_ok=True)
     bench_path = os.path.join(cfg["out"], "bench.json")
     pipeline._write_json(bench_path, {"rows": rows, "claim": claim})
-    header = f"{'variant':>8} {'d_k':>5} {'params':>10} {'peak_vals':>10} {'flops':>12} {'wall_s':>8}"
-    click.echo(header)
+    click.echo(f"{'variant':>13} {'d_k':>5} {'params':>10} {'peak_vals':>10} {'flops':>12} "
+               f"{'wall_s':>8}")
     for r in rows:
-        click.echo(f"{r['variant']:>8} {r['d_k']:>5} {r['param_count']:>10} "
+        name = r["variant"] + ("/per_pair" if r["per_pair"] else "")
+        click.echo(f"{name:>13} {r['d_k']:>5} {r['param_count']:>10} "
                    f"{r['peak_values']:>10} {r['flops']:>12} {r['wall_time_s']:>8.4f}")
     _write_manifest(cfg, "bench", [bench_path])
     click.echo(f"param ratio mex/cascade: {claim['param_ratio']:.3f} "
                f"(reported full-module ratio {claim['reported_paper_params']['ratio']:.3f})")
     click.echo(f"peak ratio mex/cascade: {claim['peak_ratio']:.3f}")
     if not (claim["params_ok"] and claim["peak_ok"]):
-        click.echo("efficiency claim FAILED at the reference dims", err=True)
+        click.echo("efficiency claim FAILED at the configured sizes", err=True)
         sys.exit(1)
     click.echo(f"bench report written to {bench_path}")
 

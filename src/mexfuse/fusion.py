@@ -1,4 +1,4 @@
-"""Fusion block variants and their instrumentation.
+"""Fusion block variants.
 
 Three interchangeable blocks over the projected modality streams:
 
@@ -13,16 +13,14 @@ Three interchangeable blocks over the projected modality streams:
 The blocks differ only before the prompt: all three end in one last stage,
 map @ values + residual (``last_stage``). The fused stream is never built:
 scoring and training pool that last stage as they compose it
-(``pooled_score``). Every forward pass is charged to the active ledger, so
-parameter counts, the values charged in a pass, and multiply-add totals are
-exact and reproducible.
+(``pooled_score``). Every op is charged to the active ledger, so the values
+charged and the multiply-adds of the scoring pass that ``bench`` measures
+are exact and reproducible.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
-
-import numpy as np
 
 from .features import GLOBAL_FRAME, LOCAL_TRACK, PROMPT
 from .tensor import (
@@ -31,24 +29,22 @@ from .tensor import (
     Tensor,
     add,
     attention_map,
-    fresh_context,
     matmul,
     mean_axis,
     pooled_cosine,
-    sum_all,
 )
 
 VARIANTS = ("mex", "cascade", "plain")
 
 
 class FusionParams:
-    """Learnable projections for one fusion variant, with parameter census.
+    """Learnable projections for one fusion variant.
 
     MEX defaults to one shared projection per modality (the same projected
     track/prompt features serve as keys and values, and the track projection
     is reused as the query of the second map). ``per_pair=True`` switches to
     separate query/key/value projections per modality pair, which brings the
-    census up to the cascade block's.
+    parameter count up to the cascade block's.
     """
 
     def __init__(self, variant, d_k, linears, residual_add=False, per_pair=False):
@@ -59,14 +55,11 @@ class FusionParams:
         self.linears = linears  # keyed as ``linear_names`` lists them
 
     @classmethod
-    def init(cls, variant, d_k, rng, residual_add=False, per_pair=False, requires_grad=True):
+    def init(cls, variant, d_k, rng, residual_add=False, per_pair=False):
         """Params of fresh ``Linear.init`` projections, drawn in ``linear_names`` order."""
-        return cls(variant, d_k, {name: Linear.init(d_k, d_k, rng, requires_grad=requires_grad)
+        return cls(variant, d_k, {name: Linear.init(d_k, d_k, rng)
                                   for name in linear_names(variant, per_pair)},
                    residual_add=residual_add, per_pair=per_pair)
-
-    def param_count(self):
-        return sum(p.data.size for p in self.parameters())
 
     def parameters(self):
         out = []
@@ -229,45 +222,3 @@ def pooled_score(visual: dict, prompt: dict, prompt_pooled: Tensor) -> Tensor:
     is [..., d_k]; leading axes broadcast.
     """
     return pooled_cosine(*last_stage(visual, prompt), prompt_pooled)
-
-
-def profile(variant, g, t, l, d_k, seed=0, with_backward=False,
-            residual_add=False, per_pair=False, windows=1, prompts=1):
-    """One instrumented pooled scoring pass, forward and optionally backward,
-    under a fresh ledger.
-
-    The pass is the one ``score`` makes for a track window of ``windows``
-    frames (g global and t local tokens each) against ``prompts`` prompts of
-    l tokens: ``global_terms``, ``visual_terms``, ``prompt_terms`` and
-    ``pooled_score``, and with ``with_backward`` the backward pass of the
-    scores' sum. Returns exact, deterministic counts: trainable parameters,
-    the values charged within the pass (``peak_values``; nothing frees a
-    charge, so this is not a high-water mark of live values), and
-    accumulated multiply-adds. The pass's graph is freed by reference
-    counting when it returns.
-    """
-    rng = np.random.default_rng(seed)
-    with fresh_context() as ctx:
-        params = FusionParams.init(variant, d_k, rng, residual_add=residual_add,
-                                   per_pair=per_pair, requires_grad=with_backward)
-        fGlobal = Tensor(rng.standard_normal((windows, g, d_k)))
-        fLocal = Tensor(rng.standard_normal((windows, t, d_k)))
-        prompt = rng.standard_normal((prompts, 1, l, d_k))  # broadcast over the frames
-        fPrompt, pooled = Tensor(prompt), Tensor(prompt.mean(axis=-2)[:, 0])
-        # parameters and inputs are not activations; count the pass only
-        ctx.ledger.reset()
-        visual = visual_terms(params, global_terms(params, fGlobal), fLocal)
-        scores = pooled_score(visual, prompt_terms(params, fPrompt), pooled)
-        if with_backward:
-            sum_all(scores).backward()
-        snap = ctx.ledger.snapshot()
-    return {
-        "variant": variant,
-        "d_k": d_k,
-        "g": g,
-        "t": t,
-        "l": l,
-        "param_count": params.param_count(),
-        "peak_values": snap["peak_values"],
-        "flops": snap["flops"],
-    }

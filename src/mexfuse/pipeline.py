@@ -118,6 +118,16 @@ class ReferringModel:
     def parameters(self):
         return [t for name in sorted(self.linears) for t in self.linears[name].parameters()]
 
+    def param_count(self):
+        """Values of the ``Linear``s a pass reads: the fusion block's projections
+        and the MLPs of ``streams``. Plain's global MLP is in ``linears``, so it
+        is saved and in ``parameters``, but no pass reads it: it is not counted."""
+        read = list(self.fusion_params.linears.values())
+        for m, mlp in zip(features.MODALITIES, (self.mlp_global, self.mlp_local, self.mlp_prompt)):
+            if m in self.streams:
+                read += [mlp.first, mlp.second]
+        return sum(t.data.size for lin in read for t in lin.parameters())
+
     def _raw_shape(self, modality):
         """(s, d_raw) of one entity's raw tokens: at most ``truncate_to`` tokens."""
         s, d = self.embedder.token_shape(modality)

@@ -36,8 +36,9 @@ class AllocationLedger:
     """Counts charged tensor values and accumulated multiply-adds.
 
     ``peak_values`` is every value charged since the last ``reset``: nothing
-    frees a charge, so within one pass it is the values that pass charged,
-    not a high-water mark of the values alive at one time.
+    frees a charge, so for a pass run in a fresh context, as ``bench`` runs
+    ``score_all``, it is the values that pass charged, not a high-water mark
+    of the values alive at one time.
     """
 
     def __init__(self):
@@ -222,9 +223,8 @@ def product(a, b):
     Every multiply-add the engine counts is one of these products, forward
     and backward: ``out.size * a.shape[-1]`` of them, leading batch axes
     broadcast as in ``np.matmul``. A backward product charges the context
-    active when ``backward()`` runs; ``train`` (per batch),
-    ``fusion.profile`` and ``gradcheck`` each run a pass's forward and
-    backward in one context.
+    active when ``backward()`` runs; ``train`` (per batch) and ``gradcheck``
+    each run a pass's forward and backward in one context.
     """
     out = kernels.matmul2d(a, b)
     current_context().ledger.add_flops(out.size * a.shape[-1])
@@ -406,14 +406,6 @@ def pooled_cosine(p, v, r, b):
 # ---- reductions ------------------------------------------------------------
 
 
-def sum_all(a):
-    def bwd(g):
-        if a.requires_grad:
-            a._accumulate(np.full_like(a.data, float(g)))
-
-    return node(np.asarray(a.data.sum()), (a,), bwd)
-
-
 def mean_axis(a, axis, keepdims=False):
     if a.data.shape[axis] == 0:
         raise DegenerateInputError(f"mean over empty axis {axis} of {a.data.shape}")
@@ -471,10 +463,9 @@ class Linear:
         self.bias = bias
 
     @classmethod
-    def init(cls, d_in, d_out, rng, requires_grad=True):
-        w = Tensor(rng.standard_normal((d_in, d_out)) * (1.0 / np.sqrt(d_in)),
-                   requires_grad=requires_grad)
-        b = Tensor(np.zeros(d_out), requires_grad=requires_grad)
+    def init(cls, d_in, d_out, rng):
+        w = Tensor(rng.standard_normal((d_in, d_out)) * (1.0 / np.sqrt(d_in)), requires_grad=True)
+        b = Tensor(np.zeros(d_out), requires_grad=True)
         return cls(w, b)
 
     @property

@@ -40,6 +40,16 @@ def mul(a, b):
     return node(a.data * b.data, (a, b), bwd)
 
 
+def sum_all(a):
+    """The sum of every value of ``a``, as a scalar tensor."""
+
+    def bwd(g):
+        if a.requires_grad:
+            a._accumulate(np.full_like(a.data, float(g)))
+
+    return node(np.asarray(a.data.sum()), (a,), bwd)
+
+
 def relu(x):
     mask = x.data > 0
 

@@ -729,6 +729,39 @@ class TestBench:
         second = json.loads((tmp_path / "bench" / "bench.json").read_text())
         assert strip(report) == strip(second)
 
+    def test_default_config_rows(self, runner, tmp_path):
+        # one untrained score_all each at the default config (seed 0, paper
+        # dims, 10 tracks x 4 prompts, window 8); plain's census leaves out
+        # the global MLP that no pass reads
+        out = str(tmp_path / "bench")
+        assert invoke(runner, "--out", out, "bench").exit_code == 0
+        rows = json.loads((tmp_path / "bench" / "bench.json").read_text())["rows"]
+        assert [(r["variant"], r["per_pair"], r["d_k"], r["g"], r["t"], r["l"],
+                 r["param_count"], r["peak_values"], r["flops"]) for r in rows] == [
+            ("mex", False, 256, 16, 16, 20, 1_050_880, 2_884_392, 459_313_152),
+            ("mex", True, 256, 16, 16, 20, 1_248_256, 3_896_616, 666_013_696),
+            ("cascade", False, 256, 16, 16, 20, 1_248_256, 4_103_720, 561_643_520),
+            ("plain", False, 256, 16, 16, 20, 1_050_880 - 262_656, 2_838_056, 416_940_032),
+        ]
+
+    def test_honours_config(self, runner, tmp_path):
+        # the config's dims are bench's sizes
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"fusion": {"d_k": 64},
+                                   "embedder": {"visual_tokens": 4, "text_tokens": 5}}))
+        reports = []
+        for name, args in (("default", ()), ("small", ("--config", str(cfg)))):
+            out = str(tmp_path / name)
+            result = invoke(runner, *args, "--out", out, "bench")
+            assert result.exit_code == 0, result.output
+            reports.append(json.loads(Path(out, "bench.json").read_text()))
+        default, small = reports
+        assert {(r["d_k"], r["g"], r["t"], r["l"]) for r in small["rows"]} == {(64, 4, 4, 5)}
+        for a, b in zip(default["rows"], small["rows"]):
+            assert (a["variant"], a["per_pair"]) == (b["variant"], b["per_pair"])
+            for key in ("param_count", "peak_values", "flops"):
+                assert b[key] < a[key], (b["variant"], key)
+
 
 class TestGradcheck:
     def test_passes_on_default_dims(self, runner):

@@ -16,10 +16,9 @@ from mexfuse.tensor import (
     Linear,
     Tensor,
     fresh_context,
-    sum_all,
 )
 
-from conftest import mul
+from conftest import mul, sum_all
 
 
 def mean_pooled_cosine(a, b):

@@ -6,7 +6,6 @@ from mexfuse.fusion import (
     global_terms,
     last_stage,
     pooled_score,
-    profile,
     prompt_terms,
     visual_terms,
 )
@@ -19,7 +18,7 @@ from mexfuse.tensor import (
     pooled_cosine,
 )
 
-from conftest import cosine, full_stream, st_pool
+from conftest import cosine, full_stream, st_pool, sum_all
 
 
 # ---- independent straight-from-formula oracles -----------------------------
@@ -238,13 +237,13 @@ class TestCascadeAttention:
         rng = np.random.default_rng(9)
         mex = FusionParams.init("mex", 256, rng)
         cascade = FusionParams.init("cascade", 256, rng)
-        assert cascade.param_count() > mex.param_count()
+        assert census(cascade) > census(mex)
         # census equals the analytic formula over registered linears
-        assert mex.param_count() == 3 * (256 * 256 + 256)
-        assert cascade.param_count() == 6 * (256 * 256 + 256)
+        assert census(mex) == 3 * (256 * 256 + 256)
+        assert census(cascade) == 6 * (256 * 256 + 256)
 
 
-# ---- pooling and profiling -------------------------------------------------
+# ---- pooling and block counts ----------------------------------------------
 
 
 class TestStPool:
@@ -331,25 +330,62 @@ class TestPooledScore:
         assert worst <= 1e-12
 
 
+def census(params):
+    """Trainable values of a fusion block's projections."""
+    return sum(p.data.size for p in params.parameters())
+
+
+def block_counts(variant, g, t, l, d_k, with_backward=False, windows=1, prompts=1):
+    """Counts of one fusion block's pooled scoring pass on random d_k streams,
+    forward and optionally backward, under a fresh ledger.
+
+    The pass is the part of the one ``score`` makes after the projection
+    MLPs, for a track window of ``windows`` frames (g global and t local
+    tokens each) against ``prompts`` prompts of l tokens: ``global_terms``,
+    ``visual_terms``, ``prompt_terms`` and ``pooled_score``, and with
+    ``with_backward`` the backward pass of the scores' sum. Returns the
+    block's parameter count, the values charged within the pass
+    (``peak_values``, cumulative) and its multiply-adds (``flops``).
+    """
+    rng = np.random.default_rng(0)
+    with fresh_context() as ctx:
+        params = FusionParams.init(variant, d_k, rng)
+        fGlobal = Tensor(rng.standard_normal((windows, g, d_k)))
+        fLocal = Tensor(rng.standard_normal((windows, t, d_k)))
+        prompt = rng.standard_normal((prompts, 1, l, d_k))  # broadcast over the frames
+        fPrompt, target = Tensor(prompt), Tensor(prompt.mean(axis=-2)[:, 0])
+        # parameters and inputs are not activations; count the pass only
+        ctx.ledger.reset()
+        visual = visual_terms(params, global_terms(params, fGlobal), fLocal)
+        scores = pooled_score(visual, prompt_terms(params, fPrompt), target)
+        if with_backward:
+            sum_all(scores).backward()
+        snap = ctx.ledger.snapshot()
+    return {"param_count": census(params), **snap}
+
+
 def full_stream_values(variant, g, t, l, d_k):
     """Values the ledger charges for one full fused stream (2-D streams, forward)."""
     rng = np.random.default_rng(0)
     with fresh_context() as ctx:
-        params = FusionParams.init(variant, d_k, rng, requires_grad=False)
+        params = FusionParams.init(variant, d_k, rng)
         streams = [Tensor(s) for s in random_streams(rng, g, t, l, d_k)]
         ctx.ledger.reset()
         full_stream(params, *streams)
         return ctx.ledger.peak_values
 
 
-class TestProfile:
+class TestBlockCounts:
+    """The fusion block alone, on random d_k streams: one frame and one
+    prompt unless a test says otherwise, no projection MLPs."""
+
     def test_plain_census_formula(self):
-        row = profile("plain", 4, 4, 4, 16)
+        row = block_counts("plain", 4, 4, 4, 16)
         assert row["param_count"] == 3 * (16 * 16 + 16)
 
     def test_paper_dims_direction(self):
-        mex = profile("mex", 16, 16, 20, 256)
-        cascade = profile("cascade", 16, 16, 20, 256)
+        mex = block_counts("mex", 16, 16, 20, 256)
+        cascade = block_counts("cascade", 16, 16, 20, 256)
         assert mex["param_count"] < cascade["param_count"]
         assert mex["peak_values"] < cascade["peak_values"]
 
@@ -362,13 +398,13 @@ class TestProfile:
         head = 2 * d + 1
         mex = (g + t + l) * d + g * t + t + d + t * l + l + head
         cascade = 2 * g * d + t * d + t * g + 3 * t * d + 2 * l * d + t * l + l + head
-        assert profile("mex", g, t, l, d)["peak_values"] == mex == 14_693
-        assert profile("cascade", g, t, l, d)["peak_values"] == cascade == 35_925
+        assert block_counts("mex", g, t, l, d)["peak_values"] == mex == 14_693
+        assert block_counts("cascade", g, t, l, d)["peak_values"] == cascade == 35_925
 
     @pytest.mark.parametrize("variant", ["mex", "cascade"])
     def test_flops_scale_quadratically(self, variant):
-        lo = profile(variant, 16, 16, 20, 128)
-        hi = profile(variant, 16, 16, 20, 256)
+        lo = block_counts(variant, 16, 16, 20, 128)
+        hi = block_counts(variant, 16, 16, 20, 256)
         assert 3.5 <= hi["flops"] / lo["flops"] <= 4.5
 
     def test_memory_ordering_across_configs(self):
@@ -389,15 +425,15 @@ class TestProfile:
                     for n_prompts in (1, 8):
                         for bwd in (False, True):
                             kw = dict(windows=w, prompts=n_prompts, with_backward=bwd)
-                            mex = profile("mex", g, t, l, d_k, **kw)
-                            cascade = profile("cascade", g, t, l, d_k, **kw)
+                            mex = block_counts("mex", g, t, l, d_k, **kw)
+                            cascade = block_counts("cascade", g, t, l, d_k, **kw)
                             assert mex["peak_values"] < cascade["peak_values"], \
                                 (g, t, l, d_k, w, n_prompts, bwd)
 
     def test_deterministic(self):
-        assert profile("mex", 3, 4, 5, 16) == profile("mex", 3, 4, 5, 16)
+        assert block_counts("mex", 3, 4, 5, 16) == block_counts("mex", 3, 4, 5, 16)
 
     def test_backward_pass_counted(self):
-        fwd = profile("mex", 3, 4, 5, 16)
-        bwd = profile("mex", 3, 4, 5, 16, with_backward=True)
+        fwd = block_counts("mex", 3, 4, 5, 16)
+        bwd = block_counts("mex", 3, 4, 5, 16, with_backward=True)
         assert bwd["flops"] > fwd["flops"]

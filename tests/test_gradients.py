@@ -3,6 +3,7 @@ test references build, and the fusion + pooled cosine + training loss chain."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mexfuse import gradcheck
 from mexfuse.features import ProjectionMLP
@@ -16,11 +17,12 @@ from mexfuse.tensor import (
     matmul,
     mean_axis,
     pooled_cosine,
-    sum_all,
+    reshape,
+    scale,
     take,
 )
 
-from conftest import cosine, max_axis, mul, st_pool, stack
+from conftest import cosine, max_axis, mul, st_pool, stack, sum_all
 
 STEP = 1e-5
 TOL = 1e-4
@@ -230,3 +232,139 @@ def test_mex_per_pair_projections():
 def test_mex_residual_add():
     err = gradcheck.max_relative_error("mex", g=2, t=3, l=4, d_k=8, residual_add=True)
     assert err <= TOL
+
+
+# ---- every op on random shapes ---------------------------------------------
+# Each op's output is weighted by a random array of its shape and summed, so
+# every output value's gradient is checked. Leading axes that an op
+# broadcasts are drawn so that some are dropped and some are 1.
+
+RANDOM_SHAPES = settings(max_examples=25, deadline=None, database=None)
+DIM = st.integers(1, 3)
+BATCH = st.lists(st.integers(1, 2), max_size=2).map(tuple)
+SHAPE = st.lists(DIM, min_size=1, max_size=4).map(tuple)
+SEED = st.integers(0, 2**32 - 1)
+
+
+@st.composite
+def partner(draw, shape):
+    """A shape that broadcasts against ``shape``: leading axes dropped, others kept or 1."""
+    kept = shape[draw(st.integers(0, len(shape))):]
+    return tuple(draw(st.sampled_from((n, 1))) for n in kept)
+
+
+def leaf(rng, shape):
+    return Tensor(rng.standard_normal(shape), requires_grad=True)
+
+
+def check_weighted(rng, op, *leaves):
+    """Gradcheck of sum(op() * w), w a random array of op's output shape."""
+    with fresh_context():
+        w = Tensor(rng.standard_normal(op().data.shape))
+    check(lambda: sum_all(mul(op(), w)), *leaves)
+
+
+@RANDOM_SHAPES
+@given(data=st.data(), seed=SEED)
+def test_add_random_shapes(data, seed):
+    a_shape = data.draw(SHAPE)
+    b_shape = data.draw(partner(a_shape))
+    if data.draw(st.booleans()):
+        a_shape, b_shape = b_shape, a_shape
+    rng = np.random.default_rng(seed)
+    a, b = leaf(rng, a_shape), leaf(rng, b_shape)
+    check_weighted(rng, lambda: add(a, b), a, b)
+
+
+@RANDOM_SHAPES
+@given(shape=SHAPE, c=st.floats(-3.0, 3.0), seed=SEED)
+def test_scale_random_shapes(shape, c, seed):
+    rng = np.random.default_rng(seed)
+    a = leaf(rng, shape)
+    check_weighted(rng, lambda: scale(a, c), a)
+
+
+@RANDOM_SHAPES
+@given(data=st.data(), m=DIM, k=DIM, n=DIM, seed=SEED)
+def test_matmul_random_shapes(data, m, k, n, seed):
+    batch = data.draw(BATCH)
+    rng = np.random.default_rng(seed)
+    a = leaf(rng, data.draw(partner(batch)) + (m, k))
+    b = leaf(rng, data.draw(partner(batch)) + (k, n))
+    check_weighted(rng, lambda: matmul(a, b), a, b)
+
+
+@RANDOM_SHAPES
+@given(data=st.data(), seed=SEED)
+def test_reshape_random_shapes(data, seed):
+    shape = data.draw(SHAPE)
+    new = data.draw(st.permutations(shape).map(tuple) | st.just((int(np.prod(shape)),)))
+    rng = np.random.default_rng(seed)
+    a = leaf(rng, shape)
+    check_weighted(rng, lambda: reshape(a, new), a)
+
+
+@RANDOM_SHAPES
+@given(data=st.data(), n=DIM, seed=SEED)
+def test_take_random_shapes(data, n, seed):
+    rest = data.draw(st.lists(DIM, max_size=2).map(tuple))
+    idx = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=5))
+    rng = np.random.default_rng(seed)
+    a = leaf(rng, (n,) + rest)
+    check_weighted(rng, lambda: take(a, idx), a)
+
+
+@RANDOM_SHAPES
+@given(data=st.data(), m=DIM, n=DIM, d=DIM, seed=SEED)
+def test_attention_map_random_shapes(data, m, n, d, seed):
+    batch = data.draw(BATCH)
+    rng = np.random.default_rng(seed)
+    q = leaf(rng, data.draw(partner(batch)) + (m, d))
+    k = leaf(rng, data.draw(partner(batch)) + (n, d))
+    check_weighted(rng, lambda: attention_map(q, k), q, k)
+
+
+@RANDOM_SHAPES
+@given(data=st.data(), frames=DIM, m=DIM, n=DIM, d=DIM, seed=SEED)
+def test_pooled_cosine_random_shapes(data, frames, m, n, d, seed):
+    # the map or the values hold the whole batch, frames last; the other
+    # operands broadcast against it
+    batch = data.draw(BATCH) + (frames,)
+    full = data.draw(st.sampled_from("pv"))
+    p_lead = batch if full == "p" else data.draw(partner(batch))
+    v_lead = batch if full == "v" else data.draw(partner(batch))
+    rng = np.random.default_rng(seed)
+    p, v = leaf(rng, p_lead + (m, n)), leaf(rng, v_lead + (n, d))
+    r = leaf(rng, data.draw(partner(batch)) + (m, d)) if data.draw(st.booleans()) else None
+    b = leaf(rng, batch[:-1] + (d,))
+    leaves = [p, v, b] if r is None else [p, v, r, b]
+    check_weighted(rng, lambda: pooled_cosine(p, v, r, b), *leaves)
+
+
+@RANDOM_SHAPES
+@given(data=st.data(), keepdims=st.booleans(), seed=SEED)
+def test_mean_axis_random_shapes(data, keepdims, seed):
+    shape = data.draw(SHAPE)
+    axis = data.draw(st.integers(-len(shape), len(shape) - 1))
+    rng = np.random.default_rng(seed)
+    a = leaf(rng, shape)
+    check_weighted(rng, lambda: mean_axis(a, axis, keepdims=keepdims), a)
+
+
+@RANDOM_SHAPES
+@given(batch=BATCH, d_in=DIM, d_out=DIM, seed=SEED)
+def test_linear_random_shapes(batch, d_in, d_out, seed):
+    rng = np.random.default_rng(seed)
+    x = leaf(rng, batch + (d_in,))
+    lin = Linear(leaf(rng, (d_in, d_out)), leaf(rng, (d_out,)))
+    check_weighted(rng, lambda: lin(x), x, lin.w, lin.bias)
+
+
+@RANDOM_SHAPES
+@given(batch=BATCH, d_in=DIM, hidden=DIM, d_out=DIM, seed=SEED)
+def test_projection_mlp_random_shapes(batch, d_in, hidden, d_out, seed):
+    rng = np.random.default_rng(seed)
+    x = leaf(rng, batch + (d_in,))
+    mlp = ProjectionMLP(Linear(leaf(rng, (d_in, hidden)), leaf(rng, (hidden,))),
+                        Linear(leaf(rng, (hidden, d_out)), leaf(rng, (d_out,))))
+    check_weighted(rng, lambda: mlp(x), x, *mlp.first.parameters(), *mlp.second.parameters())

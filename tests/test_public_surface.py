@@ -196,12 +196,44 @@ def test_scan_finds_exception_classes(tmp_path):
     assert exception_classes(tmp_path) == {"a:Bad", "a:Worse", "a:Exit"}
 
 
-# perfbench/tracing.py wraps these program functions by name; a wrap whose
-# target is gone leaves its per-layer metric reading 0 without an error.
-# These three were removed from src with the full fused stream, and the
-# benchmark has yet to drop their wraps.
+# perfbench/tracing.py wraps program functions by name and calls some
+# directly; a wrap whose target is gone leaves its per-layer metric reading
+# 0 without an error, and a direct call to a missing function fails the
+# call's metrics (their record says "unavailable"). These targets are gone
+# from src, and the benchmark has yet to drop them.
 TRACING = Path(__file__).parents[1] / "perfbench" / "tracing.py"
-KNOWN_ABSENT = {"mexfuse.fusion:fuse", "mexfuse.fusion:st_pool", "mexfuse.fusion:score"}
+KNOWN_ABSENT = {
+    "mexfuse.fusion:fuse": "removed with the full fused stream",
+    "mexfuse.fusion:st_pool": "removed with the full fused stream",
+    "mexfuse.fusion:score": "removed with the full fused stream",
+    "mexfuse.fusion:profile": "bench measures the pass score_all runs; the block-level "
+                              "counts are tests/test_fusion.py::block_counts",
+}
+
+
+def benchmark_targets(source):
+    """``module:qualname`` of each program function a benchmark file names in a
+    ``"mexfuse.<module>:<name>"`` string, or calls through a name it imports
+    from ``mexfuse`` (``fusion.profile(...)``, ``profile(...)``)."""
+    targets = set(re.findall(r'"(mexfuse\.\w+:[\w.]+)"', source))
+    tree = ast.parse(source)
+    modules, functions = {}, {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "mexfuse":
+            modules |= {a.asname or a.name: f"mexfuse.{a.name}" for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("mexfuse."):
+            functions |= {a.asname or a.name: f"{node.module}:{a.name}" for a in node.names}
+        elif isinstance(node, ast.Import):
+            modules |= {a.asname or a.name: a.name for a in node.names
+                        if a.name.startswith("mexfuse.")}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            owner, _, name = ast.unparse(node.func).rpartition(".")
+            if owner in modules:
+                targets.add(f"{modules[owner]}:{name}")
+            elif not owner and name in functions:
+                targets.add(functions[name])
+    return targets
 
 
 def resolves(target):
@@ -216,6 +248,22 @@ def resolves(target):
 
 
 def test_every_benchmark_wrap_target_resolves():
-    targets = set(re.findall(r'"(mexfuse\.\w+:[\w.]+)"', TRACING.read_text()))
+    targets = benchmark_targets(TRACING.read_text())
     assert len(targets) >= 10, targets
-    assert {t for t in targets if not resolves(t)} <= KNOWN_ABSENT
+    assert {t for t in targets if not resolves(t)} == set(KNOWN_ABSENT)
+
+
+def test_scan_finds_benchmark_calls():
+    source = (
+        "import mexfuse.tensor as T\n"
+        "from mexfuse import fusion, pipeline as P\n"
+        "from mexfuse.cli import main\n\n"
+        "WRAPS = (\"mexfuse.features:ProjectionMLP.__call__\",)\n\n"
+        "def run():\n"
+        "    fusion.profile(1)\n"
+        "    P.score_all()\n"
+        "    T.node(main(), fusion)\n"
+        "    other.profile(2)\n")
+    assert benchmark_targets(source) == {
+        "mexfuse.features:ProjectionMLP.__call__", "mexfuse.fusion:profile",
+        "mexfuse.pipeline:score_all", "mexfuse.tensor:node", "mexfuse.cli:main"}

@@ -23,11 +23,10 @@ from mexfuse.tensor import (
     mean_axis,
     node,
     pooled_cosine,
-    sum_all,
     take,
 )
 
-from conftest import max_axis, mul
+from conftest import max_axis, mul, sum_all
 from test_pipeline import SMALL, momentum_loop, small_model
 
 
