@@ -18,7 +18,6 @@ import numpy as np
 from . import __version__, calibration, config as config_mod, gradcheck, pipeline
 from .config import ConfigError, DataFileError
 from .features import MODALITIES, EmbedderConfig
-from .fusion import VARIANTS
 from .pipeline import DatasetConfig, ReferringModel
 from .tensor import DegenerateInputError, fresh_context
 
@@ -26,6 +25,10 @@ PAPER_MEX_PARAMS = 81_000_000
 PAPER_CASCADE_PARAMS = 92_000_000
 # bench's rows: (variant, per_pair); mex per_pair has the cascade block's census
 BENCH_ROWS = (("mex", False), ("mex", True), ("cascade", False), ("plain", False))
+# gradcheck's configs, every one ``train`` can run: (variant, mex's options)
+GRADCHECK_CONFIGS = (("mex", {}), ("mex", {"per_pair": True}), ("mex", {"residual_add": True}),
+                     ("mex", {"per_pair": True, "residual_add": True}), ("cascade", {}),
+                     ("plain", {}))
 
 
 def _load_config(ctx_obj):
@@ -254,7 +257,8 @@ def bench(ctx):
         wall = time.perf_counter() - t0
         (g, _), (t, _), (l, _) = (model._raw_shape(m) for m in MODALITIES)
         rows.append({"variant": variant, "per_pair": per_pair, "d_k": model.fusion_params.d_k,
-                     "g": g, "t": t, "l": l, "param_count": model.param_count(),
+                     "g": g, "t": t, "l": l,
+                     "param_count": sum(p.data.size for p in model.parameters()),
                      **run.ledger.snapshot(), "wall_time_s": wall})
     mex, cas = (rows[BENCH_ROWS.index(key)] for key in (("mex", False), ("cascade", False)))
     claim = {
@@ -291,9 +295,9 @@ def gradcheck_cmd(ctx):
     """Verify analytic gradients against central finite differences."""
     cfg = _load_config(ctx.obj)
     worst = 0.0
-    for variant in VARIANTS:
-        err = gradcheck.max_relative_error(variant, seed=cfg["seed"])
-        click.echo(f"{variant}: max relative gradient error {err:.3e}")
+    for variant, options in GRADCHECK_CONFIGS:
+        err = gradcheck.max_relative_error(variant, seed=cfg["seed"], **options)
+        click.echo(f"{'/'.join([variant, *options])}: max relative gradient error {err:.3e}")
         worst = max(worst, err)
     if worst > 1e-4:
         click.echo(f"gradient check FAILED: {worst:.3e} > 1e-4", err=True)

@@ -96,14 +96,18 @@ _ROLES = {
 }
 
 
-def _roles(params, stream):
-    return _ROLES["mex/per_pair" if params.variant == "mex" and params.per_pair
-                  else params.variant][stream]
+def _roles(variant, per_pair):
+    return _ROLES["mex/per_pair" if variant == "mex" and per_pair else variant]
+
+
+def streams(variant, per_pair=False):
+    """The modalities some projection of a variant reads, in ``features.MODALITIES`` order."""
+    return tuple(m for m, roles in _roles(variant, per_pair).items() if roles)
 
 
 def reads(params, stream):
     """Names of the projections that read ``stream`` (a ``features`` modality)."""
-    return tuple(dict.fromkeys(_roles(params, stream).values()))
+    return tuple(dict.fromkeys(_roles(params.variant, params.per_pair)[stream].values()))
 
 
 def _project(params, stream, x):
@@ -112,15 +116,15 @@ def _project(params, stream, x):
     A projection that plays several roles runs once, and its one tensor
     fills them all.
     """
-    linears = params.linears
+    linears, roles = params.linears, _roles(params.variant, params.per_pair)[stream]
     done = {}
-    for name in reads(params, stream):
+    for name in dict.fromkeys(roles.values()):
         d_in = linears[name].d_in
         if x.data.ndim < 2 or x.data.shape[-1] != d_in:
             raise DimensionError(
                 f"stream shape {x.data.shape} incompatible with {name}'s input width {d_in}")
         done[name] = linears[name](x)
-    return {role: done[name] for role, name in _roles(params, stream).items()}
+    return {role: done[name] for role, name in roles.items()}
 
 
 class LastStage(NamedTuple):

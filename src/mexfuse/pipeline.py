@@ -88,6 +88,8 @@ class ReferringModel:
 
     Every trainable ``Linear`` is in one table, ``linears``, keyed by the
     names ``_linear_shapes`` gives; the fusion block and the MLPs use them.
+    ``streams`` are the modalities some projection reads (plain reads no
+    global frame), and ``mlps`` holds the projection MLP of each of them.
     """
 
     def __init__(self, embedder: EmbedderConfig, linears, variant="mex", residual_add=False,
@@ -98,12 +100,10 @@ class ReferringModel:
             variant, embedder.fused_dim,
             {n: linears[f"fusion.{n}"] for n in fusion.linear_names(variant, per_pair)},
             residual_add=residual_add, per_pair=per_pair)
-        self.mlp_global, self.mlp_local, self.mlp_prompt = (
-            ProjectionMLP(linears[f"{m}.first"], linears.get(f"{m}.second")) for m in _MLPS)
-        # the modalities some projection reads: plain's read no global frame,
-        # so neither scoring nor training embeds or projects one
-        self.streams = tuple(m for m in features.MODALITIES
-                             if fusion.reads(self.fusion_params, m))
+        self.streams = fusion.streams(variant, per_pair)
+        self.mlps = {m: ProjectionMLP(linears[f"{_MLPS[m]}.first"],
+                                      linears.get(f"{_MLPS[m]}.second"))
+                     for m in self.streams}
         self.concept_of = dict(concept_of or {})
 
     @classmethod
@@ -117,16 +117,6 @@ class ReferringModel:
 
     def parameters(self):
         return [t for name in sorted(self.linears) for t in self.linears[name].parameters()]
-
-    def param_count(self):
-        """Values of the ``Linear``s a pass reads: the fusion block's projections
-        and the MLPs of ``streams``. Plain's global MLP is in ``linears``, so it
-        is saved and in ``parameters``, but no pass reads it: it is not counted."""
-        read = list(self.fusion_params.linears.values())
-        for m, mlp in zip(features.MODALITIES, (self.mlp_global, self.mlp_local, self.mlp_prompt)):
-            if m in self.streams:
-                read += [mlp.first, mlp.second]
-        return sum(t.data.size for lin in read for t in lin.parameters())
 
     def _raw_shape(self, modality):
         """(s, d_raw) of one entity's raw tokens: at most ``truncate_to`` tokens."""
@@ -176,11 +166,12 @@ class ReferringModel:
 
     def global_terms(self, tokens):
         """Fusion terms of global frames, from raw tokens [..., w, s, d_raw] in one MLP call."""
-        return fusion.global_terms(self.fusion_params, self.mlp_global(Tensor(tokens)))
+        return fusion.global_terms(self.fusion_params,
+                                   self.mlps[features.GLOBAL_FRAME](Tensor(tokens)))
 
     def prompt_terms(self, tokens):
         """(fusion terms, token means) of prompts, from raw tokens [U, s, d_raw] in one MLP call."""
-        fP = self.mlp_prompt(Tensor(tokens))
+        fP = self.mlps[features.PROMPT](Tensor(tokens))
         return fusion.prompt_terms(self.fusion_params, fP), tensor.mean_axis(fP, axis=-2)
 
     def forward_window(self, glob, local_tokens, prompts, idx):
@@ -195,7 +186,7 @@ class ReferringModel:
         ([w, s, d_raw] tokens) meets every prompt; in a batch of windows
         ([len(idx), w, s, d_raw]) window i meets prompt idx[i].
         """
-        fL = self.mlp_local(Tensor(local_tokens))
+        fL = self.mlps[features.LOCAL_TRACK](Tensor(local_tokens))
         visual = fusion.visual_terms(self.fusion_params, glob, fL)
         terms, pooled = prompts
 
@@ -254,7 +245,7 @@ class ReferringModel:
                 "residual_add": self.fusion_params.residual_add,
                 "per_pair": self.fusion_params.per_pair,
             },
-            "mlp_hidden": self.mlp_global.first.d_out,
+            "mlp_hidden": self.mlps[features.LOCAL_TRACK].first.d_out,
             "params": names,
         }
         _write_json(os.path.join(out_dir, "params.json"), manifest)
@@ -303,23 +294,25 @@ def _check_params(doc, concept_of):
         raise ValueError(f"embedder.concepts lacks the dataset's concept(s) {unknown}")
 
 
-_MLPS = ("mlp_global", "mlp_local", "mlp_prompt")
+# each modality's projection MLP, by its name in ``linears``
+_MLPS = {features.GLOBAL_FRAME: "mlp_global", features.LOCAL_TRACK: "mlp_local",
+         features.PROMPT: "mlp_prompt"}
 
 
 def _linear_shapes(embedder: EmbedderConfig, variant, per_pair, mlp_hidden):
     """Each ``Linear``'s name and (d_in, d_out), in initialisation order.
 
     ``fusion.<name>`` (d_k x d_k) in ``fusion.linear_names`` order, then the
-    global, local and prompt MLPs' ``<mlp>.first`` (d_raw -> hidden) and
-    ``<mlp>.second`` (hidden -> d_k); ``mlp_hidden`` defaults to d_k.
+    MLP of each modality read (``fusion.streams``): ``<mlp>.first`` (d_raw ->
+    hidden) and ``<mlp>.second`` (hidden -> d_k); ``mlp_hidden`` defaults to d_k.
     """
     d_k = embedder.fused_dim
     hidden = mlp_hidden or d_k
     shapes = {f"fusion.{n}": (d_k, d_k) for n in fusion.linear_names(variant, per_pair)}
-    for mlp, d_raw in zip(_MLPS, (embedder.raw_visual_dim, embedder.raw_visual_dim,
-                                  embedder.raw_text_dim)):
-        shapes[f"{mlp}.first"] = (d_raw, hidden)
-        shapes[f"{mlp}.second"] = (hidden, d_k)
+    for m in fusion.streams(variant, per_pair):
+        _, d_raw = embedder.token_shape(m)
+        shapes[f"{_MLPS[m]}.first"] = (d_raw, hidden)
+        shapes[f"{_MLPS[m]}.second"] = (hidden, d_k)
     return shapes
 
 
@@ -661,32 +654,39 @@ def load_dataset(in_dir):
     Raises DataFileError naming the file, and the line where there is one,
     for a missing or unreadable file, a line that is not a JSON object, a
     missing key or a field not of its kind (README "File formats"), a
-    trajectory row with a box extent <= 0 or a frame its track already has,
-    a task with no candidates or a candidate that is not a track or is
-    listed twice, a window row whose track or prompt is unknown or whose
+    trajectory row with a box extent <= 0, a frame its track already has or
+    an entity_id other than its track's, a task whose prompt_id an earlier
+    task has, with no candidates or with a candidate that is not a track or
+    is listed twice, a window row whose track or prompt is unknown or whose
     frames are not that track's, or a concepts row whose concept is not in
     meta.json's concepts.
     """
-    by_track = {}
+    by_track = {}  # track_id -> (entity_id, {frame: box})
 
     def add_box(r):
-        frames = by_track.setdefault((r["track_id"], r["entity_id"]), {})
+        tid = r["track_id"]
+        entity, frames = by_track.setdefault(tid, (r["entity_id"], {}))
+        if r["entity_id"] != entity:
+            raise ValueError(f"track {tid}: entity_id {r['entity_id']!r}, "
+                             f"but an earlier row gives {entity!r}")
         if r["frame"] in frames:
-            raise ValueError(f"track {r['track_id']}: frame {r['frame']} listed twice")
-        Trajectory(track_id=r["track_id"], frames=[(r["frame"], r["box"])],
-                   entity_id=r["entity_id"])  # checks the box
+            raise ValueError(f"track {tid}: frame {r['frame']} listed twice")
+        Trajectory(track_id=tid, frames=[(r["frame"], r["box"])],
+                   entity_id=entity)  # checks the box
         frames[r["frame"]] = r["box"]
 
     _read_jsonl(os.path.join(in_dir, "trajectories.jsonl"),
                 {"track_id": "int", "frame": "int", "box": "box", "entity_id": "str"},
                 check=add_box)
     trajectories = [Trajectory(track_id=tid, frames=sorted(frames.items()), entity_id=ent)
-                    for (tid, ent), frames in sorted(by_track.items())]
-    frames_of = {}
-    for t in trajectories:
-        frames_of.setdefault(t.track_id, set()).update(f for f, _ in t.frames)
+                    for tid, (ent, frames) in sorted(by_track.items())]
+    frames_of = {tid: frames for tid, (_, frames) in by_track.items()}
+    prompt_ids = set()
 
     def check_task(r):
+        if r["prompt_id"] in prompt_ids:
+            raise ValueError(f"prompt_id {r['prompt_id']} listed twice")
+        prompt_ids.add(r["prompt_id"])
         if not r["candidates"]:
             raise ValueError("candidates is empty")
         unknown = [tid for tid in r["candidates"] if tid not in frames_of]
@@ -705,7 +705,6 @@ def load_dataset(in_dir):
                                    "candidates": "track ids"}, check=check_task)]
     labels = _read_jsonl(os.path.join(in_dir, "labels.jsonl"),
                          {"prompt_id": "str", "track_id": "int", "match": "bool"})
-    prompt_ids = {t.prompt_id for t in tasks}
 
     def check_window(r):
         tid = r["track_id"]

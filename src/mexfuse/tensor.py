@@ -529,35 +529,27 @@ class MomentumSGD:
     """Classic momentum, v = mu*v + grad; w -= lr*v, over one flat buffer.
 
     Each parameter's ``data`` becomes a view into one contiguous buffer of
-    their values, and the velocities are a second one. A step in which every
-    parameter has a gradient is one concatenate and three whole-buffer ops;
-    a parameter with no gradient keeps its value and its velocity, as the
-    update runs over each run of consecutive parameters that have one.
+    their values, and the velocities are a second one. A step is one
+    concatenate of the gradients and three whole-buffer ops; it raises
+    ContractError, naming its index, for a parameter with no gradient.
     """
 
     def __init__(self, params, lr, momentum):
         self.params = list(params)
         self.lr = lr
         self.momentum = momentum
-        self.offsets = np.cumsum([0] + [p.data.size for p in self.params]).tolist()
+        offsets = np.cumsum([0] + [p.data.size for p in self.params]).tolist()
         self.weights = np.concatenate([p.data for p in self.params], axis=None)
-        for p, lo, hi in zip(self.params, self.offsets, self.offsets[1:]):
+        for p, lo, hi in zip(self.params, offsets, offsets[1:]):
             p.data = self.weights[lo:hi].reshape(p.data.shape)
         self.velocities = np.zeros_like(self.weights)
 
     def step(self):
-        params, offsets = self.params, self.offsets
-        start = 0
-        for i in range(len(params) + 1):
-            if i < len(params) and params[i].grad is not None:
-                continue
-            if start < i:  # params[start:i] all have a gradient
-                lo, hi = offsets[start], offsets[i]
-                v = self.velocities[lo:hi]
-                v *= self.momentum
-                v += np.concatenate([p.grad for p in params[start:i]], axis=None)
-                w = self.weights[lo:hi]
-                w -= self.lr * v
-            start = i + 1
-        for p in params:
+        for i, p in enumerate(self.params):
+            if p.grad is None:
+                raise ContractError(f"parameter {i} has no gradient")
+        self.velocities *= self.momentum
+        self.velocities += np.concatenate([p.grad for p in self.params], axis=None)
+        self.weights -= self.lr * self.velocities
+        for p in self.params:
             p.grad = None

@@ -596,7 +596,7 @@ class TestInputFactsCheckedWhereRead:
         "window of an unknown prompt", "no dataset directory", "no model directory",
         "no manifest for score", "no manifest for calibrate", "no scores file",
         "zero visual_tokens", "zero truncate_to", "a concept the model lacks",
-        "repeated candidate"])
+        "repeated candidate", "repeated prompt_id", "track under two entity_ids"])
     def test_bad_input_exits_2_naming_where(self, runner, trained, tmp_path, case):
         from mexfuse.pipeline import ScoredCandidate, write_scores
 
@@ -619,6 +619,13 @@ class TestInputFactsCheckedWhereRead:
         elif case == "repeated candidate":
             edit_jsonl(data / "tasks.jsonl", 2, candidates=[0, 0, 1])
             named = f"{data / 'tasks.jsonl'}:2: track_id 0 listed twice in candidates"
+        elif case == "repeated prompt_id":
+            edit_jsonl(data / "tasks.jsonl", 2, prompt_id="p000")
+            named = f"{data / 'tasks.jsonl'}:2: prompt_id p000 listed twice"
+        elif case == "track under two entity_ids":
+            edit_jsonl(data / "trajectories.jsonl", 2, entity_id="track-X")
+            named = (f"{data / 'trajectories.jsonl'}:2: track 0: entity_id 'track-X', "
+                     f"but an earlier row gives 'track-0'")
         elif case == "window of an unknown track":
             cmd = "train"
             edit_jsonl(data / "windows.jsonl", 2, track_id=999)
@@ -768,6 +775,10 @@ class TestGradcheck:
         result = invoke(runner, "gradcheck")
         assert result.exit_code == 0
         assert "passed" in result.output
+        # every configuration train can run, one line each
+        checked = [line.split(":")[0] for line in result.output.splitlines()[:-1]]
+        assert checked == ["mex", "mex/per_pair", "mex/residual_add",
+                           "mex/per_pair/residual_add", "cascade", "plain"]
 
     @pytest.mark.parametrize("module,name", [("pipeline", "_loss_sum"),
                                              ("fusion", "pooled_cosine")])

@@ -37,6 +37,7 @@ from mexfuse.pipeline import (
 )
 from mexfuse.tensor import (
     Linear,
+    MomentumSGD,
     Tensor,
     add,
     fresh_context,
@@ -70,11 +71,14 @@ def stream(model, entity, modality, mlp):
 def full_stream_score(model, track_entity, frame_indices, prompt_entity):
     """Raw score of one (track window, prompt) pair: every frame fused on its own
     as 2-D streams, the full fused stream stacked, ST-pooled and compared."""
-    fP = stream(model, prompt_entity, PROMPT, model.mlp_prompt)
+    mlps = model.mlps
+    fP = stream(model, prompt_entity, PROMPT, mlps[PROMPT])
+    # a stream the model has no MLP for (plain's global frames) is read by no projection
     per_frame = [
         full_stream(model.fusion_params,
-                    stream(model, frame_entity(i), GLOBAL_FRAME, model.mlp_global),
-                    stream(model, local_entity(track_entity, i), LOCAL_TRACK, model.mlp_local),
+                    stream(model, frame_entity(i), GLOBAL_FRAME, mlps[GLOBAL_FRAME])
+                    if GLOBAL_FRAME in mlps else None,
+                    stream(model, local_entity(track_entity, i), LOCAL_TRACK, mlps[LOCAL_TRACK]),
                     fP)[0]
         for i in frame_indices]
     return cosine(st_pool(stack(per_frame)), mean_axis(fP, axis=0))
@@ -98,10 +102,8 @@ def per_pair_reference(trajectories, tasks, model, window, threshold):
 
 def momentum_loop(params, velocities, lr, momentum):
     """Reference momentum update, one parameter at a time: v = mu*v + grad;
-    w -= lr*v; a parameter with no gradient keeps its value and velocity."""
+    w -= lr*v."""
     for p, v in zip(params, velocities):
-        if p.grad is None:
-            continue
         v *= momentum
         v += p.grad
         p.data -= lr * v
@@ -249,14 +251,13 @@ class TestScoring:
         # one whole-MLP call for all prompts and one per distinct global window;
         # the local tracks stop at the hidden activations, one call per track
         # window. The scoring form's MLPs are new, over the model's first Linears
-        name = {id(getattr(model, n).first): n for n in MLPS}
-        assert mlp_calls[0][:2] == ("__call__", model.mlp_prompt)
+        name = {id(model.mlps[m].first): n for m, n in MLPS.items()}
+        assert mlp_calls[0][:2] == ("__call__", model.mlps[PROMPT])
         assert mlp_calls[0][2][0] == len(small_data["tasks"])
         assert sorted((e, name[id(m.first)]) for e, m, _ in mlp_calls[1:]) == \
             [("__call__", "mlp_global")] * 2 + [("hidden", "mlp_local")] * len(trajs)
 
-    def test_plain_embeds_and_projects_no_global_frame(self, small_data, mlp_calls,
-                                                        monkeypatch):
+    def test_plain_embeds_and_projects_no_global_frame(self, small_data, monkeypatch):
         # no projection of plain reads the global frames, in scoring or training
         modalities = []
         embed = features.embed_synthetic
@@ -272,8 +273,9 @@ class TestScoring:
         train(small_data["samples"], small_data["trajectories"], small_data["tasks"], model,
               epochs=1, batch_size=4, lr=1e-3)
         assert GLOBAL_FRAME not in modalities and LOCAL_TRACK in modalities
-        # the scoring form's MLPs are new, over the model's first Linears
-        assert model.mlp_global.first not in {m.first for _, m, _ in mlp_calls}
+        # nor does it build, train or save a global MLP
+        assert model.streams == tuple(model.mlps) == (LOCAL_TRACK, PROMPT)
+        assert not any(n.startswith("mlp_global.") for n in model.linears)
 
     def test_track_relabeling_changes_only_ids(self, small_data):
         model = small_model(small_data)
@@ -455,16 +457,25 @@ class TestTraining:
               model, epochs=1, batch_size=4, lr=1e-3)
         assert mlp_calls and {e for e, _, _ in mlp_calls} == {"__call__"}
 
-    def test_parameters_without_gradient_keep_their_values(self, small_data):
-        # plain attends from the local tracks to the prompt: its global MLP gets no gradient
-        model = small_model(small_data, variant="plain")
-        before = [p.data.copy() for p in model.parameters()]
+    @pytest.mark.parametrize("variant,kw", VARIANTS, ids=VARIANT_IDS)
+    def test_every_parameter_has_a_gradient_after_each_batch(self, small_data, monkeypatch,
+                                                             variant, kw):
+        # the optimizer updates every parameter in each step: a batch of one
+        # window reaches each of them
+        model = small_model(small_data, variant=variant, **kw)
+        has_grad = []
+        step = MomentumSGD.step
+
+        def recorded(opt):
+            assert [id(p) for p in opt.params] == [id(p) for p in model.parameters()]
+            has_grad.append([p.grad is not None for p in opt.params])
+            step(opt)
+
+        monkeypatch.setattr(MomentumSGD, "step", recorded)
         train(small_data["samples"], small_data["trajectories"], small_data["tasks"],
-              model, epochs=3, batch_size=4, lr=0.05, momentum=0.9)
-        unused = {id(p) for name in ("mlp_global.first", "mlp_global.second")
-                  for p in model.linears[name].parameters()}
-        for prev, p in zip(before, model.parameters()):
-            assert np.array_equal(prev, p.data) == (id(p) in unused)
+              model, epochs=1, batch_size=1, lr=0.05, momentum=0.9)
+        assert len(has_grad) == len(small_data["samples"])
+        assert all(all(flags) for flags in has_grad)
 
     def test_zero_lr_leaves_params_bit_identical(self, small_data):
         model = small_model(small_data)
@@ -549,7 +560,12 @@ class TestLedgerCountsProducts:
         assert ctx.ledger.peak_values == 11_986_496
 
 
-MLPS = ("mlp_global", "mlp_local", "mlp_prompt")
+MLPS = {GLOBAL_FRAME: "mlp_global", LOCAL_TRACK: "mlp_local", PROMPT: "mlp_prompt"}
+
+
+def streams_read(variant):
+    """The modalities whose MLP a variant builds: plain reads no global frame."""
+    return (LOCAL_TRACK, PROMPT) if variant == "plain" else tuple(MLPS)
 
 
 class TestPersistence:
@@ -557,12 +573,12 @@ class TestPersistence:
     def test_round_trip(self, small_data, tmp_path, variant, kw):
         model = small_model(small_data, variant=variant, **kw)
         model.save(tmp_path / "m")
-        # the fusion projections by sorted name, then each MLP's first and
-        # second layer; each weight before its bias
+        # the fusion projections by sorted name, then the first and second
+        # layer of each MLP the variant reads; each weight before its bias
         fused = linear_names(variant, kw.get("per_pair", False))
         names = [f"fusion.{n}.{part}" for n in sorted(fused) for part in ("w", "bias")]
-        names += [f"{m}.{layer}.{part}" for m in MLPS for layer in ("first", "second")
-                  for part in ("w", "bias")]
+        names += [f"{MLPS[m]}.{layer}.{part}" for m in streams_read(variant)
+                  for layer in ("first", "second") for part in ("w", "bias")]
         assert json.loads((tmp_path / "m" / "params.json").read_text())["params"] == names
         loaded = ReferringModel.load(tmp_path / "m", model.concept_of)
         for m in (model, loaded):
@@ -584,7 +600,7 @@ class TestPersistence:
         score_all(small_data["trajectories"], small_data["tasks"], model, window=3)
         assert list(model.linears) == list(linears)
         assert all(model.linears[n] is linear for n, linear in linears.items())
-        assert model.mlp_local.second is linears["mlp_local.second"]
+        assert model.mlps[LOCAL_TRACK].second is linears["mlp_local.second"]
         model.save(tmp_path / "after")
         files = sorted(p.name for p in (tmp_path / "before").iterdir())
         assert files == sorted(p.name for p in (tmp_path / "after").iterdir())
@@ -598,13 +614,14 @@ class TestPersistence:
         emb, hidden = model.embedder, 16
         d_k = emb.fused_dim
         # one rng: the fusion projections in linear_names order, then the
-        # global, local and prompt MLPs, each first then second
+        # global (if read), local and prompt MLPs, each first then second
         rng = np.random.default_rng(11)
         want = {f"fusion.{n}": Linear.init(d_k, d_k, rng)
                 for n in linear_names(variant, kw.get("per_pair", False))}
-        for m, d_raw in zip(MLPS, (emb.raw_visual_dim, emb.raw_visual_dim, emb.raw_text_dim)):
-            want[f"{m}.first"] = Linear.init(d_raw, hidden, rng)
-            want[f"{m}.second"] = Linear.init(hidden, d_k, rng)
+        for m in streams_read(variant):
+            d_raw = emb.raw_text_dim if m == PROMPT else emb.raw_visual_dim
+            want[f"{MLPS[m]}.first"] = Linear.init(d_raw, hidden, rng)
+            want[f"{MLPS[m]}.second"] = Linear.init(hidden, d_k, rng)
         assert sorted(model.linears) == sorted(want)
         for name, lin in want.items():
             assert np.array_equal(model.linears[name].w.data, lin.w.data)
@@ -612,10 +629,32 @@ class TestPersistence:
         # the fusion block and the MLPs are wired from that one table
         for n, lin in model.fusion_params.linears.items():
             assert lin is model.linears[f"fusion.{n}"]
-        for m in MLPS:
-            mlp = getattr(model, m)
-            assert mlp.first is model.linears[f"{m}.first"]
-            assert mlp.second is model.linears[f"{m}.second"]
+        assert tuple(model.mlps) == streams_read(variant)
+        for m, mlp in model.mlps.items():
+            assert mlp.first is model.linears[f"{MLPS[m]}.first"]
+            assert mlp.second is model.linears[f"{MLPS[m]}.second"]
+
+    def test_plain_model_with_a_saved_global_mlp_loads(self, small_data, tmp_path):
+        # older versions built, trained and saved plain's unread global MLP:
+        # its files and its names in params.json are ignored
+        model = small_model(small_data, variant="plain")
+        model.save(tmp_path / "m")
+        path = tmp_path / "m" / "params.json"
+        manifest = json.loads(path.read_text())
+        rng = np.random.default_rng(5)
+        extra = []
+        for layer, shape in (("first", (16, 16)), ("second", (16, 8))):
+            for part, t in zip(("w", "bias"), Linear.init(*shape, rng).parameters()):
+                tensor_io.write_tensor(tmp_path / "m" / f"mlp_global.{layer}.{part}.mext", t.data)
+                extra.append(f"mlp_global.{layer}.{part}")
+        at = manifest["params"].index("mlp_local.first.w")
+        manifest["params"][at:at] = extra
+        path.write_text(json.dumps(manifest))
+        loaded = ReferringModel.load(tmp_path / "m", model.concept_of)
+        assert sorted(loaded.linears) == sorted(model.linears)
+        kw = dict(window=3)
+        assert score_all(small_data["trajectories"], small_data["tasks"], loaded, **kw) == \
+               score_all(small_data["trajectories"], small_data["tasks"], model, **kw)
 
     def test_missing_file_named(self, small_data, tmp_path):
         small_model(small_data).save(tmp_path / "m")

@@ -369,7 +369,7 @@ class TestPooledCosine:
 
 class TestMomentumSGD:
     def test_flat_buffer_equals_per_parameter_loop(self):
-        # five steps; parameter 2 never gets a gradient and parameter 0 misses step 3
+        # five steps, every parameter with a gradient in each
         rng = np.random.default_rng(24)
         shapes = [(3, 4), (4,), (2, 2), (5, 3), (3,)]
         init = [rng.standard_normal(s) for s in shapes]
@@ -377,22 +377,28 @@ class TestMomentumSGD:
         loop = [Tensor(x.copy(), requires_grad=True) for x in init]
         velocities = [np.zeros(s) for s in shapes]
         opt = MomentumSGD(flat, lr=0.05, momentum=0.9)
+        offsets = np.cumsum([0] + [x.size for x in init])
         for p, x in zip(flat, init):
             assert np.shares_memory(p.data, opt.weights) and np.array_equal(p.data, x)
         for step in range(5):
             for i, s in enumerate(shapes):
-                if i == 2 or (i == 0 and step == 3):
-                    continue
                 g = rng.standard_normal(s)
                 flat[i].grad, loop[i].grad = g, g.copy()
             opt.step()
             momentum_loop(loop, velocities, 0.05, 0.9)
-            for a, b, vel, lo, hi in zip(flat, loop, velocities, opt.offsets, opt.offsets[1:]):
+            for a, b, vel, lo, hi in zip(flat, loop, velocities, offsets, offsets[1:]):
                 assert a.grad is None and b.grad is None
                 assert np.array_equal(a.data, b.data)
                 assert np.array_equal(opt.velocities[lo:hi], vel.reshape(-1))
-        assert np.array_equal(flat[2].data, init[2])
-        assert not opt.velocities[opt.offsets[2]:opt.offsets[3]].any()
+
+    def test_missing_gradient_raises_naming_the_parameter(self):
+        params = [Tensor(np.ones(2), requires_grad=True) for _ in range(3)]
+        opt = MomentumSGD(params, lr=0.1, momentum=0.9)
+        params[0].grad = params[2].grad = np.ones(2)
+        with pytest.raises(ContractError, match="parameter 1 has no gradient"):
+            opt.step()
+        assert all(np.array_equal(p.data, np.ones(2)) for p in params)
+        assert not opt.velocities.any()
 
 
 class TestBackward:
