@@ -249,7 +249,9 @@ def bench(ctx):
         data = pipeline.generate_synthetic_dataset(_dataset_config(cfg))
     rows = []
     for variant, per_pair in BENCH_ROWS:
-        fusion = {**cfg["fusion"], "variant": variant, "per_pair_projections": per_pair}
+        # the mex-only options are the config's for the mex rows alone
+        fusion = {**cfg["fusion"], "variant": variant, "per_pair_projections": per_pair,
+                  "residual_add": variant == "mex" and cfg["fusion"]["residual_add"]}
         model = _build_model({**cfg, "fusion": fusion}, data["concepts"], data["manifest"])
         t0 = time.perf_counter()
         with fresh_context() as run:

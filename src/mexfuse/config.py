@@ -214,16 +214,30 @@ def _merge(base, override, path="", spec=DEFAULTS):
     return base
 
 
+# the fusion options only the mex block reads
+_MEX_ONLY = ("residual_add", "per_pair_projections")
+
+
+def _check_variant_options(cfg):
+    """Raise ConfigError naming the key for a mex-only option set for another variant."""
+    fusion = cfg["fusion"]
+    for key in _MEX_ONLY:
+        if fusion[key] and fusion["variant"] != "mex":
+            raise ConfigError(f"fusion.{key} applies to variant mex only, "
+                              f"not {fusion['variant']}")
+
+
 def load(path=None, overrides=None):
     """The defaults, merged with the config file at ``path`` and then ``overrides``.
 
-    A bad file raises DataFileError naming it and the key, a bad override ConfigError.
+    A bad file raises DataFileError naming it and the key, a bad override
+    ConfigError. A mex-only fusion option set true for another variant is bad.
     """
     cfg = defaults()
     if path is not None:
-        read_json(path, {}, check=lambda raw: _merge(cfg, raw))
+        read_json(path, {}, check=lambda raw: _check_variant_options(_merge(cfg, raw)))
     if overrides:
-        _merge(cfg, overrides)
+        _check_variant_options(_merge(cfg, overrides))
     return cfg
 
 

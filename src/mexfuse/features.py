@@ -145,7 +145,9 @@ class ProjectionMLP:
         Linear-GELU-Linear chain would: h, gelu(h) and the output.
 
         Without ``second`` the result is gelu(h), [..., hidden], as a
-        constant that charges h and gelu(h): no gradient flows back.
+        constant that charges h and gelu(h): no gradient flows back, so
+        nothing is kept and the GELU runs in one temporary, in the same
+        order of operations.
         """
         first, second = self.first, self.second
         if x.data.shape[-1] != first.d_in:
@@ -153,6 +155,18 @@ class ProjectionMLP:
                 f"projection MLP: input trailing dim {x.data.shape} vs weight {first.w.data.shape}")
         x2 = x.data.reshape(-1, first.d_in)
         h = first.forward(x2)
+        if second is None:
+            a = h * h
+            a *= h
+            a *= 0.044715
+            a += h
+            a *= _GELU_C
+            np.tanh(a, out=a)
+            a += 1.0
+            a *= h
+            a *= 0.5
+            return node(a.reshape(x.data.shape[:-1] + (a.shape[-1],)), (), None,
+                        charge=h.size + a.size)
         hh = h * h
         t = hh * h
         t *= 0.044715
@@ -162,9 +176,6 @@ class ProjectionMLP:
         one_t = t + 1.0
         a = h * 0.5
         a *= one_t
-        if second is None:
-            return node(a.reshape(x.data.shape[:-1] + (a.shape[-1],)), (), None,
-                        charge=h.size + a.size)
         out = second.forward(a)
 
         def bwd(g):

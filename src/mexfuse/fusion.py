@@ -20,6 +20,7 @@ are exact and reproducible.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 from .features import GLOBAL_FRAME, LOCAL_TRACK, PROMPT
@@ -32,6 +33,7 @@ from .tensor import (
     matmul,
     mean_axis,
     pooled_cosine,
+    product,
 )
 
 VARIANTS = ("mex", "cascade", "plain")
@@ -45,14 +47,22 @@ class FusionParams:
     is reused as the query of the second map). ``per_pair=True`` switches to
     separate query/key/value projections per modality pair, which brings the
     parameter count up to the cascade block's.
+
+    ``hidden`` is None in the training structure. In a scoring form, whose
+    local-track stream is the local MLP's hidden activations ``a``, it maps
+    each local-track role to its composed map c = proj∘second, and
+    cascade's ``q2`` to c∘s2_q; the fusion terms then absorb each map where
+    its role meets another term (``global_terms``, ``prompt_terms``,
+    ``visual_terms``).
     """
 
-    def __init__(self, variant, d_k, linears, residual_add=False, per_pair=False):
+    def __init__(self, variant, d_k, linears, residual_add=False, per_pair=False, hidden=None):
         self.variant = variant
         self.d_k = d_k
         self.residual_add = residual_add
         self.per_pair = per_pair
         self.linears = linears  # keyed as ``linear_names`` lists them
+        self.hidden = hidden
 
     @classmethod
     def init(cls, variant, d_k, rng, residual_add=False, per_pair=False):
@@ -105,9 +115,14 @@ def streams(variant, per_pair=False):
     return tuple(m for m, roles in _roles(variant, per_pair).items() if roles)
 
 
+def roles(params, stream):
+    """Role -> name of the projection that plays it, for each role of ``stream``."""
+    return _roles(params.variant, params.per_pair)[stream]
+
+
 def reads(params, stream):
     """Names of the projections that read ``stream`` (a ``features`` modality)."""
-    return tuple(dict.fromkeys(_roles(params.variant, params.per_pair)[stream].values()))
+    return tuple(dict.fromkeys(roles(params, stream).values()))
 
 
 def _project(params, stream, x):
@@ -116,15 +131,15 @@ def _project(params, stream, x):
     A projection that plays several roles runs once, and its one tensor
     fills them all.
     """
-    linears, roles = params.linears, _roles(params.variant, params.per_pair)[stream]
+    linears, by_role = params.linears, roles(params, stream)
     done = {}
-    for name in dict.fromkeys(roles.values()):
+    for name in dict.fromkeys(by_role.values()):
         d_in = linears[name].d_in
         if x.data.ndim < 2 or x.data.shape[-1] != d_in:
             raise DimensionError(
                 f"stream shape {x.data.shape} incompatible with {name}'s input width {d_in}")
         done[name] = linears[name](x)
-    return {role: done[name] for role, name in roles.items()}
+    return {role: done[name] for role, name in by_role.items()}
 
 
 class LastStage(NamedTuple):
@@ -151,6 +166,12 @@ class LastStage(NamedTuple):
 # and broadcast.
 
 
+def _map(params, q, k, bias=None):
+    """softmax((q k^T + bias) / sqrt(d_k)): the block's scale, which an
+    absorbed query or key, as wide as the local MLP's hidden layer, does not give."""
+    return attention_map(q, k, bias, 1.0 / math.sqrt(params.d_k))
+
+
 def _mex_visual(params, glob, local):
     """Mex's window terms. The block is two chained row-stochastic maps:
 
@@ -166,7 +187,7 @@ def _mex_visual(params, glob, local):
     pbar @ f(T) (+ the row mean of f(I)).
     """
     q_it = glob["q_it"]
-    pbar = mean_axis(attention_map(q_it, local["k_it"]), axis=-2, keepdims=True)
+    pbar = mean_axis(_map(params, q_it, local["k_it"]), axis=-2, keepdims=True)
     residual = matmul(pbar, local["v_t"])
     if params.residual_add:
         residual = add(residual, mean_axis(q_it, axis=-2, keepdims=True))
@@ -177,7 +198,7 @@ def _cascade_visual(params, glob, local):
     """Stage 1 (local queries on the global frames, plus the query) and the
     stage-2 query, which stage 2 adds to its output."""
     q = local["q"]
-    p1 = attention_map(q, glob["k"])
+    p1 = _map(params, q, glob["k"])
     q2 = params.linears["s2_q"](add(matmul(p1, glob["v"]), q))
     return {"q": q2, "pbar": None, "residual": q2}
 
@@ -189,32 +210,107 @@ def _plain_visual(params, glob, local):
 _VISUAL = {"mex": _mex_visual, "cascade": _cascade_visual, "plain": _plain_visual}
 
 
+# A scoring form (``params.hidden`` set) never applies a map c = proj∘second
+# to a window's hidden rows a. Each role of c is absorbed into what it meets,
+# once per global window or per pass, where no gradient is needed:
+# - a key met by a query q (mex k_it): q c(a)^T = (q W_c^T) a^T + q b_c, and
+#   q b_c is the same along each softmax row, so it drops;
+# - a query met by keys K (mex q_tp, plain q, cascade s1_q): c(a) K^T =
+#   a (K W_c^T)^T + K b_c, the last a per-key bias;
+# - a value pooled by a row-stochastic map (mex v_t): pbar @ c(a) = c(pbar @ a);
+# - cascade's query, added into s2_q: s2_q(p1 @ v + c(a)) = p1 @ (v W_s2q) +
+#   (c∘s2_q)(a), the one per-row product of a cascade window.
+
+
+def _times(x, w):
+    """x [..., d] @ w [d, e] as one product over all of x's rows: a constant."""
+    return Tensor(product(x.data.reshape(-1, w.shape[0]), w).reshape(x.shape[:-1] + w.shape[1:]))
+
+
+def _absorbed_keys(k, c):
+    """Keys k [..., l, d_k] that c(a) meets as its query: k W_c^T [..., l, h]
+    and their bias k b_c [..., l]."""
+    return _times(k, c.w.data.T), Tensor(product(k.data, c.bias.data))
+
+
+def _absorbed_global(params, glob):
+    if params.variant == "mex":
+        q_it = glob["q_it"]
+        out = {"q_it": _times(q_it, params.hidden["k_it"].w.data.T)}
+        if params.residual_add:
+            out["q_it_mean"] = mean_axis(q_it, axis=-2, keepdims=True)
+        return out
+    if params.variant == "cascade":
+        k, bias = _absorbed_keys(glob["k"], params.hidden["q"])
+        return {"k": k, "bias": bias, "v": _times(glob["v"], params.linears["s2_q"].w.data)}
+    return glob
+
+
+def _absorbed_prompt(params, prompt):
+    if params.variant == "cascade":  # its prompt keys meet stage 2's query
+        return prompt
+    k, bias = _absorbed_keys(prompt["k"], params.hidden["q_tp" if params.variant == "mex"
+                                                         else "q"])
+    return {"k": k, "bias": bias, "v": prompt["v"]}
+
+
+def _mex_absorbed(params, glob, local):
+    a = local["k_it"]
+    pbar = mean_axis(_map(params, glob["q_it"], a), axis=-2, keepdims=True)
+    residual = params.hidden["v_t"](matmul(pbar, a))
+    if params.residual_add:
+        residual = add(residual, glob["q_it_mean"])
+    return {"q": a, "pbar": pbar, "residual": residual}
+
+
+def _cascade_absorbed(params, glob, local):
+    a = local["q"]
+    p1 = _map(params, a, glob["k"], glob["bias"])
+    q2 = add(matmul(p1, glob["v"]), params.hidden["q2"](a))
+    return {"q": q2, "pbar": None, "residual": q2}
+
+
+_ABSORBED = {"mex": _mex_absorbed, "cascade": _cascade_absorbed, "plain": _plain_visual}
+
+
 def global_terms(params: FusionParams, fGlobal: Tensor) -> dict:
     """The part of the fusion block that depends on the global frames alone:
     their projections by role."""
-    return _project(params, GLOBAL_FRAME, fGlobal)
+    glob = _project(params, GLOBAL_FRAME, fGlobal)
+    return glob if params.hidden is None else _absorbed_global(params, glob)
 
 
 def visual_terms(params: FusionParams, glob: dict, fLocal: Tensor) -> dict:
-    """A track window's prompt-independent terms: ``q``, ``pbar`` and ``residual``."""
-    return _VISUAL[params.variant](params, glob, _project(params, LOCAL_TRACK, fLocal))
+    """A track window's prompt-independent terms: ``q``, ``pbar`` and ``residual``.
+
+    In a scoring form ``fLocal`` is the hidden rows a, which fill every
+    local-track role as they are.
+    """
+    if params.hidden is None:
+        return _VISUAL[params.variant](params, glob, _project(params, LOCAL_TRACK, fLocal))
+    return _ABSORBED[params.variant](params, glob,
+                                     dict.fromkeys(roles(params, LOCAL_TRACK), fLocal))
 
 
 def prompt_terms(params: FusionParams, fPrompt: Tensor) -> dict:
-    """A prompt's keys ``k`` and values ``v``: one tensor when one projection gives both."""
-    return _project(params, PROMPT, fPrompt)
+    """A prompt's keys ``k`` and values ``v``: one tensor when one projection gives
+    both. In a scoring form whose windows' rows meet them, the keys are absorbed:
+    ``k`` is h wide, with a key bias ``bias``."""
+    prompt = _project(params, PROMPT, fPrompt)
+    return prompt if params.hidden is None else _absorbed_prompt(params, prompt)
 
 
-def last_stage(visual: dict, prompt: dict) -> LastStage:
-    """The per-prompt part of every variant: map = [pbar @] softmax(q k^T / sqrt(d_k)),
-    values v and the window's residual."""
-    p = attention_map(visual["q"], prompt["k"])
+def last_stage(params: FusionParams, visual: dict, prompt: dict) -> LastStage:
+    """The per-prompt part of every variant: map = [pbar @] softmax((q k^T [+ bias]) /
+    sqrt(d_k)), values v and the window's residual."""
+    p = _map(params, visual["q"], prompt["k"], prompt.get("bias"))
     if visual["pbar"] is not None:
         p = matmul(visual["pbar"], p)
     return LastStage(p, prompt["v"], visual["residual"])
 
 
-def pooled_score(visual: dict, prompt: dict, prompt_pooled: Tensor) -> Tensor:
+def pooled_score(params: FusionParams, visual: dict, prompt: dict,
+                 prompt_pooled: Tensor) -> Tensor:
     """Cosine of the ST-pooled fused stream and ``prompt_pooled``, never building the stream.
 
     Spatio-temporal (ST) pooling is the mean over a frame's tokens, then the
@@ -225,4 +321,4 @@ def pooled_score(visual: dict, prompt: dict, prompt_pooled: Tensor) -> Tensor:
     [..., frames, tokens, *] terms of track windows and ``prompt_pooled``
     is [..., d_k]; leading axes broadcast.
     """
-    return pooled_cosine(*last_stage(visual, prompt), prompt_pooled)
+    return pooled_cosine(*last_stage(params, visual, prompt), prompt_pooled)

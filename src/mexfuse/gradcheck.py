@@ -23,7 +23,7 @@ def fusion_loss(params: FusionParams, streams, target):
     """
     fG, fL, fP = (Tensor(s) for s in streams)
     visual = fusion.visual_terms(params, fusion.global_terms(params, fG), fL)
-    scores = fusion.pooled_score(visual, fusion.prompt_terms(params, fP), Tensor(target))
+    scores = fusion.pooled_score(params, visual, fusion.prompt_terms(params, fP), Tensor(target))
     return pipeline._loss_sum(scores, _MATCH, _NEG_MARGIN)
 
 

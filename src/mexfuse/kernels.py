@@ -14,7 +14,10 @@ def matmul2d(a, b):
 
 
 def softmax_rows2d(x):
-    # the ufunc reductions are ndarray.max/sum without their Python-level wrappers
+    # the ufunc reductions are ndarray.max/sum without their Python-level
+    # wrappers; exp and the division run in place on the one array made
     m = np.maximum.reduce(x, axis=-1, keepdims=True)
-    e = np.exp(x - m)
-    return e / np.add.reduce(e, axis=-1, keepdims=True)
+    e = x - m
+    np.exp(e, out=e)
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
+    return e

@@ -93,13 +93,13 @@ class ReferringModel:
     """
 
     def __init__(self, embedder: EmbedderConfig, linears, variant="mex", residual_add=False,
-                 per_pair=False, concept_of=None):
+                 per_pair=False, concept_of=None, hidden=None):
         self.embedder = embedder
         self.linears = linears
         self.fusion_params = FusionParams(
             variant, embedder.fused_dim,
             {n: linears[f"fusion.{n}"] for n in fusion.linear_names(variant, per_pair)},
-            residual_add=residual_add, per_pair=per_pair)
+            residual_add=residual_add, per_pair=per_pair, hidden=hidden)
         self.streams = fusion.streams(variant, per_pair)
         self.mlps = {m: ProjectionMLP(linears[f"{_MLPS[m]}.first"],
                                       linears.get(f"{_MLPS[m]}.second"))
@@ -142,27 +142,31 @@ class ReferringModel:
 
     def scoring_form(self):
         """This model re-parameterised for a pass without gradients: a new model
-        over a copy of ``linears`` with no ``mlp_local.second``, in which each
-        projection that reads the local-track stream is composed after it.
+        over a copy of ``linears`` with no ``mlp_local.second``, whose fusion
+        params hold, by local-track role, each projection that reads that
+        stream composed after ``second`` (``FusionParams.hidden``).
 
         Nothing nonlinear lies between ``second`` and the projections that
-        read its output, so each pair is one affine map (``Linear.then``),
-        and a window runs the local MLP's ``first`` and GELU only: f(T) is
-        never built. The composed maps are constants, made from the current
-        weights; this model is left as it was. A composed projection saves
-        (rows - hidden) * d_k^2 multiply-adds for the rows a pass sends
-        through it, so the global-frame and prompt streams are not composed:
-        a paper-dims pass has 128 rows of each distinct global window and
-        160 prompt rows against a hidden width of 256, and the prompt's token
-        mean is the pooled prompt.
+        read its output, so each pair is one affine map c (``Linear.then``).
+        A window runs the local MLP's ``first`` and GELU only, giving its
+        hidden rows a, and c is never applied to them: the fusion terms
+        absorb it into the global-window query or keys, the prompt keys or
+        the pooled rows that it meets, so a window makes no per-row d_k-wide
+        product but cascade's one (its stage-1 query, added into ``s2_q``,
+        is composed with ``s2_q``). The maps are constants, made from the
+        current weights; this model is left as it was.
         """
         linears = dict(self.linears)
         second = linears.pop("mlp_local.second")
-        for n in fusion.reads(self.fusion_params, features.LOCAL_TRACK):
-            linears[f"fusion.{n}"] = second.then(linears[f"fusion.{n}"])
         fp = self.fusion_params
+        composed = {n: second.then(fp.linears[n])
+                    for n in fusion.reads(fp, features.LOCAL_TRACK)}
+        hidden = {role: composed[n]
+                  for role, n in fusion.roles(fp, features.LOCAL_TRACK).items()}
+        if fp.variant == "cascade":
+            hidden["q2"] = hidden["q"].then(fp.linears["s2_q"])
         return ReferringModel(self.embedder, linears, fp.variant, residual_add=fp.residual_add,
-                              per_pair=fp.per_pair, concept_of=self.concept_of)
+                              per_pair=fp.per_pair, concept_of=self.concept_of, hidden=hidden)
 
     def global_terms(self, tokens):
         """Fusion terms of global frames, from raw tokens [..., w, s, d_raw] in one MLP call."""
@@ -182,21 +186,20 @@ class ReferringModel:
         through the local MLP (up to its hidden activations, in a
         ``scoring_form``) as one batch, and the per-prompt part runs for all
         the prompts at once, pooled over tokens before the last product.
-        Each prompt term is taken as [len(idx), 1, l, d_k]: one window
+        Each prompt term is taken as [len(idx), 1, ...]: one window
         ([w, s, d_raw] tokens) meets every prompt; in a batch of windows
         ([len(idx), w, s, d_raw]) window i meets prompt idx[i].
         """
         fL = self.mlps[features.LOCAL_TRACK](Tensor(local_tokens))
         visual = fusion.visual_terms(self.fusion_params, glob, fL)
         terms, pooled = prompts
-
-        def taken(t):
-            return reshape(take(t, idx), (len(idx), 1) + t.shape[1:])
-
-        # shared mex's one prompt projection is both k and v: take it once
-        k = taken(terms["k"])
-        v = k if terms["v"] is terms["k"] else taken(terms["v"])
-        return fusion.pooled_score(visual, {"k": k, "v": v}, take(pooled, idx))
+        # each distinct term taken once: shared mex's one prompt projection is both k and v
+        taken = {}
+        for t in terms.values():
+            if id(t) not in taken:
+                taken[id(t)] = reshape(take(t, idx), (len(idx), 1) + t.shape[1:])
+        prompt = {role: taken[id(t)] for role, t in terms.items()}
+        return fusion.pooled_score(self.fusion_params, visual, prompt, take(pooled, idx))
 
     def forward_batch(self, tables, windows):
         """Raw scores of a minibatch of windows, as one graph.
@@ -339,11 +342,11 @@ def score_all(trajectories, tasks, model: ReferringModel, window, stats=None,
               threshold=0.0):
     """Score every (candidate trajectory, prompt) pair. Deterministic given seeds.
 
-    The prompts are projected and their fusion terms computed once for the
-    pass, and each distinct window of global frames once; global frames
-    that no projection reads (plain) are neither embedded nor projected.
-    The track windows go through the model's ``scoring_form``, made once
-    per pass; ``model`` itself is left unchanged. Pairs are grouped by
+    The pass runs through the model's ``scoring_form``, made once per pass;
+    ``model`` itself is left unchanged. The prompts are projected and their
+    fusion terms computed once for the pass, and each distinct window of
+    global frames once; global frames that no projection reads (plain) are
+    neither embedded nor projected. Pairs are grouped by
     track: each track window is scored against all its prompts in one
     ``forward_window`` call.
 
@@ -373,9 +376,9 @@ def score_all(trajectories, tasks, model: ReferringModel, window, stats=None,
 
     raw = []
     with no_grad():
+        model = model.scoring_form()
         slots = {e: i for i, e in enumerate(dict.fromkeys(t.entity_id for t in tasks))}
         prompts = model.prompt_terms(model._raw_tokens(list(slots), features.PROMPT))
-        model = model.scoring_form()
         read_global = features.GLOBAL_FRAME in model.streams
         # made after the prompt projection has freed its arrays: made before
         # it, they raise a paper-dims score's peak RSS by about 1 MB more

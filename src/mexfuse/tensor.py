@@ -279,29 +279,55 @@ def reshape(a, shape):
 def take(a, idx):
     """Rows of ``a`` along axis 0 at the integer indices ``idx``; indices may repeat.
 
-    The backward scatter-adds each row's gradient back to its source row.
+    Every row in order (a track window scored against all the prompts) is
+    ``a`` itself, a view the ledger charges nothing. The backward
+    scatter-adds each row's gradient back to its source row.
     """
     idx = np.asarray(idx, dtype=np.intp)
     n = a.data.shape[0] if a.data.ndim else 0
     if idx.ndim != 1 or (idx.size and (idx.min() < 0 or idx.max() >= n)):
         raise DimensionError(f"take: need 1-D indices in [0, {n}), got {idx.tolist()}")
+    whole = idx.size == n and bool((idx == np.arange(n)).all())
 
     def bwd(g):
         if a.requires_grad:
+            if whole:
+                a._accumulate(g)
+                return
             full = np.zeros_like(a.data)
             np.add.at(full, idx, g)
             a._accumulate(full)
 
-    return node(a.data[idx], (a,), bwd)
+    return node(a.data if whole else a.data[idx], (a,), bwd, charge=0 if whole else None)
 
 
-def attention_map(q, k):
-    """softmax(q k^T / sqrt(d)) over the last two axes, as one graph node.
+def _logits(q, k):
+    """q k^T of two arrays over their last two axes; leading axes broadcast as in ``np.matmul``.
+
+    When ``k`` has batch axes in front of all of ``q``'s and is broadcast
+    over ``q``'s own (one track window's rows against the keys of several
+    prompts), every row of ``q`` meets every key in one [rows, d] x
+    [d, keys] product, where ``np.matmul`` would make one per batch.
+    """
+    lead = k.ndim - q.ndim
+    if lead <= 0 or any(n != 1 for n in k.shape[lead:-2]):
+        return product(q, np.swapaxes(k, -1, -2))
+    (m, d), n, qb = q.shape[-2:], k.shape[-2], q.shape[:-2]
+    flat = product(q.reshape(-1, d), k.reshape(-1, d).T).reshape(qb + (m,) + k.shape[:lead] + (n,))
+    # k's batch axes to the front: [*k batch, *q batch, m, n]
+    order = tuple(range(len(qb) + 1, len(qb) + 1 + lead)) + tuple(range(len(qb) + 1)) + (-1,)
+    return np.ascontiguousarray(flat.transpose(order))
+
+
+def attention_map(q, k, bias=None, scale=None):
+    """softmax((q k^T + bias) * scale) over the last two axes, as one graph node.
 
     ``q`` is [..., m, d] and ``k`` [..., n, d]; leading batch axes broadcast
-    as in ``matmul``. ``k`` is read through a transposed view and the logits
-    are scaled in place, so the [..., m, n] map is the only array kept and
-    the only one charged.
+    as in ``matmul``. ``bias`` (a tensor or None) is a per-key bias,
+    [..., n], added to every row; ``scale`` defaults to 1/sqrt(d). ``k`` is
+    read through a transposed view and the logits are biased and scaled in
+    place, so the [..., m, n] map is the only array kept and the only one
+    charged.
     """
     if q.data.ndim < 2 or k.data.ndim < 2:
         raise DimensionError(
@@ -309,11 +335,13 @@ def attention_map(q, k):
     if q.data.shape[-1] != k.data.shape[-1]:
         raise DimensionError(f"attention_map: channels differ, {q.data.shape} x {k.data.shape}")
     try:
-        logits = product(q.data, np.swapaxes(k.data, -1, -2))
+        logits = _logits(q.data, k.data)
+        if bias is not None:
+            logits += bias.data[..., None, :]
     except ValueError:
-        raise DimensionError(
-            f"attention_map: batch axes do not broadcast, {q.data.shape} x {k.data.shape}") from None
-    c = 1.0 / math.sqrt(q.data.shape[-1])
+        got = f"{q.data.shape} x {k.data.shape}" + ("" if bias is None else f" + {bias.data.shape}")
+        raise DimensionError(f"attention_map: batch axes do not broadcast, {got}") from None
+    c = 1.0 / math.sqrt(q.data.shape[-1]) if scale is None else float(scale)
     logits *= c
     y = kernels.softmax_rows2d(logits)
 
@@ -325,8 +353,10 @@ def attention_map(q, k):
             q._accumulate(_sum_to(product(ds, k.data), q.data.shape))
         if k.requires_grad:
             k._accumulate(_sum_to(product(np.swapaxes(ds, -1, -2), q.data), k.data.shape))
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(_sum_to(np.add.reduce(ds, axis=-2), bias.data.shape))
 
-    return node(y, (q, k), bwd)
+    return node(y, (q, k) if bias is None else (q, k, bias), bwd)
 
 
 def pooled_cosine(p, v, r, b):
@@ -341,8 +371,9 @@ def pooled_cosine(p, v, r, b):
     [..., d] of the maxima's shape; the result is their cosine, [...],
     clamped to [-1, 1]; zero and non-finite rows are rejected.
 
-    The node keeps the row means of ``p`` and the argmax frames for its
-    backward pass, and charges what the pooled product (with those row
+    The node keeps the row means of ``p`` and the pooled rows for its
+    backward pass, which takes the argmax frames (a pass without gradients
+    never needs them), and charges what the pooled product (with those row
     means, unless ``p`` has one row), the max and the cosine charge as
     separate nodes.
     """
@@ -375,7 +406,6 @@ def pooled_cosine(p, v, r, b):
     if b.data.shape != pooled.shape[:-2] + (d,):
         raise DimensionError(f"pooled_cosine: need [..., d] rows of one shape, got maxima "
                              f"{pooled.shape[:-2] + (d,)} vs {b.data.shape}")
-    idx = np.argmax(pooled, axis=-2)  # [..., d]
     a = np.maximum.reduce(pooled, axis=-2)
     clamped, c, den, na, nb = _cosine(a, b.data)
 
@@ -385,6 +415,7 @@ def pooled_cosine(p, v, r, b):
             b._accumulate(g * (a / ab - cn * b.data / (nb * nb)[..., None]))
         ga = g * (b.data / ab - cn * a / (na * na)[..., None])
         # each channel's gradient goes to its argmax frame, zero elsewhere
+        idx = np.argmax(pooled, axis=-2)  # [..., d]
         mask = idx[..., None, :] == np.arange(frames)[:, None]
         g1 = np.where(mask, ga[..., None, :], 0.0)[..., None, :]  # [..., F, 1, d]
         if p.requires_grad:

@@ -37,7 +37,7 @@ def test_criterion_1_row_stochasticity():
         streams = [Tensor(s) for s in random_streams(rng, g, t, l, d_k, frames=(2,))]
         # the maps the pooled path builds: the folded pbar and pbar @ p_tp
         visual = visual_terms(params, global_terms(params, streams[0]), streams[1])
-        last = last_stage(visual, prompt_terms(params, streams[2]))
+        last = last_stage(params, visual, prompt_terms(params, streams[2]))
         # and the full stream's p_it, p_tp and p_itp
         _, maps = full_stream(params, *streams)
         for attn in (visual["pbar"], last.map, *maps.values()):

@@ -679,6 +679,22 @@ class TestInputFactsCheckedWhereRead:
         assert isinstance(result.exception, SystemExit)
         assert not os.path.exists(run)
 
+    @pytest.mark.parametrize("variant", ["cascade", "plain"])
+    @pytest.mark.parametrize("key", ["residual_add", "per_pair_projections"])
+    @pytest.mark.parametrize("cmd", ["train", "bench"])
+    def test_mex_only_option_for_another_variant_exits_2(self, runner, tmp_path, variant, key,
+                                                         cmd):
+        # only the mex block reads these options: another variant would run
+        # as if they were off
+        cfg, run = tmp_path / "cfg.json", tmp_path / "run"
+        cfg.write_text(json.dumps({**SMALL_CFG, "fusion": {"d_k": 8, "variant": variant,
+                                                           key: True}}))
+        result = runner.invoke(main, ["--config", str(cfg), "--out", str(run), cmd])
+        assert result.exit_code == 2, result.output
+        assert f"{cfg}: fusion.{key} applies to variant mex only, not {variant}" in result.output
+        assert "Traceback" not in result.output
+        assert not os.path.exists(run)
+
     def test_score_embeds_by_the_dataset_concept_map(self, runner, trained, tmp_path):
         # the model carries no concept map: a concepts.jsonl row edited after
         # training changes the scores of its track, and of no other
@@ -745,11 +761,32 @@ class TestBench:
         rows = json.loads((tmp_path / "bench" / "bench.json").read_text())["rows"]
         assert [(r["variant"], r["per_pair"], r["d_k"], r["g"], r["t"], r["l"],
                  r["param_count"], r["peak_values"], r["flops"]) for r in rows] == [
-            ("mex", False, 256, 16, 16, 20, 1_050_880, 2_884_392, 459_313_152),
-            ("mex", True, 256, 16, 16, 20, 1_248_256, 3_896_616, 666_013_696),
-            ("cascade", False, 256, 16, 16, 20, 1_248_256, 4_103_720, 561_643_520),
-            ("plain", False, 256, 16, 16, 20, 1_050_880 - 262_656, 2_838_056, 416_940_032),
+            ("mex", False, 256, 16, 16, 20, 1_050_880, 2_415_480, 394_321_920),
+            ("mex", True, 256, 16, 16, 20, 1_248_256, 2_567_544, 433_250_304),
+            ("cascade", False, 256, 16, 16, 20, 1_248_256, 3_487_656, 511_410_176),
+            ("plain", False, 256, 16, 16, 20, 1_050_880 - 262_656, 2_111_096, 338_317_312),
         ]
+
+    def test_mex_options_stay_in_the_mex_rows(self, runner, tmp_path, monkeypatch):
+        # residual_add is the config's for the mex rows; the cascade and
+        # plain models run without it, as a config of theirs must
+        from mexfuse import pipeline
+
+        built = []
+        score_all = pipeline.score_all
+
+        def recorded(trajectories, tasks, model, **kw):
+            fp = model.fusion_params
+            built.append((fp.variant, fp.per_pair, fp.residual_add))
+            return score_all(trajectories, tasks, model, **kw)
+
+        monkeypatch.setattr(pipeline, "score_all", recorded)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**SMALL_CFG, "fusion": {"d_k": 8, "residual_add": True}}))
+        result = invoke(runner, "--config", str(cfg), "--out", str(tmp_path / "b"), "bench")
+        assert result.exit_code == 0, result.output
+        assert built == [("mex", False, True), ("mex", True, True), ("cascade", False, False),
+                         ("plain", False, False)]
 
     def test_honours_config(self, runner, tmp_path):
         # the config's dims are bench's sizes

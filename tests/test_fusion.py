@@ -113,7 +113,7 @@ def random_streams(rng, g, t, l, d_k, frames=()):
 def pooled(params, fG, fL, fP, target):
     """The pooled scoring path on arrays: the window's score against each prompt."""
     visual = visual_terms(params, global_terms(params, Tensor(fG)), Tensor(fL))
-    return pooled_score(visual, prompt_terms(params, Tensor(fP)), Tensor(target)).data
+    return pooled_score(params, visual, prompt_terms(params, Tensor(fP)), Tensor(target)).data
 
 
 # ---- scaled dot-product attention ------------------------------------------
@@ -161,7 +161,7 @@ class TestMexAttention:
         rng = np.random.default_rng(2)
         fI, fT, fP = random_streams(rng, 3, 1, 1, 4, frames=(1,))
         visual = visual_terms(params, global_terms(params, Tensor(fI)), Tensor(fT))
-        last = last_stage(visual, prompt_terms(params, Tensor(fP)))
+        last = last_stage(params, visual, prompt_terms(params, Tensor(fP)))
         row = last.map.data @ last.values.data + last.residual.data
         assert np.abs(row - (fT + fP)).max() <= 1e-12
 
@@ -171,7 +171,7 @@ class TestMexAttention:
         params = FusionParams.init("mex", 8, rng)
         fI, fT, fP = random_streams(rng, 3, 4, 5, 8, frames=(2,))
         visual = visual_terms(params, global_terms(params, Tensor(fI)), Tensor(fT))
-        last = last_stage(visual, prompt_terms(params, Tensor(fP)))
+        last = last_stage(params, visual, prompt_terms(params, Tensor(fP)))
         _, maps = full_stream(params, Tensor(fI), Tensor(fT), Tensor(fP))
         for got, full in ((visual["pbar"], maps["it"]), (last.map, maps["itp"])):
             assert got.shape == (2, 1, full.shape[-1])
@@ -322,7 +322,7 @@ class TestPooledScore:
             target = Tensor(rng.standard_normal(lead[:1] + (d_k,)))
             fused, _ = full_stream(params, fG, fL, fP)
             want = cosine(st_pool(fused), target).data
-            last = last_stage(visual_terms(params, global_terms(params, fG), fL),
+            last = last_stage(params, visual_terms(params, global_terms(params, fG), fL),
                               prompt_terms(params, fP))
             got = pooled_cosine(last.map, last.values, last.residual, target).data
             assert got.shape == want.shape == lead[:1]
@@ -357,7 +357,7 @@ def block_counts(variant, g, t, l, d_k, with_backward=False, windows=1, prompts=
         # parameters and inputs are not activations; count the pass only
         ctx.ledger.reset()
         visual = visual_terms(params, global_terms(params, fGlobal), fLocal)
-        scores = pooled_score(visual, prompt_terms(params, fPrompt), target)
+        scores = pooled_score(params, visual, prompt_terms(params, fPrompt), target)
         if with_backward:
             sum_all(scores).backward()
         snap = ctx.ledger.snapshot()

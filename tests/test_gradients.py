@@ -88,6 +88,19 @@ def test_attention_map(rng, k_shape):
     check(lambda: sum_all(mul(attention_map(q, k), Tensor(w))), q, k)
 
 
+@pytest.mark.parametrize("q_shape,k_shape,bias_shape", [
+    ((2, 3, 4), (2, 5, 4), (2, 5)), ((2, 3, 4), (5, 4), (5,)), ((2, 3, 4), (2, 5, 4), (5,)),
+    # keys in front of the queries' batch: one product for all of them
+    ((3, 4), (2, 5, 4), (2, 5)), ((2, 3, 4), (4, 1, 5, 4), (4, 1, 5))])
+def test_attention_map_key_bias(rng, q_shape, k_shape, bias_shape):
+    # a per-key bias and an explicit scale, as an absorbed query meets its keys
+    q = Tensor(rng.standard_normal(q_shape), requires_grad=True)
+    k = Tensor(rng.standard_normal(k_shape), requires_grad=True)
+    bias = Tensor(rng.standard_normal(bias_shape), requires_grad=True)
+    w = rng.standard_normal(np.broadcast_shapes(q_shape[:-2], k_shape[:-2]) + (3, 5))
+    check(lambda: sum_all(mul(attention_map(q, k, bias, 0.3), Tensor(w))), q, k, bias)
+
+
 @pytest.mark.parametrize("a_shape,b_shape", [((2, 3, 4), (3, 4)), ((3, 4), (2, 1, 3, 4)),
                                               ((2, 1, 4), (3, 4))])
 def test_add_broadcast(rng, a_shape, b_shape):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from mexfuse import features, kernels, pipeline, tensor_io
+from mexfuse.cli import GRADCHECK_CONFIGS
 from mexfuse.features import (
     GLOBAL_FRAME,
     LOCAL_TRACK,
@@ -53,12 +54,12 @@ SMALL = DatasetConfig(seed=3, n_concepts=2, n_tracks=4, n_prompts=2,
                       n_frames=6, n_windows=8, window=3)
 
 
-def small_model(data, variant="mex", seed=3, **kw):
+def small_model(data, variant="mex", seed=3, mlp_hidden=16, **kw):
     emb = EmbedderConfig(seed=seed, raw_visual_dim=16, visual_tokens=3,
                          raw_text_dim=24, text_tokens=4, fused_dim=8,
                          oracle_mode=True, concepts=tuple(sorted({m["concept"]
                                                                   for m in data["manifest"]})))
-    return ReferringModel.build(emb, variant=variant, mlp_hidden=16, seed=seed,
+    return ReferringModel.build(emb, variant=variant, mlp_hidden=mlp_hidden, seed=seed,
                                 concept_of=concept_map(data["manifest"]), **kw)
 
 
@@ -222,12 +223,18 @@ class TestScoring:
         second = score_all(small_data["trajectories"], small_data["tasks"], model, **kw)
         assert first == second
 
-    @pytest.mark.parametrize("variant,kw", [
-        ("mex", {}), ("mex", {"per_pair": True}), ("mex", {"residual_add": True}),
-        ("cascade", {}), ("plain", {})], ids=["mex", "mex-per_pair", "mex-residual_add",
-                                              "cascade", "plain"])
-    def test_matches_per_pair_reference(self, small_data, variant, kw):
-        model = small_model(small_data, variant=variant, **kw)
+    @pytest.mark.parametrize("variant,kw", GRADCHECK_CONFIGS,
+                             ids=["/".join([v, *kw]) for v, kw in GRADCHECK_CONFIGS])
+    @pytest.mark.parametrize("mlp_hidden", [16, 8, 5])
+    def test_matches_per_pair_reference(self, small_data, variant, kw, mlp_hidden):
+        # the scoring form against the unfolded chain; d_k is 8, so a hidden
+        # width of 16 or 5 tells an attention scale of 1/sqrt(h) from 1/sqrt(d_k)
+        model = small_model(small_data, variant=variant, mlp_hidden=mlp_hidden, **kw)
+        # biases start at zero: give every Linear one, so that each absorbed
+        # bias term, kept or dropped, counts
+        rng = np.random.default_rng(mlp_hidden)
+        for linear in model.linears.values():
+            linear.bias.data[...] = rng.standard_normal(linear.bias.data.shape)
         # tracks of different lengths, so their windows cover different frames
         trajs = [Trajectory(track_id=t.track_id, frames=t.frames[:len(t.frames) - i % 3],
                             entity_id=t.entity_id)
@@ -252,7 +259,7 @@ class TestScoring:
         # the local tracks stop at the hidden activations, one call per track
         # window. The scoring form's MLPs are new, over the model's first Linears
         name = {id(model.mlps[m].first): n for m, n in MLPS.items()}
-        assert mlp_calls[0][:2] == ("__call__", model.mlps[PROMPT])
+        assert (mlp_calls[0][0], name[id(mlp_calls[0][1].first)]) == ("__call__", "mlp_prompt")
         assert mlp_calls[0][2][0] == len(small_data["tasks"])
         assert sorted((e, name[id(m.first)]) for e, m, _ in mlp_calls[1:]) == \
             [("__call__", "mlp_global")] * 2 + [("hidden", "mlp_local")] * len(trajs)
@@ -554,10 +561,55 @@ class TestLedgerCountsProducts:
             score_all(data["trajectories"], data["tasks"], model, window=8)
         assert ctx.ledger.flops == sum(products)
         # the local MLP's last layer composed into the projection that reads
-        # the local tracks: 38 fewer products, 318,701,568 fewer multiply-adds
-        assert (len(products), sum(products), len(mlp_calls)) == (288, 1_709_801_472, 42)
-        # shared mex's one prompt tensor is both k and v, and taken once per window
-        assert ctx.ledger.peak_values == 11_986_496
+        # the local tracks and absorbed where it meets them: a window's rows
+        # meet no 256 x 256 map (295,657,472 fewer multiply-adds than with
+        # the composed map applied to them), and three products more for the
+        # pass: the absorbed global query, prompt keys and key bias
+        assert (len(products), sum(products), len(mlp_calls)) == (291, 1_414_144_000, 42)
+        # each window meets every prompt in order, so it takes the prompt terms as they are
+        assert ctx.ledger.peak_values == 9_111_264
+
+    @pytest.mark.parametrize("variant,kw,per_window", [
+        ("mex", {}, 0), ("mex", {"per_pair": True}, 0), ("plain", {}, 0), ("cascade", {}, 1)],
+        ids=["mex", "mex-per_pair", "plain", "cascade"])
+    def test_a_window_meets_no_d_k_wide_map(self, monkeypatch, variant, kw, per_window):
+        # the products that read a track window's hidden rows a [8, 16, h], at
+        # paper dims with h = 192 != d_k: each map c = proj∘second is absorbed
+        # where a's role meets another term, and only cascade's stage-2 query
+        # is a per-row [128, h] x [h, d_k] product
+        hidden_rows, read = [], []
+        original, matmul2d = features.ProjectionMLP.__call__, kernels.matmul2d
+
+        def mlp(m, x):
+            out = original(m, x)
+            if m.second is None:
+                hidden_rows.append(out.data)
+            return out
+
+        def recorded(a, b):
+            if any(np.shares_memory(x, h) for x in (a, b) for h in hidden_rows):
+                read.append((a.shape, b.shape))
+            return matmul2d(a, b)
+
+        monkeypatch.setattr(features.ProjectionMLP, "__call__", mlp)
+        monkeypatch.setattr(kernels, "matmul2d", recorded)
+        data = generate_synthetic_dataset(DatasetConfig(
+            seed=12, n_concepts=4, n_tracks=40, n_prompts=8, n_frames=12, n_windows=8, window=8))
+        model = ReferringModel.build(
+            EmbedderConfig(seed=12, oracle_mode=True, concepts=tuple(data["concepts"])),
+            variant=variant, mlp_hidden=192, seed=12, concept_of=concept_map(data["manifest"]),
+            **kw)
+        score_all(data["trajectories"], data["tasks"], model, window=8)
+        assert len(hidden_rows) == 40
+        assert [s for s in read if s[1][-1] == 256] == [((128, 192), (192, 256))] * 40 * per_window
+        # the rest: the attention logits against the global query or keys and
+        # the 8 prompts' 20 keys each (one product), and mex's pooling
+        logits = {((128, 192), (192, 160))} | (
+            {((8, 16, 192), (8, 192, 16)), ((8, 1, 16), (8, 16, 192))} if variant == "mex" else
+            {((8, 16, 192), (8, 192, 16))} if variant == "cascade" else set())
+        if variant == "cascade":  # its prompt keys meet the stage-2 query, not a
+            logits.remove(((128, 192), (192, 160)))
+        assert {s for s in read if s[1][-1] != 256} == logits
 
 
 MLPS = {GLOBAL_FRAME: "mlp_global", LOCAL_TRACK: "mlp_local", PROMPT: "mlp_prompt"}

@@ -125,6 +125,23 @@ class TestSoftmax:
             assert (out.data >= 0).all()
             assert np.abs(out.data.sum(axis=1) - 1).max() <= 1e-12
 
+    @pytest.mark.parametrize("q_shape,k_shape", [
+        ((3, 4), (2, 5, 4)), ((2, 3, 4), (4, 1, 5, 4)), ((2, 3, 4), (6, 4, 1, 5, 4)),
+        ((2, 3, 4), (4, 2, 5, 4)), ((1, 3, 4), (4, 1, 5, 4))])
+    def test_keys_in_front_of_the_queries_batch(self, q_shape, k_shape):
+        # one product for every batch of keys, same map as the broadcast one,
+        # same products counted
+        rng = np.random.default_rng(5)
+        q, k = rng.standard_normal(q_shape), rng.standard_normal(k_shape)
+        bias = rng.standard_normal(k_shape[:-1])
+        logits = (np.matmul(q, np.swapaxes(k, -1, -2)) + bias[..., None, :]) * 0.7
+        want = np.exp(logits) / np.exp(logits).sum(axis=-1, keepdims=True)
+        with fresh_context() as ctx:
+            got = attention_map(Tensor(q), Tensor(k), Tensor(bias), 0.7)
+        assert got.shape == want.shape and got.data.flags.c_contiguous
+        assert np.abs(got.data - want).max() <= 1e-12
+        assert ctx.ledger.flops == want.size * q_shape[-1]
+
     def test_charges_only_the_map(self):
         # multiply-adds of q @ k^T; the map is charged, not k^T or the logits
         q = Tensor(np.ones((2, 3, 4)), requires_grad=True)
@@ -519,7 +536,7 @@ class TestGraphRelease:
 
         def loss():
             visual = visual_terms(params, global_terms(params, fG), fL)
-            scores = pooled_score(visual, prompt_terms(params, fP), target)
+            scores = pooled_score(params, visual, prompt_terms(params, fP), target)
             return _loss_sum(scores, [True, False], -1.0)
 
         def forward():
