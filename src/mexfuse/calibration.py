@@ -57,7 +57,6 @@ class ExpressionStats:
     ``load_manifest`` checks these shapes.
     """
 
-    train_ids: list
     train_freqs: list
     similarity: list  # [n_test][n_train]
     tau: float = DEFAULT_TAU
@@ -127,7 +126,6 @@ def load_manifest(path):
     """
     doc = read_json(path, MANIFEST, check=_check_manifest)
     return ExpressionStats(
-        train_ids=[t["expr_id"] for t in doc["train"]],
         train_freqs=[t["freq"] for t in doc["train"]], similarity=doc["similarity"],
         **{key: float(doc[key]) for key in ("tau", "a", "b") if key in doc},
         test_ids=doc.get("test_ids"), source=str(path))

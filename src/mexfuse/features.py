@@ -140,14 +140,13 @@ class ProjectionMLP:
         GELU runs in place on arrays the node has just made, in the
         operation order of 0.5*h*(1 + tanh(c*(h + 0.044715*h*h*h))); powers
         as products, as ``**`` goes through pow. The node keeps the hidden
-        pre-activation h, h*h, the tanh term t, 1 + t and gelu(h) for its
+        pre-activation h, the tanh term t, 1 + t and gelu(h) for its
         backward pass and charges the ledger what the composed
         Linear-GELU-Linear chain would: h, gelu(h) and the output.
 
         Without ``second`` the result is gelu(h), [..., hidden], as a
         constant that charges h and gelu(h): no gradient flows back, so
-        nothing is kept and the GELU runs in one temporary, in the same
-        order of operations.
+        nothing is kept and gelu(h) is finished in t's array.
         """
         first, second = self.first, self.second
         if x.data.shape[-1] != first.d_in:
@@ -155,24 +154,18 @@ class ProjectionMLP:
                 f"projection MLP: input trailing dim {x.data.shape} vs weight {first.w.data.shape}")
         x2 = x.data.reshape(-1, first.d_in)
         h = first.forward(x2)
-        if second is None:
-            a = h * h
-            a *= h
-            a *= 0.044715
-            a += h
-            a *= _GELU_C
-            np.tanh(a, out=a)
-            a += 1.0
-            a *= h
-            a *= 0.5
-            return node(a.reshape(x.data.shape[:-1] + (a.shape[-1],)), (), None,
-                        charge=h.size + a.size)
-        hh = h * h
-        t = hh * h
+        t = h * h
+        t *= h
         t *= 0.044715
         t += h
         t *= _GELU_C
         np.tanh(t, out=t)
+        if second is None:
+            t += 1.0
+            t *= h
+            t *= 0.5
+            return node(t.reshape(x.data.shape[:-1] + (t.shape[-1],)), (), None,
+                        charge=h.size + t.size)
         one_t = t + 1.0
         a = h * 0.5
         a *= one_t
@@ -189,7 +182,8 @@ class ProjectionMLP:
             tmp = t * t
             np.subtract(1.0, tmp, out=tmp)
             slope *= tmp
-            np.multiply(hh, 3 * 0.044715, out=tmp)
+            np.multiply(h, h, out=tmp)
+            tmp *= 3 * 0.044715
             tmp += 1.0
             tmp *= _GELU_C
             slope *= tmp

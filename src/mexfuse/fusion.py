@@ -157,62 +157,17 @@ class LastStage(NamedTuple):
 
 # The variants differ only before the prompt meets a track window. The
 # global frames' and the prompt's terms are their projections by role
-# (``_ROLES``); each variant's ``visual(params, glob, local)`` gives a track
-# window's query q, the map pbar (or None) that q's map is chained after, and
-# the residual (or None), from the global terms and the window's projections.
-# One ``last_stage`` joins them to the prompt's, so a scoring pass computes
-# each global window's terms and each prompt's terms once. Streams are
-# [..., tokens, d]; leading axes (prompts, windows, frames) are batch axes
-# and broadcast.
-
-
-def _map(params, q, k, bias=None):
-    """softmax((q k^T + bias) / sqrt(d_k)): the block's scale, which an
-    absorbed query or key, as wide as the local MLP's hidden layer, does not give."""
-    return attention_map(q, k, bias, 1.0 / math.sqrt(params.d_k))
-
-
-def _mex_visual(params, glob, local):
-    """Mex's window terms. The block is two chained row-stochastic maps:
-
-    p_it = softmax(f(I) f(T)^T / sqrt(d_k))          [g x t]
-    p_tp = softmax(f(T) f(P)^T / sqrt(d_k))          [t x l]
-    p_itp = p_it @ p_tp                              [g x l]
-    fused = p_it @ f(T) + p_itp @ f(P)               [g x d_k]
-
-    ``residual_add`` adds the projected query stream f(I) to the output.
-    Pooling takes the mean over the fused stream's g rows, and every term
-    starts with p_it, so only its row mean pbar ([..., 1, t]) is kept: the
-    last stage's map is pbar @ p_tp, and the pooled residual is
-    pbar @ f(T) (+ the row mean of f(I)).
-    """
-    q_it = glob["q_it"]
-    pbar = mean_axis(_map(params, q_it, local["k_it"]), axis=-2, keepdims=True)
-    residual = matmul(pbar, local["v_t"])
-    if params.residual_add:
-        residual = add(residual, mean_axis(q_it, axis=-2, keepdims=True))
-    return {"q": local["q_tp"], "pbar": pbar, "residual": residual}
-
-
-def _cascade_visual(params, glob, local):
-    """Stage 1 (local queries on the global frames, plus the query) and the
-    stage-2 query, which stage 2 adds to its output."""
-    q = local["q"]
-    p1 = _map(params, q, glob["k"])
-    q2 = params.linears["s2_q"](add(matmul(p1, glob["v"]), q))
-    return {"q": q2, "pbar": None, "residual": q2}
-
-
-def _plain_visual(params, glob, local):
-    return {"q": local["q"], "pbar": None, "residual": None}
-
-
-_VISUAL = {"mex": _mex_visual, "cascade": _cascade_visual, "plain": _plain_visual}
-
-
+# (``_ROLES``); ``visual_terms`` gives a track window's query q, the map pbar
+# (or None) that q's map is chained after, and the residual (or None), from
+# the global terms and the window's projections. One ``last_stage`` joins
+# them to the prompt's, so a scoring pass computes each global window's terms
+# and each prompt's terms once. Streams are [..., tokens, d]; leading axes
+# (prompts, windows, frames) are batch axes and broadcast.
+#
 # A scoring form (``params.hidden`` set) never applies a map c = proj∘second
-# to a window's hidden rows a. Each role of c is absorbed into what it meets,
-# once per global window or per pass, where no gradient is needed:
+# to a window's hidden rows a: a fills each local-track role as it is, and
+# c is absorbed into what the role meets, once per global window or per
+# pass, where no gradient is needed:
 # - a key met by a query q (mex k_it): q c(a)^T = (q W_c^T) a^T + q b_c, and
 #   q b_c is the same along each softmax row, so it drops;
 # - a query met by keys K (mex q_tp, plain q, cascade s1_q): c(a) K^T =
@@ -222,74 +177,76 @@ _VISUAL = {"mex": _mex_visual, "cascade": _cascade_visual, "plain": _plain_visua
 #   (c∘s2_q)(a), the one per-row product of a cascade window.
 
 
+def _map(params, q, k, bias=None):
+    """softmax((q k^T + bias) / sqrt(d_k)): the block's scale, which an
+    absorbed query or key, as wide as the local MLP's hidden layer, does not give."""
+    return attention_map(q, k, bias, 1.0 / math.sqrt(params.d_k))
+
+
 def _times(x, w):
     """x [..., d] @ w [d, e] as one product over all of x's rows: a constant."""
     return Tensor(product(x.data.reshape(-1, w.shape[0]), w).reshape(x.shape[:-1] + w.shape[1:]))
 
 
-def _absorbed_keys(k, c):
-    """Keys k [..., l, d_k] that c(a) meets as its query: k W_c^T [..., l, h]
-    and their bias k b_c [..., l]."""
-    return _times(k, c.w.data.T), Tensor(product(k.data, c.bias.data))
-
-
-def _absorbed_global(params, glob):
-    if params.variant == "mex":
-        q_it = glob["q_it"]
-        out = {"q_it": _times(q_it, params.hidden["k_it"].w.data.T)}
-        if params.residual_add:
-            out["q_it_mean"] = mean_axis(q_it, axis=-2, keepdims=True)
-        return out
-    if params.variant == "cascade":
-        k, bias = _absorbed_keys(glob["k"], params.hidden["q"])
-        return {"k": k, "bias": bias, "v": _times(glob["v"], params.linears["s2_q"].w.data)}
-    return glob
-
-
-def _absorbed_prompt(params, prompt):
-    if params.variant == "cascade":  # its prompt keys meet stage 2's query
-        return prompt
-    k, bias = _absorbed_keys(prompt["k"], params.hidden["q_tp" if params.variant == "mex"
-                                                         else "q"])
-    return {"k": k, "bias": bias, "v": prompt["v"]}
-
-
-def _mex_absorbed(params, glob, local):
-    a = local["k_it"]
-    pbar = mean_axis(_map(params, glob["q_it"], a), axis=-2, keepdims=True)
-    residual = params.hidden["v_t"](matmul(pbar, a))
-    if params.residual_add:
-        residual = add(residual, glob["q_it_mean"])
-    return {"q": a, "pbar": pbar, "residual": residual}
-
-
-def _cascade_absorbed(params, glob, local):
-    a = local["q"]
-    p1 = _map(params, a, glob["k"], glob["bias"])
-    q2 = add(matmul(p1, glob["v"]), params.hidden["q2"](a))
-    return {"q": q2, "pbar": None, "residual": q2}
-
-
-_ABSORBED = {"mex": _mex_absorbed, "cascade": _cascade_absorbed, "plain": _plain_visual}
+def _absorb_keys(c, terms):
+    """The keys ``terms["k"]`` [..., l, d_k] that c(a) meets as its query become
+    k W_c^T [..., l, h], with their bias k b_c [..., l] as ``terms["bias"]``."""
+    k = terms["k"]
+    terms["k"], terms["bias"] = _times(k, c.w.data.T), Tensor(product(k.data, c.bias.data))
+    return terms
 
 
 def global_terms(params: FusionParams, fGlobal: Tensor) -> dict:
     """The part of the fusion block that depends on the global frames alone:
-    their projections by role."""
+    their projections by role, and mex's ``residual_add`` row mean of f(I)."""
     glob = _project(params, GLOBAL_FRAME, fGlobal)
-    return glob if params.hidden is None else _absorbed_global(params, glob)
+    if params.variant == "mex":
+        if params.residual_add:
+            glob["q_it_mean"] = mean_axis(glob["q_it"], axis=-2, keepdims=True)
+        if params.hidden is not None:
+            glob["q_it"] = _times(glob["q_it"], params.hidden["k_it"].w.data.T)
+    elif params.variant == "cascade" and params.hidden is not None:
+        _absorb_keys(params.hidden["q"], glob)
+        glob["v"] = _times(glob["v"], params.linears["s2_q"].w.data)
+    return glob
 
 
 def visual_terms(params: FusionParams, glob: dict, fLocal: Tensor) -> dict:
     """A track window's prompt-independent terms: ``q``, ``pbar`` and ``residual``.
 
-    In a scoring form ``fLocal`` is the hidden rows a, which fill every
-    local-track role as they are.
+    Mex's block is two chained row-stochastic maps:
+
+    p_it = softmax(f(I) f(T)^T / sqrt(d_k))          [g x t]
+    p_tp = softmax(f(T) f(P)^T / sqrt(d_k))          [t x l]
+    p_itp = p_it @ p_tp                              [g x l]
+    fused = p_it @ f(T) + p_itp @ f(P)               [g x d_k]
+
+    ``residual_add`` adds the projected query stream f(I) to the output.
+    Pooling takes the mean over the fused stream's g rows, and every term
+    starts with p_it, so only its row mean pbar ([..., 1, t]) is kept: the
+    last stage's map is pbar @ p_tp, and the pooled residual is pbar @ f(T)
+    (+ the row mean of f(I)). Cascade's stage 1 (local queries on the global
+    frames, plus the query) gives the stage-2 query, which stage 2 adds to
+    its output. In a scoring form ``fLocal`` is the hidden rows a, which
+    fill every local-track role as they are.
     """
-    if params.hidden is None:
-        return _VISUAL[params.variant](params, glob, _project(params, LOCAL_TRACK, fLocal))
-    return _ABSORBED[params.variant](params, glob,
-                                     dict.fromkeys(roles(params, LOCAL_TRACK), fLocal))
+    local = (_project(params, LOCAL_TRACK, fLocal) if params.hidden is None
+             else dict.fromkeys(roles(params, LOCAL_TRACK), fLocal))
+    if params.variant == "mex":
+        pbar = mean_axis(_map(params, glob["q_it"], local["k_it"]), axis=-2, keepdims=True)
+        residual = matmul(pbar, local["v_t"])
+        if params.hidden is not None:
+            residual = params.hidden["v_t"](residual)
+        if params.residual_add:
+            residual = add(residual, glob["q_it_mean"])
+        return {"q": local["q_tp"], "pbar": pbar, "residual": residual}
+    if params.variant == "cascade":
+        q = local["q"]
+        stage1 = matmul(_map(params, q, glob["k"], glob.get("bias")), glob["v"])
+        q2 = (params.linears["s2_q"](add(stage1, q)) if params.hidden is None
+              else add(stage1, params.hidden["q2"](q)))
+        return {"q": q2, "pbar": None, "residual": q2}
+    return {"q": local["q"], "pbar": None, "residual": None}
 
 
 def prompt_terms(params: FusionParams, fPrompt: Tensor) -> dict:
@@ -297,7 +254,9 @@ def prompt_terms(params: FusionParams, fPrompt: Tensor) -> dict:
     both. In a scoring form whose windows' rows meet them, the keys are absorbed:
     ``k`` is h wide, with a key bias ``bias``."""
     prompt = _project(params, PROMPT, fPrompt)
-    return prompt if params.hidden is None else _absorbed_prompt(params, prompt)
+    if params.hidden is None or params.variant == "cascade":  # cascade's meet stage 2's query
+        return prompt
+    return _absorb_keys(params.hidden["q_tp" if params.variant == "mex" else "q"], prompt)
 
 
 def last_stage(params: FusionParams, visual: dict, prompt: dict) -> LastStage:

@@ -18,13 +18,13 @@ def fusion_loss(params: FusionParams, streams, target):
     track windows and [n, 1, tokens, d_k] prompts, broadcast over the
     frames; ``target`` is [n, d_k]. The chain is the one training runs:
     ``global_terms`` -> ``visual_terms`` -> ``prompt_terms`` ->
-    ``pooled_score`` -> ``pipeline._loss_sum``, with window i a match when
-    ``_MATCH[i]`` holds.
+    ``pooled_score`` -> ``pipeline._loss_sum``, summed over the windows, with
+    window i a match when ``_MATCH[i]`` holds.
     """
     fG, fL, fP = (Tensor(s) for s in streams)
     visual = fusion.visual_terms(params, fusion.global_terms(params, fG), fL)
     scores = fusion.pooled_score(params, visual, fusion.prompt_terms(params, fP), Tensor(target))
-    return pipeline._loss_sum(scores, _MATCH, _NEG_MARGIN)
+    return pipeline._loss_sum(scores, _MATCH, _NEG_MARGIN, 1.0)
 
 
 def max_relative_error(variant, g=2, t=3, l=4, d_k=8, n_frames=2, seed=0,

@@ -29,8 +29,6 @@ from .tensor import (
     fresh_context,
     no_grad,
     node,
-    reshape,
-    scale,
     take,
 )
 
@@ -194,10 +192,9 @@ class ReferringModel:
         visual = fusion.visual_terms(self.fusion_params, glob, fL)
         terms, pooled = prompts
         # each distinct term taken once: shared mex's one prompt projection is both k and v
-        taken = {}
-        for t in terms.values():
-            if id(t) not in taken:
-                taken[id(t)] = reshape(take(t, idx), (len(idx), 1) + t.shape[1:])
+        rows = np.asarray(idx, dtype=np.intp)[:, None]
+        distinct = {id(t): t for t in terms.values()}
+        taken = {key: take(t, rows) for key, t in distinct.items()}
         prompt = {role: taken[id(t)] for role, t in terms.items()}
         return fusion.pooled_score(self.fusion_params, visual, prompt, take(pooled, idx))
 
@@ -426,22 +423,24 @@ def refine_threshold_sort(raw, stats, threshold):
 # ---- training --------------------------------------------------------------
 
 
-def _loss_sum(scores, match, neg_margin):
-    """Sum over windows of the cosine objective: 1 - s for a match, relu(s - margin) otherwise.
+def _loss_sum(scores, match, neg_margin, weight):
+    """Weighted sum over windows of the cosine objective: 1 - s for a match,
+    relu(s - margin) otherwise.
 
-    ``scores`` is an [n] tensor, ``match`` n booleans. One graph node:
-    sum(m(1 - s) + (1 - m) relu(s - margin)), whose gradient with respect
-    to s is (1 - m)[s > margin] - m.
+    ``scores`` is an [n] tensor, ``match`` n booleans and ``weight`` a float
+    (a batch's mean takes 1/len(batch)). One graph node: weight * sum(m(1 -
+    s) + (1 - m) relu(s - margin)), whose gradient with respect to s is
+    weight * ((1 - m)[s > margin] - m).
     """
     s = scores.data
     m = np.asarray(match, dtype=s.dtype)
     over = s - neg_margin
     above = over > 0
-    total = (m * (1.0 - s) + (1.0 - m) * np.where(above, over, 0.0)).sum()
+    total = (m * (1.0 - s) + (1.0 - m) * np.where(above, over, 0.0)).sum() * weight
 
     def bwd(g):
         if scores.requires_grad:
-            scores._accumulate(float(g) * ((1.0 - m) * above - m))
+            scores._accumulate(float(g) * weight * ((1.0 - m) * above - m))
 
     return node(np.asarray(total), (scores,), bwd)
 
@@ -493,9 +492,9 @@ def train(samples, trajectories, tasks, model: ReferringModel, epochs=100,
                 batch_loss = None
                 for positions, scores in model.forward_batch(tables,
                                                              [windows[i] for i in batch]):
-                    part = _loss_sum(scores, match[batch[positions]], neg_margin)
+                    part = _loss_sum(scores, match[batch[positions]], neg_margin,
+                                     1.0 / len(batch))
                     batch_loss = part if batch_loss is None else add(batch_loss, part)
-                batch_loss = scale(batch_loss, 1.0 / len(batch))
                 val = batch_loss.item()
                 if not np.isfinite(val):
                     raise TrainingError(

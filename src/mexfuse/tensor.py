@@ -204,16 +204,6 @@ def add(a, b):
     return node(out, (a, b), bwd)
 
 
-def scale(a, c):
-    c = float(c)
-
-    def bwd(g):
-        if a.requires_grad:
-            a._accumulate(g * c)
-
-    return node(a.data * c, (a,), bwd)
-
-
 # ---- linear algebra --------------------------------------------------------
 
 
@@ -264,41 +254,31 @@ def matmul(a, b):
     return node(out, (a, b), bwd)
 
 
-def reshape(a, shape):
-    """Reshape; a view of a contiguous input, which the ledger charges nothing."""
-    out = np.ascontiguousarray(a.data.reshape(shape))
-
-    def bwd(g):
-        if a.requires_grad:
-            a._accumulate(g.reshape(a.data.shape))
-
-    # a view shares its parent's values, so it allocates none
-    return node(out, (a,), bwd, charge=0 if np.may_share_memory(out, a.data) else None)
-
-
 def take(a, idx):
-    """Rows of ``a`` along axis 0 at the integer indices ``idx``; indices may repeat.
+    """Rows of ``a`` along axis 0 at the integer indices ``idx``, an array of
+    any shape; indices may repeat. The result is idx.shape + a.shape[1:].
 
     Every row in order (a track window scored against all the prompts) is
-    ``a`` itself, a view the ledger charges nothing. The backward
+    a view of ``a``, which the ledger charges nothing. The backward
     scatter-adds each row's gradient back to its source row.
     """
     idx = np.asarray(idx, dtype=np.intp)
     n = a.data.shape[0] if a.data.ndim else 0
-    if idx.ndim != 1 or (idx.size and (idx.min() < 0 or idx.max() >= n)):
-        raise DimensionError(f"take: need 1-D indices in [0, {n}), got {idx.tolist()}")
-    whole = idx.size == n and bool((idx == np.arange(n)).all())
+    if idx.ndim == 0 or (idx.size and (idx.min() < 0 or idx.max() >= n)):
+        raise DimensionError(f"take: need an array of indices in [0, {n}), got {idx.tolist()}")
+    whole = idx.size == n and bool((idx.ravel() == np.arange(n)).all())
+    out = a.data.reshape(idx.shape + a.data.shape[1:]) if whole else a.data[idx]
 
     def bwd(g):
         if a.requires_grad:
             if whole:
-                a._accumulate(g)
+                a._accumulate(g.reshape(a.data.shape))
                 return
             full = np.zeros_like(a.data)
             np.add.at(full, idx, g)
             a._accumulate(full)
 
-    return node(a.data if whole else a.data[idx], (a,), bwd, charge=0 if whole else None)
+    return node(out, (a,), bwd, charge=0 if whole and np.may_share_memory(out, a.data) else None)
 
 
 def _logits(q, k):

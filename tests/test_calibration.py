@@ -109,7 +109,7 @@ class TestRefine:
 
 class TestExpressionStats:
     def test_refine_via_stats(self):
-        stats = ExpressionStats(train_ids=["a", "b"], train_freqs=[0.2, 0.6],
+        stats = ExpressionStats(train_freqs=[0.2, 0.6],
                                 similarity=[[0.02, 0.01]], tau=100.0, a=8.0, b=-0.1)
         s_prime, p = stats.refine(0.5, "q0")
         assert p == pytest.approx(0.30758, abs=1e-5)
@@ -128,7 +128,6 @@ class TestExpressionStats:
         path = tmp_path / "cal.json"
         path.write_text(json.dumps(doc))
         loaded = load_manifest(path)
-        assert loaded.train_ids == ["a", "b"]
         assert np.array_equal(loaded.train_freqs, [0.4, 0.6])
         assert np.array_equal(loaded.similarity, doc["similarity"])
         assert (loaded.tau, loaded.a, loaded.b) == (50.0, 2.0, 0.1)
@@ -159,8 +158,7 @@ class TestExpressionStats:
             load_manifest(path)
 
     def test_unknown_prompt_in_test_ids(self):
-        stats = ExpressionStats(train_ids=["a"], train_freqs=[1.0],
-                                similarity=[[0.5]], test_ids=["p0"])
+        stats = ExpressionStats(train_freqs=[1.0], similarity=[[0.5]], test_ids=["p0"])
         with pytest.raises(DataFileError, match="'missing' not in test_ids"):
             stats.refine(0.5, "missing")
 

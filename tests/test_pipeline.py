@@ -40,14 +40,12 @@ from mexfuse.tensor import (
     Linear,
     MomentumSGD,
     Tensor,
-    add,
     fresh_context,
     mean_axis,
     no_grad,
-    scale,
 )
 
-from conftest import TOY_CONFIG, cosine, full_stream, relu, st_pool, stack, sub
+from conftest import TOY_CONFIG, cosine, full_stream, mean_of, relu, st_pool, stack, sub
 
 
 SMALL = DatasetConfig(seed=3, n_concepts=2, n_tracks=4, n_prompts=2,
@@ -135,10 +133,7 @@ def per_sample_train(samples, trajectories, tasks, model, epochs, batch_size, lr
                                           by_prompt[smp.prompt_id].entity_id)
                     losses.append(sub(Tensor(np.asarray(1.0)), s) if smp.match else
                                   relu(sub(s, Tensor(np.asarray(neg_margin)))))
-                loss = losses[0]
-                for extra in losses[1:]:
-                    loss = add(loss, extra)
-                loss = scale(loss, 1.0 / len(losses))
+                loss = mean_of(losses)
                 total += loss.item() * len(losses)
                 loss.backward()
             momentum_loop(params, velocities, lr, momentum)
@@ -463,6 +458,47 @@ class TestTraining:
         train(small_data["samples"], small_data["trajectories"], small_data["tasks"],
               model, epochs=1, batch_size=4, lr=1e-3)
         assert mlp_calls and {e for e, _, _ in mlp_calls} == {"__call__"}
+
+    # graph nodes, the tensors made with a backward, in each toy training batch:
+    # the dispatch cost that bounds toy-dims training
+    NODES_PER_TOY_BATCH = {"mex": 16, "mex/per_pair": 20, "mex/residual_add": 18,
+                           "mex/per_pair/residual_add": 22, "cascade": 19, "plain": 12}
+
+    @pytest.mark.parametrize("variant,kw", GRADCHECK_CONFIGS,
+                             ids=["/".join([v, *kw]) for v, kw in GRADCHECK_CONFIGS])
+    def test_graph_nodes_per_toy_batch(self, monkeypatch, variant, kw):
+        cfg, emb = TOY_CONFIG, TOY_CONFIG["embedder"]
+        p = cfg["pipeline"]
+        data = generate_synthetic_dataset(DatasetConfig(seed=cfg["seed"], window=p["window"],
+                                                        **cfg["dataset"]))
+        model = ReferringModel.build(
+            EmbedderConfig(seed=cfg["seed"], raw_visual_dim=emb["raw_visual_dim"],
+                           visual_tokens=emb["visual_tokens"], raw_text_dim=emb["raw_text_dim"],
+                           text_tokens=emb["text_tokens"], fused_dim=cfg["fusion"]["d_k"],
+                           oracle_mode=True,
+                           concepts=tuple(sorted({m["concept"] for m in data["manifest"]}))),
+            variant=variant, mlp_hidden=emb["mlp_hidden"], seed=cfg["seed"],
+            concept_of=concept_map(data["manifest"]), **kw)
+        made, per_batch = [0], []
+        init, backward = Tensor.__init__, Tensor.backward
+
+        def counted(t, *args, **kwargs):
+            init(t, *args, **kwargs)
+            made[0] += t._backward is not None
+
+        def counted_backward(t):
+            per_batch.append(made[0])
+            made[0] = 0
+            backward(t)
+
+        monkeypatch.setattr(Tensor, "__init__", counted)
+        monkeypatch.setattr(Tensor, "backward", counted_backward)
+        train(data["samples"], data["trajectories"], data["tasks"], model, epochs=1,
+              batch_size=p["batch_size"], lr=p["lr"], momentum=p["momentum"],
+              neg_margin=p["neg_margin"], seed=cfg["seed"])
+        name = "/".join([variant, *kw])
+        assert len(per_batch) == cfg["dataset"]["n_windows"] // p["batch_size"]
+        assert per_batch == [self.NODES_PER_TOY_BATCH[name]] * len(per_batch)
 
     @pytest.mark.parametrize("variant,kw", VARIANTS, ids=VARIANT_IDS)
     def test_every_parameter_has_a_gradient_after_each_batch(self, small_data, monkeypatch,

@@ -266,7 +266,22 @@ class TestTake:
         x = np.arange(6.0).reshape(3, 2)
         assert np.array_equal(take(Tensor(x), [2, 0, 2]).data, x[[2, 0, 2]])
 
-    @pytest.mark.parametrize("idx", [[3], [-1], [[0]]])
+    def test_index_shape_leads_the_result(self):
+        x = np.arange(6.0).reshape(3, 2)
+        idx = [[2, 0], [2, 1]]
+        assert np.array_equal(take(Tensor(x), idx).data, x[np.array(idx)])
+
+    @pytest.mark.parametrize("shape", [(3,), (3, 1)])
+    def test_every_row_in_order_is_a_view_charged_nothing(self, shape):
+        x = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
+        with fresh_context() as ctx:
+            out = take(x, np.arange(3).reshape(shape))
+            assert ctx.ledger.peak_values == 0
+        assert out.data.shape == shape + (2,) and np.shares_memory(out.data, x.data)
+        sum_all(mul(out, Tensor(np.ones(shape + (2,))))).backward()
+        assert np.array_equal(x.grad, np.ones((3, 2)))
+
+    @pytest.mark.parametrize("idx", [[3], [-1], 0, [[0], [3]]])
     def test_bad_indices_rejected(self, idx):
         with pytest.raises(DimensionError, match="take"):
             take(Tensor(np.ones((3, 2))), idx)
@@ -537,7 +552,7 @@ class TestGraphRelease:
         def loss():
             visual = visual_terms(params, global_terms(params, fG), fL)
             scores = pooled_score(params, visual, prompt_terms(params, fP), target)
-            return _loss_sum(scores, [True, False], -1.0)
+            return _loss_sum(scores, [True, False], -1.0, 0.5)
 
         def forward():
             with fresh_context():
