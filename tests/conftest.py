@@ -60,21 +60,6 @@ def relu(x):
     return node(np.where(mask, x.data, 0.0), (x,), bwd)
 
 
-def mean_of(tensors):
-    """The mean of same-shape tensors: their sum in order, times 1/len(tensors)."""
-    c = 1.0 / len(tensors)
-    total = tensors[0].data
-    for t in tensors[1:]:
-        total = total + t.data
-
-    def bwd(g):
-        for t in tensors:
-            if t.requires_grad:
-                t._accumulate(g * c)
-
-    return node(total * c, tuple(tensors), bwd)
-
-
 def stack(tensors):
     """Same-shape tensors stacked along a new leading axis."""
 

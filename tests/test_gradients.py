@@ -301,13 +301,16 @@ def test_matmul_random_shapes(data, m, k, n, seed):
 @RANDOM_SHAPES
 @given(data=st.data(), n=DIM, seed=SEED)
 def test_take_random_shapes(data, n, seed):
-    # 1-D and 2-D index arrays with more indices than rows, so that some repeat
+    # 1-D and 2-D index arrays: subsets, permutations and repeats, or every
+    # row in order as [n] or [n, 1], which takes the view path
     rest = data.draw(st.lists(DIM, max_size=2).map(tuple))
-    shape = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=2).map(tuple)
-                      .filter(lambda s: np.prod(s) > n))
-    size = int(np.prod(shape))
-    idx = np.reshape(data.draw(st.lists(st.integers(0, n - 1), min_size=size, max_size=size)),
-                     shape)
+    if data.draw(st.booleans()):
+        idx = np.arange(n).reshape(data.draw(st.sampled_from([(n,), (n, 1)])))
+    else:
+        shape = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=2).map(tuple))
+        size = int(np.prod(shape))
+        idx = np.reshape(data.draw(st.lists(st.integers(0, n - 1), min_size=size,
+                                            max_size=size)), shape)
     rng = np.random.default_rng(seed)
     a = leaf(rng, (n,) + rest)
     check_weighted(rng, lambda: take(a, idx), a)

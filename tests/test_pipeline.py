@@ -7,7 +7,7 @@ import threading
 import numpy as np
 import pytest
 
-from mexfuse import features, kernels, pipeline, tensor_io
+from mexfuse import cli, config, features, kernels, pipeline, tensor_io
 from mexfuse.cli import GRADCHECK_CONFIGS
 from mexfuse.features import (
     GLOBAL_FRAME,
@@ -45,7 +45,7 @@ from mexfuse.tensor import (
     no_grad,
 )
 
-from conftest import TOY_CONFIG, cosine, full_stream, mean_of, relu, st_pool, stack, sub
+from conftest import TOY_CONFIG, cosine, full_stream, relu, st_pool, stack, sub
 
 
 SMALL = DatasetConfig(seed=3, n_concepts=2, n_tracks=4, n_prompts=2,
@@ -59,6 +59,16 @@ def small_model(data, variant="mex", seed=3, mlp_hidden=16, **kw):
                                                                   for m in data["manifest"]})))
     return ReferringModel.build(emb, variant=variant, mlp_hidden=mlp_hidden, seed=seed,
                                 concept_of=concept_map(data["manifest"]), **kw)
+
+
+def toy_run(variant="mex", per_pair=False, residual_add=False):
+    """The toy config (defaults filled in), its dataset, and the model
+    ``mexfuse train`` builds for it with these fusion options."""
+    fusion = {**TOY_CONFIG["fusion"], "variant": variant, "per_pair_projections": per_pair,
+              "residual_add": residual_add}
+    cfg = config.load(overrides={**TOY_CONFIG, "fusion": fusion})
+    data = generate_synthetic_dataset(cli._dataset_config(cfg))
+    return cfg, data, cli._build_model(cfg, data["concepts"], data["manifest"])
 
 
 def stream(model, entity, modality, mlp):
@@ -112,8 +122,8 @@ def momentum_loop(params, velocities, lr, momentum):
 def per_sample_train(samples, trajectories, tasks, model, epochs, batch_size, lr,
                      momentum, neg_margin, seed):
     """Reference training loop: one full-stream graph per window
-    (``full_stream_score``), the windows' losses added one by one, then
-    averaged over the batch."""
+    (``full_stream_score``), the windows' losses stacked and averaged over
+    the batch."""
     by_track = {t.track_id: t for t in trajectories}
     by_prompt = {t.prompt_id: t for t in tasks}
     params = model.parameters()
@@ -133,7 +143,7 @@ def per_sample_train(samples, trajectories, tasks, model, epochs, batch_size, lr
                                           by_prompt[smp.prompt_id].entity_id)
                     losses.append(sub(Tensor(np.asarray(1.0)), s) if smp.match else
                                   relu(sub(s, Tensor(np.asarray(neg_margin)))))
-                loss = mean_of(losses)
+                loss = mean_axis(stack(losses), axis=0)
                 total += loss.item() * len(losses)
                 loss.backward()
             momentum_loop(params, velocities, lr, momentum)
@@ -467,18 +477,8 @@ class TestTraining:
     @pytest.mark.parametrize("variant,kw", GRADCHECK_CONFIGS,
                              ids=["/".join([v, *kw]) for v, kw in GRADCHECK_CONFIGS])
     def test_graph_nodes_per_toy_batch(self, monkeypatch, variant, kw):
-        cfg, emb = TOY_CONFIG, TOY_CONFIG["embedder"]
+        cfg, data, model = toy_run(variant, **kw)
         p = cfg["pipeline"]
-        data = generate_synthetic_dataset(DatasetConfig(seed=cfg["seed"], window=p["window"],
-                                                        **cfg["dataset"]))
-        model = ReferringModel.build(
-            EmbedderConfig(seed=cfg["seed"], raw_visual_dim=emb["raw_visual_dim"],
-                           visual_tokens=emb["visual_tokens"], raw_text_dim=emb["raw_text_dim"],
-                           text_tokens=emb["text_tokens"], fused_dim=cfg["fusion"]["d_k"],
-                           oracle_mode=True,
-                           concepts=tuple(sorted({m["concept"] for m in data["manifest"]}))),
-            variant=variant, mlp_hidden=emb["mlp_hidden"], seed=cfg["seed"],
-            concept_of=concept_map(data["manifest"]), **kw)
         made, per_batch = [0], []
         init, backward = Tensor.__init__, Tensor.backward
 
@@ -561,15 +561,7 @@ class TestLedgerCountsProducts:
         return made
 
     def test_one_toy_training_batch(self, products, monkeypatch):
-        ds, emb = TOY_CONFIG["dataset"], TOY_CONFIG["embedder"]
-        data = generate_synthetic_dataset(DatasetConfig(
-            seed=TOY_CONFIG["seed"], window=TOY_CONFIG["pipeline"]["window"], **ds))
-        model = ReferringModel.build(
-            EmbedderConfig(seed=TOY_CONFIG["seed"], fused_dim=TOY_CONFIG["fusion"]["d_k"],
-                           oracle_mode=True, concepts=tuple(data["concepts"]),
-                           **{k: v for k, v in emb.items() if k != "mlp_hidden"}),
-            mlp_hidden=emb["mlp_hidden"], seed=TOY_CONFIG["seed"],
-            concept_of=concept_map(data["manifest"]))
+        _, data, model = toy_run()
         ledgers = []
         fresh = pipeline.fresh_context
 
