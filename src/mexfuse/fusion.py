@@ -26,7 +26,6 @@ from typing import NamedTuple
 from .features import GLOBAL_FRAME, LOCAL_TRACK, PROMPT
 from .tensor import (
     DimensionError,
-    Linear,
     Tensor,
     add,
     attention_map,
@@ -63,19 +62,6 @@ class FusionParams:
         self.per_pair = per_pair
         self.linears = linears  # keyed as ``linear_names`` lists them
         self.hidden = hidden
-
-    @classmethod
-    def init(cls, variant, d_k, rng, residual_add=False, per_pair=False):
-        """Params of fresh ``Linear.init`` projections, drawn in ``linear_names`` order."""
-        return cls(variant, d_k, {name: Linear.init(d_k, d_k, rng)
-                                  for name in linear_names(variant, per_pair)},
-                   residual_add=residual_add, per_pair=per_pair)
-
-    def parameters(self):
-        out = []
-        for name in sorted(self.linears):
-            out.extend(self.linears[name].parameters())
-        return out
 
 
 def linear_names(variant, per_pair=False):
@@ -180,7 +166,7 @@ class LastStage(NamedTuple):
 def _map(params, q, k, bias=None):
     """softmax((q k^T + bias) / sqrt(d_k)): the block's scale, which an
     absorbed query or key, as wide as the local MLP's hidden layer, does not give."""
-    return attention_map(q, k, bias, 1.0 / math.sqrt(params.d_k))
+    return attention_map(q, k, bias, scale=1.0 / math.sqrt(params.d_k))
 
 
 def _times(x, w):

@@ -1,67 +1,59 @@
-"""Central-difference verification of the reverse-mode gradients."""
+"""Central-difference verification of the training objective's gradients."""
 
 import numpy as np
 
-from . import fusion, pipeline
-from .fusion import FusionParams
-from .tensor import Tensor, fresh_context
+from .features import GLOBAL_FRAME, LOCAL_TRACK, PROMPT, EmbedderConfig
+from .pipeline import ReferringModel
+from .tensor import fresh_context
 
-# every other window matches its prompt, so the loss's two branches both run
-_MATCH = np.arange(4) % 2 == 0
-_NEG_MARGIN = 0.0
-
-
-def fusion_loss(params: FusionParams, streams, target):
-    """The training objective after the projection MLPs, over a batch of windows.
-
-    ``streams`` is a (global, local, prompt) triple: [n, frames, tokens, d_k]
-    track windows and [n, 1, tokens, d_k] prompts, broadcast over the
-    frames; ``target`` is [n, d_k]. The chain is the one training runs:
-    ``global_terms`` -> ``visual_terms`` -> ``prompt_terms`` ->
-    ``pooled_score`` -> ``pipeline._loss_sum``, summed over the windows, with
-    window i a match when ``_MATCH[i]`` holds.
-    """
-    fG, fL, fP = (Tensor(s) for s in streams)
-    visual = fusion.visual_terms(params, fusion.global_terms(params, fG), fL)
-    scores = fusion.pooled_score(params, visual, fusion.prompt_terms(params, fP), Tensor(target))
-    return pipeline._loss_sum(scores, _MATCH, _NEG_MARGIN, 1.0)
+_STEP = 1e-5
+# a tiny model: raw visual and text widths 5 and 6, 2 and 3 tokens, d_k 4
+_EMBEDDER = EmbedderConfig(raw_visual_dim=5, visual_tokens=2, raw_text_dim=6, text_tokens=3,
+                           fused_dim=4)
+_MLP_HIDDEN = 3
+# rows of the raw tables the windows index
+_ROWS = {GLOBAL_FRAME: 5, LOCAL_TRACK: 10, PROMPT: 2}
+# A fixed batch of (global frame rows, local track rows, prompt row) windows.
+# The 2-frame windows meet prompts 0 and 1 in order, which ``take`` reads
+# as a view; the 3-frame windows meet prompt 1 twice, which it gathers.
+# Windows 1 and 3 are the non-matches, and the margin lies between their
+# scores, so the loss's relu is active for one and not the other.
+_WINDOWS = (([0, 1], [0, 1], 0), ([1, 2], [2, 3], 1),
+            ([0, 1, 2], [4, 5, 6], 1), ([2, 3, 4], [7, 8, 9], 1))
+_MATCH = (True, False, True, False)
 
 
-def max_relative_error(variant, g=2, t=3, l=4, d_k=8, n_frames=2, seed=0,
-                       step=1e-5, residual_add=False, per_pair=False):
-    """Analytic vs central-difference gradients over every fusion parameter."""
-    rng = np.random.default_rng(seed)
-    params = FusionParams.init(variant, d_k, rng, residual_add=residual_add,
-                               per_pair=per_pair)
-    n = len(_MATCH)
-    streams = (rng.standard_normal((n, n_frames, g, d_k)),
-               rng.standard_normal((n, n_frames, t, d_k)),
-               rng.standard_normal((n, 1, l, d_k)))
-    target = rng.standard_normal((n, d_k))
+def max_relative_error(variant, seed=0, residual_add=False, per_pair=False):
+    """Analytic vs central-difference gradients of ``ReferringModel.batch_loss``,
+    the loss ``train`` steps on, over every parameter of a tiny model built
+    as ``train``'s is, MLPs included, on seeded random raw tables."""
+    model = ReferringModel.build(_EMBEDDER, variant, residual_add=residual_add,
+                                 per_pair=per_pair, mlp_hidden=_MLP_HIDDEN, seed=seed)
+    rng = np.random.default_rng([seed, 1])  # not the stream the weights were drawn from
+    tables = {m: rng.standard_normal((_ROWS[m],) + _EMBEDDER.token_shape(m))
+              for m in model.streams}
 
-    def forward():
+    def loss(windows, match, margin):
         with fresh_context():
-            return fusion_loss(params, streams, target).item()
+            return model.batch_loss(tables, windows, match, margin).item()
 
+    # a window's score is 1 minus its loss as a match
+    margin = sum(1.0 - loss([_WINDOWS[i]], [True], 0.0) for i in (1, 3)) / 2
     with fresh_context():
-        loss = fusion_loss(params, streams, target)
-        loss.backward()
-        grads = [p.grad.copy() if p.grad is not None else np.zeros_like(p.data)
-                 for p in params.parameters()]
+        model.batch_loss(tables, _WINDOWS, _MATCH, margin).backward()
 
     worst = 0.0
-    for p, g_analytic in zip(params.parameters(), grads):
+    for p in model.parameters():
         flat = p.data.reshape(-1)
-        ga = g_analytic.reshape(-1)
+        analytic = (np.zeros_like(p.data) if p.grad is None else p.grad).reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + step
-            plus = forward()
-            flat[i] = orig - step
-            minus = forward()
+            flat[i] = orig + _STEP
+            plus = loss(_WINDOWS, _MATCH, margin)
+            flat[i] = orig - _STEP
+            minus = loss(_WINDOWS, _MATCH, margin)
             flat[i] = orig
-            g_num = (plus - minus) / (2 * step)
-            rel = abs(ga[i] - g_num) / max(1e-6, abs(ga[i]) + abs(g_num))
+            numeric = (plus - minus) / (2 * _STEP)
+            rel = abs(analytic[i] - numeric) / max(1e-6, abs(analytic[i]) + abs(numeric))
             worst = max(worst, rel)
-        p.grad = None
     return worst

@@ -198,35 +198,35 @@ class ReferringModel:
         prompt = {role: taken[id(t)] for role, t in terms.items()}
         return fusion.pooled_score(self.fusion_params, visual, prompt, take(pooled, idx))
 
-    def forward_batch(self, tables, windows):
-        """Raw scores of a minibatch of windows, as one graph.
+    def batch_loss(self, tables, windows, match, neg_margin):
+        """The mean training loss of a minibatch of windows, as one graph.
 
         ``tables`` maps each of the model's ``streams`` to the raw tokens of
         the training entities, one [n, s, d_raw] row per entity; ``windows``
         is a list of (global frame rows [w], local track rows [w], prompt
-        row) into them.
+        row) into them, and ``match`` one boolean per window.
         The batch's distinct prompts go through ``prompt_terms`` once, and
         the windows of one length go through ``global_terms`` and
         ``forward_window`` as one [n, w, s, d_raw] batch, each window taking
-        its prompt's terms by index.
-
-        Returns one (positions, scores) pair per window length: ``scores`` is
-        the [n] tensor of the windows at ``positions`` in ``windows``.
+        its prompt's terms by index. Each length's ``_loss_sum``, weighted
+        by 1/len(windows), is added into the loss.
         """
         slots = {pr: i for i, pr in enumerate(dict.fromkeys(pr for _, _, pr in windows))}
         prompts = self.prompt_terms(tables[features.PROMPT][list(slots)])
         by_length = {}
         for pos, (frames, _, _) in enumerate(windows):
             by_length.setdefault(len(frames), []).append(pos)
-        out = []
+        loss = None
         for positions in by_length.values():
             frames, local, prs = zip(*(windows[i] for i in positions))
             glob = (self.global_terms(tables[features.GLOBAL_FRAME][np.array(frames)])
                     if features.GLOBAL_FRAME in self.streams else {})
-            out.append((positions, self.forward_window(
-                glob, tables[features.LOCAL_TRACK][np.array(local)], prompts,
-                [slots[pr] for pr in prs])))
-        return out
+            scores = self.forward_window(glob, tables[features.LOCAL_TRACK][np.array(local)],
+                                         prompts, [slots[pr] for pr in prs])
+            part = _loss_sum(scores, [match[i] for i in positions], neg_margin,
+                             1.0 / len(windows))
+            loss = part if loss is None else add(loss, part)
+        return loss
 
     # ---- persistence -------------------------------------------------------
 
@@ -450,8 +450,8 @@ def train(samples, trajectories, tasks, model: ReferringModel, epochs=100,
           log=None):
     """SGD with momentum on the cosine objective; embedders stay frozen.
 
-    Each minibatch is one graph (``ReferringModel.forward_batch``) with one
-    backward pass; its loss is the mean over its windows. Returns the
+    Each minibatch is one graph (``ReferringModel.batch_loss``), the mean
+    loss over its windows, with one backward pass. Returns the
     per-epoch mean loss curve. ``log``, when given, is called after each
     epoch with a dict: epoch, mean_loss, wall_s (the epoch's wall time) and
     batches. Each sample's track, prompt and frames must be known, as
@@ -489,18 +489,14 @@ def train(samples, trajectories, tasks, model: ReferringModel, epochs=100,
         for start in range(0, len(order), batch_size):
             batch = order[start:start + batch_size]
             with fresh_context():
-                batch_loss = None
-                for positions, scores in model.forward_batch(tables,
-                                                             [windows[i] for i in batch]):
-                    part = _loss_sum(scores, match[batch[positions]], neg_margin,
-                                     1.0 / len(batch))
-                    batch_loss = part if batch_loss is None else add(batch_loss, part)
-                val = batch_loss.item()
+                loss = model.batch_loss(tables, [windows[i] for i in batch], match[batch],
+                                        neg_margin)
+                val = loss.item()
                 if not np.isfinite(val):
                     raise TrainingError(
                         f"non-finite loss {val} at epoch {epoch}, batch start {start}")
                 total += val * len(batch)
-                batch_loss.backward()
+                loss.backward()
             optimizer.step()
         curve.append(total / len(samples))
         if log is not None:
@@ -515,13 +511,13 @@ def train(samples, trajectories, tasks, model: ReferringModel, epochs=100,
 
 @dataclass
 class DatasetConfig:
-    seed: int = 0
-    n_concepts: int = 4
-    n_tracks: int = 10
-    n_prompts: int = 4
-    n_frames: int = 12
-    n_windows: int = 32
-    window: int = 4
+    seed: int
+    n_concepts: int
+    n_tracks: int
+    n_prompts: int
+    n_frames: int
+    n_windows: int
+    window: int
 
 
 def generate_synthetic_dataset(cfg: DatasetConfig):

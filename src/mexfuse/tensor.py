@@ -12,7 +12,6 @@ counting frees the rest.
 from __future__ import annotations
 
 import contextvars
-import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -299,15 +298,14 @@ def _logits(q, k):
     return np.ascontiguousarray(flat.transpose(order))
 
 
-def attention_map(q, k, bias=None, scale=None):
+def attention_map(q, k, bias=None, *, scale):
     """softmax((q k^T + bias) * scale) over the last two axes, as one graph node.
 
     ``q`` is [..., m, d] and ``k`` [..., n, d]; leading batch axes broadcast
     as in ``matmul``. ``bias`` (a tensor or None) is a per-key bias,
-    [..., n], added to every row; ``scale`` defaults to 1/sqrt(d). ``k`` is
-    read through a transposed view and the logits are biased and scaled in
-    place, so the [..., m, n] map is the only array kept and the only one
-    charged.
+    [..., n], added to every row. ``k`` is read through a transposed view
+    and the logits are biased and scaled in place, so the [..., m, n] map
+    is the only array kept and the only one charged.
     """
     if q.data.ndim < 2 or k.data.ndim < 2:
         raise DimensionError(
@@ -321,14 +319,13 @@ def attention_map(q, k, bias=None, scale=None):
     except ValueError:
         got = f"{q.data.shape} x {k.data.shape}" + ("" if bias is None else f" + {bias.data.shape}")
         raise DimensionError(f"attention_map: batch axes do not broadcast, {got}") from None
-    c = 1.0 / math.sqrt(q.data.shape[-1]) if scale is None else float(scale)
-    logits *= c
+    logits *= scale
     y = kernels.softmax_rows2d(logits)
 
     def bwd(g):
-        # dS = y * (g - sum(g * y)) * c over each row of the map
+        # dS = y * (g - sum(g * y)) * scale over each row of the map
         ds = y * (g - np.add.reduce(g * y, axis=-1, keepdims=True))
-        ds *= c
+        ds *= scale
         if q.requires_grad:
             q._accumulate(_sum_to(product(ds, k.data), q.data.shape))
         if k.requires_grad:

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from mexfuse.tensor import add, attention_map, matmul, mean_axis, node
+from mexfuse.fusion import FusionParams, linear_names
+from mexfuse.tensor import Linear, add, attention_map, matmul, mean_axis, node
 
 
 TOY_CONFIG = {
@@ -122,6 +123,13 @@ def st_pool(x):
 # ---- the fusion block's full fused stream, as a reference ------------------
 
 
+def fusion_params(variant, d_k, rng, residual_add=False, per_pair=False):
+    """Params of fresh ``Linear.init`` projections, drawn in ``linear_names`` order."""
+    return FusionParams(variant, d_k, {name: Linear.init(d_k, d_k, rng)
+                                       for name in linear_names(variant, per_pair)},
+                        residual_add=residual_add, per_pair=per_pair)
+
+
 def full_stream(params, fG, fL, fP):
     """The whole fusion block, every map and product built as the formulas read.
 
@@ -131,7 +139,7 @@ def full_stream(params, fG, fL, fP):
     path of ``mexfuse.fusion`` never builds this stream; the tests compare
     it against this composition, and the ledger charges it op by op.
     """
-    L = params.linears
+    L, scale = params.linears, 1.0 / np.sqrt(params.d_k)
     if params.variant == "mex":
         if params.per_pair:
             q_it, k_it, v_t = L["q_it"](fG), L["k_it"](fL), L["v_t"](fL)
@@ -140,19 +148,19 @@ def full_stream(params, fG, fL, fP):
             q_it = L["proj_i"](fG)
             k_it = q_tp = v_t = L["proj_t"](fL)
             k_tp = v_p = L["proj_p"](fP)
-        p_it = attention_map(q_it, k_it)
+        p_it = attention_map(q_it, k_it, scale=scale)
         it = matmul(p_it, v_t)
         residual = add(it, q_it) if params.residual_add else it
-        p_tp = attention_map(q_tp, k_tp)
+        p_tp = attention_map(q_tp, k_tp, scale=scale)
         p_itp = matmul(p_it, p_tp)
         fused = add(matmul(p_itp, v_p), residual)
         return fused, {"it": p_it, "tp": p_tp, "itp": p_itp}
     if params.variant == "cascade":
         q1 = L["s1_q"](fL)
-        p1 = attention_map(q1, L["s1_k"](fG))
+        p1 = attention_map(q1, L["s1_k"](fG), scale=scale)
         q2 = L["s2_q"](add(matmul(p1, L["s1_v"](fG)), q1))
-        p2 = attention_map(q2, L["s2_k"](fP))
+        p2 = attention_map(q2, L["s2_k"](fP), scale=scale)
         return add(matmul(p2, L["s2_v"](fP)), q2), {"it": p1, "tp": p2}
     q = L["q"](fL)
-    p = attention_map(q, L["k"](fP))
+    p = attention_map(q, L["k"](fP), scale=scale)
     return matmul(p, L["v"](fP)), {"tp": p}

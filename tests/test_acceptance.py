@@ -14,10 +14,10 @@ from click.testing import CliRunner
 from mexfuse import gradcheck
 from mexfuse.calibration import normalized_weights, refine
 from mexfuse.cli import main as cli_main
-from mexfuse.fusion import FusionParams, global_terms, last_stage, prompt_terms, visual_terms
+from mexfuse.fusion import global_terms, last_stage, prompt_terms, visual_terms
 from mexfuse.tensor import Tensor
 
-from conftest import TOY_CONFIG, full_stream
+from conftest import TOY_CONFIG, full_stream, fusion_params
 from test_fusion import oracle_cascade, oracle_mex, oracle_score, pooled, random_streams
 
 
@@ -33,7 +33,7 @@ def test_criterion_1_row_stochasticity():
     for _ in range(200):
         g, t, l = rng.integers(1, 9, size=3)
         d_k = int(rng.choice([4, 8, 16]))
-        params = FusionParams.init("mex", d_k, rng)
+        params = fusion_params("mex", d_k, rng)
         streams = [Tensor(s) for s in random_streams(rng, g, t, l, d_k, frames=(2,))]
         # the maps the pooled path builds: the folded pbar and pbar @ p_tp
         visual = visual_terms(params, global_terms(params, streams[0]), streams[1])
@@ -54,10 +54,10 @@ def test_criterion_2_oracle_equivalence():
         d_k = int(rng.choice([4, 8]))
         fG, fL, fP = random_streams(rng, g, t, l, d_k, frames=(2,))
         target = rng.standard_normal(d_k)
-        mex = FusionParams.init("mex", d_k, rng)
+        mex = fusion_params("mex", d_k, rng)
         want = oracle_score(oracle_mex(fG, fL, fP, mex), target)
         assert abs(pooled(mex, fG, fL, fP, target) - want) <= 1e-10
-        cas = FusionParams.init("cascade", d_k, rng)
+        cas = fusion_params("cascade", d_k, rng)
         want = oracle_score(oracle_cascade(fL, fG, fP, cas), target)
         assert abs(pooled(cas, fG, fL, fP, target) - want) <= 1e-10
     _report(2, "mex and cascade pooled scores match straight-from-formula oracles "
@@ -68,10 +68,11 @@ def test_criterion_3_gradient_check():
     t0 = time.perf_counter()
     worst = 0.0
     for variant in ("mex", "cascade"):
-        err = gradcheck.max_relative_error(variant, g=2, t=3, l=4, d_k=8, step=1e-5)
+        err = gradcheck.max_relative_error(variant)
         assert err <= 1e-4, f"{variant}: {err:.3e}"
         worst = max(worst, err)
-    _report(3, f"fusion+pooled cosine+loss gradients, max rel err {worst:.2e} <= 1e-4", t0, 30)
+    _report(3, f"MLPs+fusion+pooled cosine+loss gradients, max rel err {worst:.2e} <= 1e-4",
+            t0, 30)
 
 
 def test_criterion_4_efficiency_direction(tmp_path):

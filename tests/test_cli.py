@@ -1,3 +1,4 @@
+import functools
 import importlib
 import json
 import os
@@ -818,11 +819,15 @@ class TestGradcheck:
                            "mex/per_pair/residual_add", "cascade", "plain"]
 
     @pytest.mark.parametrize("module,name", [("pipeline", "_loss_sum"),
-                                             ("fusion", "pooled_cosine")])
+                                             ("fusion", "pooled_cosine"),
+                                             ("pipeline", "take"),
+                                             ("features", "ProjectionMLP.__call__")])
     def test_fails_on_a_wrong_head_gradient(self, runner, monkeypatch, module, name):
-        # the training loss and the scoring head are on the checked chain: a
-        # backward pass that doubles its gradient must fail the gate
-        target = getattr(importlib.import_module(f"mexfuse.{module}"), name)
+        # the training loss, the scoring head, the prompt terms' gather and
+        # the projection MLPs are on the checked graph: a backward pass that
+        # doubles its gradient must fail the gate
+        target = functools.reduce(getattr, name.split("."),
+                                  importlib.import_module(f"mexfuse.{module}"))
 
         def doubled(*args):
             out = target(*args)

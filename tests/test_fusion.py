@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from mexfuse.fusion import (
-    FusionParams,
     global_terms,
     last_stage,
     pooled_score,
@@ -18,7 +17,7 @@ from mexfuse.tensor import (
     pooled_cosine,
 )
 
-from conftest import cosine, full_stream, st_pool, sum_all
+from conftest import cosine, full_stream, fusion_params, st_pool, sum_all
 
 
 # ---- independent straight-from-formula oracles -----------------------------
@@ -97,7 +96,7 @@ def oracle_score(fused, target):
 
 
 def identity_params(variant, d_k, **kw):
-    params = FusionParams.init(variant, d_k, np.random.default_rng(0), **kw)
+    params = fusion_params(variant, d_k, np.random.default_rng(0), **kw)
     for lin in params.linears.values():
         lin.w.data = np.eye(d_k)
         lin.bias.data = np.zeros(d_k)
@@ -121,7 +120,7 @@ def pooled(params, fG, fL, fP, target):
 
 def attention(q, k, v):
     """softmax(q k^T / sqrt(d_k)) v, as the plain block composes it."""
-    return matmul(attention_map(q, k), v)
+    return matmul(attention_map(q, k, scale=1.0 / np.sqrt(q.shape[-1])), v)
 
 
 class TestAttention:
@@ -168,7 +167,7 @@ class TestMexAttention:
     def test_chained_map_row_stochastic(self):
         # the folded maps are the row means of p_it and of p_itp = p_it @ p_tp
         rng = np.random.default_rng(3)
-        params = FusionParams.init("mex", 8, rng)
+        params = fusion_params("mex", 8, rng)
         fI, fT, fP = random_streams(rng, 3, 4, 5, 8, frames=(2,))
         visual = visual_terms(params, global_terms(params, Tensor(fI)), Tensor(fT))
         last = last_stage(params, visual, prompt_terms(params, Tensor(fP)))
@@ -180,7 +179,7 @@ class TestMexAttention:
 
     def test_matches_independent_oracle(self):
         rng = np.random.default_rng(4)
-        params = FusionParams.init("mex", 8, rng)
+        params = fusion_params("mex", 8, rng)
         fI, fT, fP = random_streams(rng, 3, 4, 5, 8, frames=(3,))
         target = rng.standard_normal(8)
         want = oracle_score(oracle_mex(fI, fT, fP, params), target)
@@ -189,7 +188,7 @@ class TestMexAttention:
     @pytest.mark.parametrize("per_pair,residual", [(True, False), (False, True)])
     def test_variants_match_oracle(self, per_pair, residual):
         rng = np.random.default_rng(5)
-        params = FusionParams.init("mex", 8, rng, per_pair=per_pair, residual_add=residual)
+        params = fusion_params("mex", 8, rng, per_pair=per_pair, residual_add=residual)
         fI, fT, fP = random_streams(rng, 2, 3, 4, 8, frames=(2,))
         target = rng.standard_normal(8)
         want = oracle_score(oracle_mex(fI, fT, fP, params), target)
@@ -198,7 +197,7 @@ class TestMexAttention:
     def test_permutation_equivariance(self):
         # the fused rows, and so the score, do not depend on the order of fT's tokens
         rng = np.random.default_rng(6)
-        params = FusionParams.init("mex", 8, rng)
+        params = fusion_params("mex", 8, rng)
         fI, fT, fP = random_streams(rng, 3, 5, 4, 8, frames=(2,))
         target = rng.standard_normal(8)
         base = pooled(params, fI, fT, fP, target)
@@ -206,7 +205,7 @@ class TestMexAttention:
         assert np.abs(base - permuted).max() <= 1e-10
 
     def test_channel_mismatch(self):
-        params = FusionParams.init("mex", 8, np.random.default_rng(0))
+        params = fusion_params("mex", 8, np.random.default_rng(0))
         with pytest.raises(DimensionError):
             pooled(params, np.ones((1, 2, 8)), np.ones((1, 2, 4)), np.ones((2, 8)), np.ones(8))
 
@@ -227,7 +226,7 @@ class TestCascadeAttention:
 
     def test_matches_composed_oracle(self):
         rng = np.random.default_rng(8)
-        params = FusionParams.init("cascade", 8, rng)
+        params = fusion_params("cascade", 8, rng)
         fG, fL, fP = random_streams(rng, 3, 4, 5, 8, frames=(3,))
         target = rng.standard_normal(8)
         want = oracle_score(oracle_cascade(fL, fG, fP, params), target)
@@ -235,8 +234,8 @@ class TestCascadeAttention:
 
     def test_census_exceeds_mex(self):
         rng = np.random.default_rng(9)
-        mex = FusionParams.init("mex", 256, rng)
-        cascade = FusionParams.init("cascade", 256, rng)
+        mex = fusion_params("mex", 256, rng)
+        cascade = fusion_params("cascade", 256, rng)
         assert census(cascade) > census(mex)
         # census equals the analytic formula over registered linears
         assert census(mex) == 3 * (256 * 256 + 256)
@@ -291,7 +290,7 @@ class TestPooledScore:
             n_prompts, w = (int(n) for n in rng.integers(2, 5, size=2))
             g, t, l = rng.integers(1, 6, size=3)
             d_k = int(rng.choice([4, 8]))
-            params = FusionParams.init(variant, d_k, rng, **kw)
+            params = fusion_params(variant, d_k, rng, **kw)
             fG = rng.standard_normal((w, g, d_k))
             fL = rng.standard_normal((w, t, d_k))
             fP = rng.standard_normal((n_prompts, 1, l, d_k))
@@ -314,7 +313,7 @@ class TestPooledScore:
             n_prompts, w = (int(n) for n in rng.integers(2, 5, size=2))
             g, t, l = rng.integers(1, 6, size=3)
             d_k = int(rng.choice([4, 8]))
-            params = FusionParams.init(variant, d_k, rng, **kw)
+            params = fusion_params(variant, d_k, rng, **kw)
             fG = Tensor(rng.standard_normal((w, g, d_k)))
             fL = Tensor(rng.standard_normal((w, t, d_k)))
             lead = (n_prompts, 1) if k % 2 else ()
@@ -332,7 +331,7 @@ class TestPooledScore:
 
 def census(params):
     """Trainable values of a fusion block's projections."""
-    return sum(p.data.size for p in params.parameters())
+    return sum(p.data.size for lin in params.linears.values() for p in lin.parameters())
 
 
 def block_counts(variant, g, t, l, d_k, with_backward=False, windows=1, prompts=1):
@@ -349,7 +348,7 @@ def block_counts(variant, g, t, l, d_k, with_backward=False, windows=1, prompts=
     """
     rng = np.random.default_rng(0)
     with fresh_context() as ctx:
-        params = FusionParams.init(variant, d_k, rng)
+        params = fusion_params(variant, d_k, rng)
         fGlobal = Tensor(rng.standard_normal((windows, g, d_k)))
         fLocal = Tensor(rng.standard_normal((windows, t, d_k)))
         prompt = rng.standard_normal((prompts, 1, l, d_k))  # broadcast over the frames
@@ -368,7 +367,7 @@ def full_stream_values(variant, g, t, l, d_k):
     """Values the ledger charges for one full fused stream (2-D streams, forward)."""
     rng = np.random.default_rng(0)
     with fresh_context() as ctx:
-        params = FusionParams.init(variant, d_k, rng)
+        params = fusion_params(variant, d_k, rng)
         streams = [Tensor(s) for s in random_streams(rng, g, t, l, d_k)]
         ctx.ledger.reset()
         full_stream(params, *streams)

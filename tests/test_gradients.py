@@ -1,11 +1,12 @@
 """Central finite-difference checks for every differentiable op, the ops the
-test references build, and the fusion + pooled cosine + training loss chain."""
+test references build, and the batch loss training steps on."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mexfuse import gradcheck
+from mexfuse import gradcheck, pipeline
+from mexfuse.cli import GRADCHECK_CONFIGS
 from mexfuse.features import ProjectionMLP
 from mexfuse.pipeline import _loss_sum
 from mexfuse.tensor import (
@@ -83,7 +84,7 @@ def test_attention_map(rng, k_shape):
     q = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
     k = Tensor(rng.standard_normal(k_shape), requires_grad=True)
     w = rng.standard_normal((2, 3, 5))
-    check(lambda: sum_all(mul(attention_map(q, k), Tensor(w))), q, k)
+    check(lambda: sum_all(mul(attention_map(q, k, scale=0.5), Tensor(w))), q, k)
 
 
 @pytest.mark.parametrize("q_shape,k_shape,bias_shape", [
@@ -96,7 +97,7 @@ def test_attention_map_key_bias(rng, q_shape, k_shape, bias_shape):
     k = Tensor(rng.standard_normal(k_shape), requires_grad=True)
     bias = Tensor(rng.standard_normal(bias_shape), requires_grad=True)
     w = rng.standard_normal(np.broadcast_shapes(q_shape[:-2], k_shape[:-2]) + (3, 5))
-    check(lambda: sum_all(mul(attention_map(q, k, bias, 0.3), Tensor(w))), q, k, bias)
+    check(lambda: sum_all(mul(attention_map(q, k, bias, scale=0.3), Tensor(w))), q, k, bias)
 
 
 @pytest.mark.parametrize("a_shape,b_shape", [((2, 3, 4), (3, 4)), ((3, 4), (2, 1, 3, 4)),
@@ -230,20 +231,38 @@ def test_cosine_row_batched(rng):
     check(lambda: sum_all(mul(cosine(a2, b2), Tensor(w))), a2, b2)  # the reference op
 
 
-@pytest.mark.parametrize("variant", ["mex", "cascade", "plain"])
-def test_full_fusion_loss(variant):
-    err = gradcheck.max_relative_error(variant, g=2, t=3, l=4, d_k=8, step=STEP)
-    assert err <= TOL
+@pytest.mark.parametrize("variant,kw", GRADCHECK_CONFIGS,
+                         ids=["/".join([v, *kw]) for v, kw in GRADCHECK_CONFIGS])
+def test_batch_loss(variant, kw):
+    # the loss train steps on, over every parameter of a tiny model
+    assert gradcheck.max_relative_error(variant, **kw) <= TOL
 
 
-def test_mex_per_pair_projections():
-    err = gradcheck.max_relative_error("mex", g=2, t=3, l=4, d_k=8, per_pair=True)
-    assert err <= TOL
+def test_batch_loss_takes_both_paths(monkeypatch):
+    # the checked batch takes its prompts' terms as a view in one length
+    # group and gathers them in the other, and meets the loss's three cases
+    views, cases = set(), set()
+    take, loss_sum = pipeline.take, pipeline._loss_sum
 
+    # gradcheck also scores windows one by one, to place the margin: a batch
+    # of one takes one row and has weight 1
+    def recorded_take(a, idx):
+        out = take(a, idx)
+        if np.size(idx) > 1:
+            views.add(np.shares_memory(out.data, a.data))
+        return out
 
-def test_mex_residual_add():
-    err = gradcheck.max_relative_error("mex", g=2, t=3, l=4, d_k=8, residual_add=True)
-    assert err <= TOL
+    def recorded_loss_sum(scores, match, neg_margin, weight):
+        if weight != 1.0:
+            cases.update("match" if m else "above" if s > neg_margin else "below"
+                         for s, m in zip(scores.data, match))
+        return loss_sum(scores, match, neg_margin, weight)
+
+    monkeypatch.setattr(pipeline, "take", recorded_take)
+    monkeypatch.setattr(pipeline, "_loss_sum", recorded_loss_sum)
+    gradcheck.max_relative_error("mex")
+    assert views == {True, False}
+    assert cases == {"match", "above", "below"}
 
 
 # ---- every op on random shapes ---------------------------------------------
@@ -323,7 +342,7 @@ def test_attention_map_random_shapes(data, m, n, d, seed):
     rng = np.random.default_rng(seed)
     q = leaf(rng, data.draw(partner(batch)) + (m, d))
     k = leaf(rng, data.draw(partner(batch)) + (n, d))
-    check_weighted(rng, lambda: attention_map(q, k), q, k)
+    check_weighted(rng, lambda: attention_map(q, k, scale=1.0 / np.sqrt(d)), q, k)
 
 
 @RANDOM_SHAPES

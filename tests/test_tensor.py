@@ -6,7 +6,7 @@ import threading
 import numpy as np
 import pytest
 
-from mexfuse.fusion import FusionParams, global_terms, pooled_score, prompt_terms, visual_terms
+from mexfuse.fusion import global_terms, pooled_score, prompt_terms, visual_terms
 from mexfuse.pipeline import _loss_sum, generate_synthetic_dataset, train
 from mexfuse.tensor import (
     ContractError,
@@ -26,7 +26,7 @@ from mexfuse.tensor import (
     take,
 )
 
-from conftest import max_axis, mul, sum_all
+from conftest import fusion_params, max_axis, mul, sum_all
 from test_pipeline import SMALL, momentum_loop, small_model
 
 
@@ -89,7 +89,8 @@ class TestMatmul:
 
 def softmax_of(logits):
     """attention_map of a 1-channel query 1 against keys ``logits``: softmax(logits)."""
-    return attention_map(Tensor([[1.0]]), Tensor(np.asarray(logits, dtype=float)[:, None]))
+    return attention_map(Tensor([[1.0]]), Tensor(np.asarray(logits, dtype=float)[:, None]),
+                         scale=1.0)
 
 
 class TestSoftmax:
@@ -120,7 +121,7 @@ class TestSoftmax:
             m, n, d = rng.integers(1, 6, size=3)
             q = rng.uniform(-30, 30, size=(m, d))
             k = rng.uniform(-30, 30, size=(n, d))
-            out = attention_map(Tensor(q), Tensor(k))
+            out = attention_map(Tensor(q), Tensor(k), scale=1.0 / np.sqrt(d))
             assert out.shape == (m, n)
             assert (out.data >= 0).all()
             assert np.abs(out.data.sum(axis=1) - 1).max() <= 1e-12
@@ -137,7 +138,7 @@ class TestSoftmax:
         logits = (np.matmul(q, np.swapaxes(k, -1, -2)) + bias[..., None, :]) * 0.7
         want = np.exp(logits) / np.exp(logits).sum(axis=-1, keepdims=True)
         with fresh_context() as ctx:
-            got = attention_map(Tensor(q), Tensor(k), Tensor(bias), 0.7)
+            got = attention_map(Tensor(q), Tensor(k), Tensor(bias), scale=0.7)
         assert got.shape == want.shape and got.data.flags.c_contiguous
         assert np.abs(got.data - want).max() <= 1e-12
         assert ctx.ledger.flops == want.size * q_shape[-1]
@@ -147,7 +148,7 @@ class TestSoftmax:
         q = Tensor(np.ones((2, 3, 4)), requires_grad=True)
         k = Tensor(np.ones((5, 4)), requires_grad=True)
         with fresh_context() as ctx:
-            sum_all(attention_map(q, k)).backward()
+            sum_all(attention_map(q, k, scale=0.5)).backward()
             assert ctx.ledger.peak_values == 2 * 3 * 5 + 1
             assert ctx.ledger.flops == 3 * (2 * 3 * 5 * 4)
 
@@ -478,7 +479,7 @@ class TestLedger:
             with fresh_context() as ctx:
                 a = Tensor(np.ones((3, 4)))
                 b = Tensor(np.ones((5, 4)))
-                attention_map(a, b)
+                attention_map(a, b, scale=0.5)
                 return ctx.ledger.snapshot()
 
         first, second = run(), run()
@@ -544,7 +545,7 @@ class TestGraphRelease:
         # the pooled graph training builds after the MLPs: two windows of
         # two frames, each against its own prompt, and the loss
         rng = np.random.default_rng(0)
-        params = FusionParams.init("mex", 8, rng)
+        params = fusion_params("mex", 8, rng)
         fG, fL = (Tensor(rng.standard_normal((2, 2, n, 8))) for n in (3, 4))
         fP = Tensor(rng.standard_normal((2, 1, 5, 8)))
         target = Tensor(rng.standard_normal((2, 8)))
@@ -564,7 +565,8 @@ class TestGraphRelease:
                 out.backward()
             # backward released the interior node; the leaves keep their gradients
             assert out._backward is None and out.grad is None
-            assert all(p.grad is not None for p in params.parameters())
+            assert all(p.grad is not None for lin in params.linears.values()
+                       for p in lin.parameters())
 
         data = generate_synthetic_dataset(SMALL)
 
