@@ -199,10 +199,12 @@ def score(ctx, dataset_dir, model_dir):
     with _input_errors():
         stats = _stats_from(cfg)
         data = pipeline.load_dataset(dataset_dir)
-        model = ReferringModel.load(model_dir, pipeline.concept_map(data["manifest"]))
-        cands = pipeline.score_all(data["trajectories"], data["tasks"], model,
-                                   window=cfg["pipeline"]["window"], stats=stats,
-                                   threshold=cfg["pipeline"]["threshold"])
+        # the loaded model is handed on, not kept: score_all then frees its
+        # weights stage by stage
+        cands = pipeline.score_all(
+            data["trajectories"], data["tasks"],
+            ReferringModel.load(model_dir, pipeline.concept_map(data["manifest"])),
+            window=cfg["pipeline"]["window"], stats=stats, threshold=cfg["pipeline"]["threshold"])
     os.makedirs(cfg["out"], exist_ok=True)
     scores_path = os.path.join(cfg["out"], "scores.jsonl")
     pipeline.write_scores(scores_path, cands)

@@ -227,17 +227,52 @@ def _check_variant_options(cfg):
                               f"not {fusion['variant']}")
 
 
+# the arrays whose extents are sizes of the config, by the keys that give
+# them: each weight of the projection MLPs and the fusion block, and each
+# entity's raw tokens
+_ARRAYS = (("embedder.raw_visual_dim", "embedder.mlp_hidden"),
+           ("embedder.raw_text_dim", "embedder.mlp_hidden"),
+           ("embedder.mlp_hidden", "fusion.d_k"),
+           ("fusion.d_k", "fusion.d_k"),
+           ("embedder.visual_tokens", "embedder.raw_visual_dim"),
+           ("embedder.text_tokens", "embedder.raw_text_dim"))
+
+
+def _size(cfg, key):
+    """(value, key) of the size at the dotted ``key``; a null ``mlp_hidden`` is d_k."""
+    section, leaf = key.split(".")
+    value = cfg[section][leaf]
+    return (value, key) if value is not None else _size(cfg, "fusion.d_k")
+
+
+def _check_sizes(cfg):
+    """Raise ConfigError naming the keys when one of ``_ARRAYS`` would hold more
+    float64 bytes than numpy can index (``sys.maxsize``); nothing is allocated."""
+    for keys in _ARRAYS:
+        (a, key_a), (b, key_b) = (_size(cfg, key) for key in keys)
+        if a * b * 8 > sys.maxsize:
+            named = key_a if key_a == key_b else f"{key_a} x {key_b}"
+            raise ConfigError(f"{named}: an array of {a} x {b} float64 values is past the "
+                              f"{sys.maxsize} bytes an array can index")
+
+
+def _check(cfg):
+    _check_variant_options(cfg)
+    _check_sizes(cfg)
+
+
 def load(path=None, overrides=None):
     """The defaults, merged with the config file at ``path`` and then ``overrides``.
 
     A bad file raises DataFileError naming it and the key, a bad override
-    ConfigError. A mex-only fusion option set true for another variant is bad.
+    ConfigError. A mex-only fusion option set true for another variant is
+    bad, and so are sizes that shape an array numpy cannot index.
     """
     cfg = defaults()
     if path is not None:
-        read_json(path, {}, check=lambda raw: _check_variant_options(_merge(cfg, raw)))
+        read_json(path, {}, check=lambda raw: _check(_merge(cfg, raw)))
     if overrides:
-        _check_variant_options(_merge(cfg, overrides))
+        _check(_merge(cfg, overrides))
     return cfg
 
 

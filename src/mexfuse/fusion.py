@@ -111,6 +111,27 @@ def reads(params, stream):
     return tuple(dict.fromkeys(roles(params, stream).values()))
 
 
+# The composed maps (``FusionParams.hidden``, by role) that each stage of a
+# scoring pass reads: absorbed into the prompt's or the global frames' terms,
+# or, at the track windows' stage, applied to a window by ``visual_terms``.
+_ABSORBED_AT = {
+    "mex": {PROMPT: ("q_tp",), GLOBAL_FRAME: ("k_it",), LOCAL_TRACK: ("v_t",)},
+    "cascade": {PROMPT: (), GLOBAL_FRAME: ("q",), LOCAL_TRACK: ("q2",)},
+    "plain": {PROMPT: ("q",), GLOBAL_FRAME: (), LOCAL_TRACK: ()},
+}
+
+
+def stage_reads(params, stream):
+    """(projection names, composed-map roles) that the ``stream`` stage of a
+    scoring pass reads: the projections that read ``stream`` (with cascade's
+    s2_q, absorbed into the global frames' values), and the composed maps
+    the stage absorbs or applies."""
+    names = reads(params, stream)
+    if params.variant == "cascade" and stream == GLOBAL_FRAME:
+        names += ("s2_q",)
+    return names, _ABSORBED_AT[params.variant][stream]
+
+
 def _project(params, stream, x):
     """Role -> ``x`` ([..., tokens, d]) through each projection that reads ``stream``.
 

@@ -88,6 +88,8 @@ class ReferringModel:
     names ``_linear_shapes`` gives; the fusion block and the MLPs use them.
     ``streams`` are the modalities some projection reads (plain reads no
     global frame), and ``mlps`` holds the projection MLP of each of them.
+    A form made for the stages of a scoring pass (``scoring_form``,
+    ``stage_form``) holds only the ``Linear``s those stages read.
     """
 
     def __init__(self, embedder: EmbedderConfig, linears, variant="mex", residual_add=False,
@@ -96,12 +98,13 @@ class ReferringModel:
         self.linears = linears
         self.fusion_params = FusionParams(
             variant, embedder.fused_dim,
-            {n: linears[f"fusion.{n}"] for n in fusion.linear_names(variant, per_pair)},
+            {n: linears[f"fusion.{n}"] for n in fusion.linear_names(variant, per_pair)
+             if f"fusion.{n}" in linears},
             residual_add=residual_add, per_pair=per_pair, hidden=hidden)
         self.streams = fusion.streams(variant, per_pair)
         self.mlps = {m: ProjectionMLP(linears[f"{_MLPS[m]}.first"],
                                       linears.get(f"{_MLPS[m]}.second"))
-                     for m in self.streams}
+                     for m in self.streams if f"{_MLPS[m]}.first" in linears}
         self.concept_of = dict(concept_of or {})
 
     @classmethod
@@ -140,9 +143,10 @@ class ReferringModel:
 
     def scoring_form(self):
         """This model re-parameterised for a pass without gradients: a new model
-        over a copy of ``linears`` with no ``mlp_local.second``, whose fusion
-        params hold, by local-track role, each projection that reads that
-        stream composed after ``second`` (``FusionParams.hidden``).
+        over a copy of ``linears`` without ``mlp_local.second`` and the
+        projections that read the local stream, whose fusion params hold, by
+        local-track role, each of those projections composed after ``second``
+        (``FusionParams.hidden``).
 
         Nothing nonlinear lies between ``second`` and the projections that
         read its output, so each pair is one affine map c (``Linear.then``).
@@ -157,7 +161,7 @@ class ReferringModel:
         linears = dict(self.linears)
         second = linears.pop("mlp_local.second")
         fp = self.fusion_params
-        composed = {n: second.then(fp.linears[n])
+        composed = {n: second.then(linears.pop(f"fusion.{n}"))
                     for n in fusion.reads(fp, features.LOCAL_TRACK)}
         hidden = {role: composed[n]
                   for role, n in fusion.roles(fp, features.LOCAL_TRACK).items()}
@@ -165,6 +169,24 @@ class ReferringModel:
             hidden["q2"] = hidden["q"].then(fp.linears["s2_q"])
         return ReferringModel(self.embedder, linears, fp.variant, residual_add=fp.residual_add,
                               per_pair=fp.per_pair, concept_of=self.concept_of, hidden=hidden)
+
+    def stage_form(self, *streams):
+        """This scoring form cut to what the stages of ``streams`` (modalities)
+        read, as a new model: each one's MLP, and the projections and composed
+        maps that ``fusion.stage_reads`` gives. It holds no other ``Linear``.
+        """
+        fp = self.fusion_params
+        names, roles = set(), set()
+        for m in streams:
+            projections, absorbed = fusion.stage_reads(fp, m)
+            names |= {f"{_MLPS[m]}.first", f"{_MLPS[m]}.second"}
+            names |= {f"fusion.{n}" for n in projections}
+            roles |= set(absorbed)
+        return ReferringModel(self.embedder,
+                              {n: lin for n, lin in self.linears.items() if n in names},
+                              fp.variant, residual_add=fp.residual_add, per_pair=fp.per_pair,
+                              concept_of=self.concept_of,
+                              hidden={r: c for r, c in fp.hidden.items() if r in roles})
 
     def global_terms(self, tokens):
         """Fusion terms of global frames, from raw tokens [..., w, s, d_raw] in one MLP call."""
@@ -339,21 +361,22 @@ def score_all(trajectories, tasks, model: ReferringModel, window, stats=None,
               threshold=0.0):
     """Score every (candidate trajectory, prompt) pair. Deterministic given seeds.
 
-    The pass runs through the model's ``scoring_form``, made once per pass;
-    ``model`` itself is left unchanged. The prompts are projected and their
-    fusion terms computed once for the pass, and each distinct window of
-    global frames once; global frames that no projection reads (plain) are
-    neither embedded nor projected. Pairs are grouped by
-    track: each track window is scored against all its prompts in one
-    ``forward_window`` call.
+    The pass runs in stages: compose the ``scoring_form``; project the
+    prompts and compute their fusion terms; project each distinct window of
+    global frames (plain reads none: it neither embeds nor projects them);
+    score the track windows, each against all its prompts in one
+    ``forward_window`` call. After the prompt and the global stage the form
+    is cut to what the later stages read (``stage_form``), so a stage's
+    weights die when it ends unless the caller keeps ``model``, which is
+    left unchanged.
 
     The frozen embedder runs one track window ahead on one worker thread:
     while a window goes through the local MLP and the fusion block here,
     the worker draws the next window's raw local tokens into the other of
     two buffers. The worker only fills those buffers; every tensor, and so
-    every ledger charge, is made on the calling thread. The prompts are
-    projected before the worker starts, a draw's error is raised here in
-    window order, and the worker is joined before this returns or raises.
+    every ledger charge, is made on the calling thread. The worker starts
+    after the global stage, a draw's error is raised here in window order,
+    and the worker is joined before this returns or raises.
     Every candidate must be a track of ``trajectories``, listed once by its
     task, as ``load_dataset`` checks.
     """
@@ -362,12 +385,14 @@ def score_all(trajectories, tasks, model: ReferringModel, window, stats=None,
     for task in sorted(tasks, key=lambda t: t.prompt_id):
         for tid in task.candidates:
             by_track.setdefault(tid, []).append(task)
-    windows = [(tid, jobs, [f for f, _ in by_id[tid].frames[-window:]])
-               for tid, jobs in by_track.items()]
+    windows = []
+    for tid, jobs in by_track.items():
+        idx = [f for f, _ in by_id[tid].frames[-window:]]
+        windows.append((tid, jobs, idx, tuple(frame_entity(i) for i in idx)))
 
     def draw(k):
         """The worker's job: window k's raw local tokens, into its buffer."""
-        tid, _, idx = windows[k]
+        tid, _, idx, _ = windows[k]
         return model._raw_tokens([local_entity(by_id[tid].entity_id, i) for i in idx],
                                  features.LOCAL_TRACK, out=buffers[k % 2][:len(idx)])
 
@@ -376,24 +401,24 @@ def score_all(trajectories, tasks, model: ReferringModel, window, stats=None,
         model = model.scoring_form()
         slots = {e: i for i, e in enumerate(dict.fromkeys(t.entity_id for t in tasks))}
         prompts = model.prompt_terms(model._raw_tokens(list(slots), features.PROMPT))
+        # each stage's weights die with the form that held them, unless the
+        # caller keeps the model
+        model = model.stage_form(features.GLOBAL_FRAME, features.LOCAL_TRACK)
         read_global = features.GLOBAL_FRAME in model.streams
+        glob = {frames: model.global_terms(model._raw_tokens(frames, features.GLOBAL_FRAME))
+                if read_global else {}
+                for frames in dict.fromkeys(frames for _, _, _, frames in windows)}
+        model = model.stage_form(features.LOCAL_TRACK)
         # made after the prompt projection has freed its arrays: made before
         # it, they raise a paper-dims score's peak RSS by about 1 MB more
-        rows = max((len(idx) for _, _, idx in windows), default=0)
+        rows = max((len(idx) for _, _, idx, _ in windows), default=0)
         buffers = [np.empty((rows,) + model._raw_shape(features.LOCAL_TRACK)) for _ in range(2)]
         # leaving the block waits for the draw in flight
         with ThreadPoolExecutor(1, thread_name_prefix="mexfuse-embedder") as worker:
             ahead = worker.submit(draw, 0) if windows else None
-            glob = {}
-            for k, (tid, jobs, idx) in enumerate(windows):
+            for k, (tid, jobs, _, frames) in enumerate(windows):
                 local = ahead.result()  # raises a failed draw here, in window order
-                frames = tuple(frame_entity(i) for i in idx)
-                if frames not in glob:
-                    glob[frames] = model.global_terms(
-                        model._raw_tokens(frames, features.GLOBAL_FRAME)) if read_global else {}
-                # window k-1's buffer is free again: the worker draws window k+1
-                # into it, after a global projection so that the two do not add up
-                # at the pass's peak memory
+                # window k-1's buffer is free again: the worker draws window k+1 into it
                 if k + 1 < len(windows):
                     ahead = worker.submit(draw, k + 1)
                 scores = model.forward_window(glob[frames], local, prompts,

@@ -1,6 +1,8 @@
+import errno
 import functools
 import importlib
 import json
+import mmap
 import os
 import shutil
 import struct
@@ -70,6 +72,36 @@ class TestConfig:
         assert key in result.output
         assert "Traceback" not in result.output
         assert isinstance(result.exception, SystemExit)
+
+    @pytest.mark.parametrize("cfg,named", [
+        ({"fusion": {"d_k": 2**40}}, f"fusion.d_k: an array of {2**40} x {2**40} float64"),
+        # the fusion block's projections are d_k x d_k, however wide the MLPs are
+        ({"fusion": {"d_k": 2**31}, "embedder": {"mlp_hidden": 4}},
+         f"fusion.d_k: an array of {2**31} x {2**31} float64"),
+        ({"embedder": {"mlp_hidden": 2**60}},
+         f"embedder.raw_visual_dim x embedder.mlp_hidden: an array of 768 x {2**60} float64"),
+        ({"embedder": {"text_tokens": 2**53}},
+         f"embedder.text_tokens x embedder.raw_text_dim: an array of {2**53} x 1024 float64")],
+        ids=["d_k", "d_k-with-hidden", "mlp_hidden", "text_tokens"])
+    @pytest.mark.parametrize("cmd", [["gen"], ["train"], ["score"], ["bench"], ["gradcheck"],
+                                     ["calibrate", "--scores", "s.jsonl", "--manifest", "m.json"]],
+                             ids=lambda cmd: cmd[0])
+    def test_size_past_what_an_array_can_index_exits_2(self, runner, tmp_path, cfg, named,
+                                                       cmd):
+        # only the sizes are read: nothing is allocated before the refusal
+        bad, run = tmp_path / "bad.json", tmp_path / "run"
+        bad.write_text(json.dumps(cfg))
+        result = runner.invoke(main, ["--config", str(bad), "--out", str(run), *cmd])
+        assert result.exit_code == 2, result.output
+        assert f"{bad}: {named} values is past the {2**63 - 1} bytes" in result.output
+        assert "Traceback" not in result.output
+        assert isinstance(result.exception, SystemExit)
+        assert not run.exists()
+
+    def test_size_past_what_an_array_can_index_as_an_override(self):
+        with pytest.raises(config_mod.ConfigError,
+                           match=f"^fusion.d_k: an array of {2**40} x {2**40} float64"):
+            config_mod.load(overrides={"fusion": {"d_k": 2**40}})
 
     def test_missing_config_file_exits_2(self, runner):
         result = runner.invoke(main, ["--config", "/nope/none.json", "gen"])
@@ -196,6 +228,25 @@ class TestTrainScore:
         assert result.exit_code == 2, result.output
         assert result.output.count(str(path)) == 1, result.output
         assert "Traceback" not in result.output
+
+    def test_weights_that_cannot_be_mapped_exit_2(self, runner, trained, tmp_path,
+                                                    monkeypatch):
+        # each weight is mapped from its file; a failed mapping names the file once
+        cfg_path, out = trained
+
+        def refused(*args, **kw):
+            raise OSError(errno.ENOMEM, "Cannot allocate memory")
+
+        monkeypatch.setattr(mmap, "mmap", refused)
+        result = runner.invoke(main, ["--config", str(cfg_path), "--out", str(tmp_path / "o"),
+                                      "score", "--dataset", str(out / "dataset"),
+                                      "--model", str(out / "model")])
+        assert result.exit_code == 2, result.output
+        first = out / "model" / "fusion.proj_i.w.mext"  # the first file load reads
+        assert f"{first}: cannot read (Cannot allocate memory)" in result.output
+        assert result.output.count(str(first)) == 1, result.output
+        assert "Traceback" not in result.output
+        assert not (tmp_path / "o").exists()
 
     def test_unknown_fusion_variant_exits_2(self, runner, trained, tmp_path):
         cfg_path, out = trained

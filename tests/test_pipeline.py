@@ -3,9 +3,11 @@ import copy
 import json
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from mexfuse import cli, config, features, kernels, pipeline, tensor_io
 from mexfuse.cli import GRADCHECK_CONFIGS
@@ -714,6 +716,25 @@ class TestPersistence:
             assert mlp.first is model.linears[f"{MLPS[m]}.first"]
             assert mlp.second is model.linears[f"{MLPS[m]}.second"]
 
+    @pytest.mark.parametrize("variant,kw", VARIANTS, ids=VARIANT_IDS)
+    def test_a_loaded_model_trains_and_saves_as_a_built_one(self, small_data, tmp_path,
+                                                           variant, kw):
+        # a loaded model's weights are mapped read-only from its files;
+        # MomentumSGD trains copies of them in its own buffer
+        def files(name):
+            return {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
+
+        built = small_model(small_data, variant=variant, **kw)
+        built.save(tmp_path / "m")
+        loaded = ReferringModel.load(tmp_path / "m", built.concept_of)
+        assert not any(p.data.flags.writeable for p in loaded.parameters())
+        args = (small_data["samples"], small_data["trajectories"], small_data["tasks"])
+        kwargs = dict(epochs=2, batch_size=4, lr=0.05, momentum=0.9, neg_margin=-0.1)
+        assert train(*args, loaded, **kwargs) == train(*args, built, **kwargs)
+        built.save(tmp_path / "built")
+        loaded.save(tmp_path / "loaded")
+        assert files("loaded") == files("built") != files("m")
+
     def test_plain_model_with_a_saved_global_mlp_loads(self, small_data, tmp_path):
         # older versions built, trained and saved plain's unread global MLP:
         # its files and its names in params.json are ignored
@@ -757,6 +778,74 @@ class TestPersistence:
         tensor_io.write_tensor(tmp_path / "m" / "mlp_prompt.first.w.mext", np.zeros((24, 15)))
         with pytest.raises(DataFileError, match=r"mlp_prompt.first.w.mext.*\(24, 16\)"):
             ReferringModel.load(tmp_path / "m", concept_map(small_data["manifest"]))
+
+
+# what each stage of a scoring pass holds beyond the local MLP's first layer:
+# the global stage's MLP, projections and composed maps, and the composed
+# map that visual_terms applies to a window (by role)
+GLOBAL_STAGE = {"mex": {"fusion.proj_i"}, "mex/per_pair": {"fusion.q_it"},
+                "cascade": {"fusion.s1_k", "fusion.s1_v", "fusion.s2_q"}}
+GLOBAL_MAPS = {"mex": {"k_it"}, "cascade": {"q"}}
+WINDOW_MAPS = {"mex": {"v_t"}, "cascade": {"q2"}, "plain": set()}
+
+
+class TestStagedScoring:
+    @pytest.mark.parametrize("variant,kw", GRADCHECK_CONFIGS,
+                             ids=["/".join([v, *kw]) for v, kw in GRADCHECK_CONFIGS])
+    def test_score_holds_only_the_running_stages_weights(self, tmp_path, monkeypatch,
+                                                        variant, kw):
+        # ``mexfuse score`` hands the loaded model to score_all and keeps no
+        # reference: each stage's weights die when its stage ends, and of the
+        # loaded Linears exactly those the running form holds stay alive
+        cfg, data, model = toy_run(variant, **kw)
+        save_dataset(tmp_path / "ds", data, cli._dataset_config(cfg))
+        model.save(tmp_path / "model")
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        loaded, seen = {}, {}
+        load = ReferringModel.load
+
+        def recorded_load(in_dir, concept_of):
+            m = load(in_dir, concept_of)
+            loaded["model"] = weakref.ref(m)
+            loaded["linears"] = {n: weakref.ref(lin) for n, lin in m.linears.items()}
+            return m
+
+        def observe(stage, original):
+            def observed(form, *args):
+                if stage not in seen:  # names only: the test must hold no weight
+                    alive = {n for n, ref in loaded["linears"].items() if ref() is not None}
+                    same = all(lin is loaded["linears"][n]() for n, lin in form.linears.items())
+                    seen[stage] = (loaded["model"]() is None, alive, set(form.linears), same,
+                                   set(form.fusion_params.hidden), set(form.mlps))
+                return original(form, *args)
+            return observed
+
+        monkeypatch.setattr(ReferringModel, "load", recorded_load)
+        for stage in ("global_terms", "forward_window"):
+            monkeypatch.setattr(ReferringModel, stage,
+                                observe(stage, getattr(ReferringModel, stage)))
+        result = CliRunner().invoke(cli.main, [
+            "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "run"), "score",
+            "--dataset", str(tmp_path / "ds"), "--model", str(tmp_path / "model")],
+            catch_exceptions=False)
+        assert result.exit_code == 0, result.output
+        key = "mex/per_pair" if kw.get("per_pair") else variant
+        stages = {"forward_window": ({"mlp_local.first"}, WINDOW_MAPS[variant], {LOCAL_TRACK})}
+        if variant != "plain":
+            stages["global_terms"] = (
+                {"mlp_local.first", "mlp_global.first", "mlp_global.second"} | GLOBAL_STAGE[key],
+                GLOBAL_MAPS[variant] | WINDOW_MAPS[variant], {GLOBAL_FRAME, LOCAL_TRACK})
+        assert set(seen) == set(stages)
+        for stage, (names, maps, mlps) in stages.items():
+            model_dead, alive, linears, same, hidden, form_mlps = seen[stage]
+            assert model_dead, stage
+            assert linears == alive == names and same, stage
+            assert (hidden, form_mlps) == (maps, mlps), stage
+        # the same scores as the in-memory model's, byte for byte
+        write_scores(tmp_path / "want.jsonl", score_all(
+            data["trajectories"], data["tasks"], model, window=cfg["pipeline"]["window"]))
+        assert (tmp_path / "run" / "scores.jsonl").read_bytes() == \
+            (tmp_path / "want.jsonl").read_bytes()
 
 
 def test_precision_recall_and_scores_io(tmp_path):

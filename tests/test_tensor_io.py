@@ -1,3 +1,4 @@
+import mmap
 import os
 import struct
 import tempfile
@@ -10,11 +11,51 @@ from mexfuse.config import DataFileError
 from mexfuse.tensor_io import read_tensor, write_tensor
 
 
-def test_round_trip_f64(tmp_path):
+@pytest.fixture
+def maps(monkeypatch):
+    """The length of each mapping ``read_tensor`` makes, in order."""
+    made = []
+    real = mmap.mmap
+
+    def counted(fileno, length, **kw):
+        out = real(fileno, length, **kw)
+        made.append(len(out))
+        return out
+
+    monkeypatch.setattr(mmap, "mmap", counted)
+    return made
+
+
+def test_round_trip_f64(tmp_path, maps):
     arr = np.random.default_rng(0).standard_normal((3, 4, 2))
     path = tmp_path / "a.mext"
     write_tensor(path, arr)
-    assert np.array_equal(read_tensor(path), arr)
+    got = read_tensor(path)
+    assert np.array_equal(got, arr) and got.dtype == np.float64
+    # mapped from the file's payload, which follows 8 header and 24 extent bytes
+    assert maps == [os.path.getsize(path)] and got.nbytes == maps[0] - 32
+
+
+def test_mapped_array_is_read_only(tmp_path):
+    path = tmp_path / "a.mext"
+    write_tensor(path, np.arange(6.0).reshape(2, 3))
+    got = read_tensor(path)
+    assert not got.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        got[0, 0] = 7.0
+    with pytest.raises(ValueError, match="read-only"):
+        got += 1.0
+    assert np.array_equal(got, np.arange(6.0).reshape(2, 3))
+
+
+def test_rewriting_a_file_from_its_own_mapping(tmp_path):
+    # write_tensor reads the values before it truncates the file they are mapped from
+    arr = np.random.default_rng(1).standard_normal((5, 7))
+    path = tmp_path / "a.mext"
+    write_tensor(path, arr)
+    raw = path.read_bytes()
+    write_tensor(path, read_tensor(path))
+    assert path.read_bytes() == raw
 
 
 def test_f32_refused(tmp_path):
@@ -46,12 +87,13 @@ def test_bad_magic(tmp_path):
         read_tensor(path)
 
 
-def test_truncated_payload(tmp_path):
+def test_truncated_payload(tmp_path, maps):
     path = tmp_path / "short.mext"
     write_tensor(path, np.ones((4, 4)))
     path.write_bytes(path.read_bytes()[:-8])
-    with pytest.raises(DataFileError, match="truncated"):
+    with pytest.raises(DataFileError, match=rf"{path}: truncated payload \(120 of 128 bytes\)"):
         read_tensor(path)
+    assert maps == []  # refused before anything is mapped
 
 
 @pytest.mark.parametrize("keep", range(4, 24))
@@ -89,7 +131,8 @@ def test_zero_extent_next_to_huge_ones(tmp_path):
 def test_empty_extent_reads_an_empty_array(tmp_path):
     path = tmp_path / "empty.mext"
     write_tensor(path, np.zeros((0, 3)))
-    assert read_tensor(path).shape == (0, 3)
+    got = read_tensor(path)
+    assert got.shape == (0, 3) and got.size == 0 and got.dtype == np.float64
 
 
 # a saved rank-3 tensor: 8 header bytes, 24 bytes of extents, 24 of payload
