@@ -256,7 +256,7 @@ def bench(ctx):
                   "residual_add": variant == "mex" and cfg["fusion"]["residual_add"]}
         model = _build_model({**cfg, "fusion": fusion}, data["concepts"], data["manifest"])
         t0 = time.perf_counter()
-        with fresh_context() as run:
+        with _input_errors(), fresh_context() as run:
             pipeline.score_all(data["trajectories"], data["tasks"], model, window=window)
         wall = time.perf_counter() - t0
         (g, _), (t, _), (l, _) = (model._raw_shape(m) for m in MODALITIES)

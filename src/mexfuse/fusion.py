@@ -48,11 +48,10 @@ class FusionParams:
     parameter count up to the cascade block's.
 
     ``hidden`` is None in the training structure. In a scoring form, whose
-    local-track stream is the local MLP's hidden activations ``a``, it maps
-    each local-track role to its composed map c = proj∘second, and
-    cascade's ``q2`` to c∘s2_q; the fusion terms then absorb each map where
-    its role meets another term (``global_terms``, ``prompt_terms``,
-    ``visual_terms``).
+    local-track stream is the local MLP's hidden activations ``a``, it holds
+    the composed maps that ``composed_maps`` makes, keyed by the stage (a
+    ``features`` modality) that reads each: ``global_terms``,
+    ``prompt_terms`` and ``visual_terms`` each absorb or apply their own.
     """
 
     def __init__(self, variant, d_k, linears, residual_add=False, per_pair=False, hidden=None):
@@ -111,25 +110,37 @@ def reads(params, stream):
     return tuple(dict.fromkeys(roles(params, stream).values()))
 
 
-# The composed maps (``FusionParams.hidden``, by role) that each stage of a
-# scoring pass reads: absorbed into the prompt's or the global frames' terms,
-# or, at the track windows' stage, applied to a window by ``visual_terms``.
+# The local-track role whose composed map each stage of a scoring pass reads:
+# absorbed into the prompt's or the global frames' terms, or, at the track
+# windows' stage, applied to a window by ``visual_terms``.
 _ABSORBED_AT = {
-    "mex": {PROMPT: ("q_tp",), GLOBAL_FRAME: ("k_it",), LOCAL_TRACK: ("v_t",)},
-    "cascade": {PROMPT: (), GLOBAL_FRAME: ("q",), LOCAL_TRACK: ("q2",)},
-    "plain": {PROMPT: ("q",), GLOBAL_FRAME: (), LOCAL_TRACK: ()},
+    "mex": {PROMPT: "q_tp", GLOBAL_FRAME: "k_it", LOCAL_TRACK: "v_t"},
+    "cascade": {GLOBAL_FRAME: "q", LOCAL_TRACK: "q"},
+    "plain": {PROMPT: "q"},
 }
 
 
+def composed_maps(params, second):
+    """Stage -> the map c = proj∘second it reads (``FusionParams.hidden``), for
+    the local MLP's last layer ``second``. Each projection that reads the local
+    tracks is composed once, so shared mex's three stages hold one map;
+    cascade's window stage reads its query's map composed with s2_q."""
+    by_role = roles(params, LOCAL_TRACK)
+    composed = {n: second.then(params.linears[n]) for n in reads(params, LOCAL_TRACK)}
+    hidden = {m: composed[by_role[role]] for m, role in _ABSORBED_AT[params.variant].items()}
+    if params.variant == "cascade":
+        hidden[LOCAL_TRACK] = hidden[LOCAL_TRACK].then(params.linears["s2_q"])
+    return hidden
+
+
 def stage_reads(params, stream):
-    """(projection names, composed-map roles) that the ``stream`` stage of a
-    scoring pass reads: the projections that read ``stream`` (with cascade's
-    s2_q, absorbed into the global frames' values), and the composed maps
-    the stage absorbs or applies."""
+    """Names of the projections that the ``stream`` stage of a scoring pass
+    reads: those that read ``stream``, with cascade's s2_q, absorbed into
+    the global frames' values."""
     names = reads(params, stream)
     if params.variant == "cascade" and stream == GLOBAL_FRAME:
         names += ("s2_q",)
-    return names, _ABSORBED_AT[params.variant][stream]
+    return names
 
 
 def _project(params, stream, x):
@@ -211,9 +222,9 @@ def global_terms(params: FusionParams, fGlobal: Tensor) -> dict:
         if params.residual_add:
             glob["q_it_mean"] = mean_axis(glob["q_it"], axis=-2, keepdims=True)
         if params.hidden is not None:
-            glob["q_it"] = _times(glob["q_it"], params.hidden["k_it"].w.data.T)
+            glob["q_it"] = _times(glob["q_it"], params.hidden[GLOBAL_FRAME].w.data.T)
     elif params.variant == "cascade" and params.hidden is not None:
-        _absorb_keys(params.hidden["q"], glob)
+        _absorb_keys(params.hidden[GLOBAL_FRAME], glob)
         glob["v"] = _times(glob["v"], params.linears["s2_q"].w.data)
     return glob
 
@@ -243,7 +254,7 @@ def visual_terms(params: FusionParams, glob: dict, fLocal: Tensor) -> dict:
         pbar = mean_axis(_map(params, glob["q_it"], local["k_it"]), axis=-2, keepdims=True)
         residual = matmul(pbar, local["v_t"])
         if params.hidden is not None:
-            residual = params.hidden["v_t"](residual)
+            residual = params.hidden[LOCAL_TRACK](residual)
         if params.residual_add:
             residual = add(residual, glob["q_it_mean"])
         return {"q": local["q_tp"], "pbar": pbar, "residual": residual}
@@ -251,19 +262,20 @@ def visual_terms(params: FusionParams, glob: dict, fLocal: Tensor) -> dict:
         q = local["q"]
         stage1 = matmul(_map(params, q, glob["k"], glob.get("bias")), glob["v"])
         q2 = (params.linears["s2_q"](add(stage1, q)) if params.hidden is None
-              else add(stage1, params.hidden["q2"](q)))
+              else add(stage1, params.hidden[LOCAL_TRACK](q)))
         return {"q": q2, "pbar": None, "residual": q2}
     return {"q": local["q"], "pbar": None, "residual": None}
 
 
 def prompt_terms(params: FusionParams, fPrompt: Tensor) -> dict:
     """A prompt's keys ``k`` and values ``v``: one tensor when one projection gives
-    both. In a scoring form whose windows' rows meet them, the keys are absorbed:
-    ``k`` is h wide, with a key bias ``bias``."""
+    both. In a scoring form with a map for the prompt stage (the windows' rows
+    meet the keys as their query), the keys are absorbed: ``k`` is h wide, with a
+    key bias ``bias``."""
     prompt = _project(params, PROMPT, fPrompt)
-    if params.hidden is None or params.variant == "cascade":  # cascade's meet stage 2's query
+    if params.hidden is None or PROMPT not in params.hidden:
         return prompt
-    return _absorb_keys(params.hidden["q_tp" if params.variant == "mex" else "q"], prompt)
+    return _absorb_keys(params.hidden[PROMPT], prompt)
 
 
 def last_stage(params: FusionParams, visual: dict, prompt: dict) -> LastStage:

@@ -145,8 +145,8 @@ class ReferringModel:
         """This model re-parameterised for a pass without gradients: a new model
         over a copy of ``linears`` without ``mlp_local.second`` and the
         projections that read the local stream, whose fusion params hold, by
-        local-track role, each of those projections composed after ``second``
-        (``FusionParams.hidden``).
+        the stage that reads it, each of those projections composed after
+        ``second`` (``fusion.composed_maps``).
 
         Nothing nonlinear lies between ``second`` and the projections that
         read its output, so each pair is one affine map c (``Linear.then``).
@@ -161,32 +161,28 @@ class ReferringModel:
         linears = dict(self.linears)
         second = linears.pop("mlp_local.second")
         fp = self.fusion_params
-        composed = {n: second.then(linears.pop(f"fusion.{n}"))
-                    for n in fusion.reads(fp, features.LOCAL_TRACK)}
-        hidden = {role: composed[n]
-                  for role, n in fusion.roles(fp, features.LOCAL_TRACK).items()}
-        if fp.variant == "cascade":
-            hidden["q2"] = hidden["q"].then(fp.linears["s2_q"])
+        for n in fusion.reads(fp, features.LOCAL_TRACK):
+            del linears[f"fusion.{n}"]
         return ReferringModel(self.embedder, linears, fp.variant, residual_add=fp.residual_add,
-                              per_pair=fp.per_pair, concept_of=self.concept_of, hidden=hidden)
+                              per_pair=fp.per_pair, concept_of=self.concept_of,
+                              hidden=fusion.composed_maps(fp, second))
 
     def stage_form(self, *streams):
         """This scoring form cut to what the stages of ``streams`` (modalities)
-        read, as a new model: each one's MLP, and the projections and composed
-        maps that ``fusion.stage_reads`` gives. It holds no other ``Linear``.
+        read, as a new model: each one's MLP, the projections that
+        ``fusion.stage_reads`` gives and its composed map. It holds no other
+        ``Linear``.
         """
         fp = self.fusion_params
-        names, roles = set(), set()
+        names = set()
         for m in streams:
-            projections, absorbed = fusion.stage_reads(fp, m)
             names |= {f"{_MLPS[m]}.first", f"{_MLPS[m]}.second"}
-            names |= {f"fusion.{n}" for n in projections}
-            roles |= set(absorbed)
+            names |= {f"fusion.{n}" for n in fusion.stage_reads(fp, m)}
         return ReferringModel(self.embedder,
                               {n: lin for n, lin in self.linears.items() if n in names},
                               fp.variant, residual_add=fp.residual_add, per_pair=fp.per_pair,
                               concept_of=self.concept_of,
-                              hidden={r: c for r, c in fp.hidden.items() if r in roles})
+                              hidden={m: fp.hidden[m] for m in streams if m in fp.hidden})
 
     def global_terms(self, tokens):
         """Fusion terms of global frames, from raw tokens [..., w, s, d_raw] in one MLP call."""

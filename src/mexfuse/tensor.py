@@ -280,24 +280,6 @@ def take(a, idx):
     return node(out, (a,), bwd, charge=0 if whole and np.may_share_memory(out, a.data) else None)
 
 
-def _logits(q, k):
-    """q k^T of two arrays over their last two axes; leading axes broadcast as in ``np.matmul``.
-
-    When ``k`` has batch axes in front of all of ``q``'s and is broadcast
-    over ``q``'s own (one track window's rows against the keys of several
-    prompts), every row of ``q`` meets every key in one [rows, d] x
-    [d, keys] product, where ``np.matmul`` would make one per batch.
-    """
-    lead = k.ndim - q.ndim
-    if lead <= 0 or any(n != 1 for n in k.shape[lead:-2]):
-        return product(q, np.swapaxes(k, -1, -2))
-    (m, d), n, qb = q.shape[-2:], k.shape[-2], q.shape[:-2]
-    flat = product(q.reshape(-1, d), k.reshape(-1, d).T).reshape(qb + (m,) + k.shape[:lead] + (n,))
-    # k's batch axes to the front: [*k batch, *q batch, m, n]
-    order = tuple(range(len(qb) + 1, len(qb) + 1 + lead)) + tuple(range(len(qb) + 1)) + (-1,)
-    return np.ascontiguousarray(flat.transpose(order))
-
-
 def attention_map(q, k, bias=None, *, scale):
     """softmax((q k^T + bias) * scale) over the last two axes, as one graph node.
 
@@ -313,7 +295,7 @@ def attention_map(q, k, bias=None, *, scale):
     if q.data.shape[-1] != k.data.shape[-1]:
         raise DimensionError(f"attention_map: channels differ, {q.data.shape} x {k.data.shape}")
     try:
-        logits = _logits(q.data, k.data)
+        logits = product(q.data, np.swapaxes(k.data, -1, -2))
         if bias is not None:
             logits += bias.data[..., None, :]
     except ValueError:

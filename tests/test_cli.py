@@ -15,6 +15,8 @@ from click.testing import CliRunner
 from mexfuse import config as config_mod
 from mexfuse.cli import main
 
+from conftest import TOY_CONFIG
+
 
 @pytest.fixture
 def runner():
@@ -857,6 +859,19 @@ class TestBench:
             assert (a["variant"], a["per_pair"]) == (b["variant"], b["per_pair"])
             for key in ("param_count", "peak_values", "flops"):
                 assert b[key] < a[key], (b["variant"], key)
+
+    def test_concepts_the_embedder_refuses_exit_2(self, runner, tmp_path):
+        # the toy config's 32-wide raw tokens cannot hold 40 orthogonal
+        # concepts: bench refuses the dataset as train does
+        cfg, run = tmp_path / "cfg.json", tmp_path / "run"
+        cfg.write_text(json.dumps({**TOY_CONFIG, "dataset": {
+            **TOY_CONFIG["dataset"], "n_concepts": 40, "n_tracks": 40}}))
+        result = runner.invoke(main, ["--config", str(cfg), "--out", str(run), "bench"])
+        assert result.exit_code == 2, result.output
+        assert "Error: 40 concepts exceed embedding dim 32" in result.output
+        assert "Traceback" not in result.output
+        assert isinstance(result.exception, SystemExit)
+        assert not os.path.exists(run)
 
 
 class TestGradcheck:

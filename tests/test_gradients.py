@@ -89,7 +89,7 @@ def test_attention_map(rng, k_shape):
 
 @pytest.mark.parametrize("q_shape,k_shape,bias_shape", [
     ((2, 3, 4), (2, 5, 4), (2, 5)), ((2, 3, 4), (5, 4), (5,)), ((2, 3, 4), (2, 5, 4), (5,)),
-    # keys in front of the queries' batch: one product for all of them
+    # keys with batch axes in front of the queries' own, broadcast over them
     ((3, 4), (2, 5, 4), (2, 5)), ((2, 3, 4), (4, 1, 5, 4), (4, 1, 5))])
 def test_attention_map_key_bias(rng, q_shape, k_shape, bias_shape):
     # a per-key bias and an explicit scale, as an absorbed query meets its keys

@@ -18,7 +18,7 @@ from mexfuse.features import (
     EmbedderConfig,
     embed_synthetic,
 )
-from mexfuse.fusion import linear_names
+from mexfuse.fusion import composed_maps, linear_names
 from mexfuse.pipeline import (
     DataFileError,
     DatasetConfig,
@@ -633,12 +633,12 @@ class TestLedgerCountsProducts:
         assert len(hidden_rows) == 40
         assert [s for s in read if s[1][-1] == 256] == [((128, 192), (192, 256))] * 40 * per_window
         # the rest: the attention logits against the global query or keys and
-        # the 8 prompts' 20 keys each (one product), and mex's pooling
-        logits = {((128, 192), (192, 160))} | (
+        # the 8 prompts' 20 keys each (one broadcast product), and mex's pooling
+        logits = {((8, 16, 192), (8, 1, 192, 20))} | (
             {((8, 16, 192), (8, 192, 16)), ((8, 1, 16), (8, 16, 192))} if variant == "mex" else
             {((8, 16, 192), (8, 192, 16))} if variant == "cascade" else set())
         if variant == "cascade":  # its prompt keys meet the stage-2 query, not a
-            logits.remove(((128, 192), (192, 160)))
+            logits.remove(((8, 16, 192), (8, 1, 192, 20)))
         assert {s for s in read if s[1][-1] != 256} == logits
 
 
@@ -781,15 +781,43 @@ class TestPersistence:
 
 
 # what each stage of a scoring pass holds beyond the local MLP's first layer:
-# the global stage's MLP, projections and composed maps, and the composed
-# map that visual_terms applies to a window (by role)
+# the global stage's MLP, projections and composed map, and the composed map
+# that visual_terms applies to a window (by the stage that reads it)
 GLOBAL_STAGE = {"mex": {"fusion.proj_i"}, "mex/per_pair": {"fusion.q_it"},
                 "cascade": {"fusion.s1_k", "fusion.s1_v", "fusion.s2_q"}}
-GLOBAL_MAPS = {"mex": {"k_it"}, "cascade": {"q"}}
-WINDOW_MAPS = {"mex": {"v_t"}, "cascade": {"q2"}, "plain": set()}
+GLOBAL_MAPS = {"mex": {GLOBAL_FRAME}, "cascade": {GLOBAL_FRAME}}
+WINDOW_MAPS = {"mex": {LOCAL_TRACK}, "cascade": {LOCAL_TRACK}, "plain": set()}
+
+
+# the projection whose map c = proj∘second each stage of a scoring pass reads;
+# cascade's window stage reads its query's map composed with s2_q as well
+COMPOSED_AT = {"mex": {PROMPT: "proj_t", GLOBAL_FRAME: "proj_t", LOCAL_TRACK: "proj_t"},
+               "mex/per_pair": {PROMPT: "q_tp", GLOBAL_FRAME: "k_it", LOCAL_TRACK: "v_t"},
+               "cascade": {GLOBAL_FRAME: "s1_q", LOCAL_TRACK: "s1_q"}, "plain": {PROMPT: "q"}}
 
 
 class TestStagedScoring:
+    @pytest.mark.parametrize("variant,kw", GRADCHECK_CONFIGS,
+                             ids=["/".join([v, *kw]) for v, kw in GRADCHECK_CONFIGS])
+    def test_each_stage_reads_one_map_composed_in_fusion(self, small_data, variant, kw):
+        model = small_model(small_data, variant=variant, **kw)
+        rng = np.random.default_rng(8)
+        for linear in model.linears.values():  # non-zero biases, so each bias term counts
+            linear.bias.data[...] = rng.standard_normal(linear.bias.data.shape)
+        second, fp = model.linears["mlp_local.second"], model.fusion_params
+        hidden = composed_maps(fp, second)
+        want = COMPOSED_AT["mex/per_pair" if kw.get("per_pair") else variant]
+        assert set(hidden) == set(want)
+        assert set(model.scoring_form().fusion_params.hidden) == set(want)
+        for stage, name in want.items():
+            c = second.then(fp.linears[name])
+            if variant == "cascade" and stage == LOCAL_TRACK:
+                c = c.then(fp.linears["s2_q"])
+            assert np.array_equal(hidden[stage].w.data, c.w.data), stage
+            assert np.array_equal(hidden[stage].bias.data, c.bias.data), stage
+        if variant == "mex" and not kw.get("per_pair"):
+            assert hidden[PROMPT] is hidden[GLOBAL_FRAME] is hidden[LOCAL_TRACK]
+
     @pytest.mark.parametrize("variant,kw", GRADCHECK_CONFIGS,
                              ids=["/".join([v, *kw]) for v, kw in GRADCHECK_CONFIGS])
     def test_score_holds_only_the_running_stages_weights(self, tmp_path, monkeypatch,

@@ -116,7 +116,7 @@ def test_every_product_is_counted_in_one_place():
 def test_composition_happens_in_one_place():
     # a pass without gradients scores through the one re-parameterised model;
     # a composition made anywhere else would be a second forward path
-    assert callers(SRC, "then") == {"pipeline:ReferringModel.scoring_form"}
+    assert callers(SRC, "then") == {"fusion:composed_maps"}
 
 
 def test_a_projection_mlp_has_one_entry_point():
