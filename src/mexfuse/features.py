@@ -138,15 +138,14 @@ class ProjectionMLP:
 
         Leading axes are folded inside numpy, and the tanh-approximation
         GELU runs in place on arrays the node has just made, in the
-        operation order of 0.5*h*(1 + tanh(c*(h + 0.044715*h*h*h))); powers
+        operation order of (1 + tanh(c*(h + 0.044715*h*h*h)))*h*0.5; powers
         as products, as ``**`` goes through pow. The node keeps the hidden
-        pre-activation h, the tanh term t, 1 + t and gelu(h) for its
-        backward pass and charges the ledger what the composed
-        Linear-GELU-Linear chain would: h, gelu(h) and the output.
+        pre-activation h, the tanh term t and gelu(h) for its backward pass
+        and charges the ledger what the composed Linear-GELU-Linear chain
+        would: h, gelu(h) and the output.
 
         Without ``second`` the result is gelu(h), [..., hidden], as a
-        constant that charges h and gelu(h): no gradient flows back, so
-        nothing is kept and gelu(h) is finished in t's array.
+        constant that charges h and gelu(h): no gradient flows back.
         """
         first, second = self.first, self.second
         if x.data.shape[-1] != first.d_in:
@@ -160,15 +159,12 @@ class ProjectionMLP:
         t += h
         t *= _GELU_C
         np.tanh(t, out=t)
+        a = t + 1.0
+        a *= h
+        a *= 0.5
         if second is None:
-            t += 1.0
-            t *= h
-            t *= 0.5
-            return node(t.reshape(x.data.shape[:-1] + (t.shape[-1],)), (), None,
-                        charge=h.size + t.size)
-        one_t = t + 1.0
-        a = h * 0.5
-        a *= one_t
+            return node(a.reshape(x.data.shape[:-1] + (a.shape[-1],)), (), None,
+                        charge=h.size + a.size)
         out = second.forward(a)
 
         def bwd(g):
@@ -187,7 +183,8 @@ class ProjectionMLP:
             tmp += 1.0
             tmp *= _GELU_C
             slope *= tmp
-            np.multiply(one_t, 0.5, out=tmp)
+            np.add(t, 1.0, out=tmp)
+            tmp *= 0.5
             slope += tmp
             gh *= slope
             gx = first.backward(x2, gh, x.requires_grad)

@@ -27,7 +27,6 @@ from .tensor import (
     Tensor,
     add,
     fresh_context,
-    no_grad,
     node,
     take,
 )
@@ -143,10 +142,12 @@ class ReferringModel:
 
     def scoring_form(self):
         """This model re-parameterised for a pass without gradients: a new model
-        over a copy of ``linears`` without ``mlp_local.second`` and the
-        projections that read the local stream, whose fusion params hold, by
-        the stage that reads it, each of those projections composed after
-        ``second`` (``fusion.composed_maps``).
+        whose ``Linear``s are constants over the same arrays, not copied and
+        charged nothing, without ``mlp_local.second`` and the projections that
+        read the local stream; its fusion params hold, by the stage that reads
+        it, each of those projections composed after ``second``
+        (``fusion.composed_maps``). No pass through this form, or a
+        ``stage_form`` of it, records a graph, whoever calls it.
 
         Nothing nonlinear lies between ``second`` and the projections that
         read its output, so each pair is one affine map c (``Linear.then``).
@@ -158,14 +159,14 @@ class ReferringModel:
         is composed with ``s2_q``). The maps are constants, made from the
         current weights; this model is left as it was.
         """
-        linears = dict(self.linears)
-        second = linears.pop("mlp_local.second")
         fp = self.fusion_params
-        for n in fusion.reads(fp, features.LOCAL_TRACK):
-            del linears[f"fusion.{n}"]
+        dropped = {"mlp_local.second"} | {f"fusion.{n}"
+                                          for n in fusion.reads(fp, features.LOCAL_TRACK)}
+        linears = {n: Linear(*(node(t.data, (), None, charge=0) for t in lin.parameters()))
+                   for n, lin in self.linears.items() if n not in dropped}
         return ReferringModel(self.embedder, linears, fp.variant, residual_add=fp.residual_add,
                               per_pair=fp.per_pair, concept_of=self.concept_of,
-                              hidden=fusion.composed_maps(fp, second))
+                              hidden=fusion.composed_maps(fp, self.linears["mlp_local.second"]))
 
     def stage_form(self, *streams):
         """This scoring form cut to what the stages of ``streams`` (modalities)
@@ -393,33 +394,32 @@ def score_all(trajectories, tasks, model: ReferringModel, window, stats=None,
                                  features.LOCAL_TRACK, out=buffers[k % 2][:len(idx)])
 
     raw = []
-    with no_grad():
-        model = model.scoring_form()
-        slots = {e: i for i, e in enumerate(dict.fromkeys(t.entity_id for t in tasks))}
-        prompts = model.prompt_terms(model._raw_tokens(list(slots), features.PROMPT))
-        # each stage's weights die with the form that held them, unless the
-        # caller keeps the model
-        model = model.stage_form(features.GLOBAL_FRAME, features.LOCAL_TRACK)
-        read_global = features.GLOBAL_FRAME in model.streams
-        glob = {frames: model.global_terms(model._raw_tokens(frames, features.GLOBAL_FRAME))
-                if read_global else {}
-                for frames in dict.fromkeys(frames for _, _, _, frames in windows)}
-        model = model.stage_form(features.LOCAL_TRACK)
-        # made after the prompt projection has freed its arrays: made before
-        # it, they raise a paper-dims score's peak RSS by about 1 MB more
-        rows = max((len(idx) for _, _, idx, _ in windows), default=0)
-        buffers = [np.empty((rows,) + model._raw_shape(features.LOCAL_TRACK)) for _ in range(2)]
-        # leaving the block waits for the draw in flight
-        with ThreadPoolExecutor(1, thread_name_prefix="mexfuse-embedder") as worker:
-            ahead = worker.submit(draw, 0) if windows else None
-            for k, (tid, jobs, _, frames) in enumerate(windows):
-                local = ahead.result()  # raises a failed draw here, in window order
-                # window k-1's buffer is free again: the worker draws window k+1 into it
-                if k + 1 < len(windows):
-                    ahead = worker.submit(draw, k + 1)
-                scores = model.forward_window(glob[frames], local, prompts,
-                                              [slots[task.entity_id] for task in jobs])
-                raw.extend((tid, task.prompt_id, float(s)) for task, s in zip(jobs, scores.data))
+    model = model.scoring_form()
+    slots = {e: i for i, e in enumerate(dict.fromkeys(t.entity_id for t in tasks))}
+    prompts = model.prompt_terms(model._raw_tokens(list(slots), features.PROMPT))
+    # each stage's weights die with the form that held them, unless the
+    # caller keeps the model
+    model = model.stage_form(features.GLOBAL_FRAME, features.LOCAL_TRACK)
+    read_global = features.GLOBAL_FRAME in model.streams
+    glob = {frames: model.global_terms(model._raw_tokens(frames, features.GLOBAL_FRAME))
+            if read_global else {}
+            for frames in dict.fromkeys(frames for _, _, _, frames in windows)}
+    model = model.stage_form(features.LOCAL_TRACK)
+    # made after the prompt projection has freed its arrays: made before
+    # it, they raise a paper-dims score's peak RSS by about 1 MB more
+    rows = max((len(idx) for _, _, idx, _ in windows), default=0)
+    buffers = [np.empty((rows,) + model._raw_shape(features.LOCAL_TRACK)) for _ in range(2)]
+    # leaving the block waits for the draw in flight
+    with ThreadPoolExecutor(1, thread_name_prefix="mexfuse-embedder") as worker:
+        ahead = worker.submit(draw, 0) if windows else None
+        for k, (tid, jobs, _, frames) in enumerate(windows):
+            local = ahead.result()  # raises a failed draw here, in window order
+            # window k-1's buffer is free again: the worker draws window k+1 into it
+            if k + 1 < len(windows):
+                ahead = worker.submit(draw, k + 1)
+            scores = model.forward_window(glob[frames], local, prompts,
+                                          [slots[task.entity_id] for task in jobs])
+            raw.extend((tid, task.prompt_id, float(s)) for task, s in zip(jobs, scores.data))
     return refine_threshold_sort(raw, stats, threshold)
 
 
@@ -476,7 +476,9 @@ def train(samples, trajectories, tasks, model: ReferringModel, epochs=100,
     per-epoch mean loss curve. ``log``, when given, is called after each
     epoch with a dict: epoch, mean_loss, wall_s (the epoch's wall time) and
     batches. Each sample's track, prompt and frames must be known, as
-    ``load_dataset`` checks.
+    ``load_dataset`` checks. A batch whose forward pass raises
+    DegenerateInputError, as diverged weights make it do (the tables are
+    finite), raises TrainingError naming the epoch and the batch start.
     """
     if not samples:
         raise DegenerateInputError("empty training dataset")
@@ -510,13 +512,12 @@ def train(samples, trajectories, tasks, model: ReferringModel, epochs=100,
         for start in range(0, len(order), batch_size):
             batch = order[start:start + batch_size]
             with fresh_context():
-                loss = model.batch_loss(tables, [windows[i] for i in batch], match[batch],
-                                        neg_margin)
-                val = loss.item()
-                if not np.isfinite(val):
-                    raise TrainingError(
-                        f"non-finite loss {val} at epoch {epoch}, batch start {start}")
-                total += val * len(batch)
+                try:
+                    loss = model.batch_loss(tables, [windows[i] for i in batch], match[batch],
+                                            neg_margin)
+                except DegenerateInputError as exc:
+                    raise TrainingError(f"epoch {epoch}, batch start {start}: {exc}") from None
+                total += loss.item() * len(batch)
                 loss.backward()
             optimizer.step()
         curve.append(total / len(samples))

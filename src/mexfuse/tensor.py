@@ -58,12 +58,11 @@ class AllocationLedger:
 
 
 class ExecutionContext:
-    """A ledger and a grad switch; it holds no tensors, so graphs are freed
-    by reference counting when their last tensor goes."""
+    """A ledger; it holds no tensors, so graphs are freed by reference
+    counting when their last tensor goes."""
 
     def __init__(self):
         self.ledger = AllocationLedger()
-        self.grad_enabled = True
 
 
 # the active context of this thread (or asyncio task); threads never share one
@@ -86,17 +85,6 @@ def fresh_context():
         yield ctx
     finally:
         _CTX.reset(token)
-
-
-@contextmanager
-def no_grad():
-    ctx = current_context()
-    prev = ctx.grad_enabled
-    ctx.grad_enabled = False
-    try:
-        yield
-    finally:
-        ctx.grad_enabled = prev
 
 
 _F64 = np.dtype(np.float64)
@@ -168,16 +156,16 @@ class Tensor:
 
 
 def node(data, parents, backward_fn, charge=None):
-    """The result of an op: a graph node when a parent needs a gradient.
+    """The result of an op: a graph node exactly when a parent requires a
+    gradient, and otherwise a constant that keeps neither its parents nor
+    ``backward_fn``.
 
     ``backward_fn(g)`` hands each parent that requires a gradient its part
     of ``g``. ``charge`` is the number of values the ledger is charged,
     ``data.size`` by default: a view allocates none, and a fused op also
     charges the intermediates it keeps for its backward pass.
     """
-    ctx = current_context()
-    needs = ctx.grad_enabled and any(p.requires_grad for p in parents)
-    if needs:
+    if any(p.requires_grad for p in parents):
         return Tensor(data, requires_grad=True, _parents=tuple(parents), _backward=backward_fn,
                       _charge=charge)
     return Tensor(data, _charge=charge)

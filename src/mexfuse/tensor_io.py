@@ -1,7 +1,7 @@
 """Binary tensor files for embedding fixtures and saved parameters.
 
 Layout: magic "MEXT", version u16, dtype code u8 (0 = f64, the only one), rank u8,
-extents as u64 little-endian, then raw values little-endian.
+extents as u64 little-endian, then raw values little-endian, every one finite.
 """
 
 import math
@@ -15,6 +15,9 @@ from .config import DataFileError, cannot_read
 
 MAGIC = b"MEXT"
 VERSION = 1
+# values read and checked finite at a time: 64 KiB, which the allocator
+# serves from its heap and reuses (1 MiB chunks raised a score's peak RSS)
+_CHECK_VALUES = 1 << 13
 
 
 def write_tensor(path, array):
@@ -47,16 +50,17 @@ def _read_exact(fh, n, path, part):
 def read_tensor(path):
     """The array in the ``.mext`` file at ``path``, mapped read-only from its payload.
 
-    Nothing is read or copied up front: a page of values is read from the
-    file when the array first touches it, and the mapping is released when
-    the last array over it dies. Writing into the array raises. Truncating
-    or rewriting the file in place while the array lives can end the
-    process with SIGBUS.
+    The values are read once through the file, 64 KiB at a time, and
+    checked finite; the array is not a copy of them: a page of values is
+    read from the mapping when the array first touches it, and the mapping
+    is released when the last array over it dies. Writing into the array
+    raises. Truncating or rewriting the file in place while the array lives
+    can end the process with SIGBUS.
 
     Raises DataFileError naming the file for a missing or unreadable file,
     a bad magic, version or dtype code, a file that ends inside its header
-    or before the payload its extents give, and extents that shape no array;
-    all of them before anything is mapped.
+    or before the payload its extents give, a non-finite value, and extents
+    that shape no array; all of them before anything is mapped.
     """
     try:
         with open(path, "rb") as fh:
@@ -69,10 +73,19 @@ def read_tensor(path):
             if code != 0:
                 raise DataFileError(f"{path}: unknown dtype code {code}")
             shape = struct.unpack(f"<{rank}Q", _read_exact(fh, 8 * rank, path, "extents"))
-            count = math.prod(shape)
+            count, offset = math.prod(shape), fh.tell()
             _check_left(fh, count * 8, path, "payload")
+            # through the file: pages the mapping touched would stay resident
+            chunk = np.empty(min(count, _CHECK_VALUES), "<f8")
+            for start in range(0, count, _CHECK_VALUES):
+                vals = chunk[:count - start]
+                fh.readinto(vals)
+                finite = np.isfinite(vals)
+                if not finite.all():
+                    i = int(np.argmin(finite))
+                    raise DataFileError(f"{path}: non-finite value {vals[i]} at index {start + i}")
             flat = np.frombuffer(mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ), "<f8",
-                                 count, fh.tell())
+                                 count, offset)
     except OSError as exc:
         raise cannot_read(path, exc) from None
     try:  # a 0 extent next to huge ones, or a rank past numpy's limit

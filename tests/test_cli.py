@@ -65,7 +65,11 @@ class TestConfig:
                                           "pipeline.window 8 is more than dataset.n_frames 4"),
                                          # both keys: two tracks cannot carry four concepts
                                          ({"dataset": {"n_concepts": 4, "n_tracks": 2}},
-                                          "dataset.n_concepts 4 is more than dataset.n_tracks 2")])
+                                          "dataset.n_concepts 4 is more than dataset.n_tracks 2"),
+                                         ({"embedder": 3}, "embedder must be a section, got int"),
+                                         ({"pipeline": {"lr": -1}},
+                                          "pipeline.lr must be >= 0, got -1"),
+                                         ([1, 2], "not a JSON object")])
     def test_bad_value_exits_2_naming_key(self, runner, tmp_path, cfg, key):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(cfg))
@@ -191,6 +195,43 @@ class TestTrainScore:
         assert result.exit_code == 2, result.output
         assert "mlp_local.second.w.mext" in result.output
         assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_model_value_exits_2_naming_file(self, runner, trained, tmp_path, value):
+        cfg_path, out = trained
+        model = tmp_path / "model"
+        shutil.copytree(out / "model", model)
+        path = model / "fusion.proj_p.w.mext"
+        raw = bytearray(path.read_bytes())
+        raw[24 + 8 * 5:24 + 8 * 6] = struct.pack("<d", value)  # after 8 header, 16 extent bytes
+        path.write_bytes(bytes(raw))
+        result = runner.invoke(main, ["--config", str(cfg_path), "--out", str(tmp_path / "o"),
+                                      "score", "--dataset", str(out / "dataset"),
+                                      "--model", str(model)])
+        assert result.exit_code == 2, result.output
+        assert f"Error: {path}: non-finite value {value} at index 5" in result.output
+        assert result.output.count(str(path)) == 1, result.output
+        assert "Traceback" not in result.output
+        assert not (tmp_path / "o").exists()
+
+    # numpy warns as the weights overflow; the test suite makes warnings errors
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("variant", ["mex", "cascade", "plain"])
+    def test_diverging_training_exits_1_naming_the_batch(self, runner, tmp_path, variant):
+        # the raw tokens are finite, so a non-finite score is the weights diverging
+        cfg = {**TOY_CONFIG, "fusion": {**TOY_CONFIG["fusion"], "variant": variant},
+               "pipeline": {**TOY_CONFIG["pipeline"], "lr": 1e100}}
+        cfg_path, out = tmp_path / "cfg.json", tmp_path / "run"
+        cfg_path.write_text(json.dumps(cfg))
+        assert invoke(runner, "--config", str(cfg_path), "--out", str(out), "gen").exit_code == 0
+        result = runner.invoke(main, ["--config", str(cfg_path), "--out", str(out), "train"])
+        assert result.exit_code == 1, result.output
+        assert result.output.startswith("training aborted: epoch 0, batch start 8: cosine "
+                                        "similarity of a non-finite vector"), result.output
+        assert "Traceback" not in result.output
+        assert isinstance(result.exception, SystemExit)
+        assert not (out / "model").exists()
 
     @pytest.mark.parametrize("keep,part", [
         (6, "truncated header (2 of 4 bytes)"), (12, "truncated extents (4 of 16 bytes)"),
@@ -650,7 +691,8 @@ class TestInputFactsCheckedWhereRead:
         "window of an unknown prompt", "no dataset directory", "no model directory",
         "no manifest for score", "no manifest for calibrate", "no scores file",
         "zero visual_tokens", "zero truncate_to", "a concept the model lacks",
-        "repeated candidate", "repeated prompt_id", "track under two entity_ids"])
+        "repeated candidate", "repeated prompt_id", "track under two entity_ids",
+        "calibration without a manifest"])
     def test_bad_input_exits_2_naming_where(self, runner, trained, tmp_path, case):
         from mexfuse.pipeline import ScoredCandidate, write_scores
 
@@ -699,6 +741,8 @@ class TestInputFactsCheckedWhereRead:
             cmd = case.split()[-1]
             manifest.unlink()
             named = f"{manifest}: cannot read (No such file or directory)"
+        elif case == "calibration without a manifest":
+            named = "calibration.enabled requires calibration.manifest"
         elif case == "no scores file":
             cmd = "calibrate"
             scores.unlink()
@@ -721,8 +765,10 @@ class TestInputFactsCheckedWhereRead:
                     "--manifest", str(manifest)]
         else:
             cfg = tmp_path / "cfg.json"
+            no_path = case == "calibration without a manifest"
             cfg.write_text(json.dumps({**SMALL_CFG, "calibration": {
-                "enabled": case == "no manifest for score", "manifest": str(manifest)}}))
+                "enabled": case == "no manifest for score" or no_path,
+                "manifest": None if no_path else str(manifest)}}))
             args = ["--config", str(cfg), "--out", str(run), cmd, "--dataset", str(data)]
             args += ["--model", str(model)] if cmd == "score" else []
         result = runner.invoke(main, args)

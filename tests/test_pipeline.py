@@ -44,7 +44,6 @@ from mexfuse.tensor import (
     Tensor,
     fresh_context,
     mean_axis,
-    no_grad,
 )
 
 from conftest import TOY_CONFIG, cosine, full_stream, relu, st_pool, stack, sub
@@ -99,14 +98,13 @@ def per_pair_reference(trajectories, tasks, model, window, threshold):
     """Unbatched, unfactorised scoring: every (track, prompt) pair on its own."""
     by_id = {t.track_id: t for t in trajectories}
     out = []
-    with no_grad():
-        for task in tasks:
-            for tid in task.candidates:
-                traj = by_id[tid]
-                s = full_stream_score(model, traj.entity_id,
-                                      [i for i, _ in traj.frames[-window:]],
-                                      task.entity_id).item()
-                out.append(ScoredCandidate(tid, task.prompt_id, s, 0.0, s, s > threshold))
+    for task in tasks:
+        for tid in task.candidates:
+            traj = by_id[tid]
+            s = full_stream_score(model, traj.entity_id,
+                                  [i for i, _ in traj.frames[-window:]],
+                                  task.entity_id).item()
+            out.append(ScoredCandidate(tid, task.prompt_id, s, 0.0, s, s > threshold))
     out.sort(key=lambda c: (c.prompt_id, -c.refined_score, c.track_id))
     return out
 
@@ -264,12 +262,32 @@ class TestScoring:
         score_all(trajs, small_data["tasks"], model, window=3)
         # one whole-MLP call for all prompts and one per distinct global window;
         # the local tracks stop at the hidden activations, one call per track
-        # window. The scoring form's MLPs are new, over the model's first Linears
-        name = {id(model.mlps[m].first): n for m, n in MLPS.items()}
-        assert (mlp_calls[0][0], name[id(mlp_calls[0][1].first)]) == ("__call__", "mlp_prompt")
+        # window. The scoring form's MLPs are new, over constants that share the
+        # model's first Linears' arrays
+        name = {id(model.mlps[m].first.w.data): n for m, n in MLPS.items()}
+        assert (mlp_calls[0][0], name[id(mlp_calls[0][1].first.w.data)]) == \
+            ("__call__", "mlp_prompt")
         assert mlp_calls[0][2][0] == len(small_data["tasks"])
-        assert sorted((e, name[id(m.first)]) for e, m, _ in mlp_calls[1:]) == \
+        assert sorted((e, name[id(m.first.w.data)]) for e, m, _ in mlp_calls[1:]) == \
             [("__call__", "mlp_global")] * 2 + [("hidden", "mlp_local")] * len(trajs)
+
+    @pytest.mark.parametrize("variant,kw", GRADCHECK_CONFIGS,
+                             ids=["/".join([v, *kw]) for v, kw in GRADCHECK_CONFIGS])
+    def test_records_no_graph(self, small_data, monkeypatch, variant, kw):
+        # the model's weights require gradients, but the scoring form holds
+        # constants over them, so no op of the pass records a backward
+        model = small_model(small_data, variant=variant, **kw)
+        assert all(p.requires_grad for p in model.parameters())
+        made = []
+        init = Tensor.__init__
+
+        def recorded(t, *args, **kwargs):
+            init(t, *args, **kwargs)
+            made.append((t.requires_grad, t._backward is not None))
+
+        monkeypatch.setattr(Tensor, "__init__", recorded)
+        score_all(small_data["trajectories"], small_data["tasks"], model, window=3)
+        assert len(made) > 20 and set(made) == {(False, False)}
 
     def test_plain_embeds_and_projects_no_global_frame(self, small_data, monkeypatch):
         # no projection of plain reads the global frames, in scoring or training
@@ -824,7 +842,8 @@ class TestStagedScoring:
                                                         variant, kw):
         # ``mexfuse score`` hands the loaded model to score_all and keeps no
         # reference: each stage's weights die when its stage ends, and of the
-        # loaded Linears exactly those the running form holds stay alive
+        # loaded Linears' arrays exactly those the running form holds, not
+        # copied, stay alive
         cfg, data, model = toy_run(variant, **kw)
         save_dataset(tmp_path / "ds", data, cli._dataset_config(cfg))
         model.save(tmp_path / "model")
@@ -835,14 +854,17 @@ class TestStagedScoring:
         def recorded_load(in_dir, concept_of):
             m = load(in_dir, concept_of)
             loaded["model"] = weakref.ref(m)
-            loaded["linears"] = {n: weakref.ref(lin) for n, lin in m.linears.items()}
+            loaded["linears"] = {n: [weakref.ref(t.data) for t in lin.parameters()]
+                                 for n, lin in m.linears.items()}
             return m
 
         def observe(stage, original):
             def observed(form, *args):
                 if stage not in seen:  # names only: the test must hold no weight
-                    alive = {n for n, ref in loaded["linears"].items() if ref() is not None}
-                    same = all(lin is loaded["linears"][n]() for n, lin in form.linears.items())
+                    alive = {n for n, refs in loaded["linears"].items()
+                             if any(ref() is not None for ref in refs)}
+                    same = all(t.data is ref() for n, lin in form.linears.items()
+                               for t, ref in zip(lin.parameters(), loaded["linears"][n]))
                     seen[stage] = (loaded["model"]() is None, alive, set(form.linears), same,
                                    set(form.fusion_params.hidden), set(form.mlps))
                 return original(form, *args)

@@ -79,9 +79,9 @@ def test_scan_flags_an_unused_function(tmp_path):
     assert unreferenced(tmp_path) == ["a.py:unused", "a.py:Box.grow"]
 
 
-def callers(src, name):
-    """``module:qualname`` of every scope in ``src`` that calls ``name`` or ``x.name``;
-    ``name`` may be dotted, as in ``json.load``."""
+def calling_scopes(src, matches):
+    """``module:qualname`` of every scope in ``src`` with a call for which
+    ``matches(call)`` holds."""
     out = set()
 
     class Scan(ast.NodeVisitor):
@@ -96,14 +96,34 @@ def callers(src, name):
         visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = visit_scope
 
         def visit_Call(self, node):
-            called = ast.unparse(node.func)
-            if called == name or called.endswith("." + name):
+            if matches(node):
                 out.add(f"{self.scope[0]}:{'.'.join(self.scope[1:])}")
             self.generic_visit(node)
 
     for path in sorted(src.glob("*.py")):
         Scan(path.stem).visit(ast.parse(path.read_text(), str(path)))
     return out
+
+
+def callers(src, name):
+    """``module:qualname`` of every scope in ``src`` that calls ``name`` or ``x.name``;
+    ``name`` may be dotted, as in ``json.load``."""
+    def matches(call):
+        called = ast.unparse(call.func)
+        return called == name or called.endswith("." + name)
+
+    return calling_scopes(src, matches)
+
+
+def passers(src, keyword, value=None, without=None):
+    """``module:qualname`` of every scope in ``src`` with a call that passes
+    ``keyword=`` (as the source text ``value``, when given) and not ``without=``."""
+    def matches(call):
+        given = {k.arg: ast.unparse(k.value) for k in call.keywords}
+        return (keyword in given and value in (None, given[keyword])
+                and without not in given)
+
+    return calling_scopes(src, matches)
 
 
 def test_every_product_is_counted_in_one_place():
@@ -117,6 +137,22 @@ def test_composition_happens_in_one_place():
     # a pass without gradients scores through the one re-parameterised model;
     # a composition made anywhere else would be a second forward path
     assert callers(SRC, "then") == {"fusion:composed_maps"}
+
+
+def test_graph_recording_is_decided_in_node(tmp_path):
+    # a node records a backward exactly when a parent requires a gradient, and
+    # only trainable leaves require one: no mode or switch decides it
+    (tmp_path / "a.py").write_text(
+        "def node(d, ps, fn):\n    return T(d, requires_grad=True, _backward=fn)\n\n"
+        "class L:\n"
+        "    def init(self):\n        return T(0, requires_grad=True), T(1, requires_grad=x)\n")
+    assert passers(tmp_path, "_backward") == {"a:node"}
+    assert passers(tmp_path, "requires_grad", "True", without="_backward") == {"a:L.init"}
+    assert passers(SRC, "_backward") == {"tensor:node"}
+    assert passers(SRC, "requires_grad", "True", without="_backward") == \
+        {"tensor:Linear.init", "pipeline:ReferringModel.load"}
+    assert [p.name for p in sorted(SRC.glob("*.py"))
+            if re.search(r"\bno_grad\b|\bgrad_enabled\b", p.read_text())] == []
 
 
 def test_a_projection_mlp_has_one_entry_point():
@@ -178,7 +214,7 @@ ERRORS = {
     "tensor:DimensionError": "operands whose shapes do not fit",
     "tensor:DegenerateInputError": "an empty or zero-sized input",
     "tensor:ContractError": "a gradient of the wrong shape or dtype, or a non-scalar loss",
-    "pipeline:TrainingError": "a non-finite training loss",
+    "pipeline:TrainingError": "training whose weights diverged",
     "cli:InputError": "reports any of the above with exit code 2",
 }
 

@@ -96,6 +96,19 @@ def test_truncated_payload(tmp_path, maps):
     assert maps == []  # refused before anything is mapped
 
 
+def test_non_finite_value_is_refused_naming_file_and_index(tmp_path, maps):
+    # the payload is read through the file in chunks: an index past the first
+    # chunk counts from the payload's start, and nothing is mapped
+    arr = np.zeros(2**17 + 10)
+    arr[2**17 + 3] = -np.inf
+    path = tmp_path / "a.mext"
+    write_tensor(path, arr)
+    with pytest.raises(DataFileError,
+                       match=rf"^{path}: non-finite value -inf at index {2**17 + 3}$"):
+        read_tensor(path)
+    assert maps == []
+
+
 @pytest.mark.parametrize("keep", range(4, 24))
 def test_truncated_header(tmp_path, keep):
     # a rank-2 header is 24 bytes: magic, version/code/rank, two extents
