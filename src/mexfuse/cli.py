@@ -254,16 +254,16 @@ def bench(ctx):
         # the mex-only options are the config's for the mex rows alone
         fusion = {**cfg["fusion"], "variant": variant, "per_pair_projections": per_pair,
                   "residual_add": variant == "mex" and cfg["fusion"]["residual_add"]}
-        model = _build_model({**cfg, "fusion": fusion}, data["concepts"], data["manifest"])
+        built = [_build_model({**cfg, "fusion": fusion}, data["concepts"], data["manifest"])]
+        (g, _), (t, _), (l, _) = (built[0]._raw_shape(m) for m in MODALITIES)
+        row = {"variant": variant, "per_pair": per_pair, "d_k": built[0].fusion_params.d_k,
+               "g": g, "t": t, "l": l, "param_count": sum(p.size for p in built[0].parameters())}
         t0 = time.perf_counter()
         with _input_errors(), fresh_context() as run:
-            pipeline.score_all(data["trajectories"], data["tasks"], model, window=window)
+            # handed on, not kept, as score does: its weights die stage by stage
+            pipeline.score_all(data["trajectories"], data["tasks"], built.pop(), window=window)
         wall = time.perf_counter() - t0
-        (g, _), (t, _), (l, _) = (model._raw_shape(m) for m in MODALITIES)
-        rows.append({"variant": variant, "per_pair": per_pair, "d_k": model.fusion_params.d_k,
-                     "g": g, "t": t, "l": l,
-                     "param_count": sum(p.data.size for p in model.parameters()),
-                     **run.ledger.snapshot(), "wall_time_s": wall})
+        rows.append({**row, **run.ledger.snapshot(), "wall_time_s": wall})
     mex, cas = (rows[BENCH_ROWS.index(key)] for key in (("mex", False), ("cascade", False)))
     claim = {
         "params_ok": mex["param_count"] < cas["param_count"],

@@ -20,7 +20,6 @@ are exact and reproducible.
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 from .features import GLOBAL_FRAME, LOCAL_TRACK, PROMPT
@@ -32,7 +31,6 @@ from .tensor import (
     matmul,
     mean_axis,
     pooled_cosine,
-    product,
 )
 
 VARIANTS = ("mex", "cascade", "plain")
@@ -46,21 +44,14 @@ class FusionParams:
     is reused as the query of the second map). ``per_pair=True`` switches to
     separate query/key/value projections per modality pair, which brings the
     parameter count up to the cascade block's.
-
-    ``hidden`` is None in the training structure. In a scoring form, whose
-    local-track stream is the local MLP's hidden activations ``a``, it holds
-    the composed maps that ``composed_maps`` makes, keyed by the stage (a
-    ``features`` modality) that reads each: ``global_terms``,
-    ``prompt_terms`` and ``visual_terms`` each absorb or apply their own.
     """
 
-    def __init__(self, variant, d_k, linears, residual_add=False, per_pair=False, hidden=None):
+    def __init__(self, variant, d_k, linears, residual_add=False, per_pair=False):
         self.variant = variant
         self.d_k = d_k
         self.residual_add = residual_add
         self.per_pair = per_pair
         self.linears = linears  # keyed as ``linear_names`` lists them
-        self.hidden = hidden
 
 
 def linear_names(variant, per_pair=False):
@@ -110,35 +101,12 @@ def reads(params, stream):
     return tuple(dict.fromkeys(roles(params, stream).values()))
 
 
-# The local-track role whose composed map each stage of a scoring pass reads:
-# absorbed into the prompt's or the global frames' terms, or, at the track
-# windows' stage, applied to a window by ``visual_terms``.
-_ABSORBED_AT = {
-    "mex": {PROMPT: "q_tp", GLOBAL_FRAME: "k_it", LOCAL_TRACK: "v_t"},
-    "cascade": {GLOBAL_FRAME: "q", LOCAL_TRACK: "q"},
-    "plain": {PROMPT: "q"},
-}
-
-
-def composed_maps(params, second):
-    """Stage -> the map c = proj∘second it reads (``FusionParams.hidden``), for
-    the local MLP's last layer ``second``. Each projection that reads the local
-    tracks is composed once, so shared mex's three stages hold one map;
-    cascade's window stage reads its query's map composed with s2_q."""
-    by_role = roles(params, LOCAL_TRACK)
-    composed = {n: second.then(params.linears[n]) for n in reads(params, LOCAL_TRACK)}
-    hidden = {m: composed[by_role[role]] for m, role in _ABSORBED_AT[params.variant].items()}
-    if params.variant == "cascade":
-        hidden[LOCAL_TRACK] = hidden[LOCAL_TRACK].then(params.linears["s2_q"])
-    return hidden
-
-
 def stage_reads(params, stream):
     """Names of the projections that the ``stream`` stage of a scoring pass
-    reads: those that read ``stream``, with cascade's s2_q, absorbed into
-    the global frames' values."""
+    reads: those that read ``stream``, with cascade's s2_q, which a track
+    window's stage-1 output meets."""
     names = reads(params, stream)
-    if params.variant == "cascade" and stream == GLOBAL_FRAME:
+    if params.variant == "cascade" and stream == LOCAL_TRACK:
         names += ("s2_q",)
     return names
 
@@ -180,52 +148,16 @@ class LastStage(NamedTuple):
 # the global terms and the window's projections. One ``last_stage`` joins
 # them to the prompt's, so a scoring pass computes each global window's terms
 # and each prompt's terms once. Streams are [..., tokens, d]; leading axes
-# (prompts, windows, frames) are batch axes and broadcast.
-#
-# A scoring form (``params.hidden`` set) never applies a map c = proj∘second
-# to a window's hidden rows a: a fills each local-track role as it is, and
-# c is absorbed into what the role meets, once per global window or per
-# pass, where no gradient is needed:
-# - a key met by a query q (mex k_it): q c(a)^T = (q W_c^T) a^T + q b_c, and
-#   q b_c is the same along each softmax row, so it drops;
-# - a query met by keys K (mex q_tp, plain q, cascade s1_q): c(a) K^T =
-#   a (K W_c^T)^T + K b_c, the last a per-key bias;
-# - a value pooled by a row-stochastic map (mex v_t): pbar @ c(a) = c(pbar @ a);
-# - cascade's query, added into s2_q: s2_q(p1 @ v + c(a)) = p1 @ (v W_s2q) +
-#   (c∘s2_q)(a), the one per-row product of a cascade window.
-
-
-def _map(params, q, k, bias=None):
-    """softmax((q k^T + bias) / sqrt(d_k)): the block's scale, which an
-    absorbed query or key, as wide as the local MLP's hidden layer, does not give."""
-    return attention_map(q, k, bias, scale=1.0 / math.sqrt(params.d_k))
-
-
-def _times(x, w):
-    """x [..., d] @ w [d, e] as one product over all of x's rows: a constant."""
-    return Tensor(product(x.data.reshape(-1, w.shape[0]), w).reshape(x.shape[:-1] + w.shape[1:]))
-
-
-def _absorb_keys(c, terms):
-    """The keys ``terms["k"]`` [..., l, d_k] that c(a) meets as its query become
-    k W_c^T [..., l, h], with their bias k b_c [..., l] as ``terms["bias"]``."""
-    k = terms["k"]
-    terms["k"], terms["bias"] = _times(k, c.w.data.T), Tensor(product(k.data, c.bias.data))
-    return terms
+# (prompts, windows, frames) are batch axes and broadcast. Training and
+# scoring run the same terms (``ReferringModel.scoring_form``).
 
 
 def global_terms(params: FusionParams, fGlobal: Tensor) -> dict:
     """The part of the fusion block that depends on the global frames alone:
     their projections by role, and mex's ``residual_add`` row mean of f(I)."""
     glob = _project(params, GLOBAL_FRAME, fGlobal)
-    if params.variant == "mex":
-        if params.residual_add:
-            glob["q_it_mean"] = mean_axis(glob["q_it"], axis=-2, keepdims=True)
-        if params.hidden is not None:
-            glob["q_it"] = _times(glob["q_it"], params.hidden[GLOBAL_FRAME].w.data.T)
-    elif params.variant == "cascade" and params.hidden is not None:
-        _absorb_keys(params.hidden[GLOBAL_FRAME], glob)
-        glob["v"] = _times(glob["v"], params.linears["s2_q"].w.data)
+    if params.variant == "mex" and params.residual_add:
+        glob["q_it_mean"] = mean_axis(glob["q_it"], axis=-2, keepdims=True)
     return glob
 
 
@@ -245,43 +177,31 @@ def visual_terms(params: FusionParams, glob: dict, fLocal: Tensor) -> dict:
     last stage's map is pbar @ p_tp, and the pooled residual is pbar @ f(T)
     (+ the row mean of f(I)). Cascade's stage 1 (local queries on the global
     frames, plus the query) gives the stage-2 query, which stage 2 adds to
-    its output. In a scoring form ``fLocal`` is the hidden rows a, which
-    fill every local-track role as they are.
+    its output.
     """
-    local = (_project(params, LOCAL_TRACK, fLocal) if params.hidden is None
-             else dict.fromkeys(roles(params, LOCAL_TRACK), fLocal))
+    local = _project(params, LOCAL_TRACK, fLocal)
     if params.variant == "mex":
-        pbar = mean_axis(_map(params, glob["q_it"], local["k_it"]), axis=-2, keepdims=True)
+        pbar = mean_axis(attention_map(glob["q_it"], local["k_it"]), axis=-2, keepdims=True)
         residual = matmul(pbar, local["v_t"])
-        if params.hidden is not None:
-            residual = params.hidden[LOCAL_TRACK](residual)
         if params.residual_add:
             residual = add(residual, glob["q_it_mean"])
         return {"q": local["q_tp"], "pbar": pbar, "residual": residual}
     if params.variant == "cascade":
-        q = local["q"]
-        stage1 = matmul(_map(params, q, glob["k"], glob.get("bias")), glob["v"])
-        q2 = (params.linears["s2_q"](add(stage1, q)) if params.hidden is None
-              else add(stage1, params.hidden[LOCAL_TRACK](q)))
+        stage1 = matmul(attention_map(local["q"], glob["k"]), glob["v"])
+        q2 = params.linears["s2_q"](add(stage1, local["q"]))
         return {"q": q2, "pbar": None, "residual": q2}
     return {"q": local["q"], "pbar": None, "residual": None}
 
 
 def prompt_terms(params: FusionParams, fPrompt: Tensor) -> dict:
-    """A prompt's keys ``k`` and values ``v``: one tensor when one projection gives
-    both. In a scoring form with a map for the prompt stage (the windows' rows
-    meet the keys as their query), the keys are absorbed: ``k`` is h wide, with a
-    key bias ``bias``."""
-    prompt = _project(params, PROMPT, fPrompt)
-    if params.hidden is None or PROMPT not in params.hidden:
-        return prompt
-    return _absorb_keys(params.hidden[PROMPT], prompt)
+    """A prompt's keys ``k`` and values ``v``: one tensor when one projection gives both."""
+    return _project(params, PROMPT, fPrompt)
 
 
 def last_stage(params: FusionParams, visual: dict, prompt: dict) -> LastStage:
-    """The per-prompt part of every variant: map = [pbar @] softmax((q k^T [+ bias]) /
+    """The per-prompt part of every variant: map = [pbar @] softmax(q k^T /
     sqrt(d_k)), values v and the window's residual."""
-    p = _map(params, visual["q"], prompt["k"], prompt.get("bias"))
+    p = attention_map(visual["q"], prompt["k"])
     if visual["pbar"] is not None:
         p = matmul(visual["pbar"], p)
     return LastStage(p, prompt["v"], visual["residual"])

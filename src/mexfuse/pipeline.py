@@ -92,14 +92,14 @@ class ReferringModel:
     """
 
     def __init__(self, embedder: EmbedderConfig, linears, variant="mex", residual_add=False,
-                 per_pair=False, concept_of=None, hidden=None):
+                 per_pair=False, concept_of=None):
         self.embedder = embedder
         self.linears = linears
         self.fusion_params = FusionParams(
             variant, embedder.fused_dim,
             {n: linears[f"fusion.{n}"] for n in fusion.linear_names(variant, per_pair)
              if f"fusion.{n}" in linears},
-            residual_add=residual_add, per_pair=per_pair, hidden=hidden)
+            residual_add=residual_add, per_pair=per_pair)
         self.streams = fusion.streams(variant, per_pair)
         self.mlps = {m: ProjectionMLP(linears[f"{_MLPS[m]}.first"],
                                       linears.get(f"{_MLPS[m]}.second"))
@@ -142,38 +142,28 @@ class ReferringModel:
 
     def scoring_form(self):
         """This model re-parameterised for a pass without gradients: a new model
-        whose ``Linear``s are constants over the same arrays, not copied and
-        charged nothing, without ``mlp_local.second`` and the projections that
-        read the local stream; its fusion params hold, by the stage that reads
-        it, each of those projections composed after ``second``
-        (``fusion.composed_maps``). No pass through this form, or a
-        ``stage_form`` of it, records a graph, whoever calls it.
-
-        Nothing nonlinear lies between ``second`` and the projections that
-        read its output, so each pair is one affine map c (``Linear.then``).
-        A window runs the local MLP's ``first`` and GELU only, giving its
-        hidden rows a, and c is never applied to them: the fusion terms
-        absorb it into the global-window query or keys, the prompt keys or
-        the pooled rows that it meets, so a window makes no per-row d_k-wide
-        product but cascade's one (its stage-1 query, added into ``s2_q``,
-        is composed with ``s2_q``). The maps are constants, made from the
-        current weights; this model is left as it was.
+        whose ``Linear``s are constants, charged nothing, over the same arrays,
+        without the local MLP's last layer ``second``. Each projection that
+        reads that layer's output is, under its own name, the one affine map
+        ``second.then(proj)``, since nothing nonlinear lies between them: a
+        window's MLP stops at its hidden rows, and the fusion terms apply each
+        map to them as training applies the projections. No pass through this
+        form, or a ``stage_form`` of it, records a graph, whoever calls it;
+        this model is left as it was.
         """
         fp = self.fusion_params
-        dropped = {"mlp_local.second"} | {f"fusion.{n}"
-                                          for n in fusion.reads(fp, features.LOCAL_TRACK)}
-        linears = {n: Linear(*(node(t.data, (), None, charge=0) for t in lin.parameters()))
-                   for n, lin in self.linears.items() if n not in dropped}
+        second = self.linears["mlp_local.second"]
+        composed = {f"fusion.{n}" for n in fusion.reads(fp, features.LOCAL_TRACK)}
+        linears = {n: second.then(lin) if n in composed else
+                   Linear(*(node(t.data, (), None, charge=0) for t in lin.parameters()))
+                   for n, lin in self.linears.items() if n != "mlp_local.second"}
         return ReferringModel(self.embedder, linears, fp.variant, residual_add=fp.residual_add,
-                              per_pair=fp.per_pair, concept_of=self.concept_of,
-                              hidden=fusion.composed_maps(fp, self.linears["mlp_local.second"]))
+                              per_pair=fp.per_pair, concept_of=self.concept_of)
 
     def stage_form(self, *streams):
         """This scoring form cut to what the stages of ``streams`` (modalities)
-        read, as a new model: each one's MLP, the projections that
-        ``fusion.stage_reads`` gives and its composed map. It holds no other
-        ``Linear``.
-        """
+        read, as a new model: each one's MLP and the projections that
+        ``fusion.stage_reads`` gives. It holds no other ``Linear``."""
         fp = self.fusion_params
         names = set()
         for m in streams:
@@ -182,8 +172,7 @@ class ReferringModel:
         return ReferringModel(self.embedder,
                               {n: lin for n, lin in self.linears.items() if n in names},
                               fp.variant, residual_add=fp.residual_add, per_pair=fp.per_pair,
-                              concept_of=self.concept_of,
-                              hidden={m: fp.hidden[m] for m in streams if m in fp.hidden})
+                              concept_of=self.concept_of)
 
     def global_terms(self, tokens):
         """Fusion terms of global frames, from raw tokens [..., w, s, d_raw] in one MLP call."""
@@ -478,7 +467,9 @@ def train(samples, trajectories, tasks, model: ReferringModel, epochs=100,
     batches. Each sample's track, prompt and frames must be known, as
     ``load_dataset`` checks. A batch whose forward pass raises
     DegenerateInputError, as diverged weights make it do (the tables are
-    finite), raises TrainingError naming the epoch and the batch start.
+    finite), raises TrainingError naming the epoch and the batch start, or
+    "after the last step", whose weights the first ``batch_size`` samples are
+    run on once more. Before any step the input is at fault: DegenerateInputError.
     """
     if not samples:
         raise DegenerateInputError("empty training dataset")
@@ -516,6 +507,11 @@ def train(samples, trajectories, tasks, model: ReferringModel, epochs=100,
                     loss = model.batch_loss(tables, [windows[i] for i in batch], match[batch],
                                             neg_margin)
                 except DegenerateInputError as exc:
+                    if epoch == start == 0:
+                        raise DegenerateInputError(
+                            f"the first batch fails before any optimizer step, so the input "
+                            f"is at fault, not training (embedder.noise_scale is "
+                            f"{model.embedder.noise_scale!r}): {exc}") from None
                     raise TrainingError(f"epoch {epoch}, batch start {start}: {exc}") from None
                 total += loss.item() * len(batch)
                 loss.backward()
@@ -525,6 +521,12 @@ def train(samples, trajectories, tasks, model: ReferringModel, epochs=100,
             log({"epoch": epoch, "mean_loss": curve[-1],
                  "wall_s": time.perf_counter() - t0,
                  "batches": len(range(0, len(order), batch_size))})
+    # no later batch runs the last step's weights
+    with fresh_context():
+        try:
+            model.batch_loss(tables, windows[:batch_size], match[:batch_size], neg_margin)
+        except DegenerateInputError as exc:
+            raise TrainingError(f"after the last step: {exc}") from None
     return curve
 
 

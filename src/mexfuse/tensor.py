@@ -12,6 +12,7 @@ counting frees the rest.
 from __future__ import annotations
 
 import contextvars
+import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -268,14 +269,13 @@ def take(a, idx):
     return node(out, (a,), bwd, charge=0 if whole and np.may_share_memory(out, a.data) else None)
 
 
-def attention_map(q, k, bias=None, *, scale):
-    """softmax((q k^T + bias) * scale) over the last two axes, as one graph node.
+def attention_map(q, k):
+    """softmax(q k^T / sqrt(d)) over the last two axes, as one graph node.
 
     ``q`` is [..., m, d] and ``k`` [..., n, d]; leading batch axes broadcast
-    as in ``matmul``. ``bias`` (a tensor or None) is a per-key bias,
-    [..., n], added to every row. ``k`` is read through a transposed view
-    and the logits are biased and scaled in place, so the [..., m, n] map
-    is the only array kept and the only one charged.
+    as in ``matmul``. ``k`` is read through a transposed view and the logits
+    are scaled in place, so the [..., m, n] map is the only array kept and
+    the only one charged.
     """
     if q.data.ndim < 2 or k.data.ndim < 2:
         raise DimensionError(
@@ -284,11 +284,10 @@ def attention_map(q, k, bias=None, *, scale):
         raise DimensionError(f"attention_map: channels differ, {q.data.shape} x {k.data.shape}")
     try:
         logits = product(q.data, np.swapaxes(k.data, -1, -2))
-        if bias is not None:
-            logits += bias.data[..., None, :]
     except ValueError:
-        got = f"{q.data.shape} x {k.data.shape}" + ("" if bias is None else f" + {bias.data.shape}")
-        raise DimensionError(f"attention_map: batch axes do not broadcast, {got}") from None
+        raise DimensionError(f"attention_map: batch axes do not broadcast, "
+                             f"{q.data.shape} x {k.data.shape}") from None
+    scale = 1.0 / math.sqrt(q.data.shape[-1])
     logits *= scale
     y = kernels.softmax_rows2d(logits)
 
@@ -300,10 +299,8 @@ def attention_map(q, k, bias=None, *, scale):
             q._accumulate(_sum_to(product(ds, k.data), q.data.shape))
         if k.requires_grad:
             k._accumulate(_sum_to(product(np.swapaxes(ds, -1, -2), q.data), k.data.shape))
-        if bias is not None and bias.requires_grad:
-            bias._accumulate(_sum_to(np.add.reduce(ds, axis=-2), bias.data.shape))
 
-    return node(y, (q, k) if bias is None else (q, k, bias), bwd)
+    return node(y, (q, k), bwd)
 
 
 def pooled_cosine(p, v, r, b):

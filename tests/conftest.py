@@ -139,7 +139,7 @@ def full_stream(params, fG, fL, fP):
     path of ``mexfuse.fusion`` never builds this stream; the tests compare
     it against this composition, and the ledger charges it op by op.
     """
-    L, scale = params.linears, 1.0 / np.sqrt(params.d_k)
+    L = params.linears
     if params.variant == "mex":
         if params.per_pair:
             q_it, k_it, v_t = L["q_it"](fG), L["k_it"](fL), L["v_t"](fL)
@@ -148,19 +148,19 @@ def full_stream(params, fG, fL, fP):
             q_it = L["proj_i"](fG)
             k_it = q_tp = v_t = L["proj_t"](fL)
             k_tp = v_p = L["proj_p"](fP)
-        p_it = attention_map(q_it, k_it, scale=scale)
+        p_it = attention_map(q_it, k_it)
         it = matmul(p_it, v_t)
         residual = add(it, q_it) if params.residual_add else it
-        p_tp = attention_map(q_tp, k_tp, scale=scale)
+        p_tp = attention_map(q_tp, k_tp)
         p_itp = matmul(p_it, p_tp)
         fused = add(matmul(p_itp, v_p), residual)
         return fused, {"it": p_it, "tp": p_tp, "itp": p_itp}
     if params.variant == "cascade":
         q1 = L["s1_q"](fL)
-        p1 = attention_map(q1, L["s1_k"](fG), scale=scale)
+        p1 = attention_map(q1, L["s1_k"](fG))
         q2 = L["s2_q"](add(matmul(p1, L["s1_v"](fG)), q1))
-        p2 = attention_map(q2, L["s2_k"](fP), scale=scale)
+        p2 = attention_map(q2, L["s2_k"](fP))
         return add(matmul(p2, L["s2_v"](fP)), q2), {"it": p1, "tp": p2}
     q = L["q"](fL)
-    p = attention_map(q, L["k"](fP), scale=scale)
+    p = attention_map(q, L["k"](fP))
     return matmul(p, L["v"](fP)), {"tp": p}

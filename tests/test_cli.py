@@ -233,6 +233,39 @@ class TestTrainScore:
         assert isinstance(result.exception, SystemExit)
         assert not (out / "model").exists()
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    def test_weights_diverged_by_the_last_step_exit_1(self, runner, tmp_path):
+        # one batch, one step: no later batch's forward pass meets its weights
+        cfg = {**TOY_CONFIG, "pipeline": {**TOY_CONFIG["pipeline"], "lr": 1e308, "epochs": 1},
+               "dataset": {**TOY_CONFIG["dataset"], "n_windows": 8}}
+        cfg_path, out = tmp_path / "cfg.json", tmp_path / "run"
+        cfg_path.write_text(json.dumps(cfg))
+        assert invoke(runner, "--config", str(cfg_path), "--out", str(out), "gen").exit_code == 0
+        result = runner.invoke(main, ["--config", str(cfg_path), "--out", str(out), "train"])
+        assert result.exit_code == 1, result.output
+        assert result.output.startswith("training aborted: after the last step: cosine "
+                                        "similarity of a non-finite vector"), result.output
+        assert "Traceback" not in result.output
+        assert not (out / "model").exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    def test_input_that_fails_before_any_step_exits_2_naming_the_noise(self, runner, tmp_path):
+        cfg = {**TOY_CONFIG, "embedder": {**TOY_CONFIG["embedder"], "oracle_mode": True,
+                                          "noise_scale": 1e308}}
+        cfg_path, out = tmp_path / "cfg.json", tmp_path / "run"
+        cfg_path.write_text(json.dumps(cfg))
+        assert invoke(runner, "--config", str(cfg_path), "--out", str(out), "gen").exit_code == 0
+        result = runner.invoke(main, ["--config", str(cfg_path), "--out", str(out), "train"])
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith(
+            "Error: the first batch fails before any optimizer step, so the input is at "
+            "fault, not training (embedder.noise_scale is 1e+308): cosine similarity of a "
+            "non-finite vector"), result.output
+        assert "Traceback" not in result.output
+        assert not (out / "model").exists()
+
     @pytest.mark.parametrize("keep,part", [
         (6, "truncated header (2 of 4 bytes)"), (12, "truncated extents (4 of 16 bytes)"),
         (30, "truncated payload (6 of 512 bytes)"),
@@ -861,11 +894,39 @@ class TestBench:
         rows = json.loads((tmp_path / "bench" / "bench.json").read_text())["rows"]
         assert [(r["variant"], r["per_pair"], r["d_k"], r["g"], r["t"], r["l"],
                  r["param_count"], r["peak_values"], r["flops"]) for r in rows] == [
-            ("mex", False, 256, 16, 16, 20, 1_050_880, 2_415_480, 394_321_920),
-            ("mex", True, 256, 16, 16, 20, 1_248_256, 2_567_544, 433_250_304),
-            ("cascade", False, 256, 16, 16, 20, 1_248_256, 3_487_656, 511_410_176),
-            ("plain", False, 256, 16, 16, 20, 1_050_880 - 262_656, 2_111_096, 338_317_312),
+            ("mex", False, 256, 16, 16, 20, 1_050_880, 2_669_352, 459_313_152),
+            ("mex", True, 256, 16, 16, 20, 1_248_256, 3_476_776, 666_013_696),
+            ("cascade", False, 256, 16, 16, 20, 1_248_256, 3_683_880, 561_643_520),
+            ("plain", False, 256, 16, 16, 20, 1_050_880 - 262_656, 2_418_216, 416_940_032),
         ]
+
+    def test_hands_each_model_to_the_pass(self, runner, tmp_path, monkeypatch):
+        # as score does: no reference to a row's model outlives its prompt
+        # stage, so the pass frees its weights stage by stage
+        import weakref
+
+        from mexfuse import cli, pipeline
+
+        built, dead = [], []
+        build, forward_window = cli._build_model, pipeline.ReferringModel.forward_window
+
+        def recorded_build(*args):
+            model = build(*args)
+            built.append(weakref.ref(model))
+            return model
+
+        def observed(form, *args):
+            if len(dead) < len(built):  # the row's first window
+                dead.append(built[-1]() is None)
+            return forward_window(form, *args)
+
+        monkeypatch.setattr(cli, "_build_model", recorded_build)
+        monkeypatch.setattr(pipeline.ReferringModel, "forward_window", observed)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(SMALL_CFG))
+        result = invoke(runner, "--config", str(cfg), "--out", str(tmp_path / "b"), "bench")
+        assert result.exit_code == 0, result.output
+        assert dead == [True] * 4
 
     def test_mex_options_stay_in_the_mex_rows(self, runner, tmp_path, monkeypatch):
         # residual_add is the config's for the mex rows; the cascade and

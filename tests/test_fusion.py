@@ -120,7 +120,7 @@ def pooled(params, fG, fL, fP, target):
 
 def attention(q, k, v):
     """softmax(q k^T / sqrt(d_k)) v, as the plain block composes it."""
-    return matmul(attention_map(q, k, scale=1.0 / np.sqrt(q.shape[-1])), v)
+    return matmul(attention_map(q, k), v)
 
 
 class TestAttention:

@@ -84,20 +84,7 @@ def test_attention_map(rng, k_shape):
     q = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
     k = Tensor(rng.standard_normal(k_shape), requires_grad=True)
     w = rng.standard_normal((2, 3, 5))
-    check(lambda: sum_all(mul(attention_map(q, k, scale=0.5), Tensor(w))), q, k)
-
-
-@pytest.mark.parametrize("q_shape,k_shape,bias_shape", [
-    ((2, 3, 4), (2, 5, 4), (2, 5)), ((2, 3, 4), (5, 4), (5,)), ((2, 3, 4), (2, 5, 4), (5,)),
-    # keys with batch axes in front of the queries' own, broadcast over them
-    ((3, 4), (2, 5, 4), (2, 5)), ((2, 3, 4), (4, 1, 5, 4), (4, 1, 5))])
-def test_attention_map_key_bias(rng, q_shape, k_shape, bias_shape):
-    # a per-key bias and an explicit scale, as an absorbed query meets its keys
-    q = Tensor(rng.standard_normal(q_shape), requires_grad=True)
-    k = Tensor(rng.standard_normal(k_shape), requires_grad=True)
-    bias = Tensor(rng.standard_normal(bias_shape), requires_grad=True)
-    w = rng.standard_normal(np.broadcast_shapes(q_shape[:-2], k_shape[:-2]) + (3, 5))
-    check(lambda: sum_all(mul(attention_map(q, k, bias, scale=0.3), Tensor(w))), q, k, bias)
+    check(lambda: sum_all(mul(attention_map(q, k), Tensor(w))), q, k)
 
 
 @pytest.mark.parametrize("a_shape,b_shape", [((2, 3, 4), (3, 4)), ((3, 4), (2, 1, 3, 4)),
@@ -342,7 +329,7 @@ def test_attention_map_random_shapes(data, m, n, d, seed):
     rng = np.random.default_rng(seed)
     q = leaf(rng, data.draw(partner(batch)) + (m, d))
     k = leaf(rng, data.draw(partner(batch)) + (n, d))
-    check_weighted(rng, lambda: attention_map(q, k, scale=1.0 / np.sqrt(d)), q, k)
+    check_weighted(rng, lambda: attention_map(q, k), q, k)
 
 
 @RANDOM_SHAPES

@@ -18,7 +18,7 @@ from mexfuse.features import (
     EmbedderConfig,
     embed_synthetic,
 )
-from mexfuse.fusion import composed_maps, linear_names
+from mexfuse.fusion import linear_names, reads
 from mexfuse.pipeline import (
     DataFileError,
     DatasetConfig,
@@ -235,8 +235,8 @@ class TestScoring:
         # the scoring form against the unfolded chain; d_k is 8, so a hidden
         # width of 16 or 5 tells an attention scale of 1/sqrt(h) from 1/sqrt(d_k)
         model = small_model(small_data, variant=variant, mlp_hidden=mlp_hidden, **kw)
-        # biases start at zero: give every Linear one, so that each absorbed
-        # bias term, kept or dropped, counts
+        # biases start at zero: give every Linear one, so that each composed
+        # bias counts
         rng = np.random.default_rng(mlp_hidden)
         for linear in model.linears.values():
             linear.bias.data[...] = rng.standard_normal(linear.bias.data.shape)
@@ -595,8 +595,9 @@ class TestLedgerCountsProducts:
         batch = TOY_CONFIG["pipeline"]["batch_size"]
         train(data["samples"][:batch], data["trajectories"], data["tasks"], model, epochs=1,
               batch_size=batch, lr=0.05, momentum=0.9, neg_margin=-0.1)
-        assert len(ledgers) == 1
-        assert products and ledgers[0].flops == sum(products)
+        # the batch's step, and the forward pass that checks the last step's weights
+        assert len(ledgers) == 2
+        assert products and sum(ledger.flops for ledger in ledgers) == sum(products)
 
     def test_paper_dims_score_pass(self, products, mlp_calls):
         # the paper-score benchmark's inputs at seed 12: 40 tracks, 8 prompts, window 8
@@ -609,22 +610,18 @@ class TestLedgerCountsProducts:
             score_all(data["trajectories"], data["tasks"], model, window=8)
         assert ctx.ledger.flops == sum(products)
         # the local MLP's last layer composed into the projection that reads
-        # the local tracks and absorbed where it meets them: a window's rows
-        # meet no 256 x 256 map (295,657,472 fewer multiply-adds than with
-        # the composed map applied to them), and three products more for the
-        # pass: the absorbed global query, prompt keys and key bias
-        assert (len(products), sum(products), len(mlp_calls)) == (291, 1_414_144_000, 42)
+        # the local tracks, which each window applies to its hidden rows once
+        assert (len(products), sum(products), len(mlp_calls)) == (288, 1_709_801_472, 42)
         # each window meets every prompt in order, so it takes the prompt terms as they are
-        assert ctx.ledger.peak_values == 9_111_264
+        assert ctx.ledger.peak_values == 10_266_176
 
-    @pytest.mark.parametrize("variant,kw,per_window", [
-        ("mex", {}, 0), ("mex", {"per_pair": True}, 0), ("plain", {}, 0), ("cascade", {}, 1)],
-        ids=["mex", "mex-per_pair", "plain", "cascade"])
-    def test_a_window_meets_no_d_k_wide_map(self, monkeypatch, variant, kw, per_window):
+    @pytest.mark.parametrize("variant,kw,maps", [
+        ("mex", {}, 1), ("mex", {"per_pair": True}, 3), ("cascade", {}, 1), ("plain", {}, 1)],
+        ids=["mex", "mex-per_pair", "cascade", "plain"])
+    def test_a_window_applies_each_composed_map_once(self, monkeypatch, variant, kw, maps):
         # the products that read a track window's hidden rows a [8, 16, h], at
-        # paper dims with h = 192 != d_k: each map c = proj∘second is absorbed
-        # where a's role meets another term, and only cascade's stage-2 query
-        # is a per-row [128, h] x [h, d_k] product
+        # paper dims with h = 192 != d_k: one [128, h] x [h, d_k] per map
+        # c = proj∘second that the scoring form holds, and no other
         hidden_rows, read = [], []
         original, matmul2d = features.ProjectionMLP.__call__, kernels.matmul2d
 
@@ -649,15 +646,7 @@ class TestLedgerCountsProducts:
             **kw)
         score_all(data["trajectories"], data["tasks"], model, window=8)
         assert len(hidden_rows) == 40
-        assert [s for s in read if s[1][-1] == 256] == [((128, 192), (192, 256))] * 40 * per_window
-        # the rest: the attention logits against the global query or keys and
-        # the 8 prompts' 20 keys each (one broadcast product), and mex's pooling
-        logits = {((8, 16, 192), (8, 1, 192, 20))} | (
-            {((8, 16, 192), (8, 192, 16)), ((8, 1, 16), (8, 16, 192))} if variant == "mex" else
-            {((8, 16, 192), (8, 192, 16))} if variant == "cascade" else set())
-        if variant == "cascade":  # its prompt keys meet the stage-2 query, not a
-            logits.remove(((8, 16, 192), (8, 1, 192, 20)))
-        assert {s for s in read if s[1][-1] != 256} == logits
+        assert read == [((128, 192), (192, 256))] * 40 * maps
 
 
 MLPS = {GLOBAL_FRAME: "mlp_global", LOCAL_TRACK: "mlp_local", PROMPT: "mlp_prompt"}
@@ -798,43 +787,69 @@ class TestPersistence:
             ReferringModel.load(tmp_path / "m", concept_map(small_data["manifest"]))
 
 
-# what each stage of a scoring pass holds beyond the local MLP's first layer:
-# the global stage's MLP, projections and composed map, and the composed map
-# that visual_terms applies to a window (by the stage that reads it)
+# the loaded projections each stage of a scoring pass holds beyond the local
+# MLP's first layer: the global stage's, and those a window's stage-1 output
+# meets (cascade's s2_q)
 GLOBAL_STAGE = {"mex": {"fusion.proj_i"}, "mex/per_pair": {"fusion.q_it"},
-                "cascade": {"fusion.s1_k", "fusion.s1_v", "fusion.s2_q"}}
-GLOBAL_MAPS = {"mex": {GLOBAL_FRAME}, "cascade": {GLOBAL_FRAME}}
-WINDOW_MAPS = {"mex": {LOCAL_TRACK}, "cascade": {LOCAL_TRACK}, "plain": set()}
-
-
-# the projection whose map c = proj∘second each stage of a scoring pass reads;
-# cascade's window stage reads its query's map composed with s2_q as well
-COMPOSED_AT = {"mex": {PROMPT: "proj_t", GLOBAL_FRAME: "proj_t", LOCAL_TRACK: "proj_t"},
-               "mex/per_pair": {PROMPT: "q_tp", GLOBAL_FRAME: "k_it", LOCAL_TRACK: "v_t"},
-               "cascade": {GLOBAL_FRAME: "s1_q", LOCAL_TRACK: "s1_q"}, "plain": {PROMPT: "q"}}
+                "cascade": {"fusion.s1_k", "fusion.s1_v"}}
+WINDOW_STAGE = {"mex": set(), "mex/per_pair": set(), "cascade": {"fusion.s2_q"},
+                "plain": set()}
+# the projections that read the local tracks: a scoring form holds each
+# composed after the local MLP's last layer, under its own name
+COMPOSED = {"mex": {"fusion.proj_t"}, "mex/per_pair": {"fusion.k_it", "fusion.q_tp", "fusion.v_t"},
+            "cascade": {"fusion.s1_q"}, "plain": {"fusion.q"}}
 
 
 class TestStagedScoring:
     @pytest.mark.parametrize("variant,kw", GRADCHECK_CONFIGS,
                              ids=["/".join([v, *kw]) for v, kw in GRADCHECK_CONFIGS])
-    def test_each_stage_reads_one_map_composed_in_fusion(self, small_data, variant, kw):
+    def test_each_local_track_projection_is_composed_under_its_name(self, small_data, variant,
+                                                                    kw):
         model = small_model(small_data, variant=variant, **kw)
         rng = np.random.default_rng(8)
         for linear in model.linears.values():  # non-zero biases, so each bias term counts
             linear.bias.data[...] = rng.standard_normal(linear.bias.data.shape)
-        second, fp = model.linears["mlp_local.second"], model.fusion_params
-        hidden = composed_maps(fp, second)
-        want = COMPOSED_AT["mex/per_pair" if kw.get("per_pair") else variant]
-        assert set(hidden) == set(want)
-        assert set(model.scoring_form().fusion_params.hidden) == set(want)
-        for stage, name in want.items():
-            c = second.then(fp.linears[name])
-            if variant == "cascade" and stage == LOCAL_TRACK:
-                c = c.then(fp.linears["s2_q"])
-            assert np.array_equal(hidden[stage].w.data, c.w.data), stage
-            assert np.array_equal(hidden[stage].bias.data, c.bias.data), stage
-        if variant == "mex" and not kw.get("per_pair"):
-            assert hidden[PROMPT] is hidden[GLOBAL_FRAME] is hidden[LOCAL_TRACK]
+        second, form = model.linears["mlp_local.second"], model.scoring_form()
+        composed = COMPOSED["mex/per_pair" if kw.get("per_pair") else variant]
+        assert set(form.linears) == set(model.linears) - {"mlp_local.second"}
+        assert form.mlps[LOCAL_TRACK].second is None
+        for name, lin in form.linears.items():
+            assert not lin.w.requires_grad and not lin.bias.requires_grad, name
+            if name in composed:
+                c = second.then(model.linears[name])
+                assert (lin.d_in, lin.d_out) == (16, 8), name
+                assert np.array_equal(lin.w.data, c.w.data), name
+                assert np.array_equal(lin.bias.data, c.bias.data), name
+            else:
+                assert lin.w.data is model.linears[name].w.data, name
+                assert lin.bias.data is model.linears[name].bias.data, name
+            assert form.fusion_params.linears.get(name.removeprefix("fusion."), lin) is lin
+
+    @pytest.mark.parametrize("variant,kw", GRADCHECK_CONFIGS,
+                             ids=["/".join([v, *kw]) for v, kw in GRADCHECK_CONFIGS])
+    def test_no_local_track_projection_reads_another_stream(self, small_data, variant, kw):
+        # the scoring form swaps each of them for a map from the local MLP's
+        # hidden rows, under the same name: a stream of another width must
+        # never reach it
+        fp = small_model(small_data, variant=variant, **kw).fusion_params
+        local = set(reads(fp, LOCAL_TRACK))
+        assert local
+        for m in (GLOBAL_FRAME, PROMPT):
+            assert local.isdisjoint(reads(fp, m)), m
+
+    def test_shared_mex_holds_one_prompt_tensor(self, small_data, monkeypatch):
+        # shared mex's one f(P) is the prompts' keys and their values
+        seen = []
+        forward_window = ReferringModel.forward_window
+
+        def observed(form, glob, local_tokens, prompts, idx):
+            seen.append(prompts[0]["k"] is prompts[0]["v"])
+            return forward_window(form, glob, local_tokens, prompts, idx)
+
+        monkeypatch.setattr(ReferringModel, "forward_window", observed)
+        score_all(small_data["trajectories"], small_data["tasks"], small_model(small_data),
+                  window=3)
+        assert seen and all(seen)
 
     @pytest.mark.parametrize("variant,kw", GRADCHECK_CONFIGS,
                              ids=["/".join([v, *kw]) for v, kw in GRADCHECK_CONFIGS])
@@ -863,10 +878,10 @@ class TestStagedScoring:
                 if stage not in seen:  # names only: the test must hold no weight
                     alive = {n for n, refs in loaded["linears"].items()
                              if any(ref() is not None for ref in refs)}
-                    same = all(t.data is ref() for n, lin in form.linears.items()
+                    same = all(t.data is ref() for n, lin in form.linears.items() if n in alive
                                for t, ref in zip(lin.parameters(), loaded["linears"][n]))
                     seen[stage] = (loaded["model"]() is None, alive, set(form.linears), same,
-                                   set(form.fusion_params.hidden), set(form.mlps))
+                                   set(form.mlps))
                 return original(form, *args)
             return observed
 
@@ -880,17 +895,20 @@ class TestStagedScoring:
             catch_exceptions=False)
         assert result.exit_code == 0, result.output
         key = "mex/per_pair" if kw.get("per_pair") else variant
-        stages = {"forward_window": ({"mlp_local.first"}, WINDOW_MAPS[variant], {LOCAL_TRACK})}
+        window = {"mlp_local.first"} | WINDOW_STAGE[key]
+        stages = {"forward_window": (window, {LOCAL_TRACK})}
         if variant != "plain":
             stages["global_terms"] = (
-                {"mlp_local.first", "mlp_global.first", "mlp_global.second"} | GLOBAL_STAGE[key],
-                GLOBAL_MAPS[variant] | WINDOW_MAPS[variant], {GLOBAL_FRAME, LOCAL_TRACK})
+                window | {"mlp_global.first", "mlp_global.second"} | GLOBAL_STAGE[key],
+                {GLOBAL_FRAME, LOCAL_TRACK})
         assert set(seen) == set(stages)
-        for stage, (names, maps, mlps) in stages.items():
-            model_dead, alive, linears, same, hidden, form_mlps = seen[stage]
+        for stage, (names, mlps) in stages.items():
+            model_dead, alive, linears, same, form_mlps = seen[stage]
             assert model_dead, stage
-            assert linears == alive == names and same, stage
-            assert (hidden, form_mlps) == (maps, mlps), stage
+            # the loaded projections that read the local tracks died with the
+            # composition; the form holds their composed maps under their names
+            assert alive == names and linears == names | COMPOSED[key] and same, stage
+            assert form_mlps == mlps, stage
         # the same scores as the in-memory model's, byte for byte
         write_scores(tmp_path / "want.jsonl", score_all(
             data["trajectories"], data["tasks"], model, window=cfg["pipeline"]["window"]))

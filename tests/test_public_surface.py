@@ -136,7 +136,37 @@ def test_every_product_is_counted_in_one_place():
 def test_composition_happens_in_one_place():
     # a pass without gradients scores through the one re-parameterised model;
     # a composition made anywhere else would be a second forward path
-    assert callers(SRC, "then") == {"fusion:composed_maps"}
+    assert callers(SRC, "then") == {"pipeline:ReferringModel.scoring_form"}
+
+
+def maps_and_hidden_reads(src):
+    """(module, positional operands, keywords) of each ``attention_map`` call in
+    ``src``, and the modules that read an attribute named ``hidden``."""
+    calls, reads = [], set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call) and \
+                    ast.unparse(node.func).rpartition(".")[2] == "attention_map":
+                calls.append((path.stem, len(node.args), [k.arg for k in node.keywords]))
+            elif isinstance(node, ast.Attribute) and node.attr == "hidden":
+                reads.add(path.stem)
+    return calls, reads
+
+
+def test_scoring_and_training_meet_the_same_maps():
+    # every map is softmax(q k^T / sqrt(d)) of a query and its keys, made in
+    # fusion's terms; no form of the model keeps terms as wide as a hidden layer
+    calls, reads = maps_and_hidden_reads(SRC)
+    assert calls and all(call == ("fusion", 2, []) for call in calls), calls
+    assert reads == set()
+
+
+def test_scan_finds_maps_and_hidden_reads(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def f(p, q, k):\n    return T.attention_map(q, k, scale=2), p.hidden[0]\n")
+    (tmp_path / "b.py").write_text("def g(q, k, hidden):\n    return attention_map(q, k, hidden)\n")
+    assert maps_and_hidden_reads(tmp_path) == (
+        [("a", 2, ["scale"]), ("b", 3, [])], {"a"})
 
 
 def test_graph_recording_is_decided_in_node(tmp_path):

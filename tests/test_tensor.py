@@ -89,8 +89,7 @@ class TestMatmul:
 
 def softmax_of(logits):
     """attention_map of a 1-channel query 1 against keys ``logits``: softmax(logits)."""
-    return attention_map(Tensor([[1.0]]), Tensor(np.asarray(logits, dtype=float)[:, None]),
-                         scale=1.0)
+    return attention_map(Tensor([[1.0]]), Tensor(np.asarray(logits, dtype=float)[:, None]))
 
 
 class TestSoftmax:
@@ -121,7 +120,7 @@ class TestSoftmax:
             m, n, d = rng.integers(1, 6, size=3)
             q = rng.uniform(-30, 30, size=(m, d))
             k = rng.uniform(-30, 30, size=(n, d))
-            out = attention_map(Tensor(q), Tensor(k), scale=1.0 / np.sqrt(d))
+            out = attention_map(Tensor(q), Tensor(k))
             assert out.shape == (m, n)
             assert (out.data >= 0).all()
             assert np.abs(out.data.sum(axis=1) - 1).max() <= 1e-12
@@ -130,15 +129,14 @@ class TestSoftmax:
         ((3, 4), (2, 5, 4)), ((2, 3, 4), (4, 1, 5, 4)), ((2, 3, 4), (6, 4, 1, 5, 4)),
         ((2, 3, 4), (4, 2, 5, 4)), ((1, 3, 4), (4, 1, 5, 4))])
     def test_keys_in_front_of_the_queries_batch(self, q_shape, k_shape):
-        # one product for every batch of keys, same map as the broadcast one,
-        # same products counted
+        # the map np.matmul's broadcast gives, scaled by 1/sqrt(4), with the
+        # products it counts
         rng = np.random.default_rng(5)
         q, k = rng.standard_normal(q_shape), rng.standard_normal(k_shape)
-        bias = rng.standard_normal(k_shape[:-1])
-        logits = (np.matmul(q, np.swapaxes(k, -1, -2)) + bias[..., None, :]) * 0.7
+        logits = np.matmul(q, np.swapaxes(k, -1, -2)) * 0.5
         want = np.exp(logits) / np.exp(logits).sum(axis=-1, keepdims=True)
         with fresh_context() as ctx:
-            got = attention_map(Tensor(q), Tensor(k), Tensor(bias), scale=0.7)
+            got = attention_map(Tensor(q), Tensor(k))
         assert got.shape == want.shape and got.data.flags.c_contiguous
         assert np.abs(got.data - want).max() <= 1e-12
         assert ctx.ledger.flops == want.size * q_shape[-1]
@@ -148,7 +146,7 @@ class TestSoftmax:
         q = Tensor(np.ones((2, 3, 4)), requires_grad=True)
         k = Tensor(np.ones((5, 4)), requires_grad=True)
         with fresh_context() as ctx:
-            sum_all(attention_map(q, k, scale=0.5)).backward()
+            sum_all(attention_map(q, k)).backward()
             assert ctx.ledger.peak_values == 2 * 3 * 5 + 1
             assert ctx.ledger.flops == 3 * (2 * 3 * 5 * 4)
 
@@ -479,7 +477,7 @@ class TestLedger:
             with fresh_context() as ctx:
                 a = Tensor(np.ones((3, 4)))
                 b = Tensor(np.ones((5, 4)))
-                attention_map(a, b, scale=0.5)
+                attention_map(a, b)
                 return ctx.ledger.snapshot()
 
         first, second = run(), run()
